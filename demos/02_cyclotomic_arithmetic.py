@@ -7,7 +7,7 @@ Z[zeta_d, 1/d] being regular.
 """
 
 from quillen_strata.rings import (GF, cyclotomic_poly, factor,
-                                  is_squarefree_mod, prime_splitting)
+                                  is_separable, prime_splitting)
 
 for d in (1, 2, 4, 8, 12):
     print("Phi_%d = %s" % (d, cyclotomic_poly(d).pretty()))
@@ -21,7 +21,7 @@ for q in (3, 5, 7, 11, 13, 17):
     print("  q=%2d: %d prime(s) of degree %d;  Phi_8 = %s  (mod %d)"
           % (q, s.count, s.residue_degree, " * ".join(factors), q))
     assert len(factors) == s.count
-    assert is_squarefree_mod(phi)
+    assert is_separable(phi)
 
 # q = 17 splits completely since 17 = 1 mod 8; q = 3, 5 give two quadratics;
 # q = 7 also splits into quadratics since ord_8(7) = 2.

@@ -15,7 +15,7 @@ from .groups import (FamilySpec, all_subgroup_sets, build_group,
                      family_members, subgroups_up_to_conjugacy, weyl)
 from .orbit_cat import verify_mackey
 from .rings import (GF, Poly, ZZ, cyclotomic_poly, factor,
-                    is_squarefree_mod, prime_splitting, primes_upto)
+                    is_separable, prime_splitting, primes_upto)
 from .spectrum import assemble_strong, assemble_weak, check_agreement
 from .strata import parse_theory, stratum, theory_family_classes
 
@@ -130,7 +130,7 @@ def check_splitting_oracle(max_d=40, max_q=100):
                     if split.count != 1:
                         return False, "d=%d q=%d trivial case" % (d, q)
                     continue
-                if not is_squarefree_mod(phi):
+                if not is_separable(phi):
                     return False, "Phi_%d mod %d not squarefree" % (d, q)
                 factors = factor(phi)
                 if len(factors) != split.count:

@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import checks
-from .groups import (BoundExceeded, GroupError, GroupParseError, build_group,
-                     double_cosets, minimal_generators, select_class,
+from .groups import (GroupError, GroupParseError, build_group, double_cosets,
+                     minimal_generators, select_class,
                      subgroups_up_to_conjugacy, weyl)
 from .orbit_cat import DiagramError, coequalize_raw
 from .rings import (RingError, divides, is_separable, level_polynomial_P,
@@ -41,8 +41,11 @@ def _dump(doc):
 
 def _emit(text, path):
     if path and path != "-":
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliParseError("cannot write output: %s" % exc)
     else:
         sys.stdout.write(text)
 
@@ -165,11 +168,14 @@ def _cmd_strata(args):
 
 
 def _cmd_coequalize(args):
-    if args.input and args.input != "-":
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
+    try:
+        if args.input and args.input != "-":
+            with open(args.input) as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+    except (OSError, ValueError) as exc:
+        raise CliParseError("cannot read diagram: %s" % exc)
     try:
         objects = {obj["id"]: list(obj["points"]) for obj in doc["objects"]}
         maps = [(m["src"], m["dst"], dict(m["table"])) for m in doc["maps"]]
@@ -304,7 +310,7 @@ def run(argv):
         return 1
     try:
         return args.fn(args)
-    except (GroupParseError, TheoryError, CliParseError, BoundExceeded) as exc:
+    except (GroupParseError, TheoryError, CliParseError) as exc:
         _error_json("parse", str(exc))
         return 1
     except (UnsupportedTheory, RingError, DiagramError, GroupError) as exc:

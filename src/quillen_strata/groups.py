@@ -10,8 +10,12 @@ produce identical results.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+
+from .rings import is_prime
+
 MAX_ORDER = 10_000
 MAX_DSL_DEGREE = 64
 
@@ -165,7 +169,18 @@ def mulclose(gens, cap=MAX_ORDER, seed=None):
     return frozenset(els)
 
 
-class PermGroup:
+class _ElementSet:
+    """Predicates shared by groups and subgroup classes, read off .elements."""
+
+    def is_abelian(self):
+        els = sorted(self.elements)
+        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
+
+    def is_cyclic(self):
+        return any(g.order() == self.order for g in self.elements)
+
+
+class PermGroup(_ElementSet):
     """A finite permutation group; the full element set is computed eagerly."""
 
     def __init__(self, degree, generators, _elements=None):
@@ -208,13 +223,6 @@ class PermGroup:
     def subgroup(self, elements):
         """The subgroup on a closed element subset (trusted, not re-closed)."""
         return PermGroup(self.degree, tuple(sorted(elements)), _elements=elements)
-
-    def is_abelian(self):
-        els = self.sorted_elements
-        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
-
-    def is_cyclic(self):
-        return any(g.order() == self.order for g in self.elements)
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -283,7 +291,7 @@ def all_subgroup_sets(G):
 
 
 @dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(_ElementSet):
     """A conjugacy class of subgroups, with canonical representative."""
 
     parent: PermGroup
@@ -300,13 +308,6 @@ class SubgroupClass:
 
     def sorted_elements(self):
         return tuple(sorted(self.elements))
-
-    def is_abelian(self):
-        els = self.sorted_elements()
-        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
-
-    def is_cyclic(self):
-        return any(g.order() == self.order for g in self.elements)
 
     def is_p_group(self, p):
         n = self.order
@@ -647,7 +648,7 @@ def build_group(spec):
             try:
                 A = build_group(left)
                 B = build_group(right)
-            except GroupError:
+            except GroupParseError:
                 continue
             return _direct_product(A, B)
         raise GroupParseError("cannot split product spec %r" % (spec,))
@@ -701,7 +702,7 @@ def _named_group(name, n):
         return PermGroup(n, (rot, ref))
     if name == "sym":
         _check_degree(n)
-        if _factorial(n) > MAX_ORDER:
+        if math.factorial(n) > MAX_ORDER:
             raise BoundExceeded("sym:%d exceeds order bound" % n)
         if n == 1:
             return PermGroup(1, ())
@@ -711,7 +712,7 @@ def _named_group(name, n):
         return PermGroup(n, gens)
     if name == "alt":
         _check_degree(n)
-        if _factorial(n) // 2 > MAX_ORDER:
+        if math.factorial(n) // 2 > MAX_ORDER:
             raise BoundExceeded("alt:%d exceeds order bound" % n)
         if n <= 2:
             return PermGroup(max(n, 1), ())
@@ -726,15 +727,8 @@ def _named_group(name, n):
     raise GroupParseError("unknown named group %r" % (name,))
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _elem_abelian(p, k):
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupParseError("elem-abelian base %d is not prime" % p)
     if k < 1:
         raise GroupParseError("elem-abelian exponent must be >= 1")
@@ -763,17 +757,6 @@ def _direct_product(A, B):
     for g in B.generators:
         gens.append(Perm(tuple(range(A.degree)) + tuple(A.degree + i for i in g.images)))
     return PermGroup(degree, gens)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 # -- subgroup selectors (CLI) ------------------------------------------------

@@ -164,12 +164,6 @@ class CoequalizerResult:
     def class_count(self):
         return len(self.classes)
 
-    def members(self, class_id):
-        for cid, mem in self.classes:
-            if cid == class_id:
-                return mem
-        raise KeyError(class_id)
-
 
 def _quotient(nodes, relations):
     """Union-find quotient; class ids are the minimal contained node keys."""

@@ -199,16 +199,7 @@ class GF:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in %s" % self.name)
-        # a^(q-2)
-        out = 1
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self.power(a, self.q - 2)
 
     def of_int(self, n):
         return n % self.p
@@ -335,19 +326,15 @@ class CycloField:
         if all(x == 0 for x in a):
             raise ZeroDivisionError("inverse of zero in %s" % self.name)
         # extended Euclid in Q[Y] against Phi_m
-        r0 = list(self.modulus)
-        r1 = list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(x != 0 for x in r1):
-            q, r = _qq_poly_divmod(r0, r1)
+        r0, r1 = Poly(self.modulus, QQ), Poly(a, QQ)
+        s0, s1 = Poly.zero(QQ), Poly.one(QQ)
+        while not r1.is_zero():
+            q, r = r0.divmod(r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qq_poly_sub(s0, _qq_poly_mul(q, s1))
+            s0, s1 = s1, s0 - q * s1
         # r0 is the gcd, a nonzero constant (Phi_m is irreducible over Q)
-        lead = next(x for x in reversed(r0) if x != 0)
-        inv = [x / lead for x in s0]
-        inv = inv[: self.phi] + [Fraction(0)] * max(0, self.phi - len(inv))
-        # reduce (degree < phi already ensured by Euclid)
-        return tuple(inv[: self.phi])
+        inv = s0.scale(QQ.inv(r0.leading())).coeffs
+        return inv + (Fraction(0),) * (self.phi - len(inv))
 
     def power(self, a, e):
         out = self.one
@@ -379,51 +366,6 @@ class CycloField:
 
     def __repr__(self):
         return self.name
-
-
-def _qq_poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _qq_poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _qq_poly_trim(out)
-
-
-def _qq_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _qq_poly_trim(out)
-
-
-def _qq_poly_divmod(a, b):
-    a = list(a)
-    b = _qq_poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _qq_poly_trim(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        d = len(r) - len(b)
-        q[d] = c
-        for i, x in enumerate(b):
-            r[d + i] -= c * x
-        r = _qq_poly_trim(r)
-    return _qq_poly_trim(q), r
 
 
 # -- polynomials -------------------------------------------------------------
@@ -785,20 +727,6 @@ def _zp_equal_degree(f, k, p, rng):
             return _zp_equal_degree(d, k, p, rng) + _zp_equal_degree(rest, k, p, rng)
 
 
-def factor_count(f):
-    """Number of irreducible factors (with multiplicity collapsed to distinct
-    squarefree parts) of f over F_p, without the equal-degree splitting."""
-    dom = f.dom
-    if not dom.is_field or dom.f != 1:
-        raise RingError("factor_count is implemented over prime fields only")
-    p = dom.p
-    count = 0
-    for g, _ in _zp_squarefree([c % p for c in f.coeffs], p):
-        for part, k in _zp_distinct_degree(g, p):
-            count += (len(part) - 1) // k
-    return count
-
-
 def factor(f):
     """Full factorization over F_p: [(monic irreducible, multiplicity)] sorted."""
     dom = f.dom
@@ -815,11 +743,6 @@ def factor(f):
             for irr in _zp_equal_degree(part, k, p, rng):
                 out.append((Poly(tuple(irr), dom), e))
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
-
-
-def is_squarefree_mod(f):
-    """gcd(f, f') = 1 over a prime field."""
-    return poly_gcd(f, f.derivative()).degree == 0
 
 
 # -- cyclotomic polynomials and prime splitting -------------------------------
@@ -858,13 +781,15 @@ def prime_splitting(d, q):
     return SplittingData(d=d, q=q, count=euler_phi(d) // f, residue_degree=f)
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_factors_mod(d, q):
-    """The distinct monic irreducible factors of Phi_d mod q, sorted."""
+    """The distinct monic irreducible factors of Phi_d mod q, sorted.
+
+    For d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so the
+    factors are those of Phi_e.
+    """
     dom = GF(q)
-    f = cyclotomic_poly(d).map_domain(dom, dom.of_int)
-    if f.degree == 0:
-        return []
-    return [g for g, _ in factor(f)]
+    return tuple(g for g, _ in factor(cyclotomic_poly(d).map_domain(dom, dom.of_int)))
 
 
 # -- level-structure polynomials ----------------------------------------------
@@ -986,8 +911,10 @@ def cyclic_spectrum_ring(n, prime_bound):
     """Primes of Z[X]/(X^n-1) up to a prime bound.
 
     Minimal primes are (Phi_d) for d | n; maximal primes are (q, g) for
-    rational primes q <= bound and irreducible factors g of X^n - 1 mod q;
-    (Phi_d) lies in (q, g) iff g divides Phi_d mod q.
+    rational primes q <= bound and irreducible factors g of X^n - 1 mod q.
+    Writing d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so
+    the g are the factors of Phi_e mod q over the q-free parts e of the
+    divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.
     """
     if n < 1 or n > MAX_SPECTRUM_N:
         raise RingError("n = %d out of range" % n)
@@ -1003,19 +930,21 @@ def cyclic_spectrum_ring(n, prime_bound):
     maximal = []
     contains = []
     for q in primes_upto(prime_bound):
-        dom = GF(q)
-        xn1 = Poly.from_ints([-1] + [0] * (n - 1) + [1], ZZ).map_domain(dom, dom.of_int)
-        factors = [g for g, _ in factor(xn1)]
-        phi_mod = {
-            d: cyclotomic_poly(d).map_domain(dom, dom.of_int) for d in divisors}
-        for g in factors:
+        free = []
+        for d in divisors:
+            while d % q == 0:
+                d //= q
+            free.append(d)
+        # each factor g of X^n - 1 mod q divides Phi_e for exactly one e
+        factor_of = {g: e for e in free for g in cyclotomic_factors_mod(e, q)}
+        for g in sorted(factor_of, key=lambda g: (g.degree, g.coeffs)):
             j = len(maximal)
             maximal.append(PrimeDescriptor(
                 ring=ring, kind="closed",
                 data=("modular", q, tuple(g.coeffs)),
                 label=residue_field_label(q, g.degree)))
-            for i, d in enumerate(divisors):
-                if (phi_mod[d] % g).is_zero():
+            for i, e in enumerate(free):
+                if e == factor_of[g]:
                     contains.append((i, j))
     return SpectrumRing(n=n, prime_bound=prime_bound,
                         minimal=tuple(minimal), maximal=tuple(maximal),

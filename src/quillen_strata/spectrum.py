@@ -52,12 +52,6 @@ class StratifiedSpace:
     edges: list
     order_complete: bool = field(default=True, compare=False)
 
-    def point(self, pid):
-        for pt in self.points:
-            if pt.id == pid:
-                return pt
-        raise KeyError(pid)
-
     def closed_points(self):
         return [pt for pt in self.points if pt.closed]
 

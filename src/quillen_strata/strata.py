@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from . import rings
 from .groups import FamilySpec, GroupError, subgroups_up_to_conjugacy, weyl
-from .rings import (GF, Poly, PrimeDescriptor, compose_mod, cyclotomic_poly,
-                    factor, is_prime, powmod, primes_upto,
+from .rings import (GF, Poly, PrimeDescriptor, compose_mod,
+                    cyclotomic_factors_mod, is_prime, powmod, primes_upto,
                     residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
@@ -45,6 +45,11 @@ class TheorySpec:
     prime_bound: int = DEFAULT_PRIME_BOUND
     degree_bound: int = DEFAULT_DEGREE_BOUND
     is_global: bool = True     # all built-in theories arise globally
+
+    def __post_init__(self):
+        if self.prime_bound < 1 or self.degree_bound < 1:
+            raise TheoryError("bounds must be >= 1, got prime bound %d and "
+                              "degree bound %d" % (self.prime_bound, self.degree_bound))
 
     @property
     def q(self):
@@ -263,58 +268,45 @@ def _cyclic_generator(cls):
     raise GroupError("subgroup is not cyclic")
 
 
-def _automorphism_exponent(cls, witness):
-    """a with c_witness(h) = h^a on a cyclic subgroup with generator h."""
-    h = _cyclic_generator(cls)
-    target = witness * h * ~witness
-    cur = h
-    for a in range(1, cls.order + 1):
+def _generator_power(gen, order, target):
+    """The a in 1..order with gen^a = target, for gen of the given order."""
+    cur = gen
+    for a in range(1, order + 1):
         if cur == target:
             return a
-        cur = cur * h
-    raise GroupError("conjugation does not restrict to the subgroup")
+        cur = cur * gen
+    raise GroupError("element is not a power of the subgroup generator")
 
 
 def _ku_points(d, prime_bound):
-    """Points of truncated Spec(Z[zeta_d, 1/d]) plus the factor bookkeeping."""
+    """Points of truncated Spec(Z[zeta_d, 1/d]) and its generic-to-closed edges."""
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
     points = [StratumPoint(
         "0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0), label0, False)]
-    factors_at = {}
     for q in primes_upto(prime_bound):
         if d % q == 0:
             continue
-        dom = GF(q)
-        phi = cyclotomic_poly(d).map_domain(dom, dom.of_int)
-        if phi.degree == 0:
-            factors = []
-        else:
-            factors = [g for g, _ in factor(phi)]
-        factors_at[q] = factors
-        for idx, g in enumerate(factors):
+        for idx, g in enumerate(cyclotomic_factors_mod(d, q)):
             lbl = residue_field_label(q, g.degree)
             points.append(StratumPoint(
                 "%d.%d" % (q, idx),
                 PrimeDescriptor(ring, "closed", ("modular", q, tuple(g.coeffs)), lbl),
                 lbl, True))
     edges = tuple((0, j) for j in range(1, len(points)))
-    return tuple(points), edges, factors_at
+    return tuple(points), edges
 
 
-def _modular_image(points, q, g_coeffs, exponent, dom):
-    """Index of the point whose modular descriptor is the preimage of (q, g)
-    under X -> X^exponent (contravariant prime correspondence)."""
+def _modular_preimage(q, g_coeffs, exponent, candidates):
+    """The key of the candidate (key, coeffs of g') with g'(X^exponent) = 0
+    mod (q, g): the prime that (q, g) contracts to under X -> X^exponent."""
+    dom = GF(q)
     g = Poly(tuple(g_coeffs), dom)
     t = powmod(Poly.x(dom), exponent, g)
-    for idx, pt in enumerate(points):
-        data = pt.descriptor.data
-        if data[0] != "modular" or data[1] != q:
-            continue
-        cand = Poly(tuple(data[2]), dom)
-        if compose_mod(cand, t, g).is_zero():
-            return idx
-    raise GroupError("modular prime has no preimage (should not happen)")
+    for key, coeffs in candidates:
+        if compose_mod(Poly(tuple(coeffs), dom), t, g).is_zero():
+            return key
+    raise GroupError("modular prime (%d, ...) has no preimage" % q)
 
 
 def _stratum_ku(theory, G, cls):
@@ -322,18 +314,23 @@ def _stratum_ku(theory, G, cls):
         return _empty(cls, "outside family: geometric fixed points vanish")
     d = cls.order
     w = weyl(G, cls, weyl_action_kind(theory, cls))
-    points, edges, _ = _ku_points(d, theory.prime_bound)
+    points, edges = _ku_points(d, theory.prime_bound)
+    modular_at = {}
+    for idx, pt in enumerate(points[1:], start=1):
+        _, q, coeffs = pt.descriptor.data
+        modular_at.setdefault(q, []).append((idx, coeffs))
+    h = _cyclic_generator(cls)
     action = []
     for qelem in w.sorted_quotient():
         n = w.witness_of(qelem)
-        a = _automorphism_exponent(cls, n) if d > 1 else 1
+        a = _generator_power(h, d, n * h * ~n)  # c_n(h) = h^a
         if a == 1 or a % d == 1:
             action.append(tuple(range(len(points))))
             continue
         images = [0]  # the generic point is Galois-stable
         for pt in points[1:]:
             _, q, coeffs = pt.descriptor.data
-            images.append(_modular_image(points, q, coeffs, a, GF(q)))
+            images.append(_modular_preimage(q, coeffs, a, modular_at[q]))
         action.append(tuple(images))
     return StratumModel(subgroup=cls, points=points, internal_edges=edges,
                         weyl=w, action=tuple(action), truncated=True)
@@ -498,7 +495,6 @@ def _matrix_inverse_modp(M, p):
 def _elem_abelian_basis(cls, p):
     """Canonical basis and coordinate map of an elementary abelian subgroup."""
     els = cls.sorted_elements()
-    ident = els[0] if els[0].is_identity() else None
     basis = []
     span = {e for e in els if e.is_identity()}
     for g in els:
@@ -517,7 +513,6 @@ def _elem_abelian_basis(cls, p):
     coords = {}
     if len(basis) == 2:
         e1, e2 = basis
-        cur1 = None
         x = e1 ** 0
         for i in range(p):
             y = x
@@ -625,17 +620,8 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
         u = 1
     else:
         h = _cyclic_generator(src_cls)
-        k = _cyclic_generator(dst_cls)
         img = morphism.witness * h * ~morphism.witness
-        t = None
-        cur = k
-        for a in range(1, d + 1):
-            if cur == img:
-                t = a
-                break
-            cur = cur * k
-        if t is None:
-            raise GroupError("witness does not map generator into target")
+        t = _generator_power(_cyclic_generator(dst_cls), d, img)
         u = (t * c // d) % c
     by_cyclo = {}
     by_modular = {}
@@ -644,7 +630,7 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
         if data[0] == "cyclo":
             by_cyclo[data[1]] = pt.id
         elif data[0] == "modular":
-            by_modular.setdefault(data[1], []).append(pt)
+            by_modular.setdefault(data[1], []).append((pt.id, data[2]))
     out = {}
     for pt in src_points:
         data = pt.descriptor.data
@@ -652,18 +638,7 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
             out[pt.id] = by_cyclo[data[1]]
             continue
         _, q, coeffs = data
-        dom = GF(q)
-        g = Poly(tuple(coeffs), dom)
-        tpoly = powmod(Poly.x(dom), u, g)
-        image = None
-        for cand in by_modular[q]:
-            cpoly = Poly(tuple(cand.descriptor.data[2]), dom)
-            if compose_mod(cpoly, tpoly, g).is_zero():
-                image = cand.id
-                break
-        if image is None:
-            raise GroupError("contraction of (%d, ...) not found" % q)
-        out[pt.id] = image
+        out[pt.id] = _modular_preimage(q, coeffs, u, by_modular[q])
     return out
 
 

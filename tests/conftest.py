@@ -154,6 +154,45 @@ def naive_factor_count(coeffs, p):
     return count
 
 
+def brute_force_spectrum_ring(n, prime_bound):
+    """Spec(Z[X]/(X^n-1)) up to a prime bound, the direct way: factor X^n - 1
+    mod every prime q and test each Phi_d mod q against every factor.
+
+    Unlike the oracles above this one uses the package's factor(); it pins
+    the factor-once construction of cyclic_spectrum_ring to the direct one.
+    """
+    from quillen_strata.rings import (GF, ZZ, Poly, PrimeDescriptor,
+                                      SpectrumRing, cyclotomic_poly, factor,
+                                      primes_upto, residue_field_label)
+    ring = "Z[X]/(X^%d-1)" % n
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    minimal = []
+    for d in divisors:
+        label = "Q" if d <= 2 else "Q(zeta_%d)" % d
+        minimal.append(PrimeDescriptor(ring=ring, kind="generic",
+                                       data=("cyclo", d), label=label))
+    maximal = []
+    contains = []
+    for q in primes_upto(prime_bound):
+        dom = GF(q)
+        xn1 = Poly.from_ints([-1] + [0] * (n - 1) + [1], ZZ).map_domain(dom, dom.of_int)
+        factors = [g for g, _ in factor(xn1)]
+        phi_mod = {
+            d: cyclotomic_poly(d).map_domain(dom, dom.of_int) for d in divisors}
+        for g in factors:
+            j = len(maximal)
+            maximal.append(PrimeDescriptor(
+                ring=ring, kind="closed",
+                data=("modular", q, tuple(g.coeffs)),
+                label=residue_field_label(q, g.degree)))
+            for i, d in enumerate(divisors):
+                if (phi_mod[d] % g).is_zero():
+                    contains.append((i, j))
+    return SpectrumRing(n=n, prime_bound=prime_bound,
+                        minimal=tuple(minimal), maximal=tuple(maximal),
+                        contains=tuple(contains))
+
+
 @pytest.fixture(scope="session")
 def corpus_groups():
     from quillen_strata.corpus import corpus_groups as cg

@@ -155,3 +155,39 @@ def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("QUILLEN_STRATA_THREADS", "4")
     code, out, _ = invoke(["drinfeld-check", "--p", "2"], capsys)
     assert code == 0
+
+
+def _assert_parse_error(code, out, err):
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "parse"
+
+
+def test_coequalize_malformed_json(tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    path.write_text("{not json")
+    _assert_parse_error(*invoke(["coequalize", "--input", str(path)], capsys))
+
+
+def test_coequalize_missing_input(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    _assert_parse_error(*invoke(["coequalize", "--input", str(path)], capsys))
+
+
+def test_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.json"
+    _assert_parse_error(*invoke(["drinfeld-check", "--p", "3", "-o", str(target)],
+                                capsys))
+
+
+def test_bound_below_one_exit_1(capsys):
+    _assert_parse_error(*invoke(["spectrum", "--group", "cyclic:3", "--theory",
+                                 "ku", "--prime-bound", "-5"], capsys))
+    _assert_parse_error(*invoke(["spectrum", "--group", "elem-abelian:2^2",
+                                 "--theory", "modp:q=2,deg=0"], capsys))
+
+
+def test_bound_exceeded_exit_2(capsys):
+    for group in ("sym:9", "product:sym:9xcyclic:2"):
+        code, out, err = invoke(["subgroups", "--group", group], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "domain"

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   RingError, ZZ, compose_mod,
                                   cyclic_spectrum_ring, cyclotomic_poly,
-                                  divides, factor, factor_count,
-                                  is_irreducible, is_separable,
-                                  is_squarefree_mod, level_polynomial_P,
+                                  divides, factor, is_irreducible,
+                                  is_separable, level_polynomial_P,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
                                   residue_field_label)
 
-from conftest import frac_poly_divmod, frac_poly_mul, naive_factor_count
+from conftest import (brute_force_spectrum_ring, frac_poly_divmod,
+                      frac_poly_mul, naive_factor_count)
 
 
 # -- cyclotomic polynomials ----------------------------------------------------
@@ -77,7 +77,7 @@ def test_splitting_against_naive_trial_division(d, q):
     expected = naive_factor_count(list(phi.coeffs), q)
     assert prime_splitting(d, q).count == expected
     dom = GF(q)
-    assert factor_count(phi.map_domain(dom, dom.of_int)) == expected
+    assert len(factor(phi.map_domain(dom, dom.of_int))) == expected
 
 
 def test_splitting_matches_package_factorization():
@@ -94,7 +94,7 @@ def test_splitting_matches_package_factorization():
             assert len(factors) == split.count
             assert all(g.degree == split.residue_degree for g, _ in factors)
             assert all(e == 1 for _, e in factors)
-            assert is_squarefree_mod(phi)
+            assert is_separable(phi)
 
 
 # -- finite fields -------------------------------------------------------------
@@ -320,6 +320,12 @@ def test_cyclic_spectrum_counts_match_splitting():
                 over = [j for (ii, j) in sr.contains
                         if ii == i and sr.maximal[j].data[1] == q]
                 assert len(over) == prime_splitting(d, q).count
+
+
+@pytest.mark.parametrize("n, bound", [(n, 13) for n in range(1, 41)]
+                         + [(30, 97), (42, 97), (60, 50), (64, 50)])
+def test_cyclic_spectrum_matches_brute_force(n, bound):
+    assert cyclic_spectrum_ring(n, bound) == brute_force_spectrum_ring(n, bound)
 
 
 def test_residue_field_label():
