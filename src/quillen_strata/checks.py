@@ -74,13 +74,12 @@ def check_family_closure(groups=None):
     def run():
         checked = 0
         for dsl, G in groups or corpus_mod.small_corpus():
-            classes = subgroups_up_to_conjugacy(G)
             for fam in _FAMILIES:
-                members = family_members(G, fam, classes)
+                members = family_members(G, fam)
                 if not any(c.order == 1 for c in members):
                     return False, "%s misses trivial class in %s" % (fam.name, dsl)
                 for cls in members:
-                    sub_classes = subgroups_up_to_conjugacy(cls.as_group())
+                    sub_classes = subgroups_up_to_conjugacy(cls)
                     checked += len(sub_classes)
                     if not all(fam.contains(sc) for sc in sub_classes):
                         return False, "%s not subgroup-closed at %s class %d" % (

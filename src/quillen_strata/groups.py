@@ -146,13 +146,12 @@ class Perm:
         return "Perm%s" % (self.cycle_string(),)
 
 
-def mulclose(gens, cap=MAX_ORDER, seed=None):
+def mulclose(gens, cap=MAX_ORDER):
     """Closure of a generating set under multiplication (BFS)."""
     gens = list(gens)
     if not gens:
         raise GroupError("mulclose needs at least one element to fix the degree")
-    els = set(seed) if seed is not None else set()
-    els.update(gens)
+    els = set(gens)
     els.add(Perm.identity(gens[0].degree))
     bdy = list(els)
     while bdy:
@@ -169,21 +168,16 @@ def mulclose(gens, cap=MAX_ORDER, seed=None):
     return frozenset(els)
 
 
-class _ElementSet:
-    """Predicates shared by groups and subgroup classes, read off .elements."""
+class PermGroup:
+    """A finite permutation group; the full element set is computed eagerly.
 
-    def is_abelian(self):
-        els = sorted(self.elements)
-        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
+    A group made by subgroup() has a parent and reads its subgroups off the
+    parent's; only a root group (parent None) enumerates its own.  The
+    subgroup sets and the conjugacy classes are each computed once and cached
+    on the group.
+    """
 
-    def is_cyclic(self):
-        return any(g.order() == self.order for g in self.elements)
-
-
-class PermGroup(_ElementSet):
-    """A finite permutation group; the full element set is computed eagerly."""
-
-    def __init__(self, degree, generators, _elements=None):
+    def __init__(self, degree, generators, _elements=None, parent=None):
         self.degree = degree
         gens = tuple(generators)
         for g in gens:
@@ -196,7 +190,10 @@ class PermGroup(_ElementSet):
             self.elements = frozenset(_elements)
         else:
             self.elements = mulclose(gens)
+        self.parent = parent
         self._sorted = None
+        self._subgroup_sets = None
+        self._classes = None
 
     @property
     def order(self):
@@ -222,7 +219,60 @@ class PermGroup(_ElementSet):
 
     def subgroup(self, elements):
         """The subgroup on a closed element subset (trusted, not re-closed)."""
-        return PermGroup(self.degree, tuple(sorted(elements)), _elements=elements)
+        return PermGroup(self.degree, tuple(sorted(elements)), _elements=elements,
+                         parent=self)
+
+    def subgroup_sets(self):
+        """Every subgroup as a frozenset of elements, computed once."""
+        if self._subgroup_sets is None:
+            if self.parent is None:
+                self._subgroup_sets = all_subgroup_sets(self)
+            else:
+                self._subgroup_sets = {S for S in self.parent.subgroup_sets()
+                                       if S <= self.elements}
+        return self._subgroup_sets
+
+    def is_abelian(self):
+        els = self.sorted_elements
+        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
+
+    def cyclic_generator(self):
+        """The least element of full order, or None if the group is not cyclic."""
+        for g in self.sorted_elements:
+            if g.order() == self.order:
+                return g
+        return None
+
+    def is_cyclic(self):
+        return self.cyclic_generator() is not None
+
+    def is_p_group(self, p):
+        n = self.order
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    def is_elementary_abelian(self, p):
+        if not self.is_p_group(p) or not self.is_abelian():
+            return False
+        return all(g.is_identity() or g.order() == p for g in self.elements)
+
+    def p_rank(self, p):
+        """Minimal generator count of an abelian p-group: rank of A/pA."""
+        if self.order == 1:
+            return 0
+        if not (self.is_p_group(p) and self.is_abelian()):
+            raise GroupError("p_rank needs an abelian p-group")
+        ppowers = frozenset(g ** p for g in self.elements)
+        quot = self.order // len(ppowers)
+        rank = 0
+        while quot > 1:
+            quot //= p
+            rank += 1
+        return rank
+
+    def generator_strings(self):
+        return tuple(g.cycle_string() for g in minimal_generators(self))
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -290,54 +340,21 @@ def all_subgroup_sets(G):
     return subs
 
 
-@dataclass(frozen=True)
-class SubgroupClass(_ElementSet):
-    """A conjugacy class of subgroups, with canonical representative."""
+class SubgroupClass(PermGroup):
+    """A conjugacy class of subgroups of parent, as its canonical representative.
 
-    parent: PermGroup
-    elements: frozenset          # representative subgroup
-    order: int
-    conjugates: int
-    normalizer_elements: frozenset
-    centralizer_elements: frozenset
-    index: int                   # position in the canonical class list
-    key: tuple
+    index is the position in the parent's canonical class list and conjugates
+    the number of subgroups in the class.
+    """
 
-    def as_group(self):
-        return self.parent.subgroup(self.elements)
-
-    def sorted_elements(self):
-        return tuple(sorted(self.elements))
-
-    def is_p_group(self, p):
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
-
-    def is_elementary_abelian(self, p):
-        if not self.is_p_group(p) or not self.is_abelian():
-            return False
-        return all(g.is_identity() or g.order() == p for g in self.elements)
-
-    def p_rank(self, p):
-        """Minimal generator count of an abelian p-group: rank of A/pA."""
-        if self.order == 1:
-            return 0
-        if not (self.is_p_group(p) and self.is_abelian()):
-            raise GroupError("p_rank needs an abelian p-group")
-        ppowers = frozenset(g ** p for g in self.elements)
-        quot = self.order // len(ppowers)
-        rank = 0
-        while quot > 1:
-            quot //= p
-            rank += 1
-        return rank
-
-    def generator_strings(self):
-        grp = self.as_group()
-        small = minimal_generators(grp)
-        return tuple(g.cycle_string() for g in small)
+    def __init__(self, parent, elements, conjugates, normalizer_elements,
+                 centralizer_elements, index):
+        super().__init__(parent.degree, tuple(sorted(elements)),
+                         _elements=elements, parent=parent)
+        self.conjugates = conjugates
+        self.normalizer_elements = normalizer_elements
+        self.centralizer_elements = centralizer_elements
+        self.index = index
 
     def __repr__(self):
         return "SubgroupClass(order=%d, index=%d, size=%d)" % (
@@ -361,10 +378,15 @@ def minimal_generators(G):
 
 
 def subgroups_up_to_conjugacy(G):
-    """One SubgroupClass per conjugacy class, sorted by (order, canonical key)."""
+    """One SubgroupClass per conjugacy class, sorted by (order, canonical key).
+
+    The classes are computed once per group and cached on it.
+    """
+    if G._classes is not None:
+        return list(G._classes)
     if G.order > MAX_ORDER:
         raise BoundExceeded("group order %d exceeds bound" % G.order)
-    subs = all_subgroup_sets(G)
+    subs = G.subgroup_sets()
     remaining = dict.fromkeys(sorted(subs, key=lambda s: (len(s), subgroup_key(s))))
     raw = []
     for S in list(remaining):
@@ -381,14 +403,14 @@ def subgroups_up_to_conjugacy(G):
         N = normalizer(G, rep)
         C = centralizer(G, rep)
         cls = SubgroupClass(
-            parent=G, elements=rep, order=len(rep), conjugates=count,
-            normalizer_elements=N, centralizer_elements=C,
-            index=idx, key=subgroup_key(rep))
+            parent=G, elements=rep, conjugates=count,
+            normalizer_elements=N, centralizer_elements=C, index=idx)
         if count != G.order // len(N):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
         if not (rep <= N and C <= N):
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
+    G._classes = tuple(classes)
     return classes
 
 
@@ -411,19 +433,14 @@ class WeylGroup:
     """N_G(H)/X realized via its left action on the cosets of X in N_G(H).
 
     kind "ordinary" takes X = H, "global" X = H*C_G(H), "quillen" X = C_G(H).
-    witnesses pairs each quotient element with its minimal representative in N.
+    witnesses pairs each quotient element with its minimal representative in N,
+    in the order of sorted_quotient().
     """
 
     kind: str
     order: int
     quotient: PermGroup
     witnesses: tuple  # ((quotient Perm, representative Perm in N), ...)
-
-    def witness_of(self, qelem):
-        for q, n in self.witnesses:
-            if q == qelem:
-                return n
-        raise GroupError("element not in Weyl quotient")
 
     def sorted_quotient(self):
         return self.quotient.sorted_elements
@@ -533,11 +550,9 @@ class FamilySpec:
         raise GroupError("unknown family kind %r" % (self.kind,))
 
 
-def family_members(G, fam, classes=None):
+def family_members(G, fam):
     """The conjugacy classes whose representative satisfies the family predicate."""
-    if classes is None:
-        classes = subgroups_up_to_conjugacy(G)
-    return [cls for cls in classes if fam.contains(cls)]
+    return [cls for cls in subgroups_up_to_conjugacy(G) if fam.contains(cls)]
 
 
 # -- double cosets -----------------------------------------------------------

@@ -102,12 +102,11 @@ def build_orbit_category(G, classes):
     """
     homs = {}
     for i, Hc in enumerate(classes):
-        H = Hc.elements
         CH = Hc.centralizer_elements
+        conjugates = [(g, conjugate_set(Hc.elements, g)) for g in G.sorted_elements]
         for j, Kc in enumerate(classes):
             K = Kc.elements
-            witnesses = [g for g in G.sorted_elements
-                         if conjugate_set(H, g) <= K]
+            witnesses = [g for g, gH in conjugates if gH <= K]
             morphs = []
             seen = set()
             for g in witnesses:  # sorted, so reps are minimal
@@ -165,7 +164,7 @@ class CoequalizerResult:
         return len(self.classes)
 
 
-def _quotient(nodes, relations):
+def quotient(nodes, relations):
     """Union-find quotient; class ids are the minimal contained node keys."""
     uf = UnionFind(nodes)
     for a, b in relations:
@@ -195,7 +194,7 @@ def colimit(diagram):
         t = diagram.transition(m)
         for pt in diagram.point_sets[m.src]:
             relations.append(((m.src, pt), (m.dst, t[pt])))
-    return _quotient(nodes, relations)
+    return quotient(nodes, relations)
 
 
 def coequalize_raw(objects, maps):
@@ -214,17 +213,16 @@ def coequalize_raw(objects, maps):
             if (dst, b) not in node_set:
                 raise DiagramError("map target point missing", dst, b)
             relations.append(((src, a), (dst, b)))
-    return _quotient(nodes, relations)
+    return quotient(nodes, relations)
 
 
-def verify_mackey(G, classes=None):
+def verify_mackey(G):
     """Check the double-coset cardinality identity for all class pairs.
 
     sum over [g] in H\\G/K of [G : H^g cap K] must equal [G:H] * [G:K].
     """
-    if classes is None:
-        classes = subgroups_up_to_conjugacy(G)
-    gens = {cls.index: minimal_generators(cls.as_group()) for cls in classes}
+    classes = subgroups_up_to_conjugacy(G)
+    gens = {cls.index: minimal_generators(cls) for cls in classes}
     violations = []
     pairs = 0
     for Hc, Kc in itertools.product(classes, repeat=2):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .groups import subgroups_up_to_conjugacy
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from .rings import cyclic_spectrum_ring
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
@@ -86,8 +85,7 @@ def _meta(theory, group_label, mode, truncated):
 
 def assemble_strong(theory, G, group_label=""):
     """Disjoint union of Weyl-orbit quotients of strata with specialization edges."""
-    classes = subgroups_up_to_conjugacy(G)
-    members = theory_family_classes(theory, G, classes)
+    members = theory_family_classes(theory, G)
     keys = _class_keys(members)
     points = []
     edges = []
@@ -104,11 +102,12 @@ def assemble_strong(theory, G, group_label=""):
         if cls.order == 1:
             trivial_key = skey
         truncated = truncated or model.truncated
+        orbits = model.orbits()
         rep_of = {}
-        for orb in model.orbits():
+        for orb in orbits:
             for i in orb:
                 rep_of[i] = orb[0]
-        for orb in model.orbits():
+        for orb in orbits:
             rp = model.points[orb[0]]
             pid = "%s:%s" % (skey, rp.local_id)
             points.append(SpacePoint(
@@ -187,14 +186,13 @@ def assemble_weak(theory, G, group_label=""):
         raise UnsupportedTheory(
             "theory %s has no transition maps; weak assembly unavailable"
             % theory.name)
-    classes = subgroups_up_to_conjugacy(G)
-    members = theory_family_classes(theory, G, classes)
+    members = theory_family_classes(theory, G)
     keys = _class_keys(members)
     cat = build_orbit_category(G, members)
     spaces = {}
     point_index = {}
     for i, cls in enumerate(members):
-        spaces[i] = assemble_strong(theory, cls.as_group(),
+        spaces[i] = assemble_strong(theory, cls,
                                     group_label="%s|%s" % (group_label, keys[cls.index]))
         point_index[i] = {pt.id: pt for pt in spaces[i].points}
     maps = {}
@@ -230,6 +228,7 @@ def assemble_weak(theory, G, group_label=""):
         for mkey in ms:
             proj_id[mkey] = wid
 
+    stratum_of = {pt.id: pt.stratum for pt in weak_points}
     weak_edges = {}
     for i in range(len(members)):
         for e in spaces[i].edges:
@@ -241,9 +240,7 @@ def assemble_weak(theory, G, group_label=""):
                 weak_edges[(src, dst, "external")] = SpaceEdge(
                     src, dst, "external", e.provenance)
                 continue
-            sstr = next(pt.stratum for pt in weak_points if pt.id == src)
-            dstr = next(pt.stratum for pt in weak_points if pt.id == dst)
-            kind = "internal" if sstr == dstr else "cross-stratum"
+            kind = "internal" if stratum_of[src] == stratum_of[dst] else "cross-stratum"
             weak_edges[(src, dst, kind)] = SpaceEdge(src, dst, kind)
 
     truncated = any(spaces[i].meta["truncated"] for i in spaces)

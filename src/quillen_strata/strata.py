@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 
 from . import rings
-from .groups import FamilySpec, GroupError, subgroups_up_to_conjugacy, weyl
+from .groups import (FamilySpec, GroupError, family_members,
+                     minimal_generators, weyl)
+from .orbit_cat import quotient
 from .rings import (GF, Poly, PrimeDescriptor, compose_mod,
                     cyclotomic_factors_mod, is_prime, powmod, primes_upto,
                     residue_field_label)
@@ -83,10 +85,7 @@ class TheorySpec:
 
     def check_supports(self, G):
         if self.kind == "hz":
-            n = G.order
-            while n % self.p == 0:
-                n //= self.p
-            if n != 1 or not G.is_cyclic():
+            if not (G.is_p_group(self.p) and G.is_cyclic()):
                 raise UnsupportedTheory(
                     "hz:p=%d supports only cyclic %d-groups, got order %d"
                     % (self.p, self.p, G.order))
@@ -174,24 +173,9 @@ class StratumModel:
 
     def orbits(self):
         """Weyl orbits of point indices, each sorted, in canonical order."""
-        n = len(self.points)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for perm in self.action:
-            for i, j in enumerate(perm):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(sorted(v)) for _, v in sorted(groups.items())]
+        result = quotient(range(len(self.points)),
+                          [(i, j) for perm in self.action for i, j in enumerate(perm)])
+        return [members for _, members in result.classes]
 
 
 def _trivial_action(weyl_group, npoints):
@@ -261,13 +245,6 @@ def _stratum_height1(theory, G, cls):
                         weyl=w, action=_trivial_action(w, len(points)))
 
 
-def _cyclic_generator(cls):
-    for g in cls.sorted_elements():
-        if g.order() == cls.order:
-            return g
-    raise GroupError("subgroup is not cyclic")
-
-
 def _generator_power(gen, order, target):
     """The a in 1..order with gen^a = target, for gen of the given order."""
     cur = gen
@@ -319,10 +296,9 @@ def _stratum_ku(theory, G, cls):
     for idx, pt in enumerate(points[1:], start=1):
         _, q, coeffs = pt.descriptor.data
         modular_at.setdefault(q, []).append((idx, coeffs))
-    h = _cyclic_generator(cls)
+    h = cls.cyclic_generator()
     action = []
-    for qelem in w.sorted_quotient():
-        n = w.witness_of(qelem)
+    for _, n in w.witnesses:
         a = _generator_power(h, d, n * h * ~n)  # c_n(h) = h^a
         if a == 1 or a % d == 1:
             action.append(tuple(range(len(points))))
@@ -493,38 +469,17 @@ def _matrix_inverse_modp(M, p):
 
 
 def _elem_abelian_basis(cls, p):
-    """Canonical basis and coordinate map of an elementary abelian subgroup."""
-    els = cls.sorted_elements()
-    basis = []
-    span = {e for e in els if e.is_identity()}
-    for g in els:
-        if g in span:
-            continue
-        basis.append(g)
-        new_span = set()
-        for s in span:
-            cur = s
-            for _ in range(p):
-                new_span.add(cur)
-                cur = cur * g
-        span = new_span
-        if len(span) == cls.order:
-            break
+    """Canonical basis (e1, e2) of a rank-2 elementary abelian subgroup and
+    the coordinates (i, j) of each element e1^i e2^j."""
+    e1, e2 = basis = minimal_generators(cls)
     coords = {}
-    if len(basis) == 2:
-        e1, e2 = basis
-        x = e1 ** 0
-        for i in range(p):
-            y = x
-            for j in range(p):
-                coords[y] = (i, j)
-                y = y * e2
-            x = x * e1
-    elif len(basis) == 1:
-        x = basis[0] ** 0
-        for i in range(p):
-            coords[x] = (i,)
-            x = x * basis[0]
+    x = cls.identity()
+    for i in range(p):
+        y = x
+        for j in range(p):
+            coords[y] = (i, j)
+            y = y * e2
+        x = x * e1
     return basis, coords
 
 
@@ -579,8 +534,7 @@ def _stratum_modp(theory, G, cls):
     edges = tuple((0, j) for j in range(1, len(points)))
     basis, coords = _elem_abelian_basis(cls, p)
     action = []
-    for qelem in w.sorted_quotient():
-        n = w.witness_of(qelem)
+    for _, n in w.witnesses:
         M = _weyl_matrix(cls, basis, coords, n, p)
         Minv = _matrix_inverse_modp(M, p)
         Mdom = tuple(tuple(dom.of_int(x) for x in row) for row in Minv)
@@ -619,9 +573,9 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     if c == 1:
         u = 1
     else:
-        h = _cyclic_generator(src_cls)
+        h = src_cls.cyclic_generator()
         img = morphism.witness * h * ~morphism.witness
-        t = _generator_power(_cyclic_generator(dst_cls), d, img)
+        t = _generator_power(dst_cls.cyclic_generator(), d, img)
         u = (t * c // d) % c
     by_cyclo = {}
     by_modular = {}
@@ -642,13 +596,10 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     return out
 
 
-def theory_family_classes(theory, G, classes=None):
+def theory_family_classes(theory, G):
     """Family members of the theory in G, in canonical class order."""
     theory.check_supports(G)
-    if classes is None:
-        classes = subgroups_up_to_conjugacy(G)
-    fam = theory.family()
-    members = [cls for cls in classes if fam.contains(cls)]
+    members = family_members(G, theory.family())
     if theory.kind == "modp":
         for cls in members:
             if cls.p_rank(theory.p) > 2:

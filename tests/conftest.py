@@ -193,6 +193,13 @@ def brute_force_spectrum_ring(n, prime_bound):
                         contains=tuple(contains))
 
 
+def class_facts(classes):
+    """Per subgroup class: order, conjugates, elements, normalizer,
+    centralizer and index, for comparing two class lists."""
+    return [(c.order, c.conjugates, c.elements, c.normalizer_elements,
+             c.centralizer_elements, c.index) for c in classes]
+
+
 @pytest.fixture(scope="session")
 def corpus_groups():
     from quillen_strata.corpus import corpus_groups as cg

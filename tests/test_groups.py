@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupParseError,
-                                   Perm, all_subgroup_sets, build_group,
+                                   Perm, PermGroup, all_subgroup_sets, build_group,
                                    class_containing, double_cosets,
                                    family_members, minimal_generators,
                                    mulclose, select_class,
                                    subgroups_up_to_conjugacy, weyl)
 
-from conftest import naive_closure, naive_subgroup_count
+from conftest import class_facts, naive_closure, naive_subgroup_count
 
 
 def test_perm_basics():
@@ -201,7 +201,7 @@ def test_family_closed_under_subgroups():
     for fam in (FamilySpec.cyclic(), FamilySpec.cyclic_p(2),
                 FamilySpec.elem_abelian_p(2), FamilySpec.abelian_p_rank(2, 2)):
         for cls in family_members(G, fam):
-            for sub in subgroups_up_to_conjugacy(cls.as_group()):
+            for sub in subgroups_up_to_conjugacy(cls):
                 assert fam.contains(sub)
 
 
@@ -237,3 +237,24 @@ def test_class_containing():
     refl = [p for p in G.sorted_elements if p.order() == 2][0]
     cls = class_containing(classes, mulclose([refl], cap=8))
     assert cls.order == 2
+
+
+def test_classes_read_off_parent_match_fresh_root(corpus_groups):
+    for dsl, G in corpus_groups:
+        for H in subgroups_up_to_conjugacy(G):
+            assert H.parent is G
+            fresh = PermGroup(H.degree, H.sorted_elements)
+            assert fresh.parent is None
+            assert class_facts(subgroups_up_to_conjugacy(H)) == \
+                class_facts(subgroups_up_to_conjugacy(fresh)), (dsl, H.index)
+
+
+def test_repeat_enumeration_returns_same_objects():
+    G = build_group("sym:4")
+    first = subgroups_up_to_conjugacy(G)
+    second = subgroups_up_to_conjugacy(G)
+    assert len(first) == len(second)
+    assert all(a is b for a, b in zip(first, second))
+    H = first[-2]
+    assert all(a is b for a, b in zip(subgroups_up_to_conjugacy(H),
+                                      subgroups_up_to_conjugacy(H)))

@@ -17,6 +17,8 @@ from quillen_strata.spectrum import (assemble_strong, assemble_weak,
                                      check_agreement)
 from quillen_strata.strata import parse_theory
 
+from conftest import class_facts
+
 
 def group_strategy(max_degree=6, max_order=48):
     perm = st.permutations(range(max_degree))
@@ -63,3 +65,12 @@ def test_random_group_height1_agreement(G, p):
     closed = strong.closed_points()
     assert len(closed) == 1
     assert all(e.dst == closed[0].id for e in strong.solid_edges())
+
+
+@given(group_strategy())
+@settings(max_examples=25, deadline=None)
+def test_random_group_classes_read_off_parent(G):
+    for H in subgroups_up_to_conjugacy(G):
+        fresh = PermGroup(H.degree, H.sorted_elements)
+        assert class_facts(subgroups_up_to_conjugacy(H)) == \
+            class_facts(subgroups_up_to_conjugacy(fresh))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quillen_strata import groups
 from quillen_strata.groups import build_group, conjugate_set
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
 from quillen_strata.spectrum import (StratifiedSpace, assemble_strong,
@@ -105,6 +106,21 @@ def test_ku_cyclic_agreement_small():
         assert check_agreement(s, w).isomorphic, n
 
 
+def test_weak_ku_enumerates_one_lattice(monkeypatch):
+    calls = []
+    enumerate_all = groups.all_subgroup_sets
+
+    def counting(G):
+        calls.append(G.order)
+        return enumerate_all(G)
+
+    monkeypatch.setattr(groups, "all_subgroup_sets", counting)
+    th = parse_theory("ku")
+    G = build_group("cyclic:36")
+    assemble_weak(th, G, "cyclic:36")
+    assert calls == [36]
+
+
 def test_ku_noncyclic_points_only():
     G = build_group("sym:3")
     th = parse_theory("ku", prime_bound=7)
@@ -175,7 +191,7 @@ def test_of_colimit_matches_oq_colimit():
         G = build_group(dsl)
         members = theory_family_classes(th, G)
         cat = build_orbit_category(G, members)
-        spaces = {i: assemble_strong(th, cls.as_group(), "")
+        spaces = {i: assemble_strong(th, cls, "")
                   for i, cls in enumerate(members)}
         nodes = [(i, pt.id) for i in spaces for pt in spaces[i].points]
 

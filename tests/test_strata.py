@@ -30,9 +30,9 @@ def test_parse_theory_round_trip():
 
 def test_theory_families():
     G, classes = classes_of("sym:3")
-    h1 = theory_family_classes(parse_theory("height1:p=3"), G, classes)
+    h1 = theory_family_classes(parse_theory("height1:p=3"), G)
     assert [c.order for c in h1] == [1, 3]
-    ku = theory_family_classes(parse_theory("ku"), G, classes)
+    ku = theory_family_classes(parse_theory("ku"), G)
     assert [c.order for c in ku] == [1, 2, 3]
     kr_g = build_group("cyclic:2")
     kr = theory_family_classes(parse_theory("kr"), kr_g)
@@ -92,7 +92,7 @@ def test_height1_point_counts():
     for dsl, p in (("cyclic:8", 2), ("dihedral:4", 2), ("cyclic:9", 3)):
         G, classes = classes_of(dsl)
         th = parse_theory("height1:p=%d" % p)
-        for cls in theory_family_classes(th, G, classes):
+        for cls in theory_family_classes(th, G):
             m = stratum(th, G, cls)
             assert len(m.points) == (2 if cls.order == 1 else 1)
 
@@ -110,7 +110,7 @@ def test_ku_stratum_c2_bound7():
 def test_ku_stratum_counts_match_splitting():
     G, classes = classes_of("cyclic:12")
     th = parse_theory("ku", prime_bound=13)
-    for cls in theory_family_classes(th, G, classes):
+    for cls in theory_family_classes(th, G):
         m = stratum(th, G, cls)
         d = cls.order
         for q in (5, 7, 11, 13):
@@ -141,7 +141,7 @@ def test_ku_action_is_group_action():
     from quillen_strata.checks import _is_group_action
     G, classes = classes_of("dihedral:5")
     th = parse_theory("ku", prime_bound=11)
-    for cls in theory_family_classes(th, G, classes):
+    for cls in theory_family_classes(th, G):
         m = stratum(th, G, cls)
         assert _is_group_action(m)
 
@@ -159,7 +159,7 @@ def test_hz_requires_cyclic_p_group():
 def test_hz_strata_shapes():
     G, classes = classes_of("cyclic:4")
     th = parse_theory("hz:p=2")
-    members = theory_family_classes(th, G, classes)
+    members = theory_family_classes(th, G)
     m0 = stratum(th, G, members[0])
     assert m0.points[0].label == "Q"
     assert all(p.label.startswith("F_") for p in m0.points[1:])
@@ -192,7 +192,7 @@ def test_modp_rank_bounds():
 def test_modp_rank01_strata():
     G, classes = classes_of(WREATH)
     th = parse_theory("modp:q=4,deg=1")
-    members = theory_family_classes(th, G, classes)
+    members = theory_family_classes(th, G)
     m0 = stratum(th, G, members[0])
     assert len(m0.points) == 1 and m0.points[0].closed
     rank1 = [c for c in members if c.order == 2][0]
@@ -237,7 +237,7 @@ def test_modp_actions_are_group_actions():
     from quillen_strata.checks import _is_group_action
     G, classes = classes_of(WREATH)
     th = parse_theory("modp:q=4,deg=2")
-    for cls in theory_family_classes(th, G, classes):
+    for cls in theory_family_classes(th, G):
         m = stratum(th, G, cls)
         assert _is_group_action(m)
 

@@ -18,7 +18,7 @@ def _setup(dsl, theory_text, **kw):
     G = build_group(dsl)
     members = theory_family_classes(th, G)
     cat = build_orbit_category(G, members)
-    spaces = [assemble_strong(th, cls.as_group(), "") for cls in members]
+    spaces = [assemble_strong(th, cls, "") for cls in members]
     return th, G, members, cat, spaces
 
 
