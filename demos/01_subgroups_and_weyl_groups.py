@@ -31,7 +31,7 @@ for cls in classes:
 # Double cosets: for H = K = the subgroup generated by a 4-cycle,
 # sum over H\G/K of [G : H^g cap K] equals [G:H] * [G:K].
 c4 = [c for c in classes if c.order == 4 and c.is_cyclic()][0]
-dec = double_cosets(G, c4.elements, c4.elements)
+dec = double_cosets(G, c4, c4)
 print("\nC4\\S4/C4 has %d double cosets with sizes %s"
       % (len(dec.pairs), [dc.size for dc in dec.pairs]))
 lhs = sum(dec.group_order // len(dc.intersection) for dc in dec.pairs)

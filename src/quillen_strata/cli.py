@@ -100,9 +100,8 @@ def _cmd_double_cosets(args):
     classes = subgroups_up_to_conjugacy(G)
     hc = select_class(G, classes, args.h)
     kc = select_class(G, classes, args.k)
-    dec = double_cosets(G, hc.elements, kc.elements)
-    lhs = sum(dec.group_order // len(dc.intersection) for dc in dec.pairs)
-    rhs = (dec.group_order // dec.h_order) * (dec.group_order // dec.k_order)
+    dec = double_cosets(G, hc, kc)
+    lhs, rhs = dec.mackey_sides()
     doc = {
         "schema": "quillen-strata/double-cosets/1",
         "group": args.group,

@@ -79,30 +79,16 @@ class Perm:
             inv[j] = i
         return Perm(inv)
 
-    def __pow__(self, n):
-        if n < 0:
-            return (~self) ** (-n)
-        out = Perm.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conj(self, g):
-        """c_g(self) = g * self * g^-1."""
-        return g * self * ~g
+    def powers(self):
+        """The tuple (g, g^2, ..., e) of the powers of g up to its order."""
+        ident = tuple(range(len(self.images)))
+        out = [self]
+        while out[-1].images != ident:
+            out.append(out[-1] * self)
+        return tuple(out)
 
     def order(self):
-        n = 1
-        cur = self
-        ident = Perm.identity(self.degree)
-        while cur != ident:
-            cur = cur * self
-            n += 1
-        return n
+        return len(self.powers())
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -173,8 +159,8 @@ class PermGroup:
 
     A group made by subgroup() has a parent and reads its subgroups off the
     parent's; only a root group (parent None) enumerates its own.  The
-    subgroup sets and the conjugacy classes are each computed once and cached
-    on the group.
+    subgroup sets, the conjugacy classes (with the class of each subgroup set)
+    and the minimal generators are each computed once and cached on the group.
     """
 
     def __init__(self, degree, generators, _elements=None, parent=None):
@@ -194,6 +180,8 @@ class PermGroup:
         self._sorted = None
         self._subgroup_sets = None
         self._classes = None
+        self._class_of = None
+        self._minimal_generators = None
 
     @property
     def order(self):
@@ -233,8 +221,8 @@ class PermGroup:
         return self._subgroup_sets
 
     def is_abelian(self):
-        els = self.sorted_elements
-        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
+        gens = minimal_generators(self)
+        return all(a * b == b * a for a, b in itertools.combinations(gens, 2))
 
     def cyclic_generator(self):
         """The least element of full order, or None if the group is not cyclic."""
@@ -263,7 +251,9 @@ class PermGroup:
             return 0
         if not (self.is_p_group(p) and self.is_abelian()):
             raise GroupError("p_rank needs an abelian p-group")
-        ppowers = frozenset(g ** p for g in self.elements)
+        # g^p, read off g's powers cyclically since g^|g| = e
+        ppowers = frozenset(pw[(p - 1) % len(pw)]
+                            for pw in (g.powers() for g in self.elements))
         quot = self.order // len(ppowers)
         rank = 0
         while quot > 1:
@@ -284,11 +274,8 @@ def subgroup_key(elements):
 
 
 def conjugate_set(elements, g):
-    return frozenset(g * s * ~g for s in elements)
-
-
-def normalizer(G, elements):
-    return frozenset(g for g in G.elements if conjugate_set(elements, g) == elements)
+    ginv = ~g
+    return frozenset(g * s * ginv for s in elements)
 
 
 def centralizer(G, elements):
@@ -304,15 +291,7 @@ def set_product(A, B):
 # -- subgroup enumeration ----------------------------------------------------
 
 def cyclic_subgroup_sets(G):
-    out = set()
-    for g in G.elements:
-        cur = g
-        els = {g}
-        while not cur.is_identity():
-            cur = cur * g
-            els.add(cur)
-        out.add(frozenset(els))
-    return out
+    return {frozenset(g.powers()) for g in G.elements}
 
 
 def all_subgroup_sets(G):
@@ -343,16 +322,18 @@ def all_subgroup_sets(G):
 class SubgroupClass(PermGroup):
     """A conjugacy class of subgroups of parent, as its canonical representative.
 
-    index is the position in the parent's canonical class list and conjugates
-    the number of subgroups in the class.
+    index is the position in the parent's canonical class list.  conjugators
+    maps each conjugate T of the representative S to the sorted list of the g
+    in parent with g S g^-1 = T; conjugates is the number of subgroups in the
+    class and the normalizer is conjugators[S].
     """
 
-    def __init__(self, parent, elements, conjugates, normalizer_elements,
-                 centralizer_elements, index):
+    def __init__(self, parent, elements, conjugators, centralizer_elements, index):
         super().__init__(parent.degree, tuple(sorted(elements)),
                          _elements=elements, parent=parent)
-        self.conjugates = conjugates
-        self.normalizer_elements = normalizer_elements
+        self.conjugators = conjugators
+        self.conjugates = len(conjugators)
+        self.normalizer_elements = frozenset(conjugators[elements])
         self.centralizer_elements = centralizer_elements
         self.index = index
 
@@ -362,19 +343,18 @@ class SubgroupClass(PermGroup):
 
 
 def minimal_generators(G):
-    """A small (greedy, deterministic) generating set."""
-    if G.order == 1:
-        return (G.identity(),)
-    gens = []
-    span = frozenset({G.identity()})
-    for g in G.sorted_elements:
-        if g in span:
-            continue
-        gens.append(g)
-        span = mulclose(gens, cap=G.order)
-        if len(span) == G.order:
-            break
-    return tuple(gens)
+    """A small (greedy, deterministic) generating set, computed once per group."""
+    if G._minimal_generators is None:
+        gens = []
+        span = frozenset({G.identity()})
+        for g in G.sorted_elements:
+            if len(span) == G.order:
+                break
+            if g not in span:
+                gens.append(g)
+                span = mulclose(gens, cap=G.order)
+        G._minimal_generators = tuple(gens) or (G.identity(),)
+    return G._minimal_generators
 
 
 def subgroups_up_to_conjugacy(G):
@@ -386,44 +366,37 @@ def subgroups_up_to_conjugacy(G):
         return list(G._classes)
     if G.order > MAX_ORDER:
         raise BoundExceeded("group order %d exceeds bound" % G.order)
-    subs = G.subgroup_sets()
-    remaining = dict.fromkeys(sorted(subs, key=lambda s: (len(s), subgroup_key(s))))
-    raw = []
-    for S in list(remaining):
-        if S not in remaining:
-            continue
-        orbit = {conjugate_set(S, g) for g in G.elements}
-        for T in orbit:
-            remaining.pop(T, None)
-        rep = min(orbit, key=subgroup_key)
-        raw.append((rep, len(orbit)))
-    raw.sort(key=lambda t: (len(t[0]), subgroup_key(t[0])))
     classes = []
-    for idx, (rep, count) in enumerate(raw):
-        N = normalizer(G, rep)
-        C = centralizer(G, rep)
-        cls = SubgroupClass(
-            parent=G, elements=rep, conjugates=count,
-            normalizer_elements=N, centralizer_elements=C, index=idx)
-        if count != G.order // len(N):
+    class_of = {}
+    # visited in (order, key) order, so the first unvisited subgroup is the
+    # least of its orbit and the classes come out sorted
+    for S in sorted(G.subgroup_sets(), key=lambda s: (len(s), subgroup_key(s))):
+        if S in class_of:
+            continue
+        conjugators = {}
+        for g in G.sorted_elements:
+            conjugators.setdefault(conjugate_set(S, g), []).append(g)
+        cls = SubgroupClass(parent=G, elements=S, conjugators=conjugators,
+                            centralizer_elements=centralizer(G, S),
+                            index=len(classes))
+        N = cls.normalizer_elements
+        if cls.conjugates != G.order // len(N):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
-        if not (rep <= N and C <= N):
+        if not (S <= N and cls.centralizer_elements <= N):
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
+        class_of.update(dict.fromkeys(conjugators, cls))
     G._classes = tuple(classes)
+    G._class_of = class_of
     return classes
 
 
 def class_containing(classes, elements):
-    """The class whose orbit contains the given subgroup element set."""
-    elements = frozenset(elements)
-    G = classes[0].parent
-    for cls in classes:
-        if len(elements) != cls.order:
-            continue
-        if any(conjugate_set(cls.elements, g) == elements for g in G.elements):
-            return cls
-    raise GroupError("subgroup does not match any class")
+    """The class, among classes, whose orbit contains the given subgroup set."""
+    cls = classes[0].parent._class_of.get(frozenset(elements))
+    if cls is None or cls not in classes:
+        raise GroupError("subgroup does not match any class")
+    return cls
 
 
 # -- Weyl groups -------------------------------------------------------------
@@ -571,53 +544,61 @@ class DoubleCosetDecomposition:
     k_order: int
     pairs: tuple  # of DoubleCoset
 
-    def mackey_ok(self):
+    def mackey_sides(self):
+        """(sum over H\\G/K of [G : H^g cap K], [G:H] * [G:K])."""
         lhs = sum(self.group_order // len(dc.intersection) for dc in self.pairs)
         rhs = (self.group_order // self.h_order) * (self.group_order // self.k_order)
+        return lhs, rhs
+
+    def mackey_ok(self):
+        lhs, rhs = self.mackey_sides()
         return lhs == rhs
 
 
-def double_cosets(G, h_elements, k_elements, h_gens=None, k_gens=None):
-    """The decomposition of G into double cosets H\\G/K.
+def double_coset(g, left_gens, right_gens):
+    """The orbit L*g*R of g under x |-> l*x and x |-> x*r, by BFS from the
+    generators of L and R."""
+    orbit = {g}
+    frontier = [g]
+    while frontier:
+        new = []
+        for x in frontier:
+            for h in left_gens:
+                y = h * x
+                if y not in orbit:
+                    orbit.add(y)
+                    new.append(y)
+            for k in right_gens:
+                y = x * k
+                if y not in orbit:
+                    orbit.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(orbit)
+
+
+def double_cosets(G, H, K):
+    """The decomposition of G into double cosets H\\G/K, for subgroups H, K.
 
     Double cosets are the orbits of g |-> h*g and g |-> g*k, found by BFS from
-    small generating sets.  Representatives are minimal in element order;
-    intersections are H^g cap K = {k in K : g k g^-1 in H}.
+    the minimal generators of H and K.  Representatives are minimal in element
+    order; intersections are H^g cap K = {k in K : g k g^-1 in H}.
     """
-    H = frozenset(h_elements)
-    K = frozenset(k_elements)
-    if h_gens is None:
-        h_gens = minimal_generators(G.subgroup(H))
-    if k_gens is None:
-        k_gens = minimal_generators(G.subgroup(K))
+    h_gens = minimal_generators(H)
+    k_gens = minimal_generators(K)
     remaining = set(G.elements)
     pairs = []
     for g in G.sorted_elements:
         if g not in remaining:
             continue
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            new = []
-            for x in frontier:
-                for h in h_gens:
-                    y = h * x
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-                for k in k_gens:
-                    y = x * k
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
+        orbit = double_coset(g, h_gens, k_gens)
         remaining -= orbit
         ginv = ~g
-        inter = frozenset(k for k in K if (g * k * ginv) in H)
+        inter = frozenset(k for k in K.elements if (g * k * ginv) in H.elements)
         pairs.append(DoubleCoset(representative=g, intersection=inter,
                                  size=len(orbit)))
     dec = DoubleCosetDecomposition(
-        group_order=G.order, h_order=len(H), k_order=len(K), pairs=tuple(pairs))
+        group_order=G.order, h_order=H.order, k_order=K.order, pairs=tuple(pairs))
     if sum(dc.size for dc in pairs) != G.order:
         raise GroupError("double cosets do not cover G")
     return dec

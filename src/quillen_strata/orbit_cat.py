@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .groups import (GroupError, Perm, conjugate_set, double_cosets,
-                     minimal_generators, set_product, subgroups_up_to_conjugacy)
+from .groups import (GroupError, Perm, double_coset, double_cosets,
+                     minimal_generators, subgroups_up_to_conjugacy)
 
 
 class DiagramError(Exception):
@@ -98,21 +98,23 @@ def build_orbit_category(G, classes):
     """The Quillen orbit category on the given family classes.
 
     Every g with g H g^-1 <= K contributes exactly one morphism class;
-    the canonical witness is the minimal element of its double coset.
+    the canonical witness is the minimal element of its double coset.  The
+    g are read off the conjugators of H, and each coset K g C_G(H) is found
+    from the generators of K and of C_G(H).
     """
+    k_gens = [minimal_generators(Kc) for Kc in classes]
     homs = {}
     for i, Hc in enumerate(classes):
-        CH = Hc.centralizer_elements
-        conjugates = [(g, conjugate_set(Hc.elements, g)) for g in G.sorted_elements]
+        c_gens = minimal_generators(G.subgroup(Hc.centralizer_elements))
         for j, Kc in enumerate(classes):
-            K = Kc.elements
-            witnesses = [g for g, gH in conjugates if gH <= K]
+            witnesses = sorted(g for T, gs in Hc.conjugators.items()
+                               if T <= Kc.elements for g in gs)
             morphs = []
             seen = set()
             for g in witnesses:  # sorted, so reps are minimal
                 if g in seen:
                     continue
-                coset = set_product(set_product(K, frozenset({g})), CH)
+                coset = double_coset(g, k_gens[j], c_gens)
                 seen |= coset
                 morphs.append(Morphism(src=i, dst=j, witness=g, coset=coset))
             homs[(i, j)] = tuple(morphs)
@@ -222,13 +224,11 @@ def verify_mackey(G):
     sum over [g] in H\\G/K of [G : H^g cap K] must equal [G:H] * [G:K].
     """
     classes = subgroups_up_to_conjugacy(G)
-    gens = {cls.index: minimal_generators(cls) for cls in classes}
     violations = []
     pairs = 0
     for Hc, Kc in itertools.product(classes, repeat=2):
         pairs += 1
-        dec = double_cosets(G, Hc.elements, Kc.elements,
-                            h_gens=gens[Hc.index], k_gens=gens[Kc.index])
+        dec = double_cosets(G, Hc, Kc)
         if not dec.mackey_ok():
             violations.append({
                 "h": (Hc.order, Hc.index), "k": (Kc.order, Kc.index),

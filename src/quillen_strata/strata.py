@@ -245,14 +245,12 @@ def _stratum_height1(theory, G, cls):
                         weyl=w, action=_trivial_action(w, len(points)))
 
 
-def _generator_power(gen, order, target):
-    """The a in 1..order with gen^a = target, for gen of the given order."""
-    cur = gen
-    for a in range(1, order + 1):
-        if cur == target:
-            return a
-        cur = cur * gen
-    raise GroupError("element is not a power of the subgroup generator")
+def _generator_power(gen, target):
+    """The a in 1..|gen| with gen^a = target."""
+    powers = gen.powers()
+    if target not in powers:
+        raise GroupError("element is not a power of the subgroup generator")
+    return powers.index(target) + 1
 
 
 def _ku_points(d, prime_bound):
@@ -299,7 +297,7 @@ def _stratum_ku(theory, G, cls):
     h = cls.cyclic_generator()
     action = []
     for _, n in w.witnesses:
-        a = _generator_power(h, d, n * h * ~n)  # c_n(h) = h^a
+        a = _generator_power(h, n * h * ~n)  # c_n(h) = h^a
         if a == 1 or a % d == 1:
             action.append(tuple(range(len(points))))
             continue
@@ -575,7 +573,7 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     else:
         h = src_cls.cyclic_generator()
         img = morphism.witness * h * ~morphism.witness
-        t = _generator_power(dst_cls.cyclic_generator(), d, img)
+        t = _generator_power(dst_cls.cyclic_generator(), img)
         u = (t * c // d) % c
     by_cyclo = {}
     by_modular = {}

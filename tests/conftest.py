@@ -193,6 +193,73 @@ def brute_force_spectrum_ring(n, prime_bound):
                         contains=tuple(contains))
 
 
+def invert(a):
+    """Inverse of an image tuple."""
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def naive_conjugators(group, subgroup):
+    """{g S g^-1: [g, ...]} on image tuples, conjugating the subgroup S by
+    every element g of the group, g taken in sorted order."""
+    out = {}
+    for g in sorted(group):
+        ginv = invert(g)
+        T = frozenset(compose(compose(g, s), ginv) for s in subgroup)
+        out.setdefault(T, []).append(g)
+    return out
+
+
+def check_class_conjugators(G, label=""):
+    """Pin every subgroup class of G to naive_conjugators: its conjugators,
+    its normalizer, class_containing on each conjugate, and the classes'
+    orbits covering the subgroup lattice."""
+    from quillen_strata.groups import (Perm, class_containing,
+                                       subgroups_up_to_conjugacy)
+    classes = subgroups_up_to_conjugacy(G)
+    group = [p.images for p in G.elements]
+    covered = set()
+    for cls in classes:
+        S = frozenset(p.images for p in cls.elements)
+        expected = naive_conjugators(group, S)
+        got = {frozenset(p.images for p in T): [g.images for g in gs]
+               for T, gs in cls.conjugators.items()}
+        assert got == expected, (label, cls.index)
+        assert {p.images for p in cls.normalizer_elements} == set(expected[S])
+        for T in expected:
+            assert class_containing(classes, [Perm(t) for t in T]) is cls
+        covered |= expected.keys()
+    assert covered == {frozenset(p.images for p in S) for S in G.subgroup_sets()}
+
+
+def reference_orbit_category(G, classes):
+    """The orbit category's homs {(i, j): [(witness, coset), ...]} built the
+    direct way: conjugate each H by every g of G, and build each coset
+    K g C_G(H) as two set products.
+
+    Like brute_force_spectrum_ring this uses the package's group code; it
+    pins the conjugator- and generator-based build_orbit_category to it.
+    """
+    from quillen_strata.groups import conjugate_set, set_product
+    homs = {}
+    for i, Hc in enumerate(classes):
+        CH = Hc.centralizer_elements
+        conjugates = [(g, conjugate_set(Hc.elements, g)) for g in G.sorted_elements]
+        for j, Kc in enumerate(classes):
+            K = Kc.elements
+            morphs = []
+            seen = set()
+            for g, gH in conjugates:
+                if gH <= K and g not in seen:
+                    coset = set_product(set_product(K, frozenset({g})), CH)
+                    seen |= coset
+                    morphs.append((g, coset))
+            homs[(i, j)] = morphs
+    return homs
+
+
 def class_facts(classes):
     """Per subgroup class: order, conjugates, elements, normalizer,
     centralizer and index, for comparing two class lists."""

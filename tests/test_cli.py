@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -139,10 +141,13 @@ def test_strata_command(capsys):
 
 
 def test_console_script_subprocess():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "quillen_strata", "spectrum", "--group",
          "cyclic:2", "--theory", "kr"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["meta"]["theory"] == "kr"

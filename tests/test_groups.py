@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
-from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupParseError,
-                                   Perm, PermGroup, all_subgroup_sets, build_group,
+from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupError,
+                                   GroupParseError, Perm, PermGroup,
+                                   all_subgroup_sets, build_group,
                                    class_containing, double_cosets,
                                    family_members, minimal_generators,
                                    mulclose, select_class,
                                    subgroups_up_to_conjugacy, weyl)
 
-from conftest import class_facts, naive_closure, naive_subgroup_count
+from conftest import (check_class_conjugators, class_facts, compose,
+                      naive_closure, naive_subgroup_count)
 
 
 def test_perm_basics():
@@ -22,6 +24,13 @@ def test_perm_basics():
     assert Perm.from_cycles([(0, 1, 2, 3)], 4).images == (1, 2, 3, 0)
     with pytest.raises(Exception):
         Perm((0, 0, 1))
+
+
+def test_perm_powers():
+    a = Perm.from_cycles([(0, 1, 2, 3)], 4)
+    assert [g.images for g in a.powers()] == [
+        (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (0, 1, 2, 3)]
+    assert Perm.identity(3).powers() == (Perm.identity(3),)
 
 
 def test_build_group_trivial_and_sym3():
@@ -156,10 +165,10 @@ def test_weyl_witnesses_act_as_recorded():
 def test_double_coset_trivial_cases():
     G = build_group("sym:3")
     e = frozenset({G.identity()})
-    dec = double_cosets(G, e, e)
+    dec = double_cosets(G, G.subgroup(e), G.subgroup(e))
     assert len(dec.pairs) == G.order
     assert all(len(dc.intersection) == 1 for dc in dec.pairs)
-    dec2 = double_cosets(G, G.elements, G.elements)
+    dec2 = double_cosets(G, G, G)
     assert len(dec2.pairs) == 1
     assert dec2.pairs[0].intersection == G.elements
 
@@ -168,7 +177,7 @@ def test_double_coset_a3():
     G = build_group("sym:3")
     classes = subgroups_up_to_conjugacy(G)
     a3 = [c for c in classes if c.order == 3][0]
-    dec = double_cosets(G, a3.elements, a3.elements)
+    dec = double_cosets(G, a3, a3)
     assert len(dec.pairs) == 2
     assert all(len(dc.intersection) == 3 for dc in dec.pairs)
     assert dec.mackey_ok()
@@ -180,7 +189,7 @@ def test_double_cosets_cover_and_mackey(corpus_groups):
             continue
         classes = subgroups_up_to_conjugacy(G)
         for hc, kc in itertools.product(classes, repeat=2):
-            dec = double_cosets(G, hc.elements, kc.elements)
+            dec = double_cosets(G, hc, kc)
             assert sum(dc.size for dc in dec.pairs) == G.order
             assert dec.mackey_ok()
 
@@ -258,3 +267,33 @@ def test_repeat_enumeration_returns_same_objects():
     H = first[-2]
     assert all(a is b for a, b in zip(subgroups_up_to_conjugacy(H),
                                       subgroups_up_to_conjugacy(H)))
+
+
+def test_class_conjugators_match_direct_conjugation(corpus_groups):
+    for dsl, G in corpus_groups:
+        check_class_conjugators(G, dsl)
+
+
+def test_is_abelian_matches_all_pairs(corpus_groups):
+    for dsl, G in corpus_groups:
+        for cls in subgroups_up_to_conjugacy(G):
+            els = [p.images for p in cls.elements]
+            expected = all(compose(a, b) == compose(b, a) for a in els for b in els)
+            assert cls.is_abelian() == expected, (dsl, cls.index)
+
+
+def test_class_containing_rejects_non_subgroup():
+    G = build_group("sym:3")
+    classes = subgroups_up_to_conjugacy(G)
+    t = Perm.from_cycles([(0, 1)], 3)
+    with pytest.raises(GroupError):
+        class_containing(classes, {G.identity(), t, Perm.from_cycles([(1, 2)], 3)})
+
+
+def test_class_containing_rejects_class_outside_family():
+    G = build_group("sym:3")
+    members = family_members(G, FamilySpec.cyclic_p(2))
+    a3 = mulclose([Perm.from_cycles([(0, 1, 2)], 3)])
+    assert class_containing(subgroups_up_to_conjugacy(G), a3).order == 3
+    with pytest.raises(GroupError):
+        class_containing(members, a3)

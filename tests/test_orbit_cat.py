@@ -6,6 +6,8 @@ from quillen_strata.orbit_cat import (DiagramError, OrbitDiagram,
                                       build_orbit_category, coequalize_raw,
                                       colimit, verify_mackey)
 
+from conftest import reference_orbit_category
+
 
 def cat_for(dsl, fam):
     G = build_group(dsl)
@@ -59,6 +61,18 @@ def test_hom_sets_complete():
             direct = {g for g in G.elements
                       if conjugate_set(Hc.elements, g) <= Kc.elements}
             assert union == direct
+
+
+@pytest.mark.parametrize("fam", [FamilySpec.all(), FamilySpec.cyclic(),
+                                 FamilySpec.cyclic_p(2), FamilySpec.cyclic_p(3)],
+                         ids=lambda fam: fam.name)
+def test_homs_match_reference(corpus_groups, fam):
+    for dsl, G in corpus_groups:
+        members = family_members(G, fam)
+        cat = build_orbit_category(G, members)
+        got = {ij: [(m.witness, m.coset) for m in morphs]
+               for ij, morphs in cat.homs.items()}
+        assert got == reference_orbit_category(G, members), dsl
 
 
 def test_composition_closed():

@@ -17,7 +17,7 @@ from quillen_strata.spectrum import (assemble_strong, assemble_weak,
                                      check_agreement)
 from quillen_strata.strata import parse_theory
 
-from conftest import class_facts
+from conftest import check_class_conjugators, class_facts
 
 
 def group_strategy(max_degree=6, max_order=48):
@@ -38,7 +38,7 @@ def test_random_group_mackey(G):
     classes = subgroups_up_to_conjugacy(G)
     assert sum(c.conjugates for c in classes) >= len(classes)
     for hc, kc in itertools.product(classes[:6], classes[-3:]):
-        dec = double_cosets(G, hc.elements, kc.elements)
+        dec = double_cosets(G, hc, kc)
         assert dec.mackey_ok()
         assert sum(dc.size for dc in dec.pairs) == G.order
 
@@ -74,3 +74,9 @@ def test_random_group_classes_read_off_parent(G):
         fresh = PermGroup(H.degree, H.sorted_elements)
         assert class_facts(subgroups_up_to_conjugacy(H)) == \
             class_facts(subgroups_up_to_conjugacy(fresh))
+
+
+@given(group_strategy())
+@settings(max_examples=25, deadline=None)
+def test_random_group_conjugators_match_direct_conjugation(G):
+    check_class_conjugators(G)

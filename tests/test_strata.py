@@ -1,10 +1,11 @@
 import pytest
 
-from quillen_strata.groups import (build_group, class_containing, mulclose,
-                                   Perm, subgroups_up_to_conjugacy)
+from quillen_strata.groups import (GroupError, build_group, class_containing,
+                                   mulclose, Perm, subgroups_up_to_conjugacy)
 from quillen_strata.rings import GF, prime_splitting
 from quillen_strata.strata import (TheoryError, UnsupportedTheory,
-                                   irreducible_forms, parse_theory, stratum,
+                                   _generator_power, irreducible_forms,
+                                   parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
 
 WREATH = "perm:(0 1);(2 3);(0 2)(1 3)"
@@ -269,3 +270,12 @@ def test_empty_stratum_law(corpus_groups):
         for cls in subgroups_up_to_conjugacy(G):
             m = stratum(th, G, cls)
             assert m.is_empty() == (cls.index not in members)
+
+
+def test_generator_power():
+    G = build_group("sym:3")
+    c3 = [c for c in subgroups_up_to_conjugacy(G) if c.order == 3][0]
+    h = c3.cyclic_generator()
+    assert [_generator_power(h, g) for g in h.powers()] == [1, 2, 3]
+    with pytest.raises(GroupError):
+        _generator_power(h, Perm.from_cycles([(0, 1)], 3))
