@@ -278,12 +278,6 @@ def conjugate_set(elements, g):
     return frozenset(g * s * ginv for s in elements)
 
 
-def centralizer(G, elements):
-    return frozenset(
-        g for g in G.elements if all(g * s == s * g for s in elements)
-    )
-
-
 def set_product(A, B):
     return frozenset(a * b for a in A for b in B)
 
@@ -325,16 +319,19 @@ class SubgroupClass(PermGroup):
     index is the position in the parent's canonical class list.  conjugators
     maps each conjugate T of the representative S to the sorted list of the g
     in parent with g S g^-1 = T; conjugates is the number of subgroups in the
-    class and the normalizer is conjugators[S].
+    class and the normalizer is conjugators[S].  The centralizer is taken
+    inside the normalizer, against the minimal generators of S.
     """
 
-    def __init__(self, parent, elements, conjugators, centralizer_elements, index):
+    def __init__(self, parent, elements, conjugators, index):
         super().__init__(parent.degree, tuple(sorted(elements)),
                          _elements=elements, parent=parent)
         self.conjugators = conjugators
         self.conjugates = len(conjugators)
         self.normalizer_elements = frozenset(conjugators[elements])
-        self.centralizer_elements = centralizer_elements
+        gens = minimal_generators(self)
+        self.centralizer_elements = frozenset(
+            g for g in self.normalizer_elements if all(g * s == s * g for s in gens))
         self.index = index
 
     def __repr__(self):
@@ -377,12 +374,11 @@ def subgroups_up_to_conjugacy(G):
         for g in G.sorted_elements:
             conjugators.setdefault(conjugate_set(S, g), []).append(g)
         cls = SubgroupClass(parent=G, elements=S, conjugators=conjugators,
-                            centralizer_elements=centralizer(G, S),
                             index=len(classes))
         N = cls.normalizer_elements
         if cls.conjugates != G.order // len(N):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
-        if not (S <= N and cls.centralizer_elements <= N):
+        if not S <= N:
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
         class_of.update(dict.fromkeys(conjugators, cls))
@@ -778,6 +774,9 @@ def select_class(G, classes, selector):
         return class_containing(classes, elements)
     m = re.fullmatch(r"[Aa](\d+)", selector)
     if m:
+        if int(m.group(1)) != G.degree:
+            raise GroupParseError("selector %s does not match degree %d"
+                                  % (selector, G.degree))
         even = frozenset(g for g in G.elements if _is_even(g))
         return class_containing(classes, even)
     raise GroupParseError("cannot parse subgroup selector %r" % (selector,))

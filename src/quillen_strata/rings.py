@@ -18,7 +18,6 @@ from functools import lru_cache
 
 MAX_CYCLOTOMIC = 4096
 MAX_CONDUCTOR = 64
-MAX_SPECTRUM_N = 64
 MAX_PRIME_BOUND = 1000
 
 
@@ -449,12 +448,6 @@ class Poly:
         dom = self.dom
         return Poly(tuple(dom.mul(c, x) for x in self.coeffs), dom)
 
-    def shift(self, k):
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly((self.dom.zero,) * k + self.coeffs, self.dom)
-
     def divmod(self, divisor):
         """Polynomial division; requires a monic divisor or a field domain."""
         dom = self.dom
@@ -550,15 +543,6 @@ def powmod(base, e, mod):
         base = (base * base) % mod
         e >>= 1
     return out
-
-
-def compose_mod(f, t, mod):
-    """f(t) modulo mod, by Horner in the quotient ring."""
-    dom = f.dom
-    acc = Poly.zero(dom)
-    for c in reversed(f.coeffs):
-        acc = (acc * t + Poly((c,), dom)) % mod
-    return acc
 
 
 # -- irreducibility and factorization over finite fields ----------------------
@@ -916,7 +900,7 @@ def cyclic_spectrum_ring(n, prime_bound):
     the g are the factors of Phi_e mod q over the q-free parts e of the
     divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.
     """
-    if n < 1 or n > MAX_SPECTRUM_N:
+    if n < 1 or n > MAX_CYCLOTOMIC:
         raise RingError("n = %d out of range" % n)
     if prime_bound > MAX_PRIME_BOUND:
         raise RingError("prime bound %d out of range" % prime_bound)

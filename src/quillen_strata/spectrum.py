@@ -114,7 +114,6 @@ def assemble_strong(theory, G, group_label=""):
                 id=pid, stratum=skey, label=rp.label, closed=rp.closed,
                 descriptor=rp.descriptor, stratum_order=cls.order,
                 local_id=rp.local_id))
-            descriptors[(skey, rp.descriptor.data)] = pid
             descriptors.setdefault(rp.descriptor.data, pid)
         seen = set()
         for (i, j) in model.internal_edges:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import rings
 from .groups import (FamilySpec, GroupError, family_members,
                      minimal_generators, weyl)
 from .orbit_cat import quotient
-from .rings import (GF, Poly, PrimeDescriptor, compose_mod,
-                    cyclotomic_factors_mod, is_prime, powmod, primes_upto,
+from .rings import (GF, MAX_PRIME_BOUND, Poly, PrimeDescriptor,
+                    cyclotomic_factors_mod, is_prime, primes_upto,
                     residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
@@ -52,6 +53,8 @@ class TheorySpec:
         if self.prime_bound < 1 or self.degree_bound < 1:
             raise TheoryError("bounds must be >= 1, got prime bound %d and "
                               "degree bound %d" % (self.prime_bound, self.degree_bound))
+        if self.prime_bound > MAX_PRIME_BOUND:
+            raise UnsupportedTheory("prime bound %d out of range" % self.prime_bound)
 
     @property
     def q(self):
@@ -272,16 +275,50 @@ def _ku_points(d, prime_bound):
     return tuple(points), edges
 
 
-def _modular_preimage(q, g_coeffs, exponent, candidates):
-    """The key of the candidate (key, coeffs of g') with g'(X^exponent) = 0
-    mod (q, g): the prime that (q, g) contracts to under X -> X^exponent."""
-    dom = GF(q)
-    g = Poly(tuple(g_coeffs), dom)
-    t = powmod(Poly.x(dom), exponent, g)
-    for key, coeffs in candidates:
-        if compose_mod(Poly(tuple(coeffs), dom), t, g).is_zero():
-            return key
-    raise GroupError("modular prime (%d, ...) has no preimage" % q)
+@lru_cache(maxsize=None)
+def _frobenius_labels(d, q):
+    """Label the primes above q in Z[zeta_d] by the units a mod d.
+
+    With zeta = X mod g_0, g_0 the first factor of Phi_d mod q, labels[a] is
+    the index of the factor g_i with g_i(zeta^a) = 0, and reps[i] is one such
+    a.  Each label is a Frobenius coset a<q>, so each coset is tested once
+    (Washington, Introduction to Cyclotomic Fields, Thm 2.13).  For d = 1
+    the only unit is 0.
+    """
+    factors = cyclotomic_factors_mod(d, q)
+    g0 = factors[0]
+    labels = [None] * d
+    reps = [None] * len(factors)
+    for a in range(d):
+        if labels[a] is not None or math.gcd(a, d) != 1:
+            continue
+        i = next(i for i, g in enumerate(factors)
+                 if reps[i] is None and _vanishes_at_power(g, a, d, g0))
+        reps[i] = b = a
+        while labels[b] is None:
+            labels[b] = i
+            b = b * q % d
+    return tuple(labels), tuple(reps)
+
+
+def _vanishes_at_power(g, a, d, g0):
+    """Whether g(zeta^a) = 0 for zeta = X mod g0, a d-th root of unity: as
+    zeta^d = 1, that is sum c_k X^(k*a mod d) = 0 mod g0."""
+    dom = g.dom
+    at = [dom.zero] * d
+    for k, c in enumerate(g.coeffs):
+        at[k * a % d] = dom.add(at[k * a % d], c)
+    return (Poly(tuple(at), dom) % g0).is_zero()
+
+
+def _galois_image(local_id, d, a):
+    """The point of Spec Z[zeta_d, 1/d] that local_id goes to under
+    zeta -> zeta^a, for a unit a mod d."""
+    if local_id == "0" or (a - 1) % d == 0:
+        return local_id  # the generic point is Galois-stable, and a = 1 fixes all
+    q, i = (int(s) for s in local_id.split("."))
+    labels, reps = _frobenius_labels(d, q)
+    return "%d.%d" % (q, labels[reps[i] * a % d])
 
 
 def _stratum_ku(theory, G, cls):
@@ -290,22 +327,13 @@ def _stratum_ku(theory, G, cls):
     d = cls.order
     w = weyl(G, cls, weyl_action_kind(theory, cls))
     points, edges = _ku_points(d, theory.prime_bound)
-    modular_at = {}
-    for idx, pt in enumerate(points[1:], start=1):
-        _, q, coeffs = pt.descriptor.data
-        modular_at.setdefault(q, []).append((idx, coeffs))
+    index = {pt.local_id: k for k, pt in enumerate(points)}
     h = cls.cyclic_generator()
     action = []
     for _, n in w.witnesses:
         a = _generator_power(h, n * h * ~n)  # c_n(h) = h^a
-        if a == 1 or a % d == 1:
-            action.append(tuple(range(len(points))))
-            continue
-        images = [0]  # the generic point is Galois-stable
-        for pt in points[1:]:
-            _, q, coeffs = pt.descriptor.data
-            images.append(_modular_preimage(q, coeffs, a, modular_at[q]))
-        action.append(tuple(images))
+        action.append(tuple(index[_galois_image(pt.local_id, d, a)]
+                            for pt in points))
     return StratumModel(subgroup=cls, points=points, internal_edges=edges,
                         weyl=w, action=tuple(action), truncated=True)
 
@@ -553,44 +581,27 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     """Point map induced by a morphism c_g: H -> K on full per-subgroup spectra.
 
     src_points / dst_points are the points of the assembled spectra of the
-    source and target subgroups (duck-typed: .id, .label, .descriptor,
-    .stratum_order, .local_id).  Returns {src id: dst id}.
+    source and target subgroups (duck-typed: .id, .stratum_order,
+    .local_id).  Each point goes to the target point with the same stratum
+    order and local id; for ku, after the Galois twist.  Returns
+    {src id: dst id}.
     """
     if not theory.has_transition_maps():
         raise UnsupportedTheory(
             "theory %s has no transition maps" % theory.name)
-    if theory.kind == "height1":
-        by_label = {pt.label: pt.id for pt in dst_points}
-        return {pt.id: by_label[pt.label] for pt in src_points}
-    if theory.kind == "hz":
-        by_key = {(pt.stratum_order, pt.local_id): pt.id for pt in dst_points}
-        return {pt.id: by_key[(pt.stratum_order, pt.local_id)]
-                for pt in src_points}
-    # ku: contraction along R(K) -> R(H), X -> Y^u
-    c, d = src_cls.order, dst_cls.order
-    if c == 1:
-        u = 1
-    else:
-        h = src_cls.cyclic_generator()
-        img = morphism.witness * h * ~morphism.witness
-        t = _generator_power(dst_cls.cyclic_generator(), img)
-        u = (t * c // d) % c
-    by_cyclo = {}
-    by_modular = {}
-    for pt in dst_points:
-        data = pt.descriptor.data
-        if data[0] == "cyclo":
-            by_cyclo[data[1]] = pt.id
-        elif data[0] == "modular":
-            by_modular.setdefault(data[1], []).append((pt.id, data[2]))
+    u = None
+    if theory.kind == "ku":
+        # contraction along R(K) -> R(H), X -> Y^u, with u a unit mod c = |H|
+        c, d = src_cls.order, dst_cls.order
+        img = morphism.witness * src_cls.cyclic_generator() * ~morphism.witness
+        u = _generator_power(dst_cls.cyclic_generator(), img) * c // d % c
+    by_key = {(pt.stratum_order, pt.local_id): pt.id for pt in dst_points}
     out = {}
     for pt in src_points:
-        data = pt.descriptor.data
-        if data[0] == "cyclo":
-            out[pt.id] = by_cyclo[data[1]]
-            continue
-        _, q, coeffs = data
-        out[pt.id] = _modular_preimage(q, coeffs, u, by_modular[q])
+        local = pt.local_id
+        if u is not None:
+            local = _galois_image(local, pt.stratum_order, u)
+        out[pt.id] = by_key[(pt.stratum_order, local)]
     return out
 
 

@@ -193,6 +193,80 @@ def brute_force_spectrum_ring(n, prime_bound):
                         contains=tuple(contains))
 
 
+def compose_mod(f, t, mod):
+    """f(t) modulo mod, by Horner in the quotient ring."""
+    from quillen_strata.rings import Poly
+    dom = f.dom
+    acc = Poly.zero(dom)
+    for c in reversed(f.coeffs):
+        acc = (acc * t + Poly((c,), dom)) % mod
+    return acc
+
+
+def modular_preimage(q, g_coeffs, exponent, candidates):
+    """The key of the candidate (key, coeffs of g') with g'(X^exponent) = 0
+    mod (q, g): the prime that (q, g) contracts to under X -> X^exponent,
+    found by composing every candidate with X^exponent mod g."""
+    from quillen_strata.rings import GF, Poly, powmod
+    dom = GF(q)
+    g = Poly(tuple(g_coeffs), dom)
+    t = powmod(Poly.x(dom), exponent, g)
+    for key, coeffs in candidates:
+        if compose_mod(Poly(tuple(coeffs), dom), t, g).is_zero():
+            return key
+    raise AssertionError("modular prime (%d, ...) has no preimage" % q)
+
+
+def reference_ku_action(model):
+    """The Weyl action on a ku stratum found by search: a witness n with
+    c_n(h) = h^a sends each modular point (q, g) to the point (q, g') of the
+    stratum with g'(X^a) = 0 mod (q, g), and fixes the generic point."""
+    from quillen_strata.strata import _generator_power
+    modular_at = {}
+    for idx, pt in enumerate(model.points[1:], start=1):
+        _, q, coeffs = pt.descriptor.data
+        modular_at.setdefault(q, []).append((idx, coeffs))
+    h = model.subgroup.cyclic_generator()
+    action = []
+    for _, n in model.weyl.witnesses:
+        a = _generator_power(h, n * h * ~n)
+        images = [0]
+        for pt in model.points[1:]:
+            _, q, coeffs = pt.descriptor.data
+            images.append(modular_preimage(q, coeffs, a, modular_at[q]))
+        action.append(tuple(images))
+    return tuple(action)
+
+
+def reference_ku_transition(morphism, src_cls, dst_cls, src_points, dst_points):
+    """A ku transition map found by search: along X -> Y^u, each cyclotomic
+    point goes to the target's point of the same divisor and each modular
+    point (q, g) to the target's (q, g') with g'(X^u) = 0 mod (q, g)."""
+    from quillen_strata.strata import _generator_power
+    c, d = src_cls.order, dst_cls.order
+    u = 1
+    if c > 1:
+        h = src_cls.cyclic_generator()
+        img = morphism.witness * h * ~morphism.witness
+        u = (_generator_power(dst_cls.cyclic_generator(), img) * c // d) % c
+    by_cyclo = {}
+    by_modular = {}
+    for pt in dst_points:
+        data = pt.descriptor.data
+        if data[0] == "cyclo":
+            by_cyclo[data[1]] = pt.id
+        else:
+            by_modular.setdefault(data[1], []).append((pt.id, data[2]))
+    out = {}
+    for pt in src_points:
+        data = pt.descriptor.data
+        if data[0] == "cyclo":
+            out[pt.id] = by_cyclo[data[1]]
+        else:
+            out[pt.id] = modular_preimage(data[1], data[2], u, by_modular[data[1]])
+    return out
+
+
 def invert(a):
     """Inverse of an image tuple."""
     inv = [0] * len(a)
@@ -214,8 +288,9 @@ def naive_conjugators(group, subgroup):
 
 def check_class_conjugators(G, label=""):
     """Pin every subgroup class of G to naive_conjugators: its conjugators,
-    its normalizer, class_containing on each conjugate, and the classes'
-    orbits covering the subgroup lattice."""
+    its normalizer, its centralizer (against all of G and all of S),
+    class_containing on each conjugate, and the classes' orbits covering the
+    subgroup lattice."""
     from quillen_strata.groups import (Perm, class_containing,
                                        subgroups_up_to_conjugacy)
     classes = subgroups_up_to_conjugacy(G)
@@ -228,6 +303,8 @@ def check_class_conjugators(G, label=""):
                for T, gs in cls.conjugators.items()}
         assert got == expected, (label, cls.index)
         assert {p.images for p in cls.normalizer_elements} == set(expected[S])
+        assert {p.images for p in cls.centralizer_elements} == {
+            g for g in group if all(compose(g, s) == compose(s, g) for s in S)}
         for T in expected:
             assert class_containing(classes, [Perm(t) for t in T]) is cls
         covered |= expected.keys()

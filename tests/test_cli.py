@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from quillen_strata.cli import run
+from quillen_strata.spectrum import check_agreement, deserialize
 
 
 def invoke(args, capsys):
@@ -196,3 +197,30 @@ def test_bound_exceeded_exit_2(capsys):
         code, out, err = invoke(["subgroups", "--group", group], capsys)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "domain"
+
+
+def test_prime_bound_cap_for_every_theory(capsys):
+    for group in ("cyclic:3", "sym:3"):
+        args = ["spectrum", "--group", group, "--theory", "ku", "--prime-bound"]
+        code, out, err = invoke(args + ["1001"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "domain"
+        code, out, _ = invoke(args + ["1000"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["bounds"]["prime"] == 1000
+
+
+def test_ku_cyclic_order_above_64_strong_and_weak_agree(capsys):
+    docs = []
+    for mode in ("strong", "weak"):
+        code, out, _ = invoke(["spectrum", "--group", "product:cyclic:8xcyclic:9",
+                               "--theory", "ku", "--mode", mode], capsys)
+        assert code == 0
+        docs.append(deserialize(out))
+    assert check_agreement(*docs).isomorphic
+
+
+def test_alternating_selector_degree(capsys):
+    code, out, _ = invoke(["weyl", "--group", "sym:3", "--h", "A3"], capsys)
+    assert code == 0 and json.loads(out)["subgroup"]["order"] == 3
+    _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h", "A4"], capsys))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quillen_strata.rings import (GF, CycloField, Poly, QQ,
-                                  RingError, ZZ, compose_mod,
+                                  RingError, ZZ,
                                   cyclic_spectrum_ring, cyclotomic_poly,
                                   divides, factor, is_irreducible,
                                   is_separable, level_polynomial_P,
@@ -13,8 +13,8 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   prime_splitting, reduce_cyclo_mod_p,
                                   residue_field_label)
 
-from conftest import (brute_force_spectrum_ring, frac_poly_divmod,
-                      frac_poly_mul, naive_factor_count)
+from conftest import (brute_force_spectrum_ring, compose_mod,
+                      frac_poly_divmod, frac_poly_mul, naive_factor_count)
 
 
 # -- cyclotomic polynomials ----------------------------------------------------

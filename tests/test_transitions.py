@@ -1,16 +1,28 @@
 """Transition maps between full per-subgroup spectra, and boundary cases the
 other test modules do not touch."""
 
+import math
+
 import pytest
 
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import build_orbit_category
 from quillen_strata.rings import (CycloField, RingError,
-                                  cyclic_spectrum_ring, cyclotomic_poly,
-                                  level_polynomial_P)
+                                  cyclic_spectrum_ring, cyclotomic_factors_mod,
+                                  cyclotomic_poly, level_polynomial_P,
+                                  primes_upto)
 from quillen_strata.spectrum import assemble_strong, assemble_weak
-from quillen_strata.strata import (parse_theory, theory_family_classes,
-                                   transition_map)
+from quillen_strata.strata import (_galois_image, parse_theory, stratum,
+                                   theory_family_classes, transition_map)
+
+from conftest import (modular_preimage, reference_ku_action,
+                      reference_ku_transition)
+
+# the weak ku jobs of the benchmark's glue workload, and groups with
+# nontrivial Weyl actions on ku strata
+KU_SEARCH_GROUPS = ([("cyclic:%d" % n, 19) for n in range(12, 37)]
+                    + [(g, 43) for g in ("sym:3", "sym:4", "dihedral:5", "alt:4",
+                                         "perm:(0 1 2 3 4 5 6);(1 2 4)(3 6 5)")])
 
 
 def _setup(dsl, theory_text, **kw):
@@ -84,6 +96,35 @@ def test_ku_conjugation_transition_is_galois():
     assert moved == at7_top and len(at7_top) == 2
 
 
+def test_galois_image_matches_search_on_every_unit():
+    for d in range(1, 31):
+        units = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
+        for q in primes_upto(31):
+            if d % q == 0:
+                continue
+            cands = [(i, g.coeffs) for i, g in enumerate(cyclotomic_factors_mod(d, q))]
+            for a in units:
+                for i, coeffs in cands:
+                    expected = modular_preimage(q, coeffs, a, cands)
+                    assert _galois_image("%d.%d" % (q, i), d, a) == \
+                        "%d.%d" % (q, expected), (d, q, a, i)
+
+
+@pytest.mark.parametrize("dsl,bound", KU_SEARCH_GROUPS)
+def test_ku_frobenius_labels_match_search(dsl, bound):
+    # the Weyl actions and transition maps read off the Frobenius labels
+    # equal those found by composing every candidate factor
+    th, G, members, cat, spaces = _setup(dsl, "ku", prime_bound=bound)
+    for cls in members:
+        model = stratum(th, G, cls)
+        assert model.action == reference_ku_action(model), (dsl, cls.index)
+    for m in cat.all_morphisms():
+        args = (members[m.src], members[m.dst],
+                spaces[m.src].points, spaces[m.dst].points)
+        assert transition_map(th, m, *args) == reference_ku_transition(m, *args), \
+            (dsl, m.key())
+
+
 def test_weak_assembly_over_sym4_p2():
     th = parse_theory("height1:p=2")
     G = build_group("sym:4")
@@ -122,6 +163,6 @@ def test_level_polynomial_bounds():
 
 def test_cyclic_spectrum_bounds():
     with pytest.raises(RingError):
-        cyclic_spectrum_ring(65, 10)
+        cyclic_spectrum_ring(4097, 10)
     with pytest.raises(RingError):
         cyclic_spectrum_ring(4, 2000)
