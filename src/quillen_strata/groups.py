@@ -1,14 +1,21 @@
 """Finite permutation-group engine.
 
-Elements are permutations of {0..n-1}; groups are closed element sets with a
-generating set.  Everything here is brute force on purpose: the groups this
-package cares about have order at most a few dozen, and determinism matters
-more than asymptotics.  All outputs are canonically ordered so repeated runs
-produce identical results.
+Elements are permutations of {0..n-1}.  A root group numbers its elements
+0..|G|-1 in sorted order, the identity being 0, and its subgroups share that
+numbering.  The rows of its Cayley table are built on first use, one per
+element used as a generator or conjugator, never the whole table.  Subgroup
+enumeration, conjugacy classes, normalizers, centralizers and double cosets
+run on these numbers, with a subgroup held as an int bitmask; Perm objects
+appear only at the edges (the DSL, selectors, cycle strings and the element
+sets of groups).  Subgroups are found by cyclic extension: one subgroup of
+each conjugacy class is joined with each cyclic subgroup by closing its
+generators and one more element over the rows.  All outputs are canonically
+ordered so repeated runs produce identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -44,6 +51,14 @@ class Perm:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @staticmethod
+    def _trusted(images):
+        """The Perm of an images tuple already known to be a bijection."""
+        p = object.__new__(Perm)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_hash", hash(images))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
@@ -53,31 +68,33 @@ class Perm:
 
     @staticmethod
     def identity(degree):
-        return Perm(range(degree))
+        return Perm._trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(cycles, degree):
         images = list(range(degree))
+        seen = set()
         for cyc in cycles:
             if len(set(cyc)) != len(cyc):
                 raise GroupParseError("repeated point in cycle %r" % (cyc,))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not (0 <= a < degree):
                     raise GroupParseError("point %d out of range" % a)
+                if a in seen:
+                    raise GroupParseError("point %d in two cycles of one generator" % a)
+                seen.add(a)
                 images[a] = b
         return Perm(images)
 
     def __mul__(self, other):
         # (a*b)(x) = a(b(x))
-        bi = other.images
-        ai = self.images
-        return Perm(tuple(ai[bi[i]] for i in range(len(ai))))
+        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def __invert__(self):
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def powers(self):
         """The tuple (g, g^2, ..., e) of the powers of g up to its order."""
@@ -154,13 +171,120 @@ def mulclose(gens, cap=MAX_ORDER):
     return frozenset(els)
 
 
+# -- the element index -------------------------------------------------------
+
+class ElementIndex:
+    """The elements of a root group numbered 0..|G|-1 in sorted order.
+
+    left(a)[x] is the number of a*x, right(a)[x] that of x*a and conj(a)[x]
+    that of a*x*a^-1.  Each row is built on first use and kept.
+    """
+
+    def __init__(self, perms):
+        self.perms = perms
+        self.number = {p.images: i for i, p in enumerate(perms)}
+        self._left = {}
+        self._right = {}
+        self._conj = {}
+
+    def left(self, a):
+        row = self._left.get(a)
+        if row is None:
+            num, ai = self.number, self.perms[a].images.__getitem__
+            row = self._left[a] = [num[tuple(map(ai, p.images))] for p in self.perms]
+        return row
+
+    def right(self, a):
+        row = self._right.get(a)
+        if row is None:
+            num, ai = self.number, self.perms[a].images
+            row = self._right[a] = [num[tuple(map(p.images.__getitem__, ai))]
+                                    for p in self.perms]
+        return row
+
+    def conj(self, a):
+        row = self._conj.get(a)
+        if row is None:
+            row = self._conj[a] = self.conjugates(a, range(len(self.perms)))
+        return row
+
+    def conjugates(self, a, xs):
+        """The numbers of a*x*a^-1 for the numbers x in xs."""
+        num, ai = self.number, self.perms[a].images.__getitem__
+        ainv = (~self.perms[a]).images
+        perms = self.perms
+        return [num[tuple(map(ai, map(perms[x].images.__getitem__, ainv)))]
+                for x in xs]
+
+    def mul(self, a, b):
+        return self.number[tuple(map(self.perms[a].images.__getitem__,
+                                     self.perms[b].images))]
+
+    def inverse(self, a):
+        return self.number[(~self.perms[a]).images]
+
+    def mask(self, elements):
+        """The bitmask of a set of Perms; KeyError if one is not numbered."""
+        return _mask(self.number[p.images] for p in elements)
+
+
+def _mask(numbers):
+    mask = 0
+    for x in numbers:
+        mask |= 1 << x
+    return mask
+
+
+def _largest_proper_divisor(n):
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return n // p
+        p += 1
+    return 1
+
+
+def _join(index, elems, mask, gens, c, whole=None):
+    """The subgroup generated by a subgroup and one more element c.
+
+    elems and mask give the subgroup, which is closed under left
+    multiplication by gens; the result (elements, mask) closes gens + (c,)
+    over the left Cayley rows.  whole = (elements, mask) of an ambient group
+    ends the closure early: once it holds more elements than a proper
+    subgroup can, it is the ambient group.
+    """
+    crow = index.left(c)
+    rows = [index.left(a) for a in gens]
+    rows.append(crow)
+    bound = _largest_proper_divisor(len(whole[0])) if whole else len(index.perms)
+    out = list(elems)
+    for x in elems:  # the subgroup is closed under gens, so only c moves it
+        y = crow[x]
+        if not mask >> y & 1:
+            mask |= 1 << y
+            out.append(y)
+    i = len(elems)
+    while i < len(out):
+        if len(out) > bound:
+            return whole
+        x = out[i]
+        i += 1
+        for row in rows:
+            y = row[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                out.append(y)
+    return out, mask
+
+
 class PermGroup:
     """A finite permutation group; the full element set is computed eagerly.
 
     A group made by subgroup() has a parent and reads its subgroups off the
-    parent's; only a root group (parent None) enumerates its own.  The
-    subgroup sets, the conjugacy classes (with the class of each subgroup set)
-    and the minimal generators are each computed once and cached on the group.
+    parent's; only a root group (parent None) enumerates its own, and only a
+    root builds an element index, which its subgroups share.  The subgroup
+    sets, the conjugacy classes (with the class of each subgroup set) and the
+    minimal generators are each computed once and cached on the group.
     """
 
     def __init__(self, degree, generators, _elements=None, parent=None):
@@ -178,6 +302,9 @@ class PermGroup:
             self.elements = mulclose(gens)
         self.parent = parent
         self._sorted = None
+        self._index = None
+        self._numbers = None
+        self._mask = None
         self._subgroup_sets = None
         self._classes = None
         self._class_of = None
@@ -190,8 +317,30 @@ class PermGroup:
     @property
     def sorted_elements(self):
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
+            self._sorted = tuple(sorted(self.elements, key=lambda p: p.images))
         return self._sorted
+
+    def element_index(self):
+        """The element index of the root group, built on first use."""
+        root = self
+        while root.parent is not None:
+            root = root.parent
+        if root._index is None:
+            root._index = ElementIndex(root.sorted_elements)
+        return root._index
+
+    def numbers(self):
+        """The numbers of the elements in the root's index, ascending."""
+        if self._numbers is None:
+            num = self.element_index().number
+            self._numbers = tuple(sorted(num[p.images] for p in self.elements))
+        return self._numbers
+
+    def mask(self):
+        """The elements as a bitmask over the root's index."""
+        if self._mask is None:
+            self._mask = _mask(self.numbers())
+        return self._mask
 
     def identity(self):
         return Perm.identity(self.degree)
@@ -211,13 +360,15 @@ class PermGroup:
                          parent=self)
 
     def subgroup_sets(self):
-        """Every subgroup as a frozenset of elements, computed once."""
+        """Every subgroup as {bitmask: ascending element numbers}, computed once."""
         if self._subgroup_sets is None:
             if self.parent is None:
                 self._subgroup_sets = all_subgroup_sets(self)
             else:
-                self._subgroup_sets = {S for S in self.parent.subgroup_sets()
-                                       if S <= self.elements}
+                outside = ~self.mask()
+                self._subgroup_sets = {S: els for S, els
+                                       in self.parent.subgroup_sets().items()
+                                       if not S & outside}
         return self._subgroup_sets
 
     def is_abelian(self):
@@ -268,49 +419,96 @@ class PermGroup:
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
 
-def subgroup_key(elements):
-    """Canonical key of a subgroup: the sorted tuple of element image-tuples."""
-    return tuple(sorted(p.images for p in elements))
-
-
-def conjugate_set(elements, g):
-    ginv = ~g
-    return frozenset(g * s * ginv for s in elements)
-
-
 def set_product(A, B):
     return frozenset(a * b for a in A for b in B)
 
 
 # -- subgroup enumeration ----------------------------------------------------
 
-def cyclic_subgroup_sets(G):
-    return {frozenset(g.powers()) for g in G.elements}
+def _cyclic_subgroups(index):
+    """[(bitmask, least generator, elements)] of the cyclic subgroups of a
+    root group."""
+    number = index.number
+    done = bytearray(len(index.perms))
+    out = []
+    for g, perm in enumerate(index.perms):
+        if done[g]:
+            continue
+        powers = [number[p.images] for p in perm.powers()]
+        for k, x in enumerate(powers, 1):
+            if math.gcd(k, len(powers)) == 1:
+                done[x] = 1
+        out.append((_mask(powers), g, powers))
+    return out
 
 
 def all_subgroup_sets(G):
-    """Every subgroup of G as a frozenset of elements.
+    """Every subgroup of the root group G, as {bitmask: ascending numbers}.
 
-    Brute force: start from cyclic subgroups and saturate under joins with
-    cyclic subgroups.  Every subgroup arises this way because it is generated
-    by its own cyclic subgroups.
+    Cyclic extension (Neubüser; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, sec. 3): start from the trivial and the
+    cyclic subgroups and join one subgroup S of each conjugacy class with
+    each cyclic <c> not in S, closing gens(S) + (c,) over the Cayley rows,
+    until no new class appears.  Each new subgroup brings its whole
+    conjugacy class, found with the conjugation rows of G's generators.
+    Every subgroup arises, because it is generated by its cyclic subgroups
+    and the join of a conjugate is the conjugate of a join.
     """
-    cyc = sorted(cyclic_subgroup_sets(G), key=subgroup_key)
-    subs = set(cyc)
-    subs.add(frozenset({G.identity()}))
-    frontier = list(subs)
-    while frontier:
-        new = []
-        for S in frontier:
-            for C in cyc:
-                if C <= S:
-                    continue
-                J = mulclose(sorted(S | C), cap=G.order)
-                if J not in subs:
-                    subs.add(J)
-                    new.append(J)
-        frontier = new
-    return subs
+    index = G.element_index()
+    whole = (G.numbers(), G.mask())
+    rows = [] if G.is_abelian() else [
+        index.conj(index.number[g.images]) for g in minimal_generators(G)]
+    found = {}  # bitmask -> elements
+    reps = []  # (elements, bitmask, generators) of one subgroup per class
+
+    def add(elems, mask, gens):
+        if mask in found:
+            return
+        found[mask] = elems
+        reps.append((elems, mask, gens))
+        orbit = [elems]
+        for els in orbit:
+            for row in rows:
+                img = [row[x] for x in els]
+                T = _mask(img)
+                if T not in found:
+                    found[T] = img
+                    orbit.append(img)
+
+    cyclic = _cyclic_subgroups(index)
+    add([0], 1, ())
+    for C, c, powers in cyclic:
+        add(powers, C, (c,))
+    for elems, S, gens in reps:
+        for C, c, _ in cyclic:
+            if C & ~S:
+                add(*_join(index, elems, S, gens, c, whole), gens + (c,))
+    return {S: tuple(sorted(elems)) for S, elems in found.items()}
+
+
+def _orbit_and_normalizer(index, S, elems, gens):
+    """The conjugacy orbit of the subgroup S under the group generated by
+    gens, as {T: (t, elements of T)} with t S t^-1 = T, and the normalizer
+    of S, closed from the Schreier generators t_U^-1 a t_T (U = a T a^-1)."""
+    orbit = {S: (0, elems)}
+    queue = [S]
+    n_elems, n_mask, n_gens = [0], 1, []
+    for T in queue:
+        t, els = orbit[T]
+        for a in gens:
+            row = index.conj(a)
+            img = [row[x] for x in els]
+            U = _mask(img)
+            at = index.left(a)[t]
+            if U not in orbit:
+                orbit[U] = (at, img)
+                queue.append(U)
+                continue
+            s = index.mul(index.inverse(orbit[U][0]), at)
+            if not n_mask >> s & 1:
+                n_elems, n_mask = _join(index, n_elems, n_mask, n_gens, s)
+                n_gens.append(s)
+    return orbit, tuple(sorted(n_elems))
 
 
 class SubgroupClass(PermGroup):
@@ -323,16 +521,33 @@ class SubgroupClass(PermGroup):
     inside the normalizer, against the minimal generators of S.
     """
 
-    def __init__(self, parent, elements, conjugators, index):
-        super().__init__(parent.degree, tuple(sorted(elements)),
-                         _elements=elements, parent=parent)
-        self.conjugators = conjugators
-        self.conjugates = len(conjugators)
-        self.normalizer_elements = frozenset(conjugators[elements])
-        gens = minimal_generators(self)
-        self.centralizer_elements = frozenset(
-            g for g in self.normalizer_elements if all(g * s == s * g for s in gens))
+    def __init__(self, parent, mask, numbers, orbit, normalizer, index):
+        ind = parent.element_index()
+        perms = ind.perms
+        elements = tuple(perms[x] for x in numbers)
+        super().__init__(parent.degree, elements, _elements=elements, parent=parent)
+        self._sorted = elements
+        self._numbers = numbers
+        self._mask = mask
+        self._orbit = orbit
+        self._normalizer = normalizer
+        self.conjugates = len(orbit)
+        self.normalizer_elements = frozenset(perms[x] for x in normalizer)
+        rows = [ind.conj(ind.number[s.images]) for s in minimal_generators(self)]
+        self.centralizer_elements = frozenset(  # s g s^-1 = g for every generator s
+            perms[g] for g in normalizer if all(row[g] == g for row in rows))
         self.index = index
+
+    @functools.cached_property
+    def conjugators(self):
+        ind = self.element_index()
+        perms = ind.perms
+        cosets = []
+        for t, els in self._orbit.values():
+            gs = sorted(ind.mul(t, n) for n in self._normalizer)
+            cosets.append((gs, frozenset(perms[x] for x in els)))
+        cosets.sort(key=lambda c: c[0][0])
+        return {T: [perms[g] for g in gs] for gs, T in cosets}
 
     def __repr__(self):
         return "SubgroupClass(order=%d, index=%d, size=%d)" % (
@@ -342,46 +557,54 @@ class SubgroupClass(PermGroup):
 def minimal_generators(G):
     """A small (greedy, deterministic) generating set, computed once per group."""
     if G._minimal_generators is None:
+        index = G.element_index()
+        whole = (G.numbers(), G.mask())
         gens = []
-        span = frozenset({G.identity()})
-        for g in G.sorted_elements:
+        span, mask = [0], 1
+        for g in G.numbers():
             if len(span) == G.order:
                 break
-            if g not in span:
+            if not mask >> g & 1:
+                span, mask = _join(index, span, mask, gens, g, whole)
                 gens.append(g)
-                span = mulclose(gens, cap=G.order)
-        G._minimal_generators = tuple(gens) or (G.identity(),)
+        G._minimal_generators = tuple(index.perms[g] for g in gens) or (G.identity(),)
     return G._minimal_generators
 
 
 def subgroups_up_to_conjugacy(G):
     """One SubgroupClass per conjugacy class, sorted by (order, canonical key).
 
-    The classes are computed once per group and cached on it.
+    The canonical key of a subgroup is its sorted element list.  The classes
+    are computed once per group and cached on it.  In an abelian group every
+    class is one subgroup and N = C = G, so nothing is conjugated.
     """
     if G._classes is not None:
         return list(G._classes)
     if G.order > MAX_ORDER:
         raise BoundExceeded("group order %d exceeds bound" % G.order)
+    index = G.element_index()
+    subs = G.subgroup_sets()
+    abelian = G.is_abelian()
+    gens = [index.number[g.images] for g in minimal_generators(G)]
     classes = []
     class_of = {}
     # visited in (order, key) order, so the first unvisited subgroup is the
     # least of its orbit and the classes come out sorted
-    for S in sorted(G.subgroup_sets(), key=lambda s: (len(s), subgroup_key(s))):
+    for S in sorted(subs, key=lambda s: (len(subs[s]), subs[s])):
         if S in class_of:
             continue
-        conjugators = {}
-        for g in G.sorted_elements:
-            conjugators.setdefault(conjugate_set(S, g), []).append(g)
-        cls = SubgroupClass(parent=G, elements=S, conjugators=conjugators,
-                            index=len(classes))
-        N = cls.normalizer_elements
-        if cls.conjugates != G.order // len(N):
+        if abelian:
+            orbit, normalizer = {S: (0, subs[S])}, G.numbers()
+        else:
+            orbit, normalizer = _orbit_and_normalizer(index, S, subs[S], gens)
+        cls = SubgroupClass(parent=G, mask=S, numbers=subs[S], orbit=orbit,
+                            normalizer=normalizer, index=len(classes))
+        if cls.conjugates != G.order // len(normalizer):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
-        if not S <= N:
+        if S & ~_mask(normalizer):
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
-        class_of.update(dict.fromkeys(conjugators, cls))
+        class_of.update(dict.fromkeys(orbit, cls))
     G._classes = tuple(classes)
     G._class_of = class_of
     return classes
@@ -389,7 +612,12 @@ def subgroups_up_to_conjugacy(G):
 
 def class_containing(classes, elements):
     """The class, among classes, whose orbit contains the given subgroup set."""
-    cls = classes[0].parent._class_of.get(frozenset(elements))
+    G = classes[0].parent
+    try:
+        mask = G.element_index().mask(elements)
+    except KeyError:
+        mask = None
+    cls = G._class_of.get(mask)
     if cls is None or cls not in classes:
         raise GroupError("subgroup does not match any class")
     return cls
@@ -551,48 +779,62 @@ class DoubleCosetDecomposition:
         return lhs == rhs
 
 
-def double_coset(g, left_gens, right_gens):
-    """The orbit L*g*R of g under x |-> l*x and x |-> x*r, by BFS from the
-    generators of L and R."""
-    orbit = {g}
-    frontier = [g]
-    while frontier:
-        new = []
-        for x in frontier:
-            for h in left_gens:
-                y = h * x
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-            for k in right_gens:
-                y = x * k
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(orbit)
+def _double_coset(g, rows, seen):
+    """The numbers in the orbit of g under the given Cayley rows, marked in
+    seen as they are found."""
+    seen[g] = 1
+    orbit = [g]
+    for x in orbit:
+        for row in rows:
+            y = row[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return orbit
+
+
+def _coset_rows(index, left_gens, right_gens):
+    number = index.number
+    return ([index.left(number[h.images]) for h in left_gens]
+            + [index.right(number[k.images]) for k in right_gens])
+
+
+def double_coset(G, g, left_gens, right_gens):
+    """The orbit L*g*R of g in G under x |-> l*x and x |-> x*r, by BFS from
+    the generators of L and R."""
+    index = G.element_index()
+    orbit = _double_coset(index.number[g.images],
+                          _coset_rows(index, left_gens, right_gens),
+                          bytearray(len(index.perms)))
+    return frozenset(index.perms[x] for x in orbit)
 
 
 def double_cosets(G, H, K):
-    """The decomposition of G into double cosets H\\G/K, for subgroups H, K.
+    """The decomposition of G into double cosets H\\G/K, for subgroups H, K
+    of G (all three sharing one root).
 
     Double cosets are the orbits of g |-> h*g and g |-> g*k, found by BFS from
     the minimal generators of H and K.  Representatives are minimal in element
     order; intersections are H^g cap K = {k in K : g k g^-1 in H}.
     """
-    h_gens = minimal_generators(H)
-    k_gens = minimal_generators(K)
-    remaining = set(G.elements)
+    index = G.element_index()
+    if H.element_index() is not index or K.element_index() is not index:
+        raise GroupError("double_cosets needs subgroups of one root group")
+    perms = index.perms
+    rows = _coset_rows(index, minimal_generators(H), minimal_generators(K))
+    h_mask = H.mask()
+    k_numbers = K.numbers()
+    seen = bytearray(len(perms))
     pairs = []
-    for g in G.sorted_elements:
-        if g not in remaining:
+    for g in G.numbers():
+        if seen[g]:
             continue
-        orbit = double_coset(g, h_gens, k_gens)
-        remaining -= orbit
-        ginv = ~g
-        inter = frozenset(k for k in K.elements if (g * k * ginv) in H.elements)
-        pairs.append(DoubleCoset(representative=g, intersection=inter,
-                                 size=len(orbit)))
+        size = len(_double_coset(g, rows, seen))
+        inter = frozenset(perms[k] for k, x in
+                          zip(k_numbers, index.conjugates(g, k_numbers))
+                          if h_mask >> x & 1)
+        pairs.append(DoubleCoset(representative=perms[g], intersection=inter,
+                                 size=size))
     dec = DoubleCosetDecomposition(
         group_order=G.order, h_order=H.order, k_order=K.order, pairs=tuple(pairs))
     if sum(dc.size for dc in pairs) != G.order:

@@ -114,7 +114,7 @@ def build_orbit_category(G, classes):
             for g in witnesses:  # sorted, so reps are minimal
                 if g in seen:
                     continue
-                coset = double_coset(g, k_gens[j], c_gens)
+                coset = double_coset(G, g, k_gens[j], c_gens)
                 seen |= coset
                 morphs.append(Morphism(src=i, dst=j, witness=g, coset=coset))
             homs[(i, j)] = tuple(morphs)

@@ -34,6 +34,40 @@ def naive_closure(gens):
     return els
 
 
+def naive_subgroup_sets(G):
+    """Every subgroup of G as a frozenset of Perms, by the brute force the
+    package used before its element index: start from the cyclic subgroups
+    and saturate under joins with cyclic subgroups, closing each join with
+    mulclose on the union of the two element sets."""
+    from quillen_strata.groups import mulclose
+
+    def key(elements):
+        return tuple(sorted(p.images for p in elements))
+
+    cyc = sorted({frozenset(g.powers()) for g in G.elements}, key=key)
+    subs = set(cyc)
+    subs.add(frozenset({G.identity()}))
+    frontier = list(subs)
+    while frontier:
+        new = []
+        for S in frontier:
+            for C in cyc:
+                if C <= S:
+                    continue
+                J = mulclose(sorted(S | C), cap=G.order)
+                if J not in subs:
+                    subs.add(J)
+                    new.append(J)
+        frontier = new
+    return subs
+
+
+def lattice_perm_sets(G):
+    """G's subgroup sets, read off its bitmasks as frozensets of Perms."""
+    perms = G.element_index().perms
+    return {frozenset(perms[x] for x in els) for els in G.subgroup_sets().values()}
+
+
 def naive_subgroup_count(elements):
     """Count closed nonempty subsets by brute force (tiny groups only)."""
     els = sorted(elements)
@@ -308,7 +342,13 @@ def check_class_conjugators(G, label=""):
         for T in expected:
             assert class_containing(classes, [Perm(t) for t in T]) is cls
         covered |= expected.keys()
-    assert covered == {frozenset(p.images for p in S) for S in G.subgroup_sets()}
+    assert covered == {frozenset(p.images for p in S) for S in lattice_perm_sets(G)}
+
+
+def conjugate_set(elements, g):
+    """{g s g^-1 : s in elements}, multiplying Perms."""
+    ginv = ~g
+    return frozenset(g * s * ginv for s in elements)
 
 
 def reference_orbit_category(G, classes):
@@ -319,7 +359,7 @@ def reference_orbit_category(G, classes):
     Like brute_force_spectrum_ring this uses the package's group code; it
     pins the conjugator- and generator-based build_orbit_category to it.
     """
-    from quillen_strata.groups import conjugate_set, set_product
+    from quillen_strata.groups import set_product
     homs = {}
     for i, Hc in enumerate(classes):
         CH = Hc.centralizer_elements

@@ -224,3 +224,10 @@ def test_alternating_selector_degree(capsys):
     code, out, _ = invoke(["weyl", "--group", "sym:3", "--h", "A3"], capsys)
     assert code == 0 and json.loads(out)["subgroup"]["order"] == 3
     _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h", "A4"], capsys))
+
+
+def test_point_in_two_cycles_is_a_parse_error(capsys):
+    _assert_parse_error(*invoke(["subgroups", "--group", "perm:(0 1)(0 2)"],
+                                capsys))
+    _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h",
+                                 "gens:(0 1)(0 2)"], capsys))

@@ -16,6 +16,14 @@ CASES = [
       "--prime-bound", "19"]),
     ("fig5_cyclic9_hz_p3.json",
      ["spectrum", "--group", "cyclic:9", "--theory", "hz:p=3"]),
+    ("subgroups_sym5.json", ["subgroups", "--group", "sym:5"]),
+    ("subgroups_alt5.json", ["subgroups", "--group", "alt:5"]),
+    ("weyl_alt5_4_0_quillen.json",
+     ["weyl", "--group", "alt:5", "--h", "4:0", "--kind", "quillen"]),
+    ("double_cosets_dihedral15_2_0_6_0.json",
+     ["double-cosets", "--group", "dihedral:15", "--h", "2:0", "--k", "6:0"]),
+    ("spectrum_alt5_height1_p2.json",
+     ["spectrum", "--group", "alt:5", "--theory", "height1:p=2"]),
 ]
 
 

@@ -11,7 +11,12 @@ from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupError,
                                    subgroups_up_to_conjugacy, weyl)
 
 from conftest import (check_class_conjugators, class_facts, compose,
-                      naive_closure, naive_subgroup_count)
+                      lattice_perm_sets, naive_closure, naive_subgroup_count,
+                      naive_subgroup_sets)
+
+# groups outside the corpus, of orders 20 to 60
+EXTRA_GROUPS = (["alt:5"] + ["dihedral:%d" % n for n in range(10, 16)]
+                + ["product:sym:3xsym:3", "product:cyclic:3xsym:3"])
 
 
 def test_perm_basics():
@@ -173,6 +178,13 @@ def test_double_coset_trivial_cases():
     assert dec2.pairs[0].intersection == G.elements
 
 
+def test_double_cosets_rejects_groups_of_another_root():
+    G = build_group("sym:3")
+    other = build_group("sym:3")
+    with pytest.raises(GroupError):
+        double_cosets(G, G, other)
+
+
 def test_double_coset_a3():
     G = build_group("sym:3")
     classes = subgroups_up_to_conjugacy(G)
@@ -297,3 +309,42 @@ def test_class_containing_rejects_class_outside_family():
     assert class_containing(subgroups_up_to_conjugacy(G), a3).order == 3
     with pytest.raises(GroupError):
         class_containing(members, a3)
+
+
+def test_from_cycles_rejects_a_point_in_two_cycles():
+    with pytest.raises(GroupParseError):
+        Perm.from_cycles([(0, 1), (0, 2)], 3)
+    with pytest.raises(GroupParseError):
+        Perm.from_cycles([(0, 1), (1, 0)], 2)
+    with pytest.raises(GroupParseError):
+        build_group("perm:(0 1)(0 2)")
+    assert Perm.from_cycles([(0, 1), (2, 3)], 4).images == (1, 0, 3, 2)
+
+
+def test_enumeration_matches_naive_on_corpus(corpus_groups):
+    for dsl, G in corpus_groups:
+        assert lattice_perm_sets(G) == naive_subgroup_sets(G), dsl
+
+
+@pytest.mark.parametrize("dsl", EXTRA_GROUPS)
+def test_enumeration_matches_naive_beyond_corpus(dsl):
+    G = build_group(dsl)
+    assert lattice_perm_sets(G) == naive_subgroup_sets(G)
+    check_class_conjugators(G, dsl)
+
+
+def test_element_index_numbers_sorted_elements():
+    G = build_group("sym:4")
+    index = G.element_index()
+    assert index.perms == tuple(sorted(G.elements))
+    assert index.perms[0] == G.identity()
+    a, b = 5, 17
+    pa, pb = index.perms[a], index.perms[b]
+    assert index.perms[index.left(a)[b]] == pa * pb
+    assert index.perms[index.right(a)[b]] == pb * pa
+    assert index.perms[index.conj(a)[b]] == pa * pb * ~pa
+    assert index.perms[index.mul(a, b)] == pa * pb
+    assert index.perms[index.inverse(a)] == ~pa
+    H = subgroups_up_to_conjugacy(G)[-2]
+    assert H.element_index() is index
+    assert [index.perms[x] for x in H.numbers()] == list(H.sorted_elements)

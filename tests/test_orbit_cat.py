@@ -1,12 +1,12 @@
 import pytest
 
-from quillen_strata.groups import (FamilySpec, build_group, conjugate_set,
-                                   family_members, subgroups_up_to_conjugacy)
+from quillen_strata.groups import (FamilySpec, build_group, family_members,
+                                   subgroups_up_to_conjugacy)
 from quillen_strata.orbit_cat import (DiagramError, OrbitDiagram,
                                       build_orbit_category, coequalize_raw,
                                       colimit, verify_mackey)
 
-from conftest import reference_orbit_category
+from conftest import conjugate_set, reference_orbit_category
 
 
 def cat_for(dsl, fam):

@@ -17,7 +17,8 @@ from quillen_strata.spectrum import (assemble_strong, assemble_weak,
                                      check_agreement)
 from quillen_strata.strata import parse_theory
 
-from conftest import check_class_conjugators, class_facts
+from conftest import (check_class_conjugators, class_facts, lattice_perm_sets,
+                      naive_subgroup_sets)
 
 
 def group_strategy(max_degree=6, max_order=48):
@@ -80,3 +81,9 @@ def test_random_group_classes_read_off_parent(G):
 @settings(max_examples=25, deadline=None)
 def test_random_group_conjugators_match_direct_conjugation(G):
     check_class_conjugators(G)
+
+
+@given(group_strategy())
+@settings(max_examples=25, deadline=None)
+def test_random_group_enumeration_matches_naive(G):
+    assert lattice_perm_sets(G) == naive_subgroup_sets(G)

@@ -3,13 +3,15 @@ import json
 import pytest
 
 from quillen_strata import groups
-from quillen_strata.groups import build_group, conjugate_set
+from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
 from quillen_strata.spectrum import (StratifiedSpace, assemble_strong,
                                      assemble_weak, check_agreement,
                                      deserialize, serialize, to_document)
 from quillen_strata.strata import (UnsupportedTheory, parse_theory, stratum,
                                    theory_family_classes, transition_map)
+
+from conftest import conjugate_set
 
 H1_2 = parse_theory("height1:p=2")
 H1_3 = parse_theory("height1:p=3")
