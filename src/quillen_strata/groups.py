@@ -3,14 +3,17 @@
 Elements are permutations of {0..n-1}.  A root group numbers its elements
 0..|G|-1 in sorted order, the identity being 0, and its subgroups share that
 numbering.  The rows of its Cayley table are built on first use, one per
-element used as a generator or conjugator, never the whole table.  Subgroup
-enumeration, conjugacy classes, normalizers, centralizers and double cosets
-run on these numbers, with a subgroup held as an int bitmask; Perm objects
-appear only at the edges (the DSL, selectors, cycle strings and the element
-sets of groups).  Subgroups are found by cyclic extension: one subgroup of
-each conjugacy class is joined with each cyclic subgroup by closing its
-generators and one more element over the rows.  All outputs are canonically
-ordered so repeated runs produce identical results.
+element used as a generator or conjugator, never the whole table.  All group
+arithmetic runs on these numbers, with a subgroup held as an int bitmask:
+Weyl cosets are orbits under the right rows of the quotiented subgroup's
+generators, transporters are a class's orbit transversal times its
+normalizer, and cyclic generators are read off the root's cyclic subgroups.
+Perm objects appear only at the edges: the DSL (mulclose builds root groups
+only), selectors, cycle strings, the element sets of groups, and the Weyl
+quotients and witnesses returned.  Subgroups are found by cyclic extension:
+one subgroup of each conjugacy class is joined with each cyclic subgroup by
+closing its generators and one more element over the rows.  All outputs are
+canonically ordered so repeated runs produce identical results.
 """
 
 from __future__ import annotations
@@ -223,6 +226,32 @@ class ElementIndex:
     def inverse(self, a):
         return self.number[(~self.perms[a]).images]
 
+    def powers(self, a):
+        """The numbers of a, a^2, ..., e."""
+        num, ai = self.number, self.perms[a].images
+        ident = self.perms[0].images
+        out, x = [a], ai
+        while x != ident:
+            x = tuple(map(x.__getitem__, ai))
+            out.append(num[x])
+        return out
+
+    @functools.cached_property
+    def cyclic_subgroups(self):
+        """{bitmask: (least generator, elements)} of the cyclic subgroups, in
+        the order of their least generators."""
+        done = bytearray(len(self.perms))
+        out = {}
+        for g in range(len(self.perms)):
+            if done[g]:
+                continue
+            powers = self.powers(g)
+            for k, x in enumerate(powers, 1):
+                if math.gcd(k, len(powers)) == 1:
+                    done[x] = 1
+            out[_mask(powers)] = (g, powers)
+        return out
+
     def mask(self, elements):
         """The bitmask of a set of Perms; KeyError if one is not numbered."""
         return _mask(self.number[p.images] for p in elements)
@@ -277,14 +306,43 @@ def _join(index, elems, mask, gens, c, whole=None):
     return out, mask
 
 
+def _generate(index, candidates, whole=None):
+    """Greedy generators: each candidate number, in order, that is not in the
+    span of the ones before it.  Returns (generators, span elements, span
+    mask).  whole = (elements, mask) of a group holding every candidate ends
+    the search, and each closure, once the span is that group."""
+    gens, span, mask = [], [0], 1
+    for g in candidates:
+        if whole and len(span) == len(whole[0]):
+            break
+        if not mask >> g & 1:
+            span, mask = _join(index, span, mask, gens, g, whole)
+            gens.append(g)
+    return gens, span, mask
+
+
+def row_orbit(g, rows, seen):
+    """The numbers in the orbit of g under the given Cayley rows, marked in
+    seen (a bytearray over the root's numbers) as they are found."""
+    seen[g] = 1
+    orbit = [g]
+    for x in orbit:
+        for row in rows:
+            y = row[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return orbit
+
+
 class PermGroup:
     """A finite permutation group; the full element set is computed eagerly.
 
-    A group made by subgroup() has a parent and reads its subgroups off the
+    A group with a parent (a SubgroupClass) reads its subgroups off the
     parent's; only a root group (parent None) enumerates its own, and only a
     root builds an element index, which its subgroups share.  The subgroup
     sets, the conjugacy classes (with the class of each subgroup set) and the
-    minimal generators are each computed once and cached on the group.
+    generator numbers are each computed once and cached on the group.
     """
 
     def __init__(self, degree, generators, _elements=None, parent=None):
@@ -308,7 +366,6 @@ class PermGroup:
         self._subgroup_sets = None
         self._classes = None
         self._class_of = None
-        self._minimal_generators = None
 
     @property
     def order(self):
@@ -354,11 +411,6 @@ class PermGroup:
     def __len__(self):
         return self.order
 
-    def subgroup(self, elements):
-        """The subgroup on a closed element subset (trusted, not re-closed)."""
-        return PermGroup(self.degree, tuple(sorted(elements)), _elements=elements,
-                         parent=self)
-
     def subgroup_sets(self):
         """Every subgroup as {bitmask: ascending element numbers}, computed once."""
         if self._subgroup_sets is None:
@@ -371,16 +423,23 @@ class PermGroup:
                                        if not S & outside}
         return self._subgroup_sets
 
+    @functools.cached_property
+    def generator_numbers(self):
+        """A small (greedy, deterministic) generating set as numbers; empty
+        for the trivial group."""
+        whole = (self.numbers(), self.mask())
+        return tuple(_generate(self.element_index(), whole[0], whole)[0])
+
     def is_abelian(self):
-        gens = minimal_generators(self)
-        return all(a * b == b * a for a, b in itertools.combinations(gens, 2))
+        index = self.element_index()
+        return all(index.mul(a, b) == index.mul(b, a)
+                   for a, b in itertools.combinations(self.generator_numbers, 2))
 
     def cyclic_generator(self):
         """The least element of full order, or None if the group is not cyclic."""
-        for g in self.sorted_elements:
-            if g.order() == self.order:
-                return g
-        return None
+        index = self.element_index()
+        found = index.cyclic_subgroups.get(self.mask())
+        return index.perms[found[0]] if found else None
 
     def is_cyclic(self):
         return self.cyclic_generator() is not None
@@ -394,7 +453,8 @@ class PermGroup:
     def is_elementary_abelian(self, p):
         if not self.is_p_group(p) or not self.is_abelian():
             return False
-        return all(g.is_identity() or g.order() == p for g in self.elements)
+        powers = self.element_index().powers
+        return all(len(powers(g)) in (1, p) for g in self.numbers())
 
     def p_rank(self, p):
         """Minimal generator count of an abelian p-group: rank of A/pA."""
@@ -404,7 +464,7 @@ class PermGroup:
             raise GroupError("p_rank needs an abelian p-group")
         # g^p, read off g's powers cyclically since g^|g| = e
         ppowers = frozenset(pw[(p - 1) % len(pw)]
-                            for pw in (g.powers() for g in self.elements))
+                            for pw in map(self.element_index().powers, self.numbers()))
         quot = self.order // len(ppowers)
         rank = 0
         while quot > 1:
@@ -419,28 +479,7 @@ class PermGroup:
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
 
-def set_product(A, B):
-    return frozenset(a * b for a in A for b in B)
-
-
 # -- subgroup enumeration ----------------------------------------------------
-
-def _cyclic_subgroups(index):
-    """[(bitmask, least generator, elements)] of the cyclic subgroups of a
-    root group."""
-    number = index.number
-    done = bytearray(len(index.perms))
-    out = []
-    for g, perm in enumerate(index.perms):
-        if done[g]:
-            continue
-        powers = [number[p.images] for p in perm.powers()]
-        for k, x in enumerate(powers, 1):
-            if math.gcd(k, len(powers)) == 1:
-                done[x] = 1
-        out.append((_mask(powers), g, powers))
-    return out
-
 
 def all_subgroup_sets(G):
     """Every subgroup of the root group G, as {bitmask: ascending numbers}.
@@ -456,8 +495,7 @@ def all_subgroup_sets(G):
     """
     index = G.element_index()
     whole = (G.numbers(), G.mask())
-    rows = [] if G.is_abelian() else [
-        index.conj(index.number[g.images]) for g in minimal_generators(G)]
+    rows = [] if G.is_abelian() else [index.conj(g) for g in G.generator_numbers]
     found = {}  # bitmask -> elements
     reps = []  # (elements, bitmask, generators) of one subgroup per class
 
@@ -475,12 +513,12 @@ def all_subgroup_sets(G):
                     found[T] = img
                     orbit.append(img)
 
-    cyclic = _cyclic_subgroups(index)
+    cyclic = index.cyclic_subgroups
     add([0], 1, ())
-    for C, c, powers in cyclic:
+    for C, (c, powers) in cyclic.items():
         add(powers, C, (c,))
     for elems, S, gens in reps:
-        for C, c, _ in cyclic:
+        for C, (c, _) in cyclic.items():
             if C & ~S:
                 add(*_join(index, elems, S, gens, c, whole), gens + (c,))
     return {S: tuple(sorted(elems)) for S, elems in found.items()}
@@ -514,11 +552,12 @@ def _orbit_and_normalizer(index, S, elems, gens):
 class SubgroupClass(PermGroup):
     """A conjugacy class of subgroups of parent, as its canonical representative.
 
-    index is the position in the parent's canonical class list.  conjugators
-    maps each conjugate T of the representative S to the sorted list of the g
-    in parent with g S g^-1 = T; conjugates is the number of subgroups in the
-    class and the normalizer is conjugators[S].  The centralizer is taken
-    inside the normalizer, against the minimal generators of S.
+    index is the position in the parent's canonical class list.  orbit maps
+    the bitmask of each conjugate T of the representative S to (t, elements
+    of T) with t S t^-1 = T, so the g with g S g^-1 = T are t times the
+    normalizer.  conjugates is the number of subgroups in the class.  The
+    normalizer and the centralizer are held as ascending numbers; the
+    centralizer is taken inside the normalizer, against the generators of S.
     """
 
     def __init__(self, parent, mask, numbers, orbit, normalizer, index):
@@ -529,25 +568,22 @@ class SubgroupClass(PermGroup):
         self._sorted = elements
         self._numbers = numbers
         self._mask = mask
-        self._orbit = orbit
-        self._normalizer = normalizer
+        self.orbit = orbit
         self.conjugates = len(orbit)
+        self.normalizer_numbers = normalizer
+        rows = [ind.conj(s) for s in self.generator_numbers]
+        self.centralizer_numbers = tuple(  # s g s^-1 = g for every generator s
+            g for g in normalizer if all(row[g] == g for row in rows))
         self.normalizer_elements = frozenset(perms[x] for x in normalizer)
-        rows = [ind.conj(ind.number[s.images]) for s in minimal_generators(self)]
-        self.centralizer_elements = frozenset(  # s g s^-1 = g for every generator s
-            perms[g] for g in normalizer if all(row[g] == g for row in rows))
+        self.centralizer_elements = frozenset(
+            perms[x] for x in self.centralizer_numbers)
         self.index = index
 
     @functools.cached_property
-    def conjugators(self):
-        ind = self.element_index()
-        perms = ind.perms
-        cosets = []
-        for t, els in self._orbit.values():
-            gs = sorted(ind.mul(t, n) for n in self._normalizer)
-            cosets.append((gs, frozenset(perms[x] for x in els)))
-        cosets.sort(key=lambda c: c[0][0])
-        return {T: [perms[g] for g in gs] for gs, T in cosets}
+    def centralizer_generators(self):
+        """Greedy generators of C_G(S), as numbers."""
+        C = self.centralizer_numbers
+        return tuple(_generate(self.element_index(), C, (C, _mask(C)))[0])
 
     def __repr__(self):
         return "SubgroupClass(order=%d, index=%d, size=%d)" % (
@@ -555,20 +591,9 @@ class SubgroupClass(PermGroup):
 
 
 def minimal_generators(G):
-    """A small (greedy, deterministic) generating set, computed once per group."""
-    if G._minimal_generators is None:
-        index = G.element_index()
-        whole = (G.numbers(), G.mask())
-        gens = []
-        span, mask = [0], 1
-        for g in G.numbers():
-            if len(span) == G.order:
-                break
-            if not mask >> g & 1:
-                span, mask = _join(index, span, mask, gens, g, whole)
-                gens.append(g)
-        G._minimal_generators = tuple(index.perms[g] for g in gens) or (G.identity(),)
-    return G._minimal_generators
+    """The generator numbers of G as Perms; the identity for the trivial group."""
+    perms = G.element_index().perms
+    return tuple(perms[g] for g in G.generator_numbers) or (G.identity(),)
 
 
 def subgroups_up_to_conjugacy(G):
@@ -585,7 +610,7 @@ def subgroups_up_to_conjugacy(G):
     index = G.element_index()
     subs = G.subgroup_sets()
     abelian = G.is_abelian()
-    gens = [index.number[g.images] for g in minimal_generators(G)]
+    gens = G.generator_numbers
     classes = []
     class_of = {}
     # visited in (order, key) order, so the first unvisited subgroup is the
@@ -612,12 +637,15 @@ def subgroups_up_to_conjugacy(G):
 
 def class_containing(classes, elements):
     """The class, among classes, whose orbit contains the given subgroup set."""
-    G = classes[0].parent
     try:
-        mask = G.element_index().mask(elements)
+        mask = classes[0].parent.element_index().mask(elements)
     except KeyError:
         mask = None
-    cls = G._class_of.get(mask)
+    return _class_of_mask(classes, mask)
+
+
+def _class_of_mask(classes, mask):
+    cls = classes[0].parent._class_of.get(mask)
     if cls is None or cls not in classes:
         raise GroupError("subgroup does not match any class")
     return cls
@@ -643,48 +671,37 @@ class WeylGroup:
         return self.quotient.sorted_elements
 
 
-def _quotient_by(n_elements, x_elements):
-    """The quotient N/X as a permutation action on left cosets of X."""
-    n_sorted = sorted(n_elements)
-    coset_of = {}
-    reps = []
-    for n in n_sorted:
-        if n in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(n)
-        for x in x_elements:
-            coset_of[n * x] = idx
-    k = len(reps)
-    images = {}
-    for n in n_sorted:
-        pi = Perm(tuple(coset_of[n * reps[i]] for i in range(k)))
-        if pi not in images:
-            images[pi] = n
-    quotient = PermGroup(k, tuple(sorted(images)), _elements=frozenset(images))
-    witnesses = tuple((q, images[q]) for q in sorted(images))
-    return quotient, witnesses
-
-
 def weyl(G, cls, kind):
     """Weyl group of a subgroup class: ordinary N/H, global N/(H*C), quillen N/C.
 
+    The left cosets nX are the orbits of N's numbers under the right rows of
+    X's generators; as X is normal in N, the least number of each coset is
+    its witness, and the witnesses' products give the action on the cosets.
     The quillen quotient N/C is well-defined (as the image of N in Aut(H))
     for any H; the name is only standard for abelian H.
     """
-    N = cls.normalizer_elements
-    C = cls.centralizer_elements
     if kind == "ordinary":
-        X = cls.elements
+        gens = cls.generator_numbers
     elif kind == "global":
-        X = set_product(cls.elements, C)
+        gens = cls.generator_numbers + cls.centralizer_generators
     elif kind == "quillen":
-        X = C
+        gens = cls.centralizer_generators
     else:
         raise GroupError("unknown Weyl kind %r" % (kind,))
-    quotient, witnesses = _quotient_by(N, X)
-    w = WeylGroup(kind=kind, order=len(N) // len(X), quotient=quotient,
-                  witnesses=witnesses)
+    index = cls.element_index()
+    rows = [index.right(x) for x in gens]
+    seen = bytearray(len(index.perms))
+    cosets = [row_orbit(n, rows, seen) for n in cls.normalizer_numbers if not seen[n]]
+    coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
+    reps = [coset[0] for coset in cosets]
+    images = {}
+    for r in reps:
+        pi = Perm(tuple(coset_of[index.mul(r, s)] for s in reps))
+        images.setdefault(pi, index.perms[r])
+    quotient = PermGroup(len(reps), tuple(sorted(images)), _elements=frozenset(images))
+    w = WeylGroup(kind=kind, order=len(cls.normalizer_numbers) // len(cosets[0]),
+                  quotient=quotient,
+                  witnesses=tuple((q, images[q]) for q in sorted(images)))
     if w.order != quotient.order:
         raise GroupError("Weyl quotient order mismatch")
     return w
@@ -779,49 +796,20 @@ class DoubleCosetDecomposition:
         return lhs == rhs
 
 
-def _double_coset(g, rows, seen):
-    """The numbers in the orbit of g under the given Cayley rows, marked in
-    seen as they are found."""
-    seen[g] = 1
-    orbit = [g]
-    for x in orbit:
-        for row in rows:
-            y = row[x]
-            if not seen[y]:
-                seen[y] = 1
-                orbit.append(y)
-    return orbit
-
-
-def _coset_rows(index, left_gens, right_gens):
-    number = index.number
-    return ([index.left(number[h.images]) for h in left_gens]
-            + [index.right(number[k.images]) for k in right_gens])
-
-
-def double_coset(G, g, left_gens, right_gens):
-    """The orbit L*g*R of g in G under x |-> l*x and x |-> x*r, by BFS from
-    the generators of L and R."""
-    index = G.element_index()
-    orbit = _double_coset(index.number[g.images],
-                          _coset_rows(index, left_gens, right_gens),
-                          bytearray(len(index.perms)))
-    return frozenset(index.perms[x] for x in orbit)
-
-
 def double_cosets(G, H, K):
     """The decomposition of G into double cosets H\\G/K, for subgroups H, K
     of G (all three sharing one root).
 
     Double cosets are the orbits of g |-> h*g and g |-> g*k, found by BFS from
-    the minimal generators of H and K.  Representatives are minimal in element
+    the generators of H and K.  Representatives are minimal in element
     order; intersections are H^g cap K = {k in K : g k g^-1 in H}.
     """
     index = G.element_index()
     if H.element_index() is not index or K.element_index() is not index:
         raise GroupError("double_cosets needs subgroups of one root group")
     perms = index.perms
-    rows = _coset_rows(index, minimal_generators(H), minimal_generators(K))
+    rows = ([index.left(h) for h in H.generator_numbers]
+            + [index.right(k) for k in K.generator_numbers])
     h_mask = H.mask()
     k_numbers = K.numbers()
     seen = bytearray(len(perms))
@@ -829,7 +817,7 @@ def double_cosets(G, H, K):
     for g in G.numbers():
         if seen[g]:
             continue
-        size = len(_double_coset(g, rows, seen))
+        size = len(row_orbit(g, rows, seen))
         inter = frozenset(perms[k] for k, x in
                           zip(k_numbers, index.conjugates(g, k_numbers))
                           if h_mask >> x & 1)
@@ -845,15 +833,17 @@ def double_cosets(G, H, K):
 # -- group DSL ---------------------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_RE = re.compile(r"\s*(?:\([\s0-9]*\)\s*)*")
 
 
 def _parse_cycles(text):
+    """The cycles of one generator, written as a sequence of (...) cycles
+    whose points are separated by spaces or commas."""
     cycles = []
     rest = text.replace(",", " ")
-    consumed = "".join(_CYCLE_RE.findall(rest))
-    stripped = re.sub(r"[\s(),0-9]", "", text)
-    if stripped:
+    if not _CYCLES_RE.fullmatch(rest):
         raise GroupParseError("bad cycle syntax %r" % (text,))
+    consumed = "".join(_CYCLE_RE.findall(rest))
     for body in _CYCLE_RE.findall(rest):
         pts = [int(t) for t in body.split()]
         if len(pts) >= 2:
@@ -1012,8 +1002,9 @@ def select_class(G, classes, selector):
         for g in gens:
             if g not in G.elements:
                 raise GroupParseError("generator %s not in group" % g.cycle_string())
-        elements = mulclose(gens, cap=G.order) if gens else frozenset({G.identity()})
-        return class_containing(classes, elements)
+        index = G.element_index()
+        mask = _generate(index, [index.number[g.images] for g in gens])[2]
+        return _class_of_mask(classes, mask)
     m = re.fullmatch(r"[Aa](\d+)", selector)
     if m:
         if int(m.group(1)) != G.degree:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .groups import (GroupError, Perm, double_coset, double_cosets,
-                     minimal_generators, subgroups_up_to_conjugacy)
+from .groups import (GroupError, Perm, double_cosets, row_orbit,
+                     subgroups_up_to_conjugacy)
 
 
 class DiagramError(Exception):
@@ -51,7 +51,7 @@ class Morphism:
     src: int
     dst: int
     witness: Perm
-    coset: frozenset = field(compare=False, repr=False)  # K * g * C_G(H)
+    coset: int = field(compare=False, repr=False)  # K g C_G(H), as a bitmask
 
     def key(self):
         return (self.src, self.dst, self.witness.images)
@@ -69,9 +69,8 @@ class QuillenOrbitCategory:
         return self.homs[(i, j)]
 
     def identity(self, i):
-        ident = self.G.identity()
         for m in self.homs[(i, i)]:
-            if ident in m.coset:
+            if m.coset & 1:  # the identity is number 0
                 return m
         raise GroupError("identity morphism missing")
 
@@ -79,9 +78,10 @@ class QuillenOrbitCategory:
         """f2 o f1 for f1: i -> j, f2: j -> k."""
         if f1.dst != f2.src:
             raise GroupError("morphisms not composable")
-        g = f2.witness * f1.witness
+        index = self.G.element_index()
+        g = index.mul(index.number[f2.witness.images], index.number[f1.witness.images])
         for m in self.homs[(f1.src, f2.dst)]:
-            if g in m.coset:
+            if m.coset >> g & 1:
                 return m
         raise DiagramError("composition not closed", f1.key(), f2.key())
 
@@ -98,25 +98,28 @@ def build_orbit_category(G, classes):
     """The Quillen orbit category on the given family classes.
 
     Every g with g H g^-1 <= K contributes exactly one morphism class;
-    the canonical witness is the minimal element of its double coset.  The
-    g are read off the conjugators of H, and each coset K g C_G(H) is found
-    from the generators of K and of C_G(H).
+    the canonical witness is the minimal element of its double coset.  The g
+    with g H g^-1 = T are t N_G(H) for the transversal element t of each
+    conjugate T in H's orbit, and each coset K g C_G(H) is the orbit of g
+    under the left rows of K's generators and the right rows of C_G(H)'s.
     """
-    k_gens = [minimal_generators(Kc) for Kc in classes]
+    index = G.element_index()
+    k_rows = [[index.left(k) for k in Kc.generator_numbers] for Kc in classes]
     homs = {}
     for i, Hc in enumerate(classes):
-        c_gens = minimal_generators(G.subgroup(Hc.centralizer_elements))
+        c_rows = [index.right(c) for c in Hc.centralizer_generators]
+        transporters = [(T, [index.mul(t, n) for n in Hc.normalizer_numbers])
+                        for T, (t, _) in Hc.orbit.items()]
         for j, Kc in enumerate(classes):
-            witnesses = sorted(g for T, gs in Hc.conjugators.items()
-                               if T <= Kc.elements for g in gs)
+            outside = ~Kc.mask()
+            rows = k_rows[j] + c_rows
+            seen = bytearray(len(index.perms))
             morphs = []
-            seen = set()
-            for g in witnesses:  # sorted, so reps are minimal
-                if g in seen:
-                    continue
-                coset = double_coset(G, g, k_gens[j], c_gens)
-                seen |= coset
-                morphs.append(Morphism(src=i, dst=j, witness=g, coset=coset))
+            for g in sorted(g for T, gs in transporters if not T & outside for g in gs):
+                if not seen[g]:  # sorted, so each witness is its coset's least
+                    coset = sum(1 << x for x in row_orbit(g, rows, seen))
+                    morphs.append(Morphism(src=i, dst=j, witness=index.perms[g],
+                                           coset=coset))
             homs[(i, j)] = tuple(morphs)
     return QuillenOrbitCategory(G=G, objects=list(classes), homs=homs)
 

@@ -281,6 +281,10 @@ def _invariant_multiset(space, with_degrees):
     return inv
 
 
+def _counts(inv):
+    return {k: len(v) for k, v in inv.items()}
+
+
 def check_agreement(strong, weak):
     """Search for a label/stratum/edge-kind-preserving isomorphism of posets.
 
@@ -290,12 +294,11 @@ def check_agreement(strong, weak):
     compare_edges = strong.order_complete and weak.order_complete
     inv_s = _invariant_multiset(strong, compare_edges)
     inv_w = _invariant_multiset(weak, compare_edges)
-    if {k: len(v) for k, v in inv_s.items()} != {k: len(v) for k, v in inv_w.items()}:
-        kind = ("degree sequence mismatch" if compare_edges
+    if _counts(inv_s) != _counts(inv_w):
+        same_labels = (_counts(_invariant_multiset(strong, False))
+                       == _counts(_invariant_multiset(weak, False)))
+        kind = ("degree sequence mismatch" if compare_edges and same_labels
                 else "label multiset mismatch")
-        if not compare_edges or _invariant_multiset(strong, False).keys() \
-                != _invariant_multiset(weak, False).keys():
-            kind = "label multiset mismatch"
         return SpaceIsoReport(False, obstruction=kind)
 
     edge_s = {(e.src, e.dst) for e in strong.solid_edges()}

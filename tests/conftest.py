@@ -320,8 +320,19 @@ def naive_conjugators(group, subgroup):
     return out
 
 
+def class_transporters(cls):
+    """{T: [g, ...]} on image tuples for the g with g S g^-1 = T, read off the
+    class's orbit data: t * n for the transversal element t of T and the n
+    of the normalizer, sorted."""
+    index = cls.element_index()
+    images = [p.images for p in index.perms]
+    return {frozenset(images[x] for x in els):
+            sorted(images[index.mul(t, n)] for n in cls.normalizer_numbers)
+            for t, els in cls.orbit.values()}
+
+
 def check_class_conjugators(G, label=""):
-    """Pin every subgroup class of G to naive_conjugators: its conjugators,
+    """Pin every subgroup class of G to naive_conjugators: its transporters,
     its normalizer, its centralizer (against all of G and all of S),
     class_containing on each conjugate, and the classes' orbits covering the
     subgroup lattice."""
@@ -333,9 +344,7 @@ def check_class_conjugators(G, label=""):
     for cls in classes:
         S = frozenset(p.images for p in cls.elements)
         expected = naive_conjugators(group, S)
-        got = {frozenset(p.images for p in T): [g.images for g in gs]
-               for T, gs in cls.conjugators.items()}
-        assert got == expected, (label, cls.index)
+        assert class_transporters(cls) == expected, (label, cls.index)
         assert {p.images for p in cls.normalizer_elements} == set(expected[S])
         assert {p.images for p in cls.centralizer_elements} == {
             g for g in group if all(compose(g, s) == compose(s, g) for s in S)}
@@ -351,15 +360,26 @@ def conjugate_set(elements, g):
     return frozenset(g * s * ginv for s in elements)
 
 
+def set_product(A, B):
+    """{a * b : a in A, b in B}, multiplying Perms."""
+    return frozenset(a * b for a in A for b in B)
+
+
+def coset_perms(G, m):
+    """The coset of an orbit-category morphism as a frozenset of Perms, read
+    off its bitmask over G's numbers."""
+    perms = G.element_index().perms
+    return frozenset(p for x, p in enumerate(perms) if m.coset >> x & 1)
+
+
 def reference_orbit_category(G, classes):
     """The orbit category's homs {(i, j): [(witness, coset), ...]} built the
     direct way: conjugate each H by every g of G, and build each coset
     K g C_G(H) as two set products.
 
     Like brute_force_spectrum_ring this uses the package's group code; it
-    pins the conjugator- and generator-based build_orbit_category to it.
+    pins the transporter- and row-based build_orbit_category to it.
     """
-    from quillen_strata.groups import set_product
     homs = {}
     for i, Hc in enumerate(classes):
         CH = Hc.centralizer_elements
@@ -375,6 +395,59 @@ def reference_orbit_category(G, classes):
                     morphs.append((g, coset))
             homs[(i, j)] = morphs
     return homs
+
+
+def reference_weyl(cls, kind):
+    """(order, quotient elements, witnesses) of N/X the direct way, X = H,
+    H*C or C by kind: each left coset nX is built by multiplying Perms and
+    named by its least n, and each n of N acts on the cosets by left
+    multiplication, its witness being the least n with that action."""
+    N = cls.normalizer_elements
+    C = cls.centralizer_elements
+    X = {"ordinary": cls.elements, "global": set_product(cls.elements, C),
+         "quillen": C}[kind]
+    n_sorted = sorted(N)
+    coset_of = {}
+    reps = []
+    for n in n_sorted:
+        if n in coset_of:
+            continue
+        idx = len(reps)
+        reps.append(n)
+        for x in X:
+            coset_of[n * x] = idx
+    k = len(reps)
+    images = {}
+    for n in n_sorted:
+        pi = tuple(coset_of[n * reps[i]] for i in range(k))
+        if pi not in images:
+            images[pi] = n
+    return (len(N) // len(X), sorted(images),
+            [(q, images[q]) for q in sorted(images)])
+
+
+def check_weyl(G, label=""):
+    """Pin weyl of every kind on every class of G to reference_weyl: order,
+    quotient elements, witnesses and action degree."""
+    from quillen_strata.groups import subgroups_up_to_conjugacy, weyl
+    for cls in subgroups_up_to_conjugacy(G):
+        for kind in ("ordinary", "global", "quillen"):
+            order, quotient, witnesses = reference_weyl(cls, kind)
+            w = weyl(G, cls, kind)
+            where = (label, cls.index, kind)
+            assert w.order == order, where
+            assert [q.images for q in w.sorted_quotient()] == quotient, where
+            assert [(q.images, n) for q, n in w.witnesses] == witnesses, where
+            assert w.quotient.degree == len(quotient[0]), where
+
+
+def reference_cyclic_generator(group):
+    """The least element of full order, or None, by scanning every element's
+    order."""
+    for g in group.sorted_elements:
+        if g.order() == group.order:
+            return g
+    return None
 
 
 def class_facts(classes):

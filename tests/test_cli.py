@@ -226,6 +226,17 @@ def test_alternating_selector_degree(capsys):
     _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h", "A4"], capsys))
 
 
+def test_cycle_text_outside_parentheses_is_a_parse_error(capsys):
+    for spec in ("perm:(0 1 2", "perm:0 1 2", "perm:(0 1)(2", "perm:((0 1))"):
+        _assert_parse_error(*invoke(["subgroups", "--group", spec], capsys))
+    for sel in ("gens:(0 1", "gens:0 1", "gens:(0 1)(2", "gens:(0 1);2"):
+        _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h", sel], capsys))
+    code, out, _ = invoke(["subgroups", "--group", "perm:(0 1 2)(3 4);(5 6)"], capsys)
+    assert code == 0 and json.loads(out)["order"] == 12
+    code, out, _ = invoke(["weyl", "--group", "sym:3", "--h", "gens:(0,1)"], capsys)
+    assert code == 0 and json.loads(out)["subgroup"]["order"] == 2
+
+
 def test_point_in_two_cycles_is_a_parse_error(capsys):
     _assert_parse_error(*invoke(["subgroups", "--group", "perm:(0 1)(0 2)"],
                                 capsys))

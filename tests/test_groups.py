@@ -10,9 +10,10 @@ from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupError,
                                    mulclose, select_class,
                                    subgroups_up_to_conjugacy, weyl)
 
-from conftest import (check_class_conjugators, class_facts, compose,
-                      lattice_perm_sets, naive_closure, naive_subgroup_count,
-                      naive_subgroup_sets)
+from conftest import (check_class_conjugators, check_weyl, class_facts,
+                      compose, lattice_perm_sets, naive_closure,
+                      naive_subgroup_count, naive_subgroup_sets,
+                      reference_cyclic_generator)
 
 # groups outside the corpus, of orders 20 to 60
 EXTRA_GROUPS = (["alt:5"] + ["dihedral:%d" % n for n in range(10, 16)]
@@ -169,8 +170,9 @@ def test_weyl_witnesses_act_as_recorded():
 
 def test_double_coset_trivial_cases():
     G = build_group("sym:3")
-    e = frozenset({G.identity()})
-    dec = double_cosets(G, G.subgroup(e), G.subgroup(e))
+    trivial = subgroups_up_to_conjugacy(G)[0]
+    assert trivial.order == 1
+    dec = double_cosets(G, trivial, trivial)
     assert len(dec.pairs) == G.order
     assert all(len(dc.intersection) == 1 for dc in dec.pairs)
     dec2 = double_cosets(G, G, G)
@@ -331,6 +333,48 @@ def test_enumeration_matches_naive_beyond_corpus(dsl):
     G = build_group(dsl)
     assert lattice_perm_sets(G) == naive_subgroup_sets(G)
     check_class_conjugators(G, dsl)
+
+
+def test_weyl_matches_reference_on_corpus(corpus_groups):
+    for dsl, G in corpus_groups:
+        check_weyl(G, dsl)
+
+
+@pytest.mark.parametrize("dsl", EXTRA_GROUPS)
+def test_weyl_matches_reference_beyond_corpus(dsl):
+    check_weyl(build_group(dsl), dsl)
+
+
+def check_cyclic_generators(G, label):
+    """cyclic_generator and is_cyclic against the order scan on G, on each of
+    its classes and on each class of each class."""
+    assert G.cyclic_generator() == reference_cyclic_generator(G), label
+    for cls in subgroups_up_to_conjugacy(G):
+        assert cls.is_cyclic() == (reference_cyclic_generator(cls) is not None)
+        for sub in [cls] + subgroups_up_to_conjugacy(cls):
+            assert sub.cyclic_generator() == reference_cyclic_generator(sub), \
+                (label, cls.index, sub.index)
+
+
+def test_cyclic_generator_matches_order_scan_on_corpus(corpus_groups):
+    for dsl, G in corpus_groups:
+        check_cyclic_generators(G, dsl)
+
+
+@pytest.mark.parametrize("dsl", EXTRA_GROUPS + ["sym:5", "cyclic:60",
+                                                "product:cyclic:8xcyclic:9"])
+def test_cyclic_generator_matches_order_scan_beyond_corpus(dsl):
+    check_cyclic_generators(build_group(dsl), dsl)
+
+
+def test_parse_cycles_accepts_only_a_sequence_of_cycles():
+    G = build_group("perm:(0 1 2)(3 4);(5 6)")
+    assert G.order == 12 and G.degree == 7
+    assert build_group("perm:(0,1,2)").elements == build_group("perm:(0 1 2)").elements
+    assert build_group("perm:(0 1), (2 3)").order == 2
+    for spec in ("perm:(0 1) 2", "perm:)(0 1)(", "perm:(0 1)(2 3"):
+        with pytest.raises(GroupParseError):
+            build_group(spec)
 
 
 def test_element_index_numbers_sorted_elements():

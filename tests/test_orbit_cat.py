@@ -6,7 +6,7 @@ from quillen_strata.orbit_cat import (DiagramError, OrbitDiagram,
                                       build_orbit_category, coequalize_raw,
                                       colimit, verify_mackey)
 
-from conftest import conjugate_set, reference_orbit_category
+from conftest import conjugate_set, coset_perms, reference_orbit_category
 
 
 def cat_for(dsl, fam):
@@ -52,11 +52,12 @@ def test_hom_sets_complete():
             union = set()
             total = 0
             for m in morphs:
-                valid = {g for g in m.coset
+                coset = coset_perms(G, m)
+                valid = {g for g in coset
                          if conjugate_set(Hc.elements, g) <= Kc.elements}
-                assert valid == set(m.coset)
-                total += len(m.coset)
-                union |= m.coset
+                assert valid == set(coset)
+                total += len(coset)
+                union |= coset
             assert len(union) == total  # pairwise disjoint
             direct = {g for g in G.elements
                       if conjugate_set(Hc.elements, g) <= Kc.elements}
@@ -70,7 +71,7 @@ def test_homs_match_reference(corpus_groups, fam):
     for dsl, G in corpus_groups:
         members = family_members(G, fam)
         cat = build_orbit_category(G, members)
-        got = {ij: [(m.witness, m.coset) for m in morphs]
+        got = {ij: [(m.witness, coset_perms(G, m)) for m in morphs]
                for ij, morphs in cat.homs.items()}
         assert got == reference_orbit_category(G, members), dsl
 

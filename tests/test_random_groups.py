@@ -17,8 +17,9 @@ from quillen_strata.spectrum import (assemble_strong, assemble_weak,
                                      check_agreement)
 from quillen_strata.strata import parse_theory
 
-from conftest import (check_class_conjugators, class_facts, lattice_perm_sets,
-                      naive_subgroup_sets)
+from conftest import (check_class_conjugators, check_weyl, class_facts,
+                      lattice_perm_sets, naive_subgroup_sets,
+                      reference_cyclic_generator)
 
 
 def group_strategy(max_degree=6, max_order=48):
@@ -87,3 +88,16 @@ def test_random_group_conjugators_match_direct_conjugation(G):
 @settings(max_examples=25, deadline=None)
 def test_random_group_enumeration_matches_naive(G):
     assert lattice_perm_sets(G) == naive_subgroup_sets(G)
+
+
+@given(group_strategy())
+@settings(max_examples=25, deadline=None)
+def test_random_group_weyl_matches_reference(G):
+    check_weyl(G)
+
+
+@given(group_strategy())
+@settings(max_examples=25, deadline=None)
+def test_random_group_cyclic_generator_matches_order_scan(G):
+    for cls in [G] + subgroups_up_to_conjugacy(G):
+        assert cls.cyclic_generator() == reference_cyclic_generator(cls)

@@ -5,13 +5,14 @@ import pytest
 from quillen_strata import groups
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
-from quillen_strata.spectrum import (StratifiedSpace, assemble_strong,
-                                     assemble_weak, check_agreement,
+from quillen_strata.spectrum import (SpaceEdge, SpacePoint, StratifiedSpace,
+                                     assemble_strong, assemble_weak,
+                                     check_agreement,
                                      deserialize, serialize, to_document)
 from quillen_strata.strata import (UnsupportedTheory, parse_theory, stratum,
                                    theory_family_classes, transition_map)
 
-from conftest import conjugate_set
+from conftest import conjugate_set, coset_perms
 
 H1_2 = parse_theory("height1:p=2")
 H1_3 = parse_theory("height1:p=3")
@@ -97,6 +98,26 @@ def test_ku_c2_fig3():
     w = assemble_weak(th, G, "cyclic:2")
     rep = check_agreement(s, w)
     assert rep.isomorphic
+
+
+def _space(labels, edges):
+    points = [SpacePoint("p%d" % i, "S", label, False)
+              for i, label in enumerate(labels)]
+    return StratifiedSpace(meta={}, points=points,
+                           edges=[SpaceEdge(a, b, "internal") for a, b in edges])
+
+
+def test_agreement_reports_label_multiset_mismatch():
+    # same label set {X, Y}, different counts: a label obstruction, not a degree one
+    rep = check_agreement(_space("XY", []), _space("XXY", []))
+    assert not rep.isomorphic
+    assert rep.obstruction == "label multiset mismatch"
+
+
+def test_agreement_reports_degree_sequence_mismatch():
+    rep = check_agreement(_space("XY", [("p0", "p1")]), _space("XY", []))
+    assert not rep.isomorphic
+    assert rep.obstruction == "degree sequence mismatch"
 
 
 def test_ku_cyclic_agreement_small():
@@ -226,7 +247,7 @@ def test_of_colimit_matches_oq_colimit():
                     seen |= {g * k for k in Kc.elements}
                     target = None
                     for m in cat.hom(i, j):
-                        if ~g in m.coset:
+                        if ~g in coset_perms(G, m):
                             target = m
                             break
                     assert target is not None, "J is not surjective"

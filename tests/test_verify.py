@@ -1,5 +1,6 @@
 import time
 
+from quillen_strata.checks import check_subgroup_counts
 from quillen_strata.cli import run
 from quillen_strata.corpus import CORPUS, corpus_group
 
@@ -25,3 +26,10 @@ def test_verify_all_passes_within_budget(capsys):
     assert "FAIL" not in out
     assert "12/12 suites passed" in out
     assert elapsed < 60, "verify took %.1fs" % elapsed
+
+
+def test_subgroup_counts_reports_the_groups_checked():
+    groups = [(dsl, corpus_group(dsl)) for dsl in ("sym:3", "dihedral:4")]
+    result = check_subgroup_counts(groups)
+    assert result.ok and result.detail == "checked 2 groups"
+    assert check_subgroup_counts().detail == "checked %d groups" % len(CORPUS)
