@@ -99,17 +99,6 @@ class Perm:
             inv[j] = i
         return Perm._trusted(tuple(inv))
 
-    def powers(self):
-        """The tuple (g, g^2, ..., e) of the powers of g up to its order."""
-        ident = tuple(range(len(self.images)))
-        out = [self]
-        while out[-1].images != ident:
-            out.append(out[-1] * self)
-        return tuple(out)
-
-    def order(self):
-        return len(self.powers())
-
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 

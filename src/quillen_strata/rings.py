@@ -1,10 +1,12 @@
 """Exact arithmetic over Z, Q, F_q and cyclotomic fields.
 
 Polynomials are coefficient tuples in ascending degree over a small domain
-object.  Factorization over prime fields is distinct-degree followed by
-Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG;
-factor lists are always returned in canonical order, so every result here is
-reproducible bit for bit.
+object.  Generic factorization over prime fields is distinct-degree followed
+by Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG.
+The factors of Phi_d mod q, all of one known degree, are split instead by
+random Frobenius-fixed coset sums raised to (q-1)/2, with no distinct-degree
+pass.  Factor lists are always returned in canonical order, so every result
+here is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -770,10 +772,48 @@ def cyclotomic_factors_mod(d, q):
     """The distinct monic irreducible factors of Phi_d mod q, sorted.
 
     For d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so the
-    factors are those of Phi_e.
+    factors are those of Phi_e, each of degree f = ord_e(q).  Frobenius maps
+    X^i to X^(iq), so a sum r = sum_i c_i X^i with c constant on every coset
+    i<q> of Z/e satisfies r^q = r mod X^e - 1: it is a scalar of F_q on each
+    factor, and these coset sums span Berlekamp's fixed subalgebra.  A piece
+    g is split by gcd(g, r^((q-1)/2) - 1), or gcd(g, r) for q = 2, with
+    random coset sums until every piece has degree f.
     """
     dom = GF(q)
-    return tuple(g for g, _ in factor(cyclotomic_poly(d).map_domain(dom, dom.of_int)))
+    e = d
+    while e % q == 0:
+        e //= q
+    f = multiplicative_order(q, e)
+    phi = [c % q for c in cyclotomic_poly(e).coeffs]
+    if len(phi) - 1 == f:
+        return (Poly(tuple(phi), dom),)
+    coset = [None] * e
+    ncosets = 0
+    for i in range(e):
+        if coset[i] is None:
+            j = i
+            while coset[j] is None:
+                coset[j] = ncosets
+                j = j * q % e
+            ncosets += 1
+    rng = random.Random("%d:%d" % (e, q))
+    done = []
+    pieces = [phi]
+    while pieces:
+        g = pieces.pop()
+        if len(g) - 1 == f:
+            done.append(g)
+            continue
+        lam = [rng.randrange(q) for _ in range(ncosets)]
+        r = _zp_divmod([lam[c] for c in coset], g, q)[1]
+        if q > 2:
+            r = _zp_sub(_zp_powmod(r, (q - 1) // 2, g, q), [1], q)
+        h = _zp_gcd(g, r, q)
+        if 1 < len(h) < len(g):
+            pieces += [h, _zp_divmod(g, h, q)[0]]
+        else:
+            pieces.append(g)
+    return tuple(Poly(tuple(g), dom) for g in sorted(done))
 
 
 # -- level-structure polynomials ----------------------------------------------

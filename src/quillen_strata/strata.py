@@ -248,9 +248,9 @@ def _stratum_height1(theory, G, cls):
                         weyl=w, action=_trivial_action(w, len(points)))
 
 
-def _generator_power(gen, target):
-    """The a in 1..|gen| with gen^a = target."""
-    powers = gen.powers()
+def _generator_power(index, gen, target):
+    """The a in 1..|gen| with gen^a = target, for element numbers in index."""
+    powers = index.powers(gen)
     if target not in powers:
         raise GroupError("element is not a power of the subgroup generator")
     return powers.index(target) + 1
@@ -327,12 +327,14 @@ def _stratum_ku(theory, G, cls):
     d = cls.order
     w = weyl(G, cls, weyl_action_kind(theory, cls))
     points, edges = _ku_points(d, theory.prime_bound)
-    index = {pt.local_id: k for k, pt in enumerate(points)}
-    h = cls.cyclic_generator()
+    position = {pt.local_id: k for k, pt in enumerate(points)}
+    index = cls.element_index()
+    h = index.number[cls.cyclic_generator().images]
     action = []
     for _, n in w.witnesses:
-        a = _generator_power(h, n * h * ~n)  # c_n(h) = h^a
-        action.append(tuple(index[_galois_image(pt.local_id, d, a)]
+        nh = index.conjugates(index.number[n.images], (h,))[0]
+        a = _generator_power(index, h, nh)  # c_n(h) = h^a
+        action.append(tuple(position[_galois_image(pt.local_id, d, a)]
                             for pt in points))
     return StratumModel(subgroup=cls, points=points, internal_edges=edges,
                         weyl=w, action=tuple(action), truncated=True)
@@ -417,11 +419,11 @@ def irreducible_forms(dom, max_degree):
     tuples list the coefficient of x^i y^(k-i) at index i.
     """
     q = dom.q
+    if q ** max_degree > MAX_FORM_ENUM:
+        raise UnsupportedTheory(
+            "degree bound %d over F_%d enumerates too many forms" % (max_degree, q))
     out = []
     for k in range(1, max_degree + 1):
-        if q ** k > MAX_FORM_ENUM:
-            raise UnsupportedTheory(
-                "degree bound %d over F_%d enumerates too many forms" % (max_degree, q))
         if k == 1:
             out.append((dom.one, dom.zero))  # y
             for c in dom.elements():
@@ -593,8 +595,12 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     if theory.kind == "ku":
         # contraction along R(K) -> R(H), X -> Y^u, with u a unit mod c = |H|
         c, d = src_cls.order, dst_cls.order
-        img = morphism.witness * src_cls.cyclic_generator() * ~morphism.witness
-        u = _generator_power(dst_cls.cyclic_generator(), img) * c // d % c
+        index = dst_cls.element_index()
+        num = index.number
+        img = index.conjugates(num[morphism.witness.images],
+                               (num[src_cls.cyclic_generator().images],))[0]
+        u = _generator_power(index, num[dst_cls.cyclic_generator().images],
+                             img) * c // d % c
     by_key = {(pt.stratum_order, pt.local_id): pt.id for pt in dst_points}
     out = {}
     for pt in src_points:

@@ -34,6 +34,14 @@ def naive_closure(gens):
     return els
 
 
+def perm_powers(g):
+    """The tuple (g, g^2, ..., e) of the powers of a Perm, by multiplying."""
+    out = [g]
+    while not out[-1].is_identity():
+        out.append(out[-1] * g)
+    return tuple(out)
+
+
 def naive_subgroup_sets(G):
     """Every subgroup of G as a frozenset of Perms, by the brute force the
     package used before its element index: start from the cyclic subgroups
@@ -44,7 +52,7 @@ def naive_subgroup_sets(G):
     def key(elements):
         return tuple(sorted(p.images for p in elements))
 
-    cyc = sorted({frozenset(g.powers()) for g in G.elements}, key=key)
+    cyc = sorted({frozenset(perm_powers(g)) for g in G.elements}, key=key)
     subs = set(cyc)
     subs.add(frozenset({G.identity()}))
     frontier = list(subs)
@@ -255,7 +263,6 @@ def reference_ku_action(model):
     """The Weyl action on a ku stratum found by search: a witness n with
     c_n(h) = h^a sends each modular point (q, g) to the point (q, g') of the
     stratum with g'(X^a) = 0 mod (q, g), and fixes the generic point."""
-    from quillen_strata.strata import _generator_power
     modular_at = {}
     for idx, pt in enumerate(model.points[1:], start=1):
         _, q, coeffs = pt.descriptor.data
@@ -263,7 +270,7 @@ def reference_ku_action(model):
     h = model.subgroup.cyclic_generator()
     action = []
     for _, n in model.weyl.witnesses:
-        a = _generator_power(h, n * h * ~n)
+        a = perm_powers(h).index(n * h * ~n) + 1
         images = [0]
         for pt in model.points[1:]:
             _, q, coeffs = pt.descriptor.data
@@ -276,13 +283,12 @@ def reference_ku_transition(morphism, src_cls, dst_cls, src_points, dst_points):
     """A ku transition map found by search: along X -> Y^u, each cyclotomic
     point goes to the target's point of the same divisor and each modular
     point (q, g) to the target's (q, g') with g'(X^u) = 0 mod (q, g)."""
-    from quillen_strata.strata import _generator_power
     c, d = src_cls.order, dst_cls.order
     u = 1
     if c > 1:
         h = src_cls.cyclic_generator()
         img = morphism.witness * h * ~morphism.witness
-        u = (_generator_power(dst_cls.cyclic_generator(), img) * c // d) % c
+        u = (perm_powers(dst_cls.cyclic_generator()).index(img) + 1) * c // d % c
     by_cyclo = {}
     by_modular = {}
     for pt in dst_points:
@@ -445,7 +451,7 @@ def reference_cyclic_generator(group):
     """The least element of full order, or None, by scanning every element's
     order."""
     for g in group.sorted_elements:
-        if g.order() == group.order:
+        if len(perm_powers(g)) == group.order:
             return g
     return None
 

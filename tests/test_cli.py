@@ -199,6 +199,13 @@ def test_bound_exceeded_exit_2(capsys):
         assert json.loads(err)["error"]["type"] == "domain"
 
 
+def test_modp_degree_bound_exit_2_without_enumerating(capsys):
+    code, out, err = invoke(["spectrum", "--group", "elem-abelian:2^2",
+                             "--theory", "modp:q=8,deg=7"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "domain"
+
+
 def test_prime_bound_cap_for_every_theory(capsys):
     for group in ("cyclic:3", "sym:3"):
         args = ["spectrum", "--group", group, "--theory", "ku", "--prime-bound"]

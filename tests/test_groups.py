@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from quillen_strata.groups import (BoundExceeded, FamilySpec, GroupError,
-                                   GroupParseError, Perm, PermGroup,
+from quillen_strata.groups import (BoundExceeded, ElementIndex, FamilySpec,
+                                   GroupError, GroupParseError, Perm, PermGroup,
                                    all_subgroup_sets, build_group,
                                    class_containing, double_cosets,
                                    family_members, minimal_generators,
@@ -25,7 +25,7 @@ def test_perm_basics():
     b = Perm((1, 0, 2))
     assert (a * b).images == (2, 1, 0)
     assert (~a * a).is_identity()
-    assert a.order() == 3
+    assert not (a * a).is_identity() and (a * a * a).is_identity()
     assert a.cycle_string() == "(0 1 2)"
     assert Perm.from_cycles([(0, 1, 2, 3)], 4).images == (1, 2, 3, 0)
     with pytest.raises(Exception):
@@ -34,9 +34,12 @@ def test_perm_basics():
 
 def test_perm_powers():
     a = Perm.from_cycles([(0, 1, 2, 3)], 4)
-    assert [g.images for g in a.powers()] == [
+    index = ElementIndex(sorted(mulclose([a]), key=lambda p: p.images))
+    powers = index.powers(index.number[a.images])
+    assert [index.perms[x].images for x in powers] == [
         (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (0, 1, 2, 3)]
-    assert Perm.identity(3).powers() == (Perm.identity(3),)
+    trivial = ElementIndex([Perm.identity(3)])
+    assert [trivial.perms[x] for x in trivial.powers(0)] == [Perm.identity(3)]
 
 
 def test_build_group_trivial_and_sym3():
@@ -257,7 +260,8 @@ def test_minimal_generators():
 def test_class_containing():
     G = build_group("dihedral:4")
     classes = subgroups_up_to_conjugacy(G)
-    refl = [p for p in G.sorted_elements if p.order() == 2][0]
+    refl = [p for p in G.sorted_elements
+            if not p.is_identity() and (p * p).is_identity()][0]
     cls = class_containing(classes, mulclose([refl], cap=8))
     assert cls.order == 2
 

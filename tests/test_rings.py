@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   RingError, ZZ,
-                                  cyclic_spectrum_ring, cyclotomic_poly,
+                                  cyclic_spectrum_ring, cyclotomic_factors_mod,
+                                  cyclotomic_poly,
                                   divides, factor, is_irreducible,
                                   is_separable, level_polynomial_P,
                                   p_series_mult, poly_gcd, powmod,
@@ -95,6 +96,30 @@ def test_splitting_matches_package_factorization():
             assert all(g.degree == split.residue_degree for g, _ in factors)
             assert all(e == 1 for _, e in factors)
             assert is_separable(phi)
+            assert cyclotomic_factors_mod(d, q) == tuple(g for g, _ in factors), (d, q)
+
+
+@pytest.mark.parametrize("d,q", [(12, 2), (18, 3), (50, 5), (98, 7), (8, 2),
+                                 (45, 3), (40, 5), (27, 3), (2, 2), (13, 13)])
+def test_cyclotomic_factors_when_q_divides_d(d, q):
+    # Phi_d = Phi_e^phi(q^k) mod q: the distinct factors of factor()'s answer
+    dom = GF(q)
+    factors = factor(cyclotomic_poly(d).map_domain(dom, dom.of_int))
+    assert cyclotomic_factors_mod(d, q) == tuple(g for g, _ in factors)
+
+
+@pytest.mark.parametrize("d", [23, 42])
+@pytest.mark.parametrize("q", [199, 211, 223])
+def test_cyclotomic_factors_bench_sized(d, q):
+    dom = GF(q)
+    phi = cyclotomic_poly(d).map_domain(dom, dom.of_int)
+    factors = cyclotomic_factors_mod(d, q)
+    assert factors == tuple(g for g, _ in factor(phi))
+    prod = Poly.one(dom)
+    for g in factors:
+        assert g.is_monic() and is_irreducible(g)
+        prod = prod * g
+    assert prod == phi
 
 
 # -- finite fields -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from quillen_strata import rings
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
 from quillen_strata.rings import GF, prime_splitting
@@ -234,6 +235,18 @@ def test_modp_degree_two_forms_are_irreducible_quadratics():
     assert deg2 == [(1, 1, 1)]
 
 
+def test_modp_degree_bound_checked_before_enumerating(monkeypatch):
+    # 8^7 exceeds the enumeration bound: no lower degree may be enumerated first
+    dom = GF(2, 3)
+
+    def fail(f):
+        raise AssertionError("Rabin's test ran before the degree bound check")
+
+    monkeypatch.setattr(rings, "is_irreducible", fail)
+    with pytest.raises(UnsupportedTheory, match="degree bound 7 over F_8"):
+        irreducible_forms(dom, 7)
+
+
 def test_modp_actions_are_group_actions():
     from quillen_strata.checks import _is_group_action
     G, classes = classes_of(WREATH)
@@ -275,7 +288,8 @@ def test_empty_stratum_law(corpus_groups):
 def test_generator_power():
     G = build_group("sym:3")
     c3 = [c for c in subgroups_up_to_conjugacy(G) if c.order == 3][0]
-    h = c3.cyclic_generator()
-    assert [_generator_power(h, g) for g in h.powers()] == [1, 2, 3]
+    index = c3.element_index()
+    h = index.number[c3.cyclic_generator().images]
+    assert [_generator_power(index, h, g) for g in index.powers(h)] == [1, 2, 3]
     with pytest.raises(GroupError):
-        _generator_power(h, Perm.from_cycles([(0, 1)], 3))
+        _generator_power(index, h, index.number[(1, 0, 2)])
