@@ -180,6 +180,10 @@ def _cmd_coequalize(args):
         maps = [(m["src"], m["dst"], dict(m["table"])) for m in doc["maps"]]
     except (KeyError, TypeError) as exc:
         raise CliParseError("bad diagram document: %s" % exc)
+    names = list(objects) + [pt for pts in objects.values() for pt in pts]
+    names += [name for src, dst, table in maps for name in (src, dst, *table.values())]
+    if not all(isinstance(name, str) for name in names):
+        raise CliParseError("bad diagram document: ids and points must be strings")
     result = coequalize_raw(objects, maps)
     out = {
         "schema": "quillen-strata/coequalizer/1",

@@ -941,6 +941,9 @@ def _named_group(name, n):
 
 
 def _elem_abelian(p, k):
+    if p >= 2 and k >= 1 and max(p, k) > MAX_DSL_DEGREE:
+        # then p^k exceeds the bound; say so before is_prime(p) or p ** k runs long
+        raise BoundExceeded("degree %d^%d exceeds DSL bound %d" % (p, k, MAX_DSL_DEGREE))
     if not is_prime(p):
         raise GroupParseError("elem-abelian base %d is not prime" % p)
     if k < 1:

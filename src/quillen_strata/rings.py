@@ -21,6 +21,7 @@ from functools import lru_cache
 MAX_CYCLOTOMIC = 4096
 MAX_CONDUCTOR = 64
 MAX_PRIME_BOUND = 1000
+MAX_FIELD_ORDER = 1 << 16
 
 
 class RingError(Exception):
@@ -144,7 +145,7 @@ class GF:
     def __init__(self, p, f=1):
         if not is_prime(p):
             raise RingError("%d is not prime" % p)
-        if p ** f > 1 << 16:
+        if p ** f > MAX_FIELD_ORDER:
             raise RingError("field size %d exceeds 2^16" % p ** f)
         self.p = p
         self.f = f
@@ -846,7 +847,7 @@ def level_polynomial_P(p, k=1):
     The roots are the p-torsion values of the coordinate on the multiplicative
     group at the level-p locus, so the product is independent of k >= 1.
     """
-    if not is_prime(p) or p > 13:
+    if p > 13 or not is_prime(p):
         raise RingError("p = %d out of range for level polynomials" % p)
     if k < 0:
         raise RingError("k must be >= 0")

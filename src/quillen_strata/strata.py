@@ -14,18 +14,17 @@ kr (real K-theory over C_2).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import rings
-from .groups import (FamilySpec, GroupError, family_members,
-                     minimal_generators, weyl)
+from .groups import FamilySpec, GroupError, family_members, weyl
 from .orbit_cat import quotient
-from .rings import (GF, MAX_PRIME_BOUND, Poly, PrimeDescriptor,
-                    cyclotomic_factors_mod, is_prime, primes_upto,
-                    residue_field_label)
+from .rings import (GF, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
+                    PrimeDescriptor, cyclotomic_factors_mod, is_prime,
+                    primes_upto, residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
 DEFAULT_DEGREE_BOUND = 1
@@ -110,12 +109,16 @@ def parse_theory(text, prime_bound=None, degree_bound=None):
     m = re.fullmatch(r"(height1|hz):p=(\d+)", text)
     if m:
         p = int(m.group(2))
+        if p > MAX_FIELD_ORDER:  # before the trial division of is_prime
+            raise UnsupportedTheory("p = %d exceeds 2^16" % p)
         if not is_prime(p):
             raise TheoryError("p = %d is not prime" % p)
         return TheorySpec(kind=m.group(1), p=p, prime_bound=pb, degree_bound=db)
     m = re.fullmatch(r"modp:q=(\d+)(?:,deg=(\d+))?", text)
     if m:
         q = int(m.group(1))
+        if q > MAX_FIELD_ORDER:  # before _prime_power's divisor search
+            raise UnsupportedTheory("field size %d exceeds 2^16" % q)
         if m.group(2) is not None:
             db = int(m.group(2))
         p, f = _prime_power(q)
@@ -125,7 +128,7 @@ def parse_theory(text, prime_bound=None, degree_bound=None):
 
 def _prime_power(q):
     for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
+        if q % p == 0:  # the least divisor above 1 is prime
             f = 0
             n = q
             while n % p == 0:
@@ -415,110 +418,93 @@ def irreducible_forms(dom, max_degree):
     """Monic-normalized irreducible homogeneous forms in x, y of degree <= bound.
 
     Degree 1: y plus x + c*y for c in F_q.  Degree k >= 2: homogenizations of
-    monic irreducible one-variable polynomials of degree k.  Coefficient
-    tuples list the coefficient of x^i y^(k-i) at index i.
+    monic irreducible one-variable polynomials of degree k, found by a sieve:
+    the reducible ones are the products a*b with a monic irreducible of
+    degree i <= k/2 and b monic of degree k - i.  Coefficient tuples list the
+    coefficient of x^i y^(k-i) at index i; each degree comes in the order of
+    the code sum_{i<k} c_i q^i.
     """
     q = dom.q
-    if q ** max_degree > MAX_FORM_ENUM:
+    # q >= 2, so q^max_degree exceeds the bound once max_degree reaches its bit length
+    if q ** min(max_degree, MAX_FORM_ENUM.bit_length()) > MAX_FORM_ENUM:
         raise UnsupportedTheory(
             "degree bound %d over F_%d enumerates too many forms" % (max_degree, q))
-    out = []
+    irreducible = {}
     for k in range(1, max_degree + 1):
-        if k == 1:
-            out.append((dom.one, dom.zero))  # y
-            for c in dom.elements():
-                out.append((c, dom.one))
-        else:
-            for enc in range(q ** k):
-                tail = []
-                e = enc
-                for _ in range(k):
-                    tail.append(e % q)
-                    e //= q
-                cand = Poly(tuple(tail) + (dom.one,), dom)
-                if rings.is_irreducible(cand):
-                    out.append(tuple(cand.coeffs))
-    return out
+        weights = [q ** i for i in range(k)]
+        reducible = bytearray(q ** k)
+        for i in range(1, k // 2 + 1):
+            for b in _monic_polys(dom, k - i):
+                for a in irreducible[i]:
+                    reducible[sum(c * w for c, w in zip((a * b).coeffs, weights))] = 1
+        irreducible[k] = [f for code, f in enumerate(_monic_polys(dom, k))
+                          if not reducible[code]]
+    return [(dom.one, dom.zero)] + [f.coeffs for fs in irreducible.values() for f in fs]
+
+
+def _monic_polys(dom, k):
+    """The monic polynomials of degree k over F_q, in the order of the code
+    sum_{i<k} c_i q^i."""
+    return (Poly(tail[::-1] + (dom.one,), dom)
+            for tail in itertools.product(dom.elements(), repeat=k))
 
 
 def _is_rational_linear(coeffs, dom):
     return len(coeffs) == 2 and all(dom.in_prime_field(c) for c in coeffs)
 
 
-def _form_substitute(coeffs, M, dom):
-    """Substitute x -> M[0][0]x + M[0][1]y, y -> M[1][0]x + M[1][1]y into a form."""
-    k = len(coeffs) - 1
-    a, b = M[0]
-    c, d = M[1]
-    out = [dom.zero] * (k + 1)
-
-    def binom_pow(u, v, n):
-        row = []
-        for j in range(n + 1):
-            term = dom.of_int(math.comb(n, j))
-            term = dom.mul(term, dom.power(u, j))
-            term = dom.mul(term, dom.power(v, n - j))
-            row.append(term)
-        return row  # coefficient of x^j y^(n-j)
-
-    for i, ci in enumerate(coeffs):
-        if ci == dom.zero:
-            continue
-        left = binom_pow(a, c, i)       # (a x + c y)^i  -- column-vector action
-        right = binom_pow(b, d, k - i)  # (b x + d y)^(k-i)
-        for j1, t1 in enumerate(left):
-            if t1 == dom.zero:
-                continue
-            for j2, t2 in enumerate(right):
-                if t2 == dom.zero:
-                    continue
-                out[j1 + j2] = dom.add(out[j1 + j2],
-                                       dom.mul(ci, dom.mul(t1, t2)))
-    return _normalize_form(tuple(out), dom)
-
-
-def _normalize_form(coeffs, dom):
-    k = len(coeffs) - 1
-    if coeffs[k] != dom.zero:
-        inv = dom.inv(coeffs[k])
-        return tuple(dom.mul(inv, c) for c in coeffs)
-    last = max(i for i, c in enumerate(coeffs) if c != dom.zero)
-    inv = dom.inv(coeffs[last])
-    return tuple(dom.mul(inv, c) for c in coeffs)
-
-
-def _matrix_inverse_modp(M, p):
+def _linear_powers(M, dom, n):
+    """The powers 0..n of a*t + c and of b*t + d, for M = ((a, b), (c, d)) over F_p."""
     (a, b), (c, d) = M
-    det = (a * d - b * c) % p
-    if det == 0:
-        raise GroupError("Weyl matrix is singular (should not happen)")
-    inv = pow(det, -1, p)
-    return ((d * inv % p, -b * inv % p), (-c * inv % p, a * inv % p))
+    out = []
+    for u in (Poly.from_ints((c, a), dom), Poly.from_ints((d, b), dom)):
+        powers = [Poly.one(dom)]
+        for _ in range(n):
+            powers.append(powers[-1] * u)
+        out.append(powers)
+    return out
+
+
+def _form_substitute(coeffs, left, right):
+    """Substitute x -> M[0][0]x + M[1][0]y, y -> M[0][1]x + M[1][1]y into a form.
+
+    With M = ((a, b), (c, d)) and t = x/y, the form sum c_i x^i y^(k-i) is
+    sum c_i t^i and its image is sum c_i (a t + c)^i (b t + d)^(k-i); left
+    and right are the powers of a t + c and b t + d from _linear_powers(M).
+    The image is scaled by the inverse of its last nonzero coefficient.
+    """
+    k = len(coeffs) - 1
+    dom = left[0].dom
+    image = Poly.zero(dom)
+    for i, ci in enumerate(coeffs):
+        if ci != dom.zero:
+            image = image + (left[i] * right[k - i]).scale(ci)
+    image = image.monic().coeffs
+    return image + (dom.zero,) * (k + 1 - len(image))
 
 
 def _elem_abelian_basis(cls, p):
-    """Canonical basis (e1, e2) of a rank-2 elementary abelian subgroup and
-    the coordinates (i, j) of each element e1^i e2^j."""
-    e1, e2 = basis = minimal_generators(cls)
+    """The basis (e1, e2) of a rank-2 elementary abelian class as element
+    numbers, and the coordinates (i, j) of the number of each e1^i e2^j."""
+    index = cls.element_index()
+    e1, e2 = basis = cls.generator_numbers
+    right1, right2 = index.right(e1), index.right(e2)
     coords = {}
-    x = cls.identity()
+    x = 0  # the identity is the least element
     for i in range(p):
         y = x
         for j in range(p):
             coords[y] = (i, j)
-            y = y * e2
-        x = x * e1
+            y = right2[y]
+        x = right1[x]
     return basis, coords
 
 
-def _weyl_matrix(cls, basis, coords, witness, p):
-    cols = []
-    for e in basis:
-        img = witness * e * ~witness
-        cols.append(coords[img])
-    # coords gives (i, j) with img = e1^i e2^j: column vector per basis element
-    return ((cols[0][0] % p, cols[1][0] % p),
-            (cols[0][1] % p, cols[1][1] % p))
+def _weyl_matrix(index, basis, coords, g):
+    """The matrix of conjugation by the element number g, one column per
+    basis element."""
+    cols = [coords[e] for e in index.conjugates(g, basis)]
+    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
 def _stratum_modp(theory, G, cls):
@@ -561,16 +547,14 @@ def _stratum_modp(theory, G, cls):
             lbl, False))
     edges = tuple((0, j) for j in range(1, len(points)))
     basis, coords = _elem_abelian_basis(cls, p)
+    index = cls.element_index()
     action = []
     for _, n in w.witnesses:
-        M = _weyl_matrix(cls, basis, coords, n, p)
-        Minv = _matrix_inverse_modp(M, p)
-        Mdom = tuple(tuple(dom.of_int(x) for x in row) for row in Minv)
-        images = [0]
-        for cf in forms:
-            img = _form_substitute(cf, Mdom, dom)
-            images.append(index_of[img])
-        action.append(tuple(images))
+        # n sends a form f to f o M^-1, and M^-1 is the matrix of conjugation by n^-1
+        Minv = _weyl_matrix(index, basis, coords, index.inverse(index.number[n.images]))
+        left, right = _linear_powers(Minv, dom, theory.degree_bound)
+        action.append((0,) + tuple(index_of[_form_substitute(cf, left, right)]
+                                   for cf in forms))
     # the full homogeneous spectrum is infinite; the degree bound truncates it
     return StratumModel(subgroup=cls, points=tuple(points),
                         internal_edges=edges, weyl=w, action=tuple(action),

@@ -456,6 +456,66 @@ def reference_cyclic_generator(group):
     return None
 
 
+def reference_irreducible_forms(dom, max_degree):
+    """The forms of strata.irreducible_forms by Rabin's test on every monic
+    candidate: y, then x + c*y for c in F_q, then each degree k >= 2 in the
+    order of the code sum_{i<k} c_i q^i."""
+    from quillen_strata.rings import Poly, is_irreducible
+    q = dom.q
+    out = [(dom.one, dom.zero)] + [(c, dom.one) for c in dom.elements()]
+    for k in range(2, max_degree + 1):
+        for enc in range(q ** k):
+            tail = []
+            for _ in range(k):
+                tail.append(enc % q)
+                enc //= q
+            cand = Poly(tuple(tail) + (dom.one,), dom)
+            if is_irreducible(cand):
+                out.append(tuple(cand.coeffs))
+    return out
+
+
+def reference_form_substitute(coeffs, M, dom):
+    """Substitute x -> a x + c y, y -> b x + d y, M = ((a, b), (c, d)) over
+    dom, into the form sum c_i x^i y^(k-i) by binomial expansion of each
+    (a x + c y)^i (b x + d y)^(k-i), then scale by the inverse of the last
+    nonzero coefficient."""
+    import math
+    k = len(coeffs) - 1
+    (a, b), (c, d) = M
+    out = [dom.zero] * (k + 1)
+
+    def binom_pow(u, v, n):  # coefficient of x^j y^(n-j) in (u x + v y)^n
+        return [dom.mul(dom.of_int(math.comb(n, j)),
+                        dom.mul(dom.power(u, j), dom.power(v, n - j)))
+                for j in range(n + 1)]
+
+    for i, ci in enumerate(coeffs):
+        for j1, t1 in enumerate(binom_pow(a, c, i)):
+            for j2, t2 in enumerate(binom_pow(b, d, k - i)):
+                out[j1 + j2] = dom.add(out[j1 + j2], dom.mul(ci, dom.mul(t1, t2)))
+    inv = dom.inv([x for x in out if x != dom.zero][-1])
+    return tuple(dom.mul(inv, x) for x in out)
+
+
+def reference_weyl_matrix(cls, witness, p):
+    """The matrix of conjugation by witness on a rank-2 elementary abelian
+    class, one column per element of minimal_generators(cls), by Perm
+    products."""
+    from quillen_strata.groups import minimal_generators
+    e1, e2 = minimal_generators(cls)
+    coords = {}
+    x = cls.identity()
+    for i in range(p):
+        y = x
+        for j in range(p):
+            coords[y] = (i, j)
+            y = y * e2
+        x = x * e1
+    cols = [coords[witness * e * ~witness] for e in (e1, e2)]
+    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+
 def class_facts(classes):
     """Per subgroup class: order, conjugates, elements, normalizer,
     centralizer and index, for comparing two class lists."""

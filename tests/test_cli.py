@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from quillen_strata.cli import run
 from quillen_strata.spectrum import check_agreement, deserialize
 
@@ -141,14 +143,16 @@ def test_strata_command(capsys):
     assert doc["strata"][1]["weyl_order"] == 2
 
 
-def test_console_script_subprocess():
+def run_subprocess(args, timeout=None):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quillen_strata", "spectrum", "--group",
-         "cyclic:2", "--theory", "kr"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "quillen_strata"] + args,
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_console_script_subprocess():
+    proc = run_subprocess(["spectrum", "--group", "cyclic:2", "--theory", "kr"])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["meta"]["theory"] == "kr"
@@ -249,3 +253,63 @@ def test_point_in_two_cycles_is_a_parse_error(capsys):
                                 capsys))
     _assert_parse_error(*invoke(["weyl", "--group", "sym:3", "--h",
                                  "gens:(0 1)(0 2)"], capsys))
+
+
+BIG = "99999999999999999999"
+M61 = str(2 ** 61 - 1)  # a prime: trial division up to its square root never ends
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--group", "elem-abelian:2^2", "--theory", "modp:q=2,deg=" + BIG],
+    ["spectrum", "--group", "elem-abelian:2^2", "--theory", "modp:q=2",
+     "--degree-bound", BIG],
+    ["drinfeld-check", "--p", M61],
+    ["strata", "--group", "cyclic:2", "--theory", "height1:p=" + M61],
+    ["strata", "--group", "cyclic:2", "--theory", "hz:p=" + M61],
+    ["subgroups", "--group", "elem-abelian:%s^1" % M61],
+    ["subgroups", "--group", "elem-abelian:2^" + BIG],
+    ["spectrum", "--group", "elem-abelian:2^2", "--theory", "modp:q=" + M61],
+])
+def test_huge_numbers_exit_2_before_the_expensive_work(args):
+    proc = run_subprocess(args, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "domain"
+
+
+def _coequalize(doc, tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(doc))
+    return invoke(["coequalize", "--input", str(path)], capsys)
+
+
+def test_coequalize_rejects_a_list_point(tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": [["x"]]}], "maps": []}
+    _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+def test_coequalize_rejects_mixed_int_and_str_points(tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": ["x", 1]}], "maps": []}
+    _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+def test_coequalize_rejects_mixed_int_and_str_ids(tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": ["x"]}, {"id": 1, "points": ["y"]}],
+           "maps": []}
+    _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+def test_coequalize_rejects_non_string_src_and_dst(tmp_path, capsys):
+    objects = [{"id": "a", "points": ["x"]}]
+    for end in ("src", "dst"):
+        m = {"src": "a", "dst": "a", "table": {"x": "x"}}
+        m[end] = 1
+        _assert_parse_error(*_coequalize({"objects": objects, "maps": [m]},
+                                         tmp_path, capsys))
+
+
+def test_coequalize_rejects_non_string_table_values(tmp_path, capsys):
+    objects = [{"id": "a", "points": ["x"]}]
+    for value in (["x"], 1, None):
+        m = {"src": "a", "dst": "a", "table": {"x": value}}
+        _assert_parse_error(*_coequalize({"objects": objects, "maps": [m]},
+                                         tmp_path, capsys))

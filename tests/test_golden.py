@@ -24,6 +24,15 @@ CASES = [
      ["double-cosets", "--group", "dihedral:15", "--h", "2:0", "--k", "6:0"]),
     ("spectrum_alt5_height1_p2.json",
      ["spectrum", "--group", "alt:5", "--theory", "height1:p=2"]),
+    ("spectrum_elemab2_2_modp_q4_deg4.json",
+     ["spectrum", "--group", "elem-abelian:2^2", "--theory", "modp:q=4,deg=4"]),
+    ("spectrum_wreath_modp_q4_deg3.json",
+     ["spectrum", "--group", "perm:(0 1);(2 3);(0 2)(1 3)",
+      "--theory", "modp:q=4,deg=3"]),
+    ("strata_sym4_modp_q8_deg2.json",
+     ["strata", "--group", "sym:4", "--theory", "modp:q=8,deg=2"]),
+    ("strata_elemab3_2_modp_q9_deg3.json",
+     ["strata", "--group", "elem-abelian:3^2", "--theory", "modp:q=9,deg=3"]),
 ]
 
 

@@ -1,13 +1,20 @@
+import itertools
+import random
+
 import pytest
 
-from quillen_strata import rings
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
-from quillen_strata.rings import GF, prime_splitting
+from quillen_strata.rings import GF, Poly, prime_splitting
 from quillen_strata.strata import (TheoryError, UnsupportedTheory,
-                                   _generator_power, irreducible_forms,
+                                   _elem_abelian_basis, _form_substitute,
+                                   _generator_power, _linear_powers,
+                                   _weyl_matrix, irreducible_forms,
                                    parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
+
+from conftest import (reference_form_substitute, reference_irreducible_forms,
+                      reference_weyl_matrix)
 
 WREATH = "perm:(0 1);(2 3);(0 2)(1 3)"
 
@@ -236,15 +243,84 @@ def test_modp_degree_two_forms_are_irreducible_quadratics():
 
 
 def test_modp_degree_bound_checked_before_enumerating(monkeypatch):
-    # 8^7 exceeds the enumeration bound: no lower degree may be enumerated first
+    # 8^7 exceeds the enumeration bound: no lower degree may be sieved first
     dom = GF(2, 3)
 
-    def fail(f):
-        raise AssertionError("Rabin's test ran before the degree bound check")
+    def fail(a, b):
+        raise AssertionError("the sieve multiplied before the degree bound check")
 
-    monkeypatch.setattr(rings, "is_irreducible", fail)
+    monkeypatch.setattr(Poly, "__mul__", fail)
     with pytest.raises(UnsupportedTheory, match="degree bound 7 over F_8"):
         irreducible_forms(dom, 7)
+
+
+# (p, f, D): q = p^f in {2, 3, 4, 5, 7, 8, 9, 16, 25}
+@pytest.mark.parametrize("p,f,max_degree", [(2, 1, 6), (3, 1, 4), (2, 2, 4), (5, 1, 3),
+                                            (7, 1, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2),
+                                            (5, 2, 2)])
+def test_irreducible_forms_match_rabin_reference(p, f, max_degree):
+    dom = GF(p, f)
+    assert irreducible_forms(dom, max_degree) == reference_irreducible_forms(
+        dom, max_degree)
+
+
+def _gauss_count(q, k):
+    """N_q(k) = (1/k) sum_{d | k} mu(d) q^(k/d), the monic irreducibles of degree k."""
+    def mobius(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0
+                  and all(p % r for r in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+    return sum(mobius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+def test_irreducible_form_counts_match_gauss():
+    for p, f in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                 (13, 1), (2, 4)):
+        q = p ** f
+        forms = irreducible_forms(GF(p, f), 4)
+        for k in range(2, 5):
+            assert sum(len(cf) == k + 1 for cf in forms) == _gauss_count(q, k), (q, k)
+
+
+def _gl2(p):
+    return [((a, b), (c, d)) for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p]
+
+
+def _check_substitution(cf, M, dom):
+    Mdom = tuple(tuple(dom.of_int(x) for x in row) for row in M)
+    left, right = _linear_powers(M, dom, len(cf) - 1)
+    assert _form_substitute(cf, left, right) == reference_form_substitute(
+        cf, Mdom, dom), (cf, M)
+
+
+def test_form_substitute_matches_binomial_reference():
+    dom = GF(2, 2)
+    forms = [cf for k in range(1, 4)
+             for cf in itertools.product(dom.elements(), repeat=k + 1) if any(cf)]
+    for M in _gl2(2):
+        for cf in forms:
+            _check_substitution(cf, M, dom)
+    dom = GF(3, 2)
+    rng = random.Random(9)
+    for _ in range(400):
+        cf = tuple(rng.randrange(9) for _ in range(rng.randint(2, 4)))
+        if any(cf):
+            _check_substitution(cf, rng.choice(_gl2(3)), dom)
+
+
+def test_weyl_matrices_match_perm_products():
+    for dsl, p in ((WREATH, 2), ("sym:4", 2), ("elem-abelian:3^2", 3),
+                   ("product:sym:3xsym:3", 3)):
+        G, classes = classes_of(dsl)
+        ranked = [c for c in classes if c.is_elementary_abelian(p) and c.p_rank(p) == 2]
+        assert ranked, dsl
+        for cls in ranked:
+            index = cls.element_index()
+            basis, coords = _elem_abelian_basis(cls, p)
+            for n in cls.normalizer_elements:
+                assert _weyl_matrix(index, basis, coords, index.number[n.images]) \
+                    == reference_weyl_matrix(cls, n, p), (dsl, cls.index, n)
 
 
 def test_modp_actions_are_group_actions():
