@@ -8,7 +8,7 @@ functions back the pytest invariant tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import corpus as corpus_mod
 from .groups import (FamilySpec, all_subgroup_sets, build_group,
@@ -20,12 +20,7 @@ from .spectrum import assemble_strong, assemble_weak, check_agreement
 from .strata import parse_theory, stratum, theory_family_classes
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "name ok detail seconds")
 
 
 def _timed(name, fn):

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rings import is_prime
 
@@ -642,19 +642,16 @@ def _class_of_mask(classes, mask):
 
 # -- Weyl groups -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(namedtuple("WeylGroup", "kind order quotient witnesses")):
     """N_G(H)/X realized via its left action on the cosets of X in N_G(H).
 
     kind "ordinary" takes X = H, "global" X = H*C_G(H), "quillen" X = C_G(H).
-    witnesses pairs each quotient element with its minimal representative in N,
+    quotient is a PermGroup; witnesses pairs each quotient element with its
+    minimal representative in N, ((quotient Perm, representative Perm), ...),
     in the order of sorted_quotient().
     """
 
-    kind: str
-    order: int
-    quotient: PermGroup
-    witnesses: tuple  # ((quotient Perm, representative Perm in N), ...)
+    __slots__ = ()
 
     def sorted_quotient(self):
         return self.quotient.sorted_elements
@@ -698,13 +695,11 @@ def weyl(G, cls, kind):
 
 # -- families ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A conjugation- and subgroup-closed family of subgroups."""
+class FamilySpec(namedtuple("FamilySpec", "kind p n", defaults=(0, 0))):
+    """A conjugation- and subgroup-closed family of subgroups; kind is one of
+    all | cyclic | cyclic-p | elem-abelian-p | abelian-p-rank."""
 
-    kind: str            # all | cyclic | cyclic-p | elem-abelian-p | abelian-p-rank
-    p: int = 0
-    n: int = 0
+    __slots__ = ()
 
     @staticmethod
     def all():
@@ -760,19 +755,15 @@ def family_members(G, fam):
 
 # -- double cosets -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleCoset:
-    representative: Perm
-    intersection: frozenset      # H^g cap K, as a subgroup of K
-    size: int
+# intersection: H^g cap K as a frozenset, a subgroup of K
+DoubleCoset = namedtuple("DoubleCoset", "representative intersection size")
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
-    group_order: int
-    h_order: int
-    k_order: int
-    pairs: tuple  # of DoubleCoset
+class DoubleCosetDecomposition(namedtuple("DoubleCosetDecomposition",
+                                          "group_order h_order k_order pairs")):
+    """pairs: the DoubleCoset of each double coset."""
+
+    __slots__ = ()
 
     def mackey_sides(self):
         """(sum over H\\G/K of [G : H^g cap K], [G:H] * [G:K])."""

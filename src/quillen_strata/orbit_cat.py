@@ -10,9 +10,9 @@ union-find.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .groups import (GroupError, Perm, double_cosets, row_orbit,
+from .groups import (GroupError, double_cosets, row_orbit,
                      subgroups_up_to_conjugacy)
 
 
@@ -44,26 +44,32 @@ class UnionFind:
         self.parent[y] = x
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """c_g : H_src -> H_dst, h |-> g h g^-1, with gHg^-1 <= K."""
+class Morphism(namedtuple("Morphism", "src dst witness coset")):
+    """c_g : H_src -> H_dst, h |-> g h g^-1, with gHg^-1 <= K.
 
-    src: int
-    dst: int
-    witness: Perm
-    coset: int = field(compare=False, repr=False)  # K g C_G(H), as a bitmask
+    coset is K g C_G(H) as a bitmask; it does not count in == or hash.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Morphism) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     def key(self):
         return (self.src, self.dst, self.witness.images)
 
 
-@dataclass
-class QuillenOrbitCategory:
-    """O^Q_F(G) on class representatives; homs[(i, j)] lists morphisms i -> j."""
+class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs")):
+    """O^Q_F(G) on class representatives: objects lists the family members'
+    SubgroupClass in canonical order, homs[(i, j)] the morphisms i -> j."""
 
-    G: object
-    objects: list           # SubgroupClass, family members in canonical order
-    homs: dict              # (i, j) -> tuple of Morphism
+    __slots__ = ()
 
     def hom(self, i, j):
         return self.homs[(i, j)]
@@ -124,13 +130,11 @@ def build_orbit_category(G, classes):
     return QuillenOrbitCategory(G=G, objects=list(classes), homs=homs)
 
 
-@dataclass
-class OrbitDiagram:
-    """A functor to point-sets: per object a finite point set, per morphism a map."""
+class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
+    """A functor to point-sets: point_sets maps each object index to a tuple
+    of point keys, maps each Morphism.key() to a dict point -> point."""
 
-    category: QuillenOrbitCategory
-    point_sets: dict        # object index -> tuple of point keys
-    maps: dict              # Morphism.key() -> dict point -> point
+    __slots__ = ()
 
     def transition(self, m):
         return self.maps[m.key()]
@@ -158,12 +162,12 @@ class OrbitDiagram:
         return True
 
 
-@dataclass(frozen=True)
-class CoequalizerResult:
-    """Partition of the disjoint union of point sets, with deterministic ids."""
+class CoequalizerResult(namedtuple("CoequalizerResult", "classes projection")):
+    """Partition of the disjoint union of point sets, with deterministic ids:
+    classes is ((class_id, ((obj, point), ...)), ...) sorted, projection maps
+    (obj, point) -> class_id."""
 
-    classes: tuple        # ((class_id, ((obj, point), ...)), ...) sorted
-    projection: dict      # (obj, point) -> class_id
+    __slots__ = ()
 
     def class_count(self):
         return len(self.classes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -254,23 +254,17 @@ class GF:
 
 @lru_cache(maxsize=None)
 def _gf_modulus(p, f):
-    """Lexicographically least monic irreducible of degree f over F_p."""
+    """Lexicographically least monic irreducible of degree f >= 2 over F_p.
+
+    The constant coefficient varies slowest, so the walk starts past the
+    p^(f-1) candidates with constant term 0, which X divides.
+    """
     base = GF(p)
-    for tail in _tuples_ascending(p, f):
-        cand = Poly(tail + (1,), base)
-        if is_irreducible(cand):
+    for enc in range(p ** (f - 1), p ** f):
+        tail = tuple(enc // p ** (f - 1 - i) % p for i in range(f))
+        if is_irreducible(Poly(tail + (1,), base)):
             return tail + (1,)
     raise RingError("no irreducible modulus found (impossible)")
-
-
-def _tuples_ascending(p, f):
-    for enc in range(p ** f):
-        vec = []
-        e = enc
-        for _ in range(f):
-            vec.append(e % p)
-            e //= p
-        yield tuple(reversed(vec))
 
 
 class CycloField:
@@ -372,18 +366,16 @@ class CycloField:
 
 # -- polynomials -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(namedtuple("Poly", "coeffs dom")):
     """A dense univariate polynomial; coeffs ascending, no trailing zeros."""
 
-    coeffs: tuple
-    dom: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = list(self.coeffs)
-        while c and c[-1] == self.dom.zero:
+    def __new__(cls, coeffs, dom):
+        c = list(coeffs)
+        while c and c[-1] == dom.zero:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        return tuple.__new__(cls, (tuple(c), dom))
 
     @property
     def degree(self):
@@ -746,12 +738,7 @@ def cyclotomic_poly(d):
     return f
 
 
-@dataclass(frozen=True)
-class SplittingData:
-    d: int
-    q: int
-    count: int
-    residue_degree: int
+SplittingData = namedtuple("SplittingData", "d q count residue_degree")
 
 
 def prime_splitting(d, q):
@@ -829,12 +816,10 @@ def p_series_mult(p):
     return Poly.from_ints(coeffs, ZZ)
 
 
-@dataclass(frozen=True)
-class LevelData:
-    p: int
-    k: int
-    P: Poly        # over Q(zeta_p)
-    Q_poly: Poly   # over Z
+class LevelData(namedtuple("LevelData", "p k P Q_poly")):
+    """P is a Poly over Q(zeta_p), Q_poly one over Z."""
+
+    __slots__ = ()
 
     def q_over_cyclo(self):
         K = self.P.dom
@@ -905,14 +890,15 @@ def reduce_cyclo_mod_p(f, p):
 
 # -- prime descriptors and Spec(Z[X]/(X^n-1)) ---------------------------------
 
-@dataclass(frozen=True)
-class PrimeDescriptor:
-    """A canonical representative of a prime ideal in one of the supported rings."""
+class PrimeDescriptor(namedtuple("PrimeDescriptor", "ring kind data label")):
+    """A canonical representative of a prime ideal in one of the supported rings.
 
-    ring: str    # "Z" | "Z_p" | "Z[zeta_d,1/d]" | "Z[X]/(X^n-1)" | "F_q[x,y]^h" | "Z/p[t]^h"
-    kind: str    # "generic" | "closed" | "height-one"
-    data: tuple  # canonical payload, JSON-serializable
-    label: str
+    ring: "Z" | "Z_p" | "Z[zeta_d,1/d]" | "Z[X]/(X^n-1)" | "F_q[x,y]^h" | "Z/p[t]^h";
+    kind: "generic" | "closed" | "height-one"; data: canonical payload, a
+    JSON-serializable tuple.
+    """
+
+    __slots__ = ()
 
 
 def residue_field_label(q, degree):
@@ -920,16 +906,16 @@ def residue_field_label(q, degree):
     return "F_%d" % q if degree == 1 else "F_%d^%d" % (q, degree)
 
 
-@dataclass(frozen=True)
-class SpectrumRing:
-    """Truncated Spec(Z[X]/(X^n-1)): minimal and maximal primes plus containments."""
+class SpectrumRing(namedtuple("SpectrumRing", "n prime_bound minimal maximal contains "
+                              "truncated", defaults=(True,))):
+    """Truncated Spec(Z[X]/(X^n-1)): minimal and maximal primes plus containments.
 
-    n: int
-    prime_bound: int
-    minimal: tuple    # PrimeDescriptor per divisor d | n, data ("cyclo", d)
-    maximal: tuple    # PrimeDescriptor per (q, irreducible factor g of X^n-1 mod q)
-    contains: tuple   # pairs (minimal index, maximal index)
-    truncated: bool = True
+    minimal holds a PrimeDescriptor per divisor d | n, with data ("cyclo", d);
+    maximal one per (q, irreducible factor g of X^n-1 mod q); contains the
+    pairs (minimal index, maximal index).
+    """
+
+    __slots__ = ()
 
 
 def cyclic_spectrum_ring(n, prime_bound):

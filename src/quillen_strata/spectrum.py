@@ -15,7 +15,7 @@ integer/string-only, so golden-file comparisons are byte-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from .rings import cyclic_spectrum_ring
@@ -25,31 +25,37 @@ from .strata import (UnsupportedTheory, stratum, theory_family_classes,
 SCHEMA = "quillen-strata/1"
 
 
-@dataclass(frozen=True)
-class SpacePoint:
-    id: str
-    stratum: str
-    label: str
-    closed: bool
-    descriptor: object = field(default=None, compare=False, repr=False)
-    stratum_order: int = field(default=0, compare=False, repr=False)
-    local_id: str = field(default="", compare=False, repr=False)
+class SpacePoint(namedtuple("SpacePoint", "id stratum label closed descriptor "
+                            "stratum_order local_id", defaults=(None, 0, ""))):
+    """A point of a space; only its first four fields count in == and hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, SpacePoint) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class SpaceEdge:
-    src: str
-    dst: str
-    kind: str            # internal | cross-stratum | external
-    provenance: str = ""
+# kind: internal | cross-stratum | external
+SpaceEdge = namedtuple("SpaceEdge", "src dst kind provenance", defaults=("",))
 
 
-@dataclass
-class StratifiedSpace:
-    meta: dict
-    points: list
-    edges: list
-    order_complete: bool = field(default=True, compare=False)
+class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges order_complete",
+                                 defaults=(True,))):
+    """A stratified space; order_complete does not count in ==."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, StratifiedSpace) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
 
     def closed_points(self):
         return [pt for pt in self.points if pt.closed]
@@ -256,11 +262,8 @@ def assemble_weak(theory, G, group_label=""):
 
 # -- isomorphism check ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceIsoReport:
-    isomorphic: bool
-    witness: dict = None
-    obstruction: str = ""
+SpaceIsoReport = namedtuple("SpaceIsoReport", "isomorphic witness obstruction",
+                            defaults=(None, ""))
 
 
 def _invariant_multiset(space, with_degrees):

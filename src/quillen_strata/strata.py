@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .groups import FamilySpec, GroupError, family_members, weyl
@@ -39,21 +39,22 @@ class UnsupportedTheory(Exception):
     """The (theory, group) pair is outside the computable range."""
 
 
-@dataclass(frozen=True)
-class TheorySpec:
-    kind: str                  # height1 | ku | hz | modp | kr
-    p: int = 0                 # prime (height1, hz, modp, kr)
-    f: int = 1                 # modp: q = p^f
-    prime_bound: int = DEFAULT_PRIME_BOUND
-    degree_bound: int = DEFAULT_DEGREE_BOUND
-    is_global: bool = True     # all built-in theories arise globally
+class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound is_global",
+                            defaults=(0, 1, DEFAULT_PRIME_BOUND, DEFAULT_DEGREE_BOUND,
+                                      True))):
+    """kind is height1 | ku | hz | modp | kr; p the prime (height1, hz, modp,
+    kr); q = p^f for modp.  All built-in theories arise globally."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.prime_bound < 1 or self.degree_bound < 1:
             raise TheoryError("bounds must be >= 1, got prime bound %d and "
                               "degree bound %d" % (self.prime_bound, self.degree_bound))
         if self.prime_bound > MAX_PRIME_BOUND:
             raise UnsupportedTheory("prime bound %d out of range" % self.prime_bound)
+        return self
 
     @property
     def q(self):
@@ -156,23 +157,17 @@ def weyl_action_kind(theory, subgroup=None):
 
 # -- stratum models ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StratumPoint:
-    local_id: str
-    descriptor: PrimeDescriptor
-    label: str
-    closed: bool
+StratumPoint = namedtuple("StratumPoint", "local_id descriptor label closed")
 
 
-@dataclass(frozen=True)
-class StratumModel:
-    subgroup: object               # SubgroupClass
-    points: tuple                  # StratumPoint, canonical order
-    internal_edges: tuple          # (i, j) index pairs, generic -> special
-    weyl: object                   # WeylGroup or None for empty strata
-    action: tuple                  # per sorted quotient element: point index images
-    reason: str = ""               # non-empty iff the stratum is empty
-    truncated: bool = False
+class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges weyl "
+                              "action reason truncated", defaults=("", False))):
+    """The stratum at a SubgroupClass: its StratumPoints in canonical order,
+    internal_edges as (i, j) index pairs generic -> special, the WeylGroup
+    (None for an empty stratum) and per sorted quotient element the images
+    of the point indices; reason is non-empty iff the stratum is empty."""
+
+    __slots__ = ()
 
     def is_empty(self):
         return not self.points

@@ -475,6 +475,21 @@ def reference_irreducible_forms(dom, max_degree):
     return out
 
 
+def reference_gf_modulus(p, f):
+    """The modulus of GF(p, f) by Rabin's test on every monic degree-f
+    candidate, constant coefficient varying slowest, from the all-zero tail."""
+    from quillen_strata.rings import GF, Poly, is_irreducible
+    for enc in range(p ** f):
+        vec = []
+        for _ in range(f):
+            vec.append(enc % p)
+            enc //= p
+        tail = tuple(reversed(vec))
+        if is_irreducible(Poly(tail + (1,), GF(p))):
+            return tail + (1,)
+    return None
+
+
 def reference_form_substitute(coeffs, M, dom):
     """Substitute x -> a x + c y, y -> b x + d y, M = ((a, b), (c, d)) over
     dom, into the form sum c_i x^i y^(k-i) by binomial expansion of each

@@ -143,12 +143,25 @@ def test_strata_command(capsys):
     assert doc["strata"][1]["weyl_order"] == 2
 
 
-def run_subprocess(args, timeout=None):
+def run_python(argv, timeout=None):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "quillen_strata"] + args,
+    return subprocess.run([sys.executable] + argv,
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_subprocess(args, timeout=None):
+    return run_python(["-m", "quillen_strata"] + args, timeout)
+
+
+def test_cli_import_skips_dataclass_machinery():
+    # every CLI run pays for its imports; dataclasses (with inspect) and the
+    # code it generates cost more than the package's own module bodies
+    proc = run_python(["-c", "import sys, quillen_strata.cli; print(sorted("
+                       "{'dataclasses', 'inspect'} & set(sys.modules)))"])
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_subprocess():

@@ -2,7 +2,7 @@ import pytest
 
 from quillen_strata.groups import (FamilySpec, build_group, family_members,
                                    subgroups_up_to_conjugacy)
-from quillen_strata.orbit_cat import (DiagramError, OrbitDiagram,
+from quillen_strata.orbit_cat import (DiagramError, Morphism, OrbitDiagram,
                                       build_orbit_category, coequalize_raw,
                                       colimit, verify_mackey)
 
@@ -163,3 +163,13 @@ def test_colimit_over_identity_diagram():
     res = colimit(OrbitDiagram(category=cat, point_sets=pts, maps=maps))
     # e -> C2 inclusion identifies the two copies pointwise
     assert res.class_count() == 2
+
+
+def test_morphism_equality_ignores_coset():
+    G = build_group("sym:3")
+    m = build_orbit_category(G, subgroups_up_to_conjugacy(G)).homs[(0, 1)][0]
+    other = Morphism(m.src, m.dst, m.witness, coset=0)
+    assert other == m and not other != m and hash(other) == hash(m)
+    assert Morphism(m.src, m.src, m.witness, m.coset) != m
+    with pytest.raises(AttributeError):
+        m.coset = 0

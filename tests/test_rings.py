@@ -12,10 +12,11 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   is_separable, level_polynomial_P,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
-                                  residue_field_label)
+                                  primes_upto, residue_field_label, _gf_modulus)
 
 from conftest import (brute_force_spectrum_ring, compose_mod,
-                      frac_poly_divmod, frac_poly_mul, naive_factor_count)
+                      frac_poly_divmod, frac_poly_mul, naive_factor_count,
+                      reference_gf_modulus)
 
 
 # -- cyclotomic polynomials ----------------------------------------------------
@@ -131,6 +132,27 @@ def test_gf4_structure():
     assert F4.mul(a, F4.mul(a, a)) == F4.one      # a^3 = 1
     assert F4.repr_elem(F4.mul(a, a)) == "a+1"
     assert F4.inv(a) == F4.mul(a, a)
+
+
+def test_gf_modulus_matches_full_walk():
+    checked = 0
+    for p in primes_upto(64):
+        f = 2
+        while p ** f <= 1 << 12:
+            assert _gf_modulus(p, f) == reference_gf_modulus(p, f), (p, f)
+            checked += 1
+            f += 1
+    assert checked == 40
+
+
+def test_poly_record_semantics():
+    F5 = GF(5)
+    assert Poly((1, 0, 0), F5).coeffs == (1,)
+    assert Poly((0, 0), F5).is_zero()
+    assert Poly((2, 3, 0), F5) == Poly((2, 3), F5)
+    assert hash(Poly((2, 3, 0), F5)) == hash(Poly((2, 3), F5))
+    with pytest.raises(AttributeError):
+        Poly((1,), F5).coeffs = (2,)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.data())

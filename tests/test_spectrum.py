@@ -315,3 +315,15 @@ def test_height1_owner_stratum_matches_minimal_subgroup():
     assert len(fp) == 1 and fp[0].stratum == "o1.0"
     z8 = [p for p in w.points if p.label == "Q_2(zeta_8)"]
     assert len(z8) == 1 and z8[0].stratum == "o8.0"
+
+
+def test_space_point_equality_ignores_descriptor_and_stratum_keys():
+    a = SpacePoint("p0", "o1.0", "Q", False)
+    b = SpacePoint("p0", "o1.0", "Q", False, descriptor=("zero",),
+                   stratum_order=2, local_id="q3")
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != SpacePoint("p1", "o1.0", "Q", False)
+    assert (StratifiedSpace({}, [a], [])
+            == StratifiedSpace({}, [b], [], order_complete=False))
+    with pytest.raises(AttributeError):
+        a.label = "F_2"

@@ -6,7 +6,7 @@ import pytest
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
 from quillen_strata.rings import GF, Poly, prime_splitting
-from quillen_strata.strata import (TheoryError, UnsupportedTheory,
+from quillen_strata.strata import (TheoryError, TheorySpec, UnsupportedTheory,
                                    _elem_abelian_basis, _form_substitute,
                                    _generator_power, _linear_powers,
                                    _weyl_matrix, irreducible_forms,
@@ -37,6 +37,19 @@ def test_parse_theory_round_trip():
         parse_theory("nonsense")
 
 
+def test_theory_spec_checks_bounds_and_is_frozen():
+    with pytest.raises(TheoryError):
+        TheorySpec("ku", prime_bound=0)
+    with pytest.raises(TheoryError):
+        TheorySpec("modp", p=2, degree_bound=0)
+    with pytest.raises(UnsupportedTheory):
+        TheorySpec("ku", prime_bound=1001)
+    spec = TheorySpec("ku")
+    assert spec == parse_theory("ku")
+    with pytest.raises(AttributeError):
+        spec.prime_bound = 5
+
+
 def test_theory_families():
     G, classes = classes_of("sym:3")
     h1 = theory_family_classes(parse_theory("height1:p=3"), G)
@@ -54,9 +67,8 @@ def test_weyl_action_kind():
     assert weyl_action_kind(parse_theory("modp:q=4")) == "quillen"
     G, classes = classes_of("sym:3")
     assert weyl_action_kind(th, classes[-1]) == "global"  # non-abelian subgroup
-    nonglobal = parse_theory("height1:p=2")
-    from dataclasses import replace
-    assert weyl_action_kind(replace(nonglobal, is_global=False)) == "ordinary"
+    nonglobal = TheorySpec("height1", p=2, is_global=False)
+    assert weyl_action_kind(nonglobal) == "ordinary"
 
 
 # -- height1 --------------------------------------------------------------------
