@@ -138,23 +138,17 @@ def _cmd_strata(args):
     out = []
     for cls in members:
         model = stratum(theory, G, cls)
-        entry = {
+        out.append({
             "subgroup": {"order": cls.order, "index": cls.index},
             "weyl_kind": weyl_action_kind(theory, cls),
-        }
-        if model.is_empty():
-            entry["empty"] = True
-            entry["reason"] = model.reason
-        else:
-            entry["points"] = [
-                {"local_id": pt.local_id, "label": pt.label,
-                 "closed": pt.closed, "ring": pt.descriptor.ring,
-                 "kind": pt.descriptor.kind}
-                for pt in model.points]
-            entry["internal_edges"] = [list(e) for e in model.internal_edges]
-            entry["weyl_order"] = model.weyl.order
-            entry["orbits"] = [list(o) for o in model.orbits()]
-        out.append(entry)
+            "points": [{"local_id": pt.local_id, "label": pt.label,
+                        "closed": pt.closed, "ring": pt.descriptor.ring,
+                        "kind": pt.descriptor.kind}
+                       for pt in model.points],
+            "internal_edges": [list(e) for e in model.internal_edges],
+            "weyl_order": model.weyl.order,
+            "orbits": [list(o) for o in model.orbits()],
+        })
     doc = {
         "schema": "quillen-strata/strata/1",
         "group": args.group,

@@ -24,7 +24,7 @@ import math
 import re
 from collections import namedtuple
 
-from .rings import is_prime
+from .rings import is_prime, least_prime_factor, p_part
 
 MAX_ORDER = 10_000
 MAX_DSL_DEGREE = 64
@@ -253,15 +253,6 @@ def _mask(numbers):
     return mask
 
 
-def _largest_proper_divisor(n):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return n // p
-        p += 1
-    return 1
-
-
 def _join(index, elems, mask, gens, c, whole=None):
     """The subgroup generated by a subgroup and one more element c.
 
@@ -274,7 +265,7 @@ def _join(index, elems, mask, gens, c, whole=None):
     crow = index.left(c)
     rows = [index.left(a) for a in gens]
     rows.append(crow)
-    bound = _largest_proper_divisor(len(whole[0])) if whole else len(index.perms)
+    bound = len(whole[0]) // least_prime_factor(len(whole[0])) if whole else len(index.perms)
     out = list(elems)
     for x in elems:  # the subgroup is closed under gens, so only c moves it
         y = crow[x]
@@ -434,10 +425,7 @@ class PermGroup:
         return self.cyclic_generator() is not None
 
     def is_p_group(self, p):
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return p_part(self.order, p)[1] == 1
 
     def is_elementary_abelian(self, p):
         if not self.is_p_group(p) or not self.is_abelian():
@@ -454,12 +442,7 @@ class PermGroup:
         # g^p, read off g's powers cyclically since g^|g| = e
         ppowers = frozenset(pw[(p - 1) % len(pw)]
                             for pw in map(self.element_index().powers, self.numbers()))
-        quot = self.order // len(ppowers)
-        rank = 0
-        while quot > 1:
-            quot //= p
-            rank += 1
-        return rank
+        return p_part(self.order // len(ppowers), p)[0]  # |A/pA| = p^rank
 
     def generator_strings(self):
         return tuple(g.cycle_string() for g in minimal_generators(self))

@@ -28,15 +28,28 @@ class RingError(Exception):
     """Arithmetic precondition failure (bounds, non-monic divisor, ...)."""
 
 
+def least_prime_factor(n):
+    """The least prime factor of n >= 1 by trial division: n itself when n
+    is 1 or prime."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
+def p_part(n, p):
+    """(k, m) with n = p^k * m and p not dividing m, for n >= 1 and p >= 2."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and least_prime_factor(n) == n
 
 
 def primes_upto(bound):
@@ -45,16 +58,21 @@ def primes_upto(bound):
 
 def euler_phi(n):
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    while n > 1:
+        p = least_prime_factor(n)
+        out -= out // p
+        n = p_part(n, p)[1]
+    return out
+
+
+def _power(x, e, mul, one):
+    """x^e for e >= 0 by square-and-multiply under the product mul."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
     return out
 
 
@@ -207,14 +225,7 @@ class GF:
         return n % self.p
 
     def power(self, a, e):
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(a, e, self.mul, 1)
 
     def gen(self):
         """The class of the variable in F_p[t]/(modulus); 0 generator for f=1."""
@@ -333,14 +344,7 @@ class CycloField:
         return inv + (Fraction(0),) * (self.phi - len(inv))
 
     def power(self, a, e):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(a, e, self.mul, self.one)
 
     def repr_elem(self, a):
         terms = []
@@ -530,14 +534,7 @@ def poly_gcd(a, b):
 
 
 def powmod(base, e, mod):
-    out = Poly.one(base.dom)
-    base = base % mod
-    while e:
-        if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return out
+    return _power(base % mod, e, lambda a, b: (a * b) % mod, Poly.one(base.dom))
 
 
 # -- irreducibility and factorization over finite fields ----------------------
@@ -627,14 +624,8 @@ def _zp_gcd(a, b, p):
 
 
 def _zp_powmod(base, e, mod, p):
-    out = [1]
-    base = _zp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _zp_divmod(_zp_mul(out, base, p), mod, p)[1]
-        base = _zp_divmod(_zp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return out
+    return _power(_zp_divmod(base, mod, p)[1], e,
+                  lambda a, b: _zp_divmod(_zp_mul(a, b, p), mod, p)[1], [1])
 
 
 def _zp_deriv(a, p):
@@ -768,9 +759,7 @@ def cyclotomic_factors_mod(d, q):
     random coset sums until every piece has degree f.
     """
     dom = GF(q)
-    e = d
-    while e % q == 0:
-        e //= q
+    e = p_part(d, q)[1]
     f = multiplicative_order(q, e)
     phi = [c % q for c in cyclotomic_poly(e).coeffs]
     if len(phi) - 1 == f:
@@ -941,11 +930,7 @@ def cyclic_spectrum_ring(n, prime_bound):
     maximal = []
     contains = []
     for q in primes_upto(prime_bound):
-        free = []
-        for d in divisors:
-            while d % q == 0:
-                d //= q
-            free.append(d)
+        free = [p_part(d, q)[1] for d in divisors]
         # each factor g of X^n - 1 mod q divides Phi_e for exactly one e
         factor_of = {g: e for e in free for g in cyclotomic_factors_mod(e, q)}
         for g in sorted(factor_of, key=lambda g: (g.degree, g.coeffs)):

@@ -101,8 +101,6 @@ def assemble_strong(theory, G, group_label=""):
     stratum_orders = {}
     for cls in members:
         model = stratum(theory, G, cls)
-        if model.is_empty():
-            continue
         skey = keys[cls.index]
         stratum_orders[skey] = cls.order
         if cls.order == 1:

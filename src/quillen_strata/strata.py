@@ -24,7 +24,7 @@ from .groups import FamilySpec, GroupError, family_members, weyl
 from .orbit_cat import quotient
 from .rings import (GF, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, cyclotomic_factors_mod, is_prime,
-                    primes_upto, residue_field_label)
+                    least_prime_factor, p_part, primes_upto, residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
 DEFAULT_DEGREE_BOUND = 1
@@ -39,9 +39,8 @@ class UnsupportedTheory(Exception):
     """The (theory, group) pair is outside the computable range."""
 
 
-class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound is_global",
-                            defaults=(0, 1, DEFAULT_PRIME_BOUND, DEFAULT_DEGREE_BOUND,
-                                      True))):
+class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
+                            defaults=(0, 1, DEFAULT_PRIME_BOUND, DEFAULT_DEGREE_BOUND))):
     """kind is height1 | ku | hz | modp | kr; p the prime (height1, hz, modp,
     kr); q = p^f for modp.  All built-in theories arise globally."""
 
@@ -128,15 +127,10 @@ def parse_theory(text, prime_bound=None, degree_bound=None):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:  # the least divisor above 1 is prime
-            f = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                f += 1
-            if n != 1:
-                raise TheoryError("q = %d is not a prime power" % q)
+    if q >= 2:
+        p = least_prime_factor(q)
+        f, rest = p_part(q, p)
+        if rest == 1:
             return p, f
     raise TheoryError("q = %d is not a prime power" % q)
 
@@ -144,12 +138,9 @@ def _prime_power(q):
 def weyl_action_kind(theory, subgroup=None):
     """Which Weyl flavor acts on a stratum.
 
-    Global theories with abelian family members get the Quillen-Weyl group
-    N/C; a global theory at a non-abelian subgroup gets N/(H*C); a theory with
-    no global structure falls back to the ordinary N/H.
+    Every built-in theory is global: abelian family members get the
+    Quillen-Weyl group N/C, and a non-abelian subgroup gets N/(H*C).
     """
-    if not theory.is_global:
-        return "ordinary"
     if subgroup is None or subgroup.is_abelian():
         return "quillen"
     return "global"
@@ -184,48 +175,25 @@ def _trivial_action(weyl_group, npoints):
     return tuple(ident for _ in weyl_group.sorted_quotient())
 
 
-def _p_log(order, p):
-    i = 0
-    n = order
-    while n % p == 0:
-        n //= p
-        i += 1
-    return i if n == 1 else None
-
-
-def _empty(cls, reason):
-    return StratumModel(subgroup=cls, points=(), internal_edges=(),
-                        weyl=None, action=(), reason=reason)
-
-
 def stratum(theory, G, cls):
     """The stratum of one subgroup class: points, internal order, Weyl action.
 
     Classes outside the theory's family give an empty stratum with a reason
     (the geometric fixed points vanish there); group/theory combinations the
-    engine cannot handle raise UnsupportedTheory.
+    engine cannot handle raise UnsupportedTheory.  The builders get a family
+    member and its Weyl group.
     """
     theory.check_supports(G)
-    if theory.kind == "height1":
-        return _stratum_height1(theory, G, cls)
-    if theory.kind == "ku":
-        return _stratum_ku(theory, G, cls)
-    if theory.kind == "hz":
-        return _stratum_hz(theory, G, cls)
-    if theory.kind == "modp":
-        return _stratum_modp(theory, G, cls)
-    if theory.kind == "kr":
-        return _stratum_kr(theory, G, cls)
-    raise TheoryError("unknown theory kind %r" % (theory.kind,))
-
-
-def _stratum_height1(theory, G, cls):
-    p = theory.p
-    i = _p_log(cls.order, p)
-    if i is None or not cls.is_cyclic():
-        return _empty(cls, "outside family: geometric fixed points vanish")
+    if not theory.family().contains(cls):
+        return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
+                            reason="outside family: geometric fixed points vanish")
     w = weyl(G, cls, weyl_action_kind(theory, cls))
-    if i == 0:
+    return _BUILDERS[theory.kind](theory, cls, w)
+
+
+def _stratum_height1(theory, cls, w):
+    p = theory.p
+    if cls.order == 1:
         points = (
             StratumPoint("Q_%d" % p,
                          PrimeDescriptor("Z_p", "generic", ("zero",), "Q_%d" % p),
@@ -236,9 +204,9 @@ def _stratum_height1(theory, G, cls):
         )
         edges = ((0, 1),)
     else:
-        lbl = "Q_%d(zeta_%d)" % (p, p ** i)
+        lbl = "Q_%d(zeta_%d)" % (p, cls.order)
         points = (StratumPoint(
-            lbl, PrimeDescriptor("Z_p", "generic", ("cyclo", p ** i), lbl),
+            lbl, PrimeDescriptor("Z_p", "generic", ("cyclo", cls.order), lbl),
             lbl, False),)
         edges = ()
     # the Quillen-Weyl group acts trivially on these spectra
@@ -319,11 +287,8 @@ def _galois_image(local_id, d, a):
     return "%d.%d" % (q, labels[reps[i] * a % d])
 
 
-def _stratum_ku(theory, G, cls):
-    if not cls.is_cyclic():
-        return _empty(cls, "outside family: geometric fixed points vanish")
+def _stratum_ku(theory, cls, w):
     d = cls.order
-    w = weyl(G, cls, weyl_action_kind(theory, cls))
     points, edges = _ku_points(d, theory.prime_bound)
     position = {pt.local_id: k for k, pt in enumerate(points)}
     index = cls.element_index()
@@ -349,15 +314,10 @@ def _spec_z_points(prime_bound):
     return tuple(points), edges
 
 
-def _stratum_hz(theory, G, cls):
+def _stratum_hz(theory, cls, w):
+    if cls.order == 1:
+        return _stratum_kr(theory, cls, w)
     p = theory.p
-    i = _p_log(cls.order, p)
-    w = weyl(G, cls, weyl_action_kind(theory, cls))
-    if i == 0:
-        points, edges = _spec_z_points(theory.prime_bound)
-        return StratumModel(subgroup=cls, points=points, internal_edges=edges,
-                            weyl=w, action=_trivial_action(w, len(points)),
-                            truncated=True)
     ring = "Z/%d[t]^h" % p
     points = (
         StratumPoint("gen", PrimeDescriptor(ring, "generic", ("zero",),
@@ -369,10 +329,8 @@ def _stratum_hz(theory, G, cls):
                         weyl=w, action=_trivial_action(w, 2))
 
 
-def _stratum_kr(theory, G, cls):
-    if cls.order != 1:
-        return _empty(cls, "outside family: geometric fixed points vanish")
-    w = weyl(G, cls, weyl_action_kind(theory, cls))
+def _stratum_kr(theory, cls, w):
+    """The truncated Spec Z at the trivial subgroup, the one family member."""
     points, edges = _spec_z_points(theory.prime_bound)
     return StratumModel(subgroup=cls, points=points, internal_edges=edges,
                         weyl=w, action=_trivial_action(w, len(points)),
@@ -502,10 +460,8 @@ def _weyl_matrix(index, basis, coords, g):
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
-def _stratum_modp(theory, G, cls):
+def _stratum_modp(theory, cls, w):
     p, q = theory.p, theory.q
-    if not cls.is_elementary_abelian(p):
-        return _empty(cls, "outside family: geometric fixed points vanish")
     r = cls.p_rank(p)
     if r > 2:
         raise UnsupportedTheory(
@@ -513,7 +469,6 @@ def _stratum_modp(theory, G, cls):
             "got rank %d" % r)
     dom = GF(theory.p, theory.f)
     ring = "F_%d[x,y]^h" % q
-    w = weyl(G, cls, weyl_action_kind(theory, cls))
     if r == 0:
         points = (StratumPoint(
             "irr", PrimeDescriptor(ring, "closed", ("irrelevant",), "F_%d" % q),
@@ -554,6 +509,10 @@ def _stratum_modp(theory, G, cls):
     return StratumModel(subgroup=cls, points=tuple(points),
                         internal_edges=edges, weyl=w, action=tuple(action),
                         truncated=True)
+
+
+_BUILDERS = {"height1": _stratum_height1, "ku": _stratum_ku, "hz": _stratum_hz,
+             "modp": _stratum_modp, "kr": _stratum_kr}
 
 
 # -- transition maps (weak assembly) -------------------------------------------

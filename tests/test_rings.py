@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,62 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   RingError, ZZ,
                                   cyclic_spectrum_ring, cyclotomic_factors_mod,
                                   cyclotomic_poly,
-                                  divides, factor, is_irreducible,
-                                  is_separable, level_polynomial_P,
+                                  divides, euler_phi, factor, is_irreducible,
+                                  is_prime, is_separable, least_prime_factor,
+                                  level_polynomial_P, p_part,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
-                                  primes_upto, residue_field_label, _gf_modulus)
+                                  primes_upto, residue_field_label, _gf_modulus,
+                                  _power)
+from quillen_strata.strata import TheoryError, parse_theory
 
 from conftest import (brute_force_spectrum_ring, compose_mod,
                       frac_poly_divmod, frac_poly_mul, naive_factor_count,
                       reference_gf_modulus)
+
+
+# -- integer helpers -------------------------------------------------------------
+
+def test_integer_helpers_against_divisor_lists():
+    for n in range(1, 2001):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert least_prime_factor(n) == (divisors[1] if n > 1 else 1), n
+        assert is_prime(n) == (divisors == [1, n]), n
+        for p in range(2, 12):
+            k = max(j for j in range(n.bit_length() + 1) if p ** j in divisors)
+            assert p_part(n, p) == (k, n // p ** k), (n, p)
+    assert not any(is_prime(n) for n in (-7, -1, 0))
+
+
+def test_euler_phi_against_gcd_count():
+    for n in range(1, 501):
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1), n
+
+
+def test_power_against_builtin_pow():
+    for p in (2, 3, 7, 101, 65537):
+        mul = lambda a, b: a * b % p
+        for x in (0, 1, 2, p - 1, 12345 % p):
+            for e in list(range(20)) + [p - 2, p - 1, 10 ** 6 + 3]:
+                assert _power(x, e, mul, 1) == pow(x, e, p), (x, e, p)
+        if p < 1 << 16:
+            assert all(GF(p).power(x, e) == pow(x, e, p)
+                       for x in range(min(p, 30)) for e in range(12))
+
+
+@pytest.mark.parametrize("q, expected", [
+    (0, "q = 0 is not a prime power"), (1, "q = 1 is not a prime power"),
+    (4, (2, 2)), (6, "q = 6 is not a prime power"),
+    (12, "q = 12 is not a prime power"), (49, (7, 2)), (64, (2, 6)),
+    (65536, (2, 16))])
+def test_parse_modp_field_size(q, expected):
+    if isinstance(expected, str):
+        with pytest.raises(TheoryError) as err:
+            parse_theory("modp:q=%d" % q)
+        assert type(err.value) is TheoryError and str(err.value) == expected
+    else:
+        th = parse_theory("modp:q=%d" % q)
+        assert (th.p, th.f) == expected
 
 
 # -- cyclotomic polynomials ----------------------------------------------------

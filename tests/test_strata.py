@@ -67,8 +67,6 @@ def test_weyl_action_kind():
     assert weyl_action_kind(parse_theory("modp:q=4")) == "quillen"
     G, classes = classes_of("sym:3")
     assert weyl_action_kind(th, classes[-1]) == "global"  # non-abelian subgroup
-    nonglobal = TheorySpec("height1", p=2, is_global=False)
-    assert weyl_action_kind(nonglobal) == "ordinary"
 
 
 # -- height1 --------------------------------------------------------------------
@@ -361,16 +359,21 @@ def test_modp_degree_two_stratum_over_f2():
     assert m.weyl.order == 1  # abelian parent: N = C = G
 
 
-def test_empty_stratum_law(corpus_groups):
-    # empty exactly outside the family
-    th = parse_theory("height1:p=2")
+@pytest.mark.parametrize("name", ["height1:p=2", "height1:p=3", "ku", "hz:p=2",
+                                  "hz:p=3", "modp:q=4", "modp:q=9", "kr"])
+def test_empty_stratum_law(corpus_groups, name):
+    # empty exactly outside the family, for every theory
+    th = parse_theory(name)
     for dsl, G in corpus_groups:
         if G.order > 12:
             continue
-        members = {c.index for c in theory_family_classes(th, G)}
+        try:
+            members = {c.index for c in theory_family_classes(th, G)}
+        except UnsupportedTheory:
+            continue
         for cls in subgroups_up_to_conjugacy(G):
             m = stratum(th, G, cls)
-            assert m.is_empty() == (cls.index not in members)
+            assert m.is_empty() == (cls.index not in members) == bool(m.reason)
 
 
 def test_generator_power():
