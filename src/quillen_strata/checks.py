@@ -182,28 +182,18 @@ def _is_group_action(model):
 
 def check_agreement_suite(groups=None, primes=(2, 3), ku_max=12):
     def run():
-        count = 0
-        for dsl, G in groups or corpus_mod.small_corpus():
-            for p in primes:
-                th = parse_theory("height1:p=%d" % p)
-                strong = assemble_strong(th, G, dsl)
-                weak = assemble_weak(th, G, dsl)
-                rep = check_agreement(strong, weak)
-                count += 1
-                if not rep.isomorphic:
-                    return False, "height1:p=%d disagrees on %s (%s)" % (
-                        p, dsl, rep.obstruction)
-        for n in range(1, ku_max + 1):
-            th = parse_theory("ku")
-            dsl = "cyclic:%d" % n
-            G = build_group(dsl)
+        cases = [("height1:p=%d" % p, dsl, G)
+                 for dsl, G in groups or corpus_mod.small_corpus() for p in primes]
+        cases += [("ku", "cyclic:%d" % n, build_group("cyclic:%d" % n))
+                  for n in range(1, ku_max + 1)]
+        for tname, dsl, G in cases:
+            th = parse_theory(tname)
             strong = assemble_strong(th, G, dsl)
             weak = assemble_weak(th, G, dsl)
             rep = check_agreement(strong, weak)
-            count += 1
             if not rep.isomorphic:
-                return False, "ku disagrees on %s (%s)" % (dsl, rep.obstruction)
-        return True, "%d comparisons" % count
+                return False, "%s disagrees on %s (%s)" % (tname, dsl, rep.obstruction)
+        return True, "%d comparisons" % len(cases)
     return _timed("weak-strong-agreement", run)
 
 

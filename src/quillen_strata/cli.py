@@ -23,7 +23,7 @@ from .rings import (RingError, divides, is_separable, level_polynomial_P,
                     reduce_cyclo_mod_p)
 from .spectrum import assemble_strong, assemble_weak, serialize
 from .strata import (TheoryError, UnsupportedTheory, parse_theory, stratum,
-                     theory_family_classes, weyl_action_kind)
+                     theory_family_classes)
 
 
 class CliParseError(Exception):
@@ -140,7 +140,7 @@ def _cmd_strata(args):
         model = stratum(theory, G, cls)
         out.append({
             "subgroup": {"order": cls.order, "index": cls.index},
-            "weyl_kind": weyl_action_kind(theory, cls),
+            "weyl_kind": model.weyl.kind,
             "points": [{"local_id": pt.local_id, "label": pt.label,
                         "closed": pt.closed, "ring": pt.descriptor.ring,
                         "kind": pt.descriptor.kind}
@@ -170,15 +170,23 @@ def _cmd_coequalize(args):
     except (OSError, ValueError) as exc:
         raise CliParseError("cannot read diagram: %s" % exc)
     try:
-        objects = {obj["id"]: list(obj["points"]) for obj in doc["objects"]}
-        maps = [(m["src"], m["dst"], dict(m["table"])) for m in doc["maps"]]
+        objects = [(obj["id"], obj["points"]) for obj in doc["objects"]]
+        maps = [(m["src"], m["dst"], m["table"]) for m in doc["maps"]]
     except (KeyError, TypeError) as exc:
         raise CliParseError("bad diagram document: %s" % exc)
-    names = list(objects) + [pt for pts in objects.values() for pt in pts]
+    if not all(isinstance(pts, list) for _, pts in objects):
+        raise CliParseError("bad diagram document: points must be lists")
+    if not all(isinstance(table, dict) for _, _, table in maps):
+        raise CliParseError("bad diagram document: map tables must be objects")
+    names = [oid for oid, _ in objects] + [pt for _, pts in objects for pt in pts]
     names += [name for src, dst, table in maps for name in (src, dst, *table.values())]
     if not all(isinstance(name, str) for name in names):
         raise CliParseError("bad diagram document: ids and points must be strings")
-    result = coequalize_raw(objects, maps)
+    if len(dict(objects)) != len(objects):
+        raise CliParseError("bad diagram document: object ids must be distinct")
+    if not all(len(set(pts)) == len(pts) for _, pts in objects):
+        raise CliParseError("bad diagram document: points must be distinct")
+    result = coequalize_raw(dict(objects), maps)
     out = {
         "schema": "quillen-strata/coequalizer/1",
         "classes": [

@@ -435,8 +435,6 @@ class PermGroup:
 
     def p_rank(self, p):
         """Minimal generator count of an abelian p-group: rank of A/pA."""
-        if self.order == 1:
-            return 0
         if not (self.is_p_group(p) and self.is_abelian()):
             raise GroupError("p_rank needs an abelian p-group")
         # g^p, read off g's powers cyclically since g^|g| = e

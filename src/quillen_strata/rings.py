@@ -12,6 +12,7 @@ here is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import zlib
 from collections import namedtuple
@@ -92,62 +93,29 @@ def multiplicative_order(q, d):
 
 # -- coefficient domains -----------------------------------------------------
 
-class ZZ:
-    name = "Z"
-    is_field = False
-    zero = 0
-    one = 1
+class _Numbers:
+    """Z or Q: the Python numbers of one type under the built-in arithmetic."""
 
-    @staticmethod
-    def add(a, b):
-        return a + b
+    add = operator.add
+    neg = operator.neg
+    mul = operator.mul
+    repr_elem = str
 
-    @staticmethod
-    def neg(a):
-        return -a
+    def __init__(self, name, number):
+        self.name = name
+        self.of_int = number
+        self.zero = number(0)
+        self.one = number(1)
+        self.is_field = number is Fraction
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def of_int(n):
-        return n
-
-    @staticmethod
-    def repr_elem(a):
-        return str(a)
-
-
-class QQ:
-    name = "Q"
-    is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
+    def inv(self, a):
+        if not self.is_field:
+            raise RingError("no inverses in %s" % self.name)
         return 1 / Fraction(a)
 
-    @staticmethod
-    def of_int(n):
-        return Fraction(n)
 
-    @staticmethod
-    def repr_elem(a):
-        return str(a)
+ZZ = _Numbers("Z", int)
+QQ = _Numbers("Q", Fraction)
 
 
 class GF:
@@ -434,8 +402,6 @@ class Poly(namedtuple("Poly", "coeffs dom")):
 
     def __mul__(self, other):
         dom = self.dom
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(dom)
         out = [dom.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x != dom.zero:
@@ -460,8 +426,6 @@ class Poly(namedtuple("Poly", "coeffs dom")):
             inv_lead = dom.one
         rem = list(self.coeffs)
         dq = divisor.degree
-        if self.degree < dq:
-            return Poly.zero(dom), self
         quot = [dom.zero] * (self.degree - dq + 1)
         for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i]
@@ -546,8 +510,6 @@ def is_irreducible(f):
     k = f.degree
     if k <= 0:
         return False
-    if k == 1:
-        return True
     q = dom.q
     x = Poly.x(dom)
     for l in sorted({l for l in range(2, k + 1) if k % l == 0 and is_prime(l)}):
@@ -599,8 +561,6 @@ def _zp_divmod(a, b, p):
     a = list(a)
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _zp_trim(a)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
@@ -763,6 +723,9 @@ def cyclotomic_factors_mod(d, q):
     f = multiplicative_order(q, e)
     phi = [c % q for c in cyclotomic_poly(e).coeffs]
     if len(phi) - 1 == f:
+        # the loop below returns phi too, but only after seeding its RNG and
+        # building the cosets, about 13 us more; for ku on cyclic:12, 23, 30
+        # and 42 at prime bound 200, 588 of the 1072 calls are this case
         return (Poly(tuple(phi), dom),)
     coset = [None] * e
     ncosets = 0

@@ -94,24 +94,19 @@ def assemble_strong(theory, G, group_label=""):
     members = theory_family_classes(theory, G)
     keys = _class_keys(members)
     points = []
-    edges = []
+    edges = {}         # (src, dst) -> SpaceEdge; the first edge of a pair wins
     truncated = False
     descriptors = {}   # descriptor data -> point id (for ring containments)
-    trivial_key = None
-    stratum_orders = {}
+
+    def add_edge(src, dst, kind, provenance=""):
+        edges.setdefault((src, dst), SpaceEdge(src, dst, kind, provenance))
+
     for cls in members:
         model = stratum(theory, G, cls)
         skey = keys[cls.index]
-        stratum_orders[skey] = cls.order
-        if cls.order == 1:
-            trivial_key = skey
         truncated = truncated or model.truncated
-        orbits = model.orbits()
-        rep_of = {}
-        for orb in orbits:
-            for i in orb:
-                rep_of[i] = orb[0]
-        for orb in orbits:
+        pid_of = {}    # point index -> id of its orbit's point
+        for orb in model.orbits():
             rp = model.points[orb[0]]
             pid = "%s:%s" % (skey, rp.local_id)
             points.append(SpacePoint(
@@ -119,58 +114,53 @@ def assemble_strong(theory, G, group_label=""):
                 descriptor=rp.descriptor, stratum_order=cls.order,
                 local_id=rp.local_id))
             descriptors.setdefault(rp.descriptor.data, pid)
-        seen = set()
+            for i in orb:
+                pid_of[i] = pid
         for (i, j) in model.internal_edges:
-            a, b = rep_of[i], rep_of[j]
-            if a == b:
-                continue
-            pair = ("%s:%s" % (skey, model.points[a].local_id),
-                    "%s:%s" % (skey, model.points[b].local_id))
-            if pair not in seen:
-                seen.add(pair)
-                edges.append(SpaceEdge(pair[0], pair[1], "internal"))
+            if pid_of[i] != pid_of[j]:
+                add_edge(pid_of[i], pid_of[j], "internal")
     order_complete = True
 
     if theory.kind == "height1":
+        # members come in canonical order, the trivial class first
+        trivial_key = keys[members[0].index]
         closed_id = "%s:F_%d" % (trivial_key, theory.p)
         for pt in points:
             if pt.stratum != trivial_key:
-                edges.append(SpaceEdge(pt.id, closed_id, "cross-stratum"))
+                add_edge(pt.id, closed_id, "cross-stratum")
     elif theory.kind == "ku":
         if G.is_cyclic():
             ring = cyclic_spectrum_ring(G.order, theory.prime_bound)
-            existing = {(e.src, e.dst) for e in edges}
             for (i, j) in ring.contains:
                 src = descriptors[ring.minimal[i].data]
                 dst = descriptors[ring.maximal[j].data]
-                if (src, dst) in existing:
-                    continue
-                existing.add((src, dst))
-                src_stratum = src.split(":", 1)[0]
-                dst_stratum = dst.split(":", 1)[0]
-                kind = "internal" if src_stratum == dst_stratum else "cross-stratum"
-                edges.append(SpaceEdge(src, dst, kind))
+                same = src.split(":", 1)[0] == dst.split(":", 1)[0]
+                add_edge(src, dst, "internal" if same else "cross-stratum")
         else:
             # only the point set is assembled beyond cyclic groups
             order_complete = False
     elif theory.kind == "hz":
-        ordered = sorted(stratum_orders.items(), key=lambda kv: kv[1])
-        for (skey, order), (prev_key, prev_order) in zip(ordered[1:], ordered):
-            src = "%s:gen" % skey
-            if prev_order == 1:
+        for cls, prev in zip(members[1:], members):
+            prev_key = keys[prev.index]
+            if prev.order == 1:
                 dst = "%s:q%d" % (prev_key, theory.p)
             else:
                 dst = "%s:t" % prev_key
-            edges.append(SpaceEdge(src, dst, "external", "Balmer-Gallauer"))
+            add_edge("%s:gen" % keys[cls.index], dst, "external", "Balmer-Gallauer")
     elif theory.kind == "modp":
         order_complete = len(members) <= 1
     # kr: single stratum, internal edges already complete
 
-    points.sort(key=lambda pt: pt.id)
-    edges.sort(key=lambda e: (e.src, e.dst, e.kind, e.provenance))
+    return _space(_meta(theory, group_label, "strong", truncated),
+                  points, edges.values(), order_complete)
+
+
+def _space(meta, points, edges, order_complete):
+    """The space with points sorted by id and edges by all four fields."""
     space = StratifiedSpace(
-        meta=_meta(theory, group_label, "strong", truncated),
-        points=points, edges=edges, order_complete=order_complete)
+        meta=meta, points=sorted(points, key=lambda pt: pt.id),
+        edges=sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.provenance)),
+        order_complete=order_complete)
     _check_disjointness(space)
     return space
 
@@ -247,15 +237,9 @@ def assemble_weak(theory, G, group_label=""):
             weak_edges[(src, dst, kind)] = SpaceEdge(src, dst, kind)
 
     truncated = any(spaces[i].meta["truncated"] for i in spaces)
-    weak_points.sort(key=lambda pt: pt.id)
-    edges = sorted(weak_edges.values(),
-                   key=lambda e: (e.src, e.dst, e.kind, e.provenance))
-    space = StratifiedSpace(
-        meta=_meta(theory, group_label, "weak", truncated),
-        points=weak_points, edges=edges,
-        order_complete=all(spaces[i].order_complete for i in spaces))
-    _check_disjointness(space)
-    return space
+    return _space(_meta(theory, group_label, "weak", truncated),
+                  weak_points, weak_edges.values(),
+                  all(spaces[i].order_complete for i in spaces))
 
 
 # -- isomorphism check ---------------------------------------------------------

@@ -61,10 +61,8 @@ class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
 
     @property
     def name(self):
-        if self.kind == "height1":
-            return "height1:p=%d" % self.p
-        if self.kind == "hz":
-            return "hz:p=%d" % self.p
+        if self.kind in ("height1", "hz"):
+            return "%s:p=%d" % (self.kind, self.p)
         if self.kind == "modp":
             return "modp:q=%d,deg=%d" % (self.q, self.degree_bound)
         return self.kind

@@ -326,3 +326,28 @@ def test_coequalize_rejects_non_string_table_values(tmp_path, capsys):
         m = {"src": "a", "dst": "a", "table": {"x": value}}
         _assert_parse_error(*_coequalize({"objects": objects, "maps": [m]},
                                          tmp_path, capsys))
+
+
+def test_coequalize_rejects_a_table_that_is_not_an_object(tmp_path, capsys):
+    objects = [{"id": "a", "points": ["x"]}]
+    for table in ("xx", ["xx"], [["x", "x"]]):
+        m = {"src": "a", "dst": "a", "table": table}
+        _assert_parse_error(*_coequalize({"objects": objects, "maps": [m]},
+                                         tmp_path, capsys))
+
+
+def test_coequalize_rejects_a_repeated_object_id(tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": ["x"]}, {"id": "a", "points": ["y"]}],
+           "maps": []}
+    _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+def test_coequalize_rejects_a_point_repeated_in_one_object(tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": ["x", "x"]}], "maps": []}
+    _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+def test_coequalize_rejects_points_that_are_not_a_list(tmp_path, capsys):
+    for points in ("xy", {"x": "y"}):
+        doc = {"objects": [{"id": "a", "points": points}], "maps": []}
+        _assert_parse_error(*_coequalize(doc, tmp_path, capsys))

@@ -240,6 +240,12 @@ def test_p_rank():
     assert subgroups_up_to_conjugacy(C4)[-1].p_rank(2) == 1
 
 
+def test_p_rank_of_the_trivial_group():
+    trivial = build_group("cyclic:1")
+    assert trivial.p_rank(2) == 0
+    assert trivial.p_rank(3) == 0
+
+
 def test_select_class_and_aliases():
     G = build_group("sym:3")
     classes = subgroups_up_to_conjugacy(G)

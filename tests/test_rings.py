@@ -15,7 +15,7 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
                                   primes_upto, residue_field_label, _gf_modulus,
-                                  _power)
+                                  _power, _zp_divmod)
 from quillen_strata.strata import TheoryError, parse_theory
 
 from conftest import (brute_force_spectrum_ring, compose_mod,
@@ -169,6 +169,52 @@ def test_cyclotomic_factors_bench_sized(d, q):
         assert g.is_monic() and is_irreducible(g)
         prod = prod * g
     assert prod == phi
+
+
+# -- the exact-number domain and the general polynomial paths -------------------
+
+def test_integer_and_rational_domains():
+    assert not ZZ.is_field and QQ.is_field
+    assert type(ZZ.of_int(3)) is int and ZZ.zero == 0 and ZZ.one == 1
+    assert QQ.of_int(3) == Fraction(3) and type(QQ.of_int(3)) is Fraction
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert (ZZ.name, QQ.name) == ("Z", "Q")
+    assert ZZ.repr_elem(-3) == "-3"
+    assert QQ.repr_elem(Fraction(-1, 2)) == "-1/2" and QQ.repr_elem(Fraction(4, 2)) == "2"
+    assert QQ.inv(3) == Fraction(1, 3)
+    with pytest.raises(RingError):
+        ZZ.inv(3)
+    assert Poly.from_ints([1, 2], QQ).pretty() == "2*X+1"
+    with pytest.raises(RingError):
+        Poly.from_ints([1, 0, 1], ZZ).divmod(Poly.from_ints([1, 2], ZZ))
+    q, r = Poly.from_ints([1, 0, 1], QQ).divmod(Poly.from_ints([1, 2], QQ))
+    assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2)) and r.coeffs == (Fraction(5, 4),)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2, 2)], ids=["Z", "Q", "F_4"])
+def test_poly_product_with_a_zero_factor(dom):
+    zero = Poly.zero(dom)
+    f = Poly((dom.one, dom.zero, dom.one), dom)
+    for prod in (zero * f, f * zero, zero * zero):
+        assert prod.is_zero() and prod == zero
+
+
+def test_divmod_of_a_shorter_dividend():
+    for dom in (ZZ, QQ, GF(5), GF(2, 2)):
+        divisor = Poly((dom.one, dom.one, dom.zero, dom.one), dom)
+        shorter = (Poly.zero(dom), Poly((dom.one,), dom),
+                   Poly((dom.zero, dom.one, dom.one), dom))
+        for a in shorter:
+            assert a.divmod(divisor) == (Poly.zero(dom), a)
+    assert _zp_divmod([], [1, 0, 1], 5) == ([], [])
+    assert _zp_divmod([2, 3], [1, 0, 1], 5) == ([], [2, 3])
+    assert _zp_divmod([4], [3, 2], 5) == ([], [4])
+
+
+def test_every_monic_linear_polynomial_is_irreducible():
+    for dom in (GF(5), GF(2, 2)):
+        for c in dom.elements():
+            assert is_irreducible(Poly((c, dom.one), dom)), (dom, c)
 
 
 # -- finite fields -------------------------------------------------------------
