@@ -5,8 +5,10 @@ object.  Generic factorization over prime fields is distinct-degree followed
 by Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG.
 The factors of Phi_d mod q, all of one known degree, are split instead by
 random Frobenius-fixed coset sums raised to (q-1)/2, with no distinct-degree
-pass.  Factor lists are always returned in canonical order, so every result
-here is reproducible bit for bit.
+pass.  Both raise residues to powers with one bigint product per step, each
+residue packed into one int with a 64-bit slot per coefficient.  Factor
+lists are always returned in canonical order, so every result here is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 import zlib
 from collections import namedtuple
 from fractions import Fraction
@@ -527,17 +530,6 @@ def _zp_trim(c):
     return c
 
 
-def _zp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _zp_trim([c % p for c in out])
-
-
 def _zp_sub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -583,9 +575,51 @@ def _zp_gcd(a, b, p):
     return _zp_monic(a, p)
 
 
+def _zp_pack(c):
+    """The int sum_i c_i 2^(64 i) of residues 0 <= c_i < 2^64, lowest first.
+
+    The "<" format and "little" fix the byte order on every machine."""
+    return int.from_bytes(struct.pack("<%dQ" % len(c), *c), "little")
+
+
+def _zp_unpack(x):
+    """The 64-bit slots of x >= 0, lowest first, up to its top nonzero slot."""
+    k = (x.bit_length() + 63) >> 6
+    return struct.unpack("<%dQ" % k, x.to_bytes(8 * k, "little"))
+
+
+def _zp_mulmod(mod, p):
+    """The product of packed residues modulo `mod`, of degree n, over F_p.
+
+    A residue of degree < n is one int with a 64-bit slot per coefficient
+    (Kronecker substitution), so a product is one bigint product.  Its slot k
+    is at most n(p-1)^2; each slot k >= n, reduced mod p, folds into the low
+    n slots as that multiple of the packed row X^k mod `mod`.  No slot goes
+    past (2n-1)(p-1)^2 < 2^64, as p < 2^16 (MAX_FIELD_ORDER).
+    """
+    n = len(mod) - 1
+    inv = pow(mod[-1], -1, p)
+    rows = []
+    r = [0] * (n - 1) + [1]
+    for _ in range(n - 1):
+        # X r = t mod + (X r - t mod), t = lead(r) / lead(mod)
+        t = r[-1] * inv % p
+        r = [(x - t * y) % p for x, y in zip([0] + r[:-1], mod)]
+        rows.append(_zp_pack(r))
+    low = (1 << 64 * n) - 1
+
+    def mul(a, b):
+        c = a * b
+        s = c & low
+        for x, row in zip(_zp_unpack(c)[n:], rows):
+            s += x % p * row
+        return _zp_pack([x % p for x in _zp_unpack(s)])
+    return mul
+
+
 def _zp_powmod(base, e, mod, p):
-    return _power(_zp_divmod(base, mod, p)[1], e,
-                  lambda a, b: _zp_divmod(_zp_mul(a, b, p), mod, p)[1], [1])
+    x = _zp_pack(_zp_divmod(base, mod, p)[1])
+    return list(_zp_unpack(_power(x, e, _zp_mulmod(mod, p), 1)))
 
 
 def _zp_deriv(a, p):
@@ -645,12 +679,13 @@ def _zp_equal_degree(f, k, p, rng):
         if p % 2 == 1:
             s = _zp_sub(_zp_powmod(r, (p ** k - 1) // 2, f, p), [1], p)
         else:
-            # trace map for characteristic 2 (add == sub)
-            s = []
-            t = _zp_divmod(r, f, p)[1]
+            # trace map for characteristic 2: the slots are 0 or 1, so XOR adds
+            mul = _zp_mulmod(f, p)
+            s, t = 0, _zp_pack(_zp_divmod(r, f, p)[1])
             for _ in range(k):
-                s = _zp_sub(s, t, p)
-                t = _zp_divmod(_zp_mul(t, t, p), f, p)[1]
+                s ^= t
+                t = mul(t, t)
+            s = list(_zp_unpack(s))
         d = _zp_gcd(f, s, p)
         if 1 < len(d) < len(f):
             rest = _zp_divmod(f, d, p)[0]
@@ -716,16 +751,24 @@ def cyclotomic_factors_mod(d, q):
     i<q> of Z/e satisfies r^q = r mod X^e - 1: it is a scalar of F_q on each
     factor, and these coset sums span Berlekamp's fixed subalgebra.  A piece
     g is split by gcd(g, r^((q-1)/2) - 1), or gcd(g, r) for q = 2, with
-    random coset sums until every piece has degree f.
+    random coset sums until every piece has degree f.  For e = 2m with m > 1
+    odd, the factors come from those of Phi_m, as Phi_2m(X) = Phi_m(-X).
     """
     dom = GF(q)
     e = p_part(d, q)[1]
+    if e % 4 == 2 and e > 2:
+        # Phi_2m(X) = Phi_m(-X) for odd m > 1: a factor g of Phi_m of degree
+        # k gives the monic factor (-1)^k g(-X), with coefficients (-1)^(i+k) g_i
+        flipped = [tuple(-c % q if (i + g.degree) % 2 else c
+                         for i, c in enumerate(g.coeffs))
+                   for g in cyclotomic_factors_mod(e // 2, q)]
+        return tuple(Poly(c, dom) for c in sorted(flipped))
     f = multiplicative_order(q, e)
     phi = [c % q for c in cyclotomic_poly(e).coeffs]
     if len(phi) - 1 == f:
         # the loop below returns phi too, but only after seeding its RNG and
-        # building the cosets, about 13 us more; for ku on cyclic:12, 23, 30
-        # and 42 at prime bound 200, 588 of the 1072 calls are this case
+        # building the cosets, about 10 us more; for ku on cyclic:12, 23, 30
+        # and 42 at prime bound 200, 479 of the 1072 calls are this case
         return (Poly(tuple(phi), dom),)
     coset = [None] * e
     ncosets = 0
@@ -736,7 +779,7 @@ def cyclotomic_factors_mod(d, q):
                 coset[j] = ncosets
                 j = j * q % e
             ncosets += 1
-    rng = random.Random("%d:%d" % (e, q))
+    rng = random.Random(e << 32 | q)
     done = []
     pieces = [phi]
     while pieces:

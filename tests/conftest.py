@@ -490,6 +490,28 @@ def reference_gf_modulus(p, f):
     return None
 
 
+def reference_zp_powmod(base, e, mod, p):
+    """base^e mod `mod` over F_p on int coefficient lists, by square-and-
+    multiply with a schoolbook product and `_zp_divmod` after each step."""
+    from quillen_strata.rings import _zp_divmod
+
+    def mulmod(a, b):
+        out = [0] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _zp_divmod([c % p for c in out], mod, p)[1]
+
+    x = _zp_divmod(base, mod, p)[1]
+    out = [1]
+    while e:
+        if e & 1:
+            out = mulmod(out, x)
+        x = mulmod(x, x)
+        e >>= 1
+    return out
+
+
 def reference_form_substitute(coeffs, M, dom):
     """Substitute x -> a x + c y, y -> b x + d y, M = ((a, b), (c, d)) over
     dom, into the form sum c_i x^i y^(k-i) by binomial expansion of each

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,12 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
                                   primes_upto, residue_field_label, _gf_modulus,
-                                  _power, _zp_divmod)
+                                  _power, _zp_divmod, _zp_powmod)
 from quillen_strata.strata import TheoryError, parse_theory
 
 from conftest import (brute_force_spectrum_ring, compose_mod,
                       frac_poly_divmod, frac_poly_mul, naive_factor_count,
-                      reference_gf_modulus)
+                      reference_gf_modulus, reference_zp_powmod)
 
 
 # -- integer helpers -------------------------------------------------------------
@@ -131,16 +132,20 @@ def test_splitting_against_naive_trial_division(d, q):
 
 
 def test_splitting_matches_package_factorization():
-    for d in range(1, 41):
+    # d = 2m above 40 with m odd takes the Phi_2m(X) = Phi_m(-X) reduction;
+    # where q | d, as at q = 2 or q = 3 with 9 | d, it starts from the q-free
+    # part of d, and factor() has repeated factors
+    for d in list(range(1, 41)) + [42, 46, 58, 62, 66, 90, 126]:
         for q in (2, 3, 5, 7, 11, 13, 17, 97):
-            if d % q == 0:
-                continue
             dom = GF(q)
             phi = cyclotomic_poly(d).map_domain(dom, dom.of_int)
             if phi.degree == 0:
                 continue
-            split = prime_splitting(d, q)
             factors = factor(phi)
+            if d % q == 0:
+                assert cyclotomic_factors_mod(d, q) == tuple(g for g, _ in factors), (d, q)
+                continue
+            split = prime_splitting(d, q)
             assert len(factors) == split.count
             assert all(g.degree == split.residue_degree for g, _ in factors)
             assert all(e == 1 for _, e in factors)
@@ -293,6 +298,40 @@ def test_factor_reassembles(p, coeffs):
         for _ in range(e):
             prod = prod * g
     assert prod == f
+
+
+
+@given(st.sampled_from([2, 3, 211, 997, 65521]),
+       st.lists(st.integers(min_value=0, max_value=65520), max_size=14),
+       st.lists(st.integers(min_value=0, max_value=65520), min_size=1, max_size=10),
+       st.integers(min_value=0, max_value=2000))
+@settings(max_examples=150, deadline=None)
+def test_packed_powmod_against_schoolbook(p, base, mod, e):
+    mod = [c % p for c in mod]
+    if not mod[-1]:
+        mod[-1] = 1 + mod[0] % (p - 1)   # any nonzero lead: mostly non-monic
+    base = [c % p for c in base]
+    assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 211, 997, 65521])
+def test_packed_powmod_edge_cases(p):
+    top = p - 1
+    for mod in ([top], [1, top], [top, 2 % p or 1], [0, 0, top]):
+        for base in ([], [1], [top, top, top], [0, 1]):
+            for e in (0, 1, 2, 7, p):
+                assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+
+
+def test_packed_powmod_at_the_slot_bound():
+    # at p = 65521 and degree 70, coefficients near p - 1 fill a slot of the
+    # packed product up to about n(p-1)^2, near 2^38: past a 32-bit slot
+    p = 65521
+    rng = random.Random(7)
+    mod = [p - 1 - rng.randrange(64) for _ in range(71)]
+    base = [p - 1 - rng.randrange(64) for _ in range(70)]
+    for e in (0, 1, 2, 3, 65535):
+        assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
 
 
 def test_factor_is_deterministic():
