@@ -3,12 +3,13 @@
 Polynomials are coefficient tuples in ascending degree over a small domain
 object.  Generic factorization over prime fields is distinct-degree followed
 by Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG.
-The factors of Phi_d mod q, all of one known degree, are split instead by
-random Frobenius-fixed coset sums raised to (q-1)/2, with no distinct-degree
-pass.  Both raise residues to powers with one bigint product per step, each
-residue packed into one int with a 64-bit slot per coefficient.  Factor
-lists are always returned in canonical order, so every result here is
-reproducible bit for bit.
+The factors of Phi_d mod q, all of one known degree, come instead from the
+roots of unity in F_q when that degree is 1, and otherwise from random
+Frobenius-fixed coset sums raised to (q-1)/2 once per round for all pieces,
+with no distinct-degree pass.  Both raise residues to powers with one bigint
+product per step, each residue packed into one int with a 64-bit slot per
+coefficient.  Factor lists are always returned in canonical order, so every
+result here is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import random
 import struct
 import zlib
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 MAX_CYCLOTOMIC = 4096
@@ -97,28 +97,43 @@ def multiplicative_order(q, d):
 # -- coefficient domains -----------------------------------------------------
 
 class _Numbers:
-    """Z or Q: the Python numbers of one type under the built-in arithmetic."""
+    """Z or Q: the Python numbers of one type under the built-in arithmetic.
+
+    `load` returns the type on the first use of `of_int`, `zero`, `one` or
+    `is_field`, so a run that never touches Q does not import `fractions`
+    (nor the `decimal` and `numbers` it pulls in).
+    """
 
     add = operator.add
     neg = operator.neg
     mul = operator.mul
     repr_elem = str
 
-    def __init__(self, name, number):
+    def __init__(self, name, load):
         self.name = name
-        self.of_int = number
-        self.zero = number(0)
-        self.one = number(1)
-        self.is_field = number is Fraction
+        self._load = load
+
+    def __getattr__(self, attr):
+        if attr not in ("of_int", "zero", "one", "is_field"):
+            raise AttributeError(attr)
+        number = self._load()
+        self.of_int, self.zero, self.one = number, number(0), number(1)
+        self.is_field = number is not int
+        return getattr(self, attr)
 
     def inv(self, a):
         if not self.is_field:
             raise RingError("no inverses in %s" % self.name)
-        return 1 / Fraction(a)
+        return 1 / self.of_int(a)
 
 
-ZZ = _Numbers("Z", int)
-QQ = _Numbers("Q", Fraction)
+def _fraction():
+    from fractions import Fraction
+    return Fraction
+
+
+ZZ = _Numbers("Z", lambda: int)
+QQ = _Numbers("Q", _fraction)
 
 
 class GF:
@@ -263,13 +278,13 @@ class CycloField:
             raise RingError("conductor %d out of range" % m)
         self.m = m
         self.phi = euler_phi(m)
-        self.modulus = tuple(Fraction(c) for c in cyclotomic_poly(m).coeffs)
-        self.zero = (Fraction(0),) * self.phi
+        self.modulus = tuple(QQ.of_int(c) for c in cyclotomic_poly(m).coeffs)
+        self.zero = (QQ.zero,) * self.phi
         self.one = self._embed_int(1)
         self.name = "Q(zeta_%d)" % m
 
     def _embed_int(self, n):
-        return (Fraction(n),) + (Fraction(0),) * (self.phi - 1)
+        return (QQ.of_int(n),) + (QQ.zero,) * (self.phi - 1)
 
     def of_int(self, n):
         return self._embed_int(n)
@@ -278,7 +293,7 @@ class CycloField:
         if self.phi == 1:
             # zeta_1 = 1, zeta_2 = -1
             return self._embed_int(1 if self.m == 1 else -1)
-        return (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.phi - 2)
+        return (QQ.zero, QQ.one) + (QQ.zero,) * (self.phi - 2)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -287,7 +302,7 @@ class CycloField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * self.phi - 1)
+        prod = [QQ.zero] * (2 * self.phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -295,7 +310,7 @@ class CycloField:
         for i in range(len(prod) - 1, self.phi - 1, -1):
             c = prod[i]
             if c:
-                prod[i] = Fraction(0)
+                prod[i] = QQ.zero
                 for j in range(self.phi):
                     prod[i - self.phi + j] -= c * self.modulus[j]
         return tuple(prod[: self.phi])
@@ -312,7 +327,7 @@ class CycloField:
             s0, s1 = s1, s0 - q * s1
         # r0 is the gcd, a nonzero constant (Phi_m is irreducible over Q)
         inv = s0.scale(QQ.inv(r0.leading())).coeffs
-        return inv + (Fraction(0),) * (self.phi - len(inv))
+        return inv + (QQ.zero,) * (self.phi - len(inv))
 
     def power(self, a, e):
         return _power(a, e, self.mul, self.one)
@@ -588,33 +603,43 @@ def _zp_unpack(x):
     return struct.unpack("<%dQ" % k, x.to_bytes(8 * k, "little"))
 
 
-def _zp_mulmod(mod, p):
-    """The product of packed residues modulo `mod`, of degree n, over F_p.
+def _zp_reducer(mod, p, k):
+    """Reduction modulo `mod`, of degree n, over F_p, of packed ints of at
+    most k slots.
 
-    A residue of degree < n is one int with a 64-bit slot per coefficient
-    (Kronecker substitution), so a product is one bigint product.  Its slot k
-    is at most n(p-1)^2; each slot k >= n, reduced mod p, folds into the low
-    n slots as that multiple of the packed row X^k mod `mod`.  No slot goes
-    past (2n-1)(p-1)^2 < 2^64, as p < 2^16 (MAX_FIELD_ORDER).
+    Each slot i >= n, reduced mod p, folds into the low n slots as that
+    multiple of the packed row X^i mod `mod`; then one pass reduces the slots
+    mod p.  A low slot below 2^64 - (k-n)(p-1)^2 stays below 2^64.
     """
     n = len(mod) - 1
     inv = pow(mod[-1], -1, p)
     rows = []
     r = [0] * (n - 1) + [1]
-    for _ in range(n - 1):
+    for _ in range(k - n):
         # X r = t mod + (X r - t mod), t = lead(r) / lead(mod)
         t = r[-1] * inv % p
         r = [(x - t * y) % p for x, y in zip([0] + r[:-1], mod)]
         rows.append(_zp_pack(r))
     low = (1 << 64 * n) - 1
 
-    def mul(a, b):
-        c = a * b
-        s = c & low
-        for x, row in zip(_zp_unpack(c)[n:], rows):
-            s += x % p * row
-        return _zp_pack([x % p for x in _zp_unpack(s)])
-    return mul
+    def reduce(x):
+        s = x & low
+        for c, row in zip(_zp_unpack(x)[n:], rows):
+            s += c % p * row
+        return _zp_pack([c % p for c in _zp_unpack(s)])
+    return reduce
+
+
+def _zp_mulmod(mod, p):
+    """The product of packed residues modulo `mod`, of degree n, over F_p.
+
+    A residue of degree < n is one int with a 64-bit slot per coefficient
+    (Kronecker substitution), so a product is one bigint product of 2n-1
+    slots, each at most n(p-1)^2.  The reduction keeps every slot below
+    (2n-1)(p-1)^2 < 2^64, as p < 2^16 (MAX_FIELD_ORDER).
+    """
+    reduce = _zp_reducer(mod, p, 2 * len(mod) - 3)
+    return lambda a, b: reduce(a * b)
 
 
 def _zp_powmod(base, e, mod, p):
@@ -746,13 +771,11 @@ def cyclotomic_factors_mod(d, q):
     """The distinct monic irreducible factors of Phi_d mod q, sorted.
 
     For d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so the
-    factors are those of Phi_e, each of degree f = ord_e(q).  Frobenius maps
-    X^i to X^(iq), so a sum r = sum_i c_i X^i with c constant on every coset
-    i<q> of Z/e satisfies r^q = r mod X^e - 1: it is a scalar of F_q on each
-    factor, and these coset sums span Berlekamp's fixed subalgebra.  A piece
-    g is split by gcd(g, r^((q-1)/2) - 1), or gcd(g, r) for q = 2, with
-    random coset sums until every piece has degree f.  For e = 2m with m > 1
-    odd, the factors come from those of Phi_m, as Phi_2m(X) = Phi_m(-X).
+    factors are those of Phi_e, each of degree f = ord_e(q).  For e = 2m with
+    m > 1 odd, they come from those of Phi_m, as Phi_2m(X) = Phi_m(-X).  For
+    f = 1, e divides q - 1 and the factors are the X - zeta^a over the units
+    a mod e, for one zeta of exact order e in F_q.  For f > 1 they come from
+    `_split_cyclotomic`.
     """
     dom = GF(q)
     e = p_part(d, q)[1]
@@ -766,10 +789,42 @@ def cyclotomic_factors_mod(d, q):
     f = multiplicative_order(q, e)
     phi = [c % q for c in cyclotomic_poly(e).coeffs]
     if len(phi) - 1 == f:
-        # the loop below returns phi too, but only after seeding its RNG and
-        # building the cosets, about 10 us more; for ku on cyclic:12, 23, 30
-        # and 42 at prime bound 200, 479 of the 1072 calls are this case
+        # Phi_e is irreducible; neither path below handles one factor: the
+        # f = 1 search needs e >= 3, and `_split_cyclotomic` outputs a piece
+        # only after splitting it
         return (Poly(tuple(phi), dom),)
+    if f == 1:
+        # zeta = x^((q-1)/e) for the least x >= 2 with zeta^(e/l) != 1 for
+        # every prime l | e
+        cofactors = []
+        m = e
+        while m > 1:
+            ell = least_prime_factor(m)
+            cofactors.append(e // ell)
+            m = p_part(m, ell)[1]
+        x = 2
+        while any(pow(x, (q - 1) // e * c, q) == 1 for c in cofactors):
+            x += 1
+        zeta = pow(x, (q - 1) // e, q)
+        roots = [pow(zeta, a, q) for a in range(1, e) if math.gcd(a, e) == 1]
+        return tuple(Poly((-z % q, 1), dom) for z in sorted(roots, reverse=True))
+    return tuple(Poly(tuple(g), dom) for g in sorted(_split_cyclotomic(phi, e, f, q)))
+
+
+def _split_cyclotomic(phi, e, f, q):
+    """The factors of phi = Phi_e mod q, all of degree f = ord_e(q) > 1.
+
+    Frobenius maps X^i to X^(iq), so a sum r = sum_i c_i X^i with c constant
+    on every coset i<q> of Z/e is fixed by it: r is a scalar of F_q modulo
+    each factor, and these coset sums span Berlekamp's fixed subalgebra.  Each
+    round draws one random coset sum r and computes s = r^((q-1)/2) - 1, or
+    s = r for q = 2, once for all pieces, in F_q[X]/(X^w - sign): X^e - 1
+    for odd e and X^(e/2) + 1 for 4 | e, both multiples of Phi_e.  Then
+    gcd(g, s mod g) splits each piece g whose factors s does not treat alike.
+    A residue is packed as in `_zp_mulmod`, so a product is one bigint
+    product and one fold of its high half onto the low one.
+    """
+    w, sign = (e, 1) if e % 2 else (e // 2, -1)
     coset = [None] * e
     ncosets = 0
     for i in range(e):
@@ -779,24 +834,38 @@ def cyclotomic_factors_mod(d, q):
                 coset[j] = ncosets
                 j = j * q % e
             ncosets += 1
+    reduce = _zp_reducer(phi, q, w)
+    low = (1 << 64 * w) - 1
+    # X^w = -1 folds by subtraction; adding w q^2, a multiple of q above every
+    # high slot, to each slot keeps them >= 0, and all stay below 2^64
+    bias = 0 if sign == 1 else _zp_pack([w * q * q] * w)
+
+    def mul(a, b):
+        c = a * b
+        return _zp_pack([x % q for x in _zp_unpack((c & low) + bias + sign * (c >> 64 * w))])
+
     rng = random.Random(e << 32 | q)
     done = []
     pieces = [phi]
     while pieces:
-        g = pieces.pop()
-        if len(g) - 1 == f:
-            done.append(g)
-            continue
-        lam = [rng.randrange(q) for _ in range(ncosets)]
-        r = _zp_divmod([lam[c] for c in coset], g, q)[1]
+        lam = rng.choices(range(q), k=ncosets)
+        r = [lam[c] for c in coset]
+        if w < e:
+            r = [(a - b) % q for a, b in zip(r, r[w:])]
+        s = _zp_pack(r)
         if q > 2:
-            r = _zp_sub(_zp_powmod(r, (q - 1) // 2, g, q), [1], q)
-        h = _zp_gcd(g, r, q)
-        if 1 < len(h) < len(g):
-            pieces += [h, _zp_divmod(g, h, q)[0]]
-        else:
-            pieces.append(g)
-    return tuple(Poly(tuple(g), dom) for g in sorted(done))
+            s = _power(s, (q - 1) // 2, mul, 1) + q - 1
+        s = list(_zp_unpack(reduce(s)))
+        left = []
+        for g in pieces:
+            h = _zp_gcd(g, _zp_divmod(s, g, q)[1], q)
+            if 1 < len(h) < len(g):
+                for k in (h, _zp_divmod(g, h, q)[0]):
+                    (done if len(k) - 1 == f else left).append(k)
+            else:
+                left.append(g)
+        pieces = left
+    return done
 
 
 # -- level-structure polynomials ----------------------------------------------
@@ -873,7 +942,7 @@ def reduce_cyclo_mod_p(f, p):
     dom = GF(p)
 
     def conv(elem):
-        acc = Fraction(0)
+        acc = QQ.zero
         for c in elem:
             acc += c
         if acc.denominator % p == 0:

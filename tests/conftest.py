@@ -512,6 +512,47 @@ def reference_zp_powmod(base, e, mod, p):
     return out
 
 
+def reference_cyclotomic_factors_mod(d, q):
+    """The factors of Phi_d mod q, sorted, by the earlier coset-sum splitter:
+    each piece g of Phi_e (e the q-free part of d) draws its own random
+    Frobenius-fixed coset sum r, reduced mod g, and is split by
+    gcd(g, r^((q-1)/2) - 1), or gcd(g, r) for q = 2, until every piece has
+    degree ord_e(q).  No Phi_2m reduction and no roots of unity."""
+    import random
+    from quillen_strata.rings import (GF, Poly, _zp_divmod, _zp_gcd, _zp_powmod,
+                                      _zp_sub, cyclotomic_poly, multiplicative_order,
+                                      p_part)
+    e = p_part(d, q)[1]
+    f = multiplicative_order(q, e)
+    coset = [None] * e
+    ncosets = 0
+    for i in range(e):
+        if coset[i] is None:
+            j = i
+            while coset[j] is None:
+                coset[j] = ncosets
+                j = j * q % e
+            ncosets += 1
+    rng = random.Random(e << 32 | q)
+    done = []
+    pieces = [[c % q for c in cyclotomic_poly(e).coeffs]]
+    while pieces:
+        g = pieces.pop()
+        if len(g) - 1 == f:
+            done.append(g)
+            continue
+        lam = [rng.randrange(q) for _ in range(ncosets)]
+        r = _zp_divmod([lam[c] for c in coset], g, q)[1]
+        if q > 2:
+            r = _zp_sub(_zp_powmod(r, (q - 1) // 2, g, q), [1], q)
+        h = _zp_gcd(g, r, q)
+        if 1 < len(h) < len(g):
+            pieces += [h, _zp_divmod(g, h, q)[0]]
+        else:
+            pieces.append(g)
+    return tuple(Poly(tuple(g), GF(q)) for g in sorted(done))
+
+
 def reference_form_substitute(coeffs, M, dom):
     """Substitute x -> a x + c y, y -> b x + d y, M = ((a, b), (c, d)) over
     dom, into the form sum c_i x^i y^(k-i) by binomial expansion of each

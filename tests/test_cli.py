@@ -157,9 +157,11 @@ def run_subprocess(args, timeout=None):
 
 def test_cli_import_skips_dataclass_machinery():
     # every CLI run pays for its imports; dataclasses (with inspect) and the
-    # code it generates cost more than the package's own module bodies
+    # code it generates cost more than the package's own module bodies, and
+    # fractions (with decimal) serves only Q and the cyclotomic fields
     proc = run_python(["-c", "import sys, quillen_strata.cli; print(sorted("
-                       "{'dataclasses', 'inspect'} & set(sys.modules)))"])
+                       "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+                       " & set(sys.modules)))"])
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
 

@@ -21,7 +21,8 @@ from quillen_strata.strata import TheoryError, parse_theory
 
 from conftest import (brute_force_spectrum_ring, compose_mod,
                       frac_poly_divmod, frac_poly_mul, naive_factor_count,
-                      reference_gf_modulus, reference_zp_powmod)
+                      reference_cyclotomic_factors_mod, reference_gf_modulus,
+                      reference_zp_powmod)
 
 
 # -- integer helpers -------------------------------------------------------------
@@ -162,8 +163,9 @@ def test_cyclotomic_factors_when_q_divides_d(d, q):
     assert cyclotomic_factors_mod(d, q) == tuple(g for g, _ in factors)
 
 
-@pytest.mark.parametrize("d", [23, 42])
-@pytest.mark.parametrize("q", [199, 211, 223])
+# (21, 43), (63, 127) and (60, 61) take the f = 1 path at a composite e
+@pytest.mark.parametrize("q,d", [(q, d) for q in (199, 211, 223) for d in (23, 42)]
+                         + [(43, 21), (127, 63), (61, 60)])
 def test_cyclotomic_factors_bench_sized(d, q):
     dom = GF(q)
     phi = cyclotomic_poly(d).map_domain(dom, dom.of_int)
@@ -174,6 +176,15 @@ def test_cyclotomic_factors_bench_sized(d, q):
         assert g.is_monic() and is_irreducible(g)
         prod = prod * g
     assert prod == phi
+
+
+# f = 1 at a composite e: (21, 43), (15, 31), (35, 71), (48, 97), (60, 61),
+# (63, 127), (56, 113) and (64, 193); q | d for the small q; bench-sized q
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 31, 43, 61, 71, 97, 113, 127, 193,
+                               199, 211, 223, 997])
+def test_cyclotomic_factors_against_coset_sum_splitter(q):
+    for d in range(1, 65):
+        assert cyclotomic_factors_mod(d, q) == reference_cyclotomic_factors_mod(d, q), (d, q)
 
 
 # -- the exact-number domain and the general polynomial paths -------------------
