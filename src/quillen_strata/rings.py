@@ -56,8 +56,10 @@ def is_prime(n):
     return n >= 2 and least_prime_factor(n) == n
 
 
+@lru_cache(maxsize=None)
 def primes_upto(bound):
-    return [q for q in range(2, bound + 1) if is_prime(q)]
+    """The primes q <= bound, in increasing order."""
+    return tuple(q for q in range(2, bound + 1) if is_prime(q))
 
 
 def euler_phi(n):
@@ -959,7 +961,10 @@ class PrimeDescriptor(namedtuple("PrimeDescriptor", "ring kind data label")):
 
     ring: "Z" | "Z_p" | "Z[zeta_d,1/d]" | "Z[X]/(X^n-1)" | "F_q[x,y]^h" | "Z/p[t]^h";
     kind: "generic" | "closed" | "height-one"; data: canonical payload, a
-    JSON-serializable tuple.
+    JSON-serializable tuple.  A closed point of Z[zeta_d,1/d] over q has
+    ("modular", q, i), i the position of its factor of Phi_d mod q in
+    cyclotomic_factors_mod(d, q); one of Z[X]/(X^n-1) has ("modular", q,
+    the coefficients of its factor).
     """
 
     __slots__ = ()
@@ -989,7 +994,9 @@ def cyclic_spectrum_ring(n, prime_bound):
     rational primes q <= bound and irreducible factors g of X^n - 1 mod q.
     Writing d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so
     the g are the factors of Phi_e mod q over the q-free parts e of the
-    divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.
+    divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.  Strong
+    ku on a cyclic group glues its strata by the same containments without
+    factoring (`spectrum._segal_edges`); this ring is their test oracle.
     """
     if n < 1 or n > MAX_CYCLOTOMIC:
         raise RingError("n = %d out of range" % n)

@@ -18,7 +18,7 @@ import json
 from collections import namedtuple
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
-from .rings import cyclic_spectrum_ring
+from .rings import MAX_CYCLOTOMIC, RingError, p_part, primes_upto
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
                      transition_map)
 
@@ -96,7 +96,6 @@ def assemble_strong(theory, G, group_label=""):
     points = []
     edges = {}         # (src, dst) -> SpaceEdge; the first edge of a pair wins
     truncated = False
-    descriptors = {}   # descriptor data -> point id (for ring containments)
 
     def add_edge(src, dst, kind, provenance=""):
         edges.setdefault((src, dst), SpaceEdge(src, dst, kind, provenance))
@@ -113,7 +112,6 @@ def assemble_strong(theory, G, group_label=""):
                 id=pid, stratum=skey, label=rp.label, closed=rp.closed,
                 descriptor=rp.descriptor, stratum_order=cls.order,
                 local_id=rp.local_id))
-            descriptors.setdefault(rp.descriptor.data, pid)
             for i in orb:
                 pid_of[i] = pid
         for (i, j) in model.internal_edges:
@@ -130,12 +128,9 @@ def assemble_strong(theory, G, group_label=""):
                 add_edge(pt.id, closed_id, "cross-stratum")
     elif theory.kind == "ku":
         if G.is_cyclic():
-            ring = cyclic_spectrum_ring(G.order, theory.prime_bound)
-            for (i, j) in ring.contains:
-                src = descriptors[ring.minimal[i].data]
-                dst = descriptors[ring.maximal[j].data]
-                same = src.split(":", 1)[0] == dst.split(":", 1)[0]
-                add_edge(src, dst, "internal" if same else "cross-stratum")
+            for src, dst in _segal_edges(G.order, theory.prime_bound,
+                                         members, keys, points):
+                add_edge(src, dst, "cross-stratum")
         else:
             # only the point set is assembled beyond cyclic groups
             order_complete = False
@@ -153,6 +148,32 @@ def assemble_strong(theory, G, group_label=""):
 
     return _space(_meta(theory, group_label, "strong", truncated),
                   points, edges.values(), order_complete)
+
+
+def _segal_edges(n, prime_bound, members, keys, points):
+    """The cross-stratum edges of strong ku on a cyclic group of order n.
+
+    For each class C_d and each prime q <= bound dividing d, the generic point
+    of C_d's stratum specializes to every closed point over q in the stratum
+    of C_e, e the q-free part of d: the prime of R(G) at (C_d, P), P over q,
+    is the prime at (C_e, P meet Z[zeta_e]) (Segal, "The representation ring
+    of a compact Lie group", Publ. IHES 34, 1968).  These are the
+    containments of `rings.cyclic_spectrum_ring` between strata, found
+    without factoring.
+    """
+    if n > MAX_CYCLOTOMIC:  # the bound of R(C_n) = Z[X]/(X^n - 1)
+        raise RingError("n = %d out of range" % n)
+    key_of = {cls.order: keys[cls.index] for cls in members}
+    over = {}  # (stratum key, q) -> ids of the closed points over q
+    for pt in points:
+        if pt.closed:
+            over.setdefault((pt.stratum, pt.descriptor.data[1]), []).append(pt.id)
+    for cls in members:
+        src = "%s:0" % keys[cls.index]
+        for q in primes_upto(prime_bound):
+            if cls.order % q == 0:
+                for dst in over[(key_of[p_part(cls.order, q)[1]], q)]:
+                    yield src, dst
 
 
 def _space(meta, points, edges, order_complete):

@@ -22,9 +22,10 @@ from functools import lru_cache
 
 from .groups import FamilySpec, GroupError, family_members, weyl
 from .orbit_cat import quotient
-from .rings import (GF, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
+from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, cyclotomic_factors_mod, is_prime,
-                    least_prime_factor, p_part, primes_upto, residue_field_label)
+                    least_prime_factor, p_part, prime_splitting, primes_upto,
+                    residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
 DEFAULT_DEGREE_BOUND = 1
@@ -221,20 +222,30 @@ def _generator_power(index, gen, target):
 
 
 def _ku_points(d, prime_bound):
-    """Points of truncated Spec(Z[zeta_d, 1/d]) and its generic-to-closed edges."""
+    """Points of truncated Spec(Z[zeta_d, 1/d]) and its generic-to-closed edges.
+
+    Above each prime q <= bound not dividing d lie phi(d)/ord_d(q) primes,
+    each of residue degree ord_d(q) (Washington, Introduction to Cyclotomic
+    Fields, Thm 2.13).  The point "q.i" is the prime cut out by the i-th
+    factor of cyclotomic_factors_mod(d, q); the factors are computed only
+    where a Galois twist needs them (`_frobenius_labels`).
+    """
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
     points = [StratumPoint(
         "0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0), label0, False)]
-    for q in primes_upto(prime_bound):
-        if d % q == 0:
-            continue
-        for idx, g in enumerate(cyclotomic_factors_mod(d, q)):
-            lbl = residue_field_label(q, g.degree)
+    coprime = [q for q in primes_upto(prime_bound) if d % q]
+    if coprime and d > MAX_CYCLOTOMIC:
+        # the factors that name these points need Phi_d, whose index
+        # cyclotomic_poly bounds: factor once to raise its RingError
+        cyclotomic_factors_mod(d, coprime[0])
+    for q in coprime:
+        split = prime_splitting(d, q)
+        lbl = residue_field_label(q, split.residue_degree)
+        for i in range(split.count):
             points.append(StratumPoint(
-                "%d.%d" % (q, idx),
-                PrimeDescriptor(ring, "closed", ("modular", q, tuple(g.coeffs)), lbl),
-                lbl, True))
+                "%d.%d" % (q, i),
+                PrimeDescriptor(ring, "closed", ("modular", q, i), lbl), lbl, True))
     edges = tuple((0, j) for j in range(1, len(points)))
     return tuple(points), edges
 

@@ -6,6 +6,7 @@ package, so the tests anchor the fast implementations to something dumb and
 trustworthy.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -259,22 +260,32 @@ def modular_preimage(q, g_coeffs, exponent, candidates):
     raise AssertionError("modular prime (%d, ...) has no preimage" % q)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_factors(d, q):
+    """The coefficients of the factors of Phi_d mod q, as the coset-sum
+    splitter orders them: the i-th is the factor behind the ku point
+    ("modular", q, i) of the stratum of order d."""
+    return tuple(g.coeffs for g in reference_cyclotomic_factors_mod(d, q))
+
+
 def reference_ku_action(model):
     """The Weyl action on a ku stratum found by search: a witness n with
     c_n(h) = h^a sends each modular point (q, g) to the point (q, g') of the
     stratum with g'(X^a) = 0 mod (q, g), and fixes the generic point."""
+    d = model.subgroup.order
     modular_at = {}
     for idx, pt in enumerate(model.points[1:], start=1):
-        _, q, coeffs = pt.descriptor.data
-        modular_at.setdefault(q, []).append((idx, coeffs))
+        _, q, i = pt.descriptor.data
+        modular_at.setdefault(q, []).append((idx, _reference_factors(d, q)[i]))
     h = model.subgroup.cyclic_generator()
     action = []
     for _, n in model.weyl.witnesses:
         a = perm_powers(h).index(n * h * ~n) + 1
         images = [0]
         for pt in model.points[1:]:
-            _, q, coeffs = pt.descriptor.data
-            images.append(modular_preimage(q, coeffs, a, modular_at[q]))
+            _, q, i = pt.descriptor.data
+            images.append(modular_preimage(q, _reference_factors(d, q)[i], a,
+                                           modular_at[q]))
         action.append(tuple(images))
     return tuple(action)
 
@@ -289,6 +300,11 @@ def reference_ku_transition(morphism, src_cls, dst_cls, src_points, dst_points):
         h = src_cls.cyclic_generator()
         img = morphism.witness * h * ~morphism.witness
         u = (perm_powers(dst_cls.cyclic_generator()).index(img) + 1) * c // d % c
+
+    def factor_of(pt):
+        _, q, i = pt.descriptor.data
+        return _reference_factors(pt.stratum_order, q)[i]
+
     by_cyclo = {}
     by_modular = {}
     for pt in dst_points:
@@ -296,14 +312,15 @@ def reference_ku_transition(morphism, src_cls, dst_cls, src_points, dst_points):
         if data[0] == "cyclo":
             by_cyclo[data[1]] = pt.id
         else:
-            by_modular.setdefault(data[1], []).append((pt.id, data[2]))
+            by_modular.setdefault(data[1], []).append((pt.id, factor_of(pt)))
     out = {}
     for pt in src_points:
         data = pt.descriptor.data
         if data[0] == "cyclo":
             out[pt.id] = by_cyclo[data[1]]
         else:
-            out[pt.id] = modular_preimage(data[1], data[2], u, by_modular[data[1]])
+            out[pt.id] = modular_preimage(data[1], factor_of(pt), u,
+                                          by_modular[data[1]])
     return out
 
 

@@ -5,8 +5,10 @@ import pytest
 from quillen_strata import groups
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
+from quillen_strata.rings import (RingError, cyclic_spectrum_ring,
+                                  cyclotomic_factors_mod, p_part)
 from quillen_strata.spectrum import (SpaceEdge, SpacePoint, StratifiedSpace,
-                                     assemble_strong, assemble_weak,
+                                     _segal_edges, assemble_strong, assemble_weak,
                                      check_agreement,
                                      deserialize, serialize, to_document)
 from quillen_strata.strata import (UnsupportedTheory, parse_theory, stratum,
@@ -142,6 +144,44 @@ def test_weak_ku_enumerates_one_lattice(monkeypatch):
     G = build_group("cyclic:36")
     assemble_weak(th, G, "cyclic:36")
     assert calls == [36]
+
+
+def _ring_edges(n, bound):
+    """cyclic_spectrum_ring's containments on strong ku's point ids: (Phi_d)
+    is the generic point of C_d's stratum, and (q, g) with g | Phi_e mod q
+    the point over q of C_e's stratum indexed by g's place among the factors."""
+    ring = cyclic_spectrum_ring(n, bound)
+    out = set()
+    for i, j in ring.contains:
+        d = ring.minimal[i].data[1]
+        _, q, coeffs = ring.maximal[j].data
+        e = p_part(d, q)[1]
+        k = [g.coeffs for g in cyclotomic_factors_mod(e, q)].index(coeffs)
+        out.add(("o%d.0:0" % d, "o%d.0:%d.%d" % (e, q, k),
+                 "internal" if d == e else "cross-stratum"))
+    return out
+
+
+@pytest.mark.parametrize("n, bound", [(n, 19) for n in range(1, 65)]
+                         + [(n, 200) for n in (12, 30, 42, 60)])
+def test_ku_cyclic_edges_match_spectrum_ring(n, bound):
+    th = parse_theory("ku", prime_bound=bound)
+    space = assemble_strong(th, build_group("cyclic:%d" % n))
+    edges = [(e.src, e.dst, e.kind) for e in space.edges]
+    assert len(edges) == len(set(edges))
+    assert set(edges) == _ring_edges(n, bound)
+
+
+def test_strong_ku_on_a_cyclic_group_factors_nothing():
+    cyclotomic_factors_mod.cache_clear()
+    assemble_strong(parse_theory("ku", prime_bound=200), build_group("cyclic:42"))
+    assert cyclotomic_factors_mod.cache_info().misses == 0
+
+
+def test_cyclic_ku_gluing_keeps_the_order_bound():
+    # as cyclic_spectrum_ring does for R(C_n) with n > MAX_CYCLOTOMIC
+    with pytest.raises(RingError, match="n = 5040 out of range"):
+        list(_segal_edges(5040, 7, (), {}, ()))
 
 
 def test_ku_noncyclic_points_only():

@@ -5,10 +5,11 @@ import pytest
 
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
-from quillen_strata.rings import GF, Poly, prime_splitting
+from quillen_strata.rings import (GF, Poly, RingError, cyclotomic_poly, factor,
+                                  residue_field_label)
 from quillen_strata.strata import (TheoryError, TheorySpec, UnsupportedTheory,
                                    _elem_abelian_basis, _form_substitute,
-                                   _generator_power, _linear_powers,
+                                   _generator_power, _ku_points, _linear_powers,
                                    _weyl_matrix, irreducible_forms,
                                    parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
@@ -127,6 +128,8 @@ def test_ku_stratum_c2_bound7():
 
 
 def test_ku_stratum_counts_match_splitting():
+    # the points come from the splitting formula; count them against the
+    # factors of Phi_d mod q found by the general factorization
     G, classes = classes_of("cyclic:12")
     th = parse_theory("ku", prime_bound=13)
     for cls in theory_family_classes(th, G):
@@ -135,7 +138,23 @@ def test_ku_stratum_counts_match_splitting():
         for q in (5, 7, 11, 13):
             pts = [p for p in m.points if p.descriptor.data[0] == "modular"
                    and p.descriptor.data[1] == q]
-            assert len(pts) == prime_splitting(d, q).count
+            dom = GF(q)
+            factors = factor(cyclotomic_poly(d).map_domain(dom, dom.of_int))
+            assert len(pts) == len(factors)
+            assert {p.label for p in pts} == {
+                residue_field_label(q, g.degree) for g, _ in factors}
+            assert [p.descriptor.data[2] for p in pts] == list(range(len(pts)))
+
+
+def test_ku_points_keep_the_cyclotomic_index_bound():
+    # past MAX_CYCLOTOMIC the first prime q not dividing d raises, as the
+    # factoring of Phi_d mod q does; with no such prime there is nothing to name
+    with pytest.raises(RingError, match="cyclotomic index 9009 out of range"):
+        _ku_points(9009, 3)
+    with pytest.raises(RingError, match="cyclotomic index 5040 out of range"):
+        _ku_points(5040, 11)
+    points, edges = _ku_points(5040, 7)
+    assert [pt.local_id for pt in points] == ["0"] and edges == ()
 
 
 def test_ku_weyl_action_swaps_split_primes():
