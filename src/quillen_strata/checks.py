@@ -180,12 +180,11 @@ def _is_group_action(model):
     return True
 
 
-def check_agreement_suite(groups=None, primes=(2, 3), ku_max=12):
+def check_agreement_suite(groups=None,
+                          theories=("height1:p=2", "height1:p=3", "ku")):
     def run():
-        cases = [("height1:p=%d" % p, dsl, G)
-                 for dsl, G in groups or corpus_mod.small_corpus() for p in primes]
-        cases += [("ku", "cyclic:%d" % n, build_group("cyclic:%d" % n))
-                  for n in range(1, ku_max + 1)]
+        cases = [(tname, dsl, G)
+                 for dsl, G in groups or corpus_mod.small_corpus() for tname in theories]
         for tname, dsl, G in cases:
             th = parse_theory(tname)
             strong = assemble_strong(th, G, dsl)

@@ -995,8 +995,9 @@ def cyclic_spectrum_ring(n, prime_bound):
     Writing d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so
     the g are the factors of Phi_e mod q over the q-free parts e of the
     divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.  Strong
-    ku on a cyclic group glues its strata by the same containments without
-    factoring (`spectrum._segal_edges`); this ring is their test oracle.
+    ku glues its strata by Segal's rule without factoring
+    (`spectrum._segal_edges`); on a cyclic group that rule gives these
+    containments, and this ring is its test oracle.
     """
     if n < 1 or n > MAX_CYCLOTOMIC:
         raise RingError("n = %d out of range" % n)

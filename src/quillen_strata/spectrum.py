@@ -1,10 +1,12 @@
 """Assembly of stratified spectra and their serialization.
 
 Two assemblies of the same space: the strong form glues Weyl-orbit quotients
-of strata as a disjoint union and attaches specialization edges; the weak
-form computes the colimit of the full per-subgroup spectra over the orbit
-category.  Both are finite labeled posets; check_agreement searches for a
-label/stratum/edge-preserving isomorphism between them.
+of strata as a disjoint union and attaches specialization edges (for height1
+and ku on every group by one rule, `_segal_edges`; hz by recorded external
+edges; modp has none across strata yet); the weak form computes the colimit
+of the full per-subgroup spectra over the orbit category.  Both are finite
+labeled posets; check_agreement searches for a label/stratum/edge-preserving
+isomorphism between them.
 
 JSON schema "quillen-strata/1": {schema, meta: {group, theory, family,
 bounds, mode, truncated}, points: [{id, stratum, label, closed}],
@@ -18,7 +20,8 @@ import json
 from collections import namedtuple
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
-from .rings import MAX_CYCLOTOMIC, RingError, p_part, primes_upto
+from .groups import _class_of_mask, _mask
+from .rings import least_prime_factor, p_part
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
                      transition_map)
 
@@ -45,17 +48,10 @@ class SpacePoint(namedtuple("SpacePoint", "id stratum label closed descriptor "
 SpaceEdge = namedtuple("SpaceEdge", "src dst kind provenance", defaults=("",))
 
 
-class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges order_complete",
-                                 defaults=(True,))):
-    """A stratified space; order_complete does not count in ==."""
+class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges")):
+    """A stratified space: its meta dict, sorted points and sorted edges."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, StratifiedSpace) and self[:3] == other[:3]
-
-    def __ne__(self, other):
-        return not self == other
 
     def closed_points(self):
         return [pt for pt in self.points if pt.closed]
@@ -117,23 +113,9 @@ def assemble_strong(theory, G, group_label=""):
         for (i, j) in model.internal_edges:
             if pid_of[i] != pid_of[j]:
                 add_edge(pid_of[i], pid_of[j], "internal")
-    order_complete = True
-
-    if theory.kind == "height1":
-        # members come in canonical order, the trivial class first
-        trivial_key = keys[members[0].index]
-        closed_id = "%s:F_%d" % (trivial_key, theory.p)
-        for pt in points:
-            if pt.stratum != trivial_key:
-                add_edge(pt.id, closed_id, "cross-stratum")
-    elif theory.kind == "ku":
-        if G.is_cyclic():
-            for src, dst in _segal_edges(G.order, theory.prime_bound,
-                                         members, keys, points):
-                add_edge(src, dst, "cross-stratum")
-        else:
-            # only the point set is assembled beyond cyclic groups
-            order_complete = False
+    if theory.kind in ("height1", "ku"):
+        for src, dst in _segal_edges(G, members, keys, points):
+            add_edge(src, dst, "cross-stratum")
     elif theory.kind == "hz":
         for cls, prev in zip(members[1:], members):
             prev_key = keys[prev.index]
@@ -142,46 +124,50 @@ def assemble_strong(theory, G, group_label=""):
             else:
                 dst = "%s:t" % prev_key
             add_edge("%s:gen" % keys[cls.index], dst, "external", "Balmer-Gallauer")
-    elif theory.kind == "modp":
-        order_complete = len(members) <= 1
-    # kr: single stratum, internal edges already complete
+    # modp: no cross-stratum edges yet; kr: single stratum, internal edges complete
 
     return _space(_meta(theory, group_label, "strong", truncated),
-                  points, edges.values(), order_complete)
+                  points, edges.values())
 
 
-def _segal_edges(n, prime_bound, members, keys, points):
-    """The cross-stratum edges of strong ku on a cyclic group of order n.
+def _segal_edges(G, members, keys, points):
+    """The cross-stratum edges of strong height1 and ku.
 
-    For each class C_d and each prime q <= bound dividing d, the generic point
-    of C_d's stratum specializes to every closed point over q in the stratum
-    of C_e, e the q-free part of d: the prime of R(G) at (C_d, P), P over q,
-    is the prime at (C_e, P meet Z[zeta_e]) (Segal, "The representation ring
-    of a compact Lie group", Publ. IHES 34, 1968).  These are the
-    containments of `rings.cyclic_spectrum_ring` between strata, found
-    without factoring.
+    For each family class C of order d and each prime q dividing d, the
+    non-closed point of C's stratum specializes to every closed point over q
+    in the stratum of C_e, the subgroup of C of order e, the q-free part of
+    d: the prime of R(G) at (C, P), P over q, is the prime at
+    (C_e, P meet Z[zeta_e]) (Segal, "The representation ring of a compact Lie
+    group", Publ. IHES 34, 1968).  C_e is found by its elements, not its
+    order, as a non-cyclic G can have several classes of one order.  For ku
+    on a cyclic G these are the containments of `rings.cyclic_spectrum_ring`
+    between strata; for height1, q = p and C_e is trivial, so every point of
+    a nontrivial class goes to F_p.
     """
-    if n > MAX_CYCLOTOMIC:  # the bound of R(C_n) = Z[X]/(X^n - 1)
-        raise RingError("n = %d out of range" % n)
-    key_of = {cls.order: keys[cls.index] for cls in members}
+    generic = {pt.stratum: pt.id for pt in points if not pt.closed}
     over = {}  # (stratum key, q) -> ids of the closed points over q
     for pt in points:
         if pt.closed:
             over.setdefault((pt.stratum, pt.descriptor.data[1]), []).append(pt.id)
+    index = G.element_index()
     for cls in members:
-        src = "%s:0" % keys[cls.index]
-        for q in primes_upto(prime_bound):
-            if cls.order % q == 0:
-                for dst in over[(key_of[p_part(cls.order, q)[1]], q)]:
-                    yield src, dst
+        d = rest = cls.order
+        powers = index.powers(index.number[cls.cyclic_generator().images])
+        src = generic[keys[cls.index]]
+        while rest > 1:
+            q = least_prime_factor(rest)
+            rest = p_part(rest, q)[1]
+            step = d // p_part(d, q)[1]  # C_e is generated by h^step
+            target = _class_of_mask(members, _mask(powers[step - 1::step]))
+            for dst in over.get((keys[target.index], q), ()):
+                yield src, dst
 
 
-def _space(meta, points, edges, order_complete):
+def _space(meta, points, edges):
     """The space with points sorted by id and edges by all four fields."""
     space = StratifiedSpace(
         meta=meta, points=sorted(points, key=lambda pt: pt.id),
-        edges=sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.provenance)),
-        order_complete=order_complete)
+        edges=sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.provenance)))
     _check_disjointness(space)
     return space
 
@@ -259,8 +245,7 @@ def assemble_weak(theory, G, group_label=""):
 
     truncated = any(spaces[i].meta["truncated"] for i in spaces)
     return _space(_meta(theory, group_label, "weak", truncated),
-                  weak_points, weak_edges.values(),
-                  all(spaces[i].order_complete for i in spaces))
+                  weak_points, weak_edges.values())
 
 
 # -- isomorphism check ---------------------------------------------------------
@@ -292,19 +277,18 @@ def _counts(inv):
 
 
 def check_agreement(strong, weak):
-    """Search for a label/stratum/edge-kind-preserving isomorphism of posets.
+    """Search for a label/stratum/edge-preserving isomorphism of posets.
 
-    External (dashed) edges are excluded from the order comparison; edge sets
-    are compared only when both assemblies computed a complete order.
+    Points must match in stratum, label and closedness, and the solid
+    (internal and cross-stratum) edges must correspond; external (dashed)
+    edges are excluded from the order comparison.
     """
-    compare_edges = strong.order_complete and weak.order_complete
-    inv_s = _invariant_multiset(strong, compare_edges)
-    inv_w = _invariant_multiset(weak, compare_edges)
+    inv_s = _invariant_multiset(strong, True)
+    inv_w = _invariant_multiset(weak, True)
     if _counts(inv_s) != _counts(inv_w):
         same_labels = (_counts(_invariant_multiset(strong, False))
                        == _counts(_invariant_multiset(weak, False)))
-        kind = ("degree sequence mismatch" if compare_edges and same_labels
-                else "label multiset mismatch")
+        kind = "degree sequence mismatch" if same_labels else "label multiset mismatch"
         return SpaceIsoReport(False, obstruction=kind)
 
     edge_s = {(e.src, e.dst) for e in strong.solid_edges()}
@@ -319,8 +303,6 @@ def check_agreement(strong, weak):
     used = set()
 
     def consistent(sid, wid):
-        if not compare_edges:
-            return True
         for aid, bid in assignment.items():
             if ((sid, aid) in edge_s) != ((wid, bid) in edge_w):
                 return False

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .groups import FamilySpec, GroupError, family_members, weyl
 from .orbit_cat import quotient
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
-                    PrimeDescriptor, cyclotomic_factors_mod, is_prime,
+                    PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
                     least_prime_factor, p_part, prime_splitting, primes_upto,
                     residue_field_label)
 
@@ -228,18 +228,18 @@ def _ku_points(d, prime_bound):
     each of residue degree ord_d(q) (Washington, Introduction to Cyclotomic
     Fields, Thm 2.13).  The point "q.i" is the prime cut out by the i-th
     factor of cyclotomic_factors_mod(d, q); the factors are computed only
-    where a Galois twist needs them (`_frobenius_labels`).
+    where a Galois twist needs them (`_frobenius_labels`).  Those factors
+    need Phi_d, so d > MAX_CYCLOTOMIC raises at every prime bound.
     """
+    if d > MAX_CYCLOTOMIC:
+        raise RingError("cyclotomic index %d out of range" % d)
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
     points = [StratumPoint(
         "0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0), label0, False)]
-    coprime = [q for q in primes_upto(prime_bound) if d % q]
-    if coprime and d > MAX_CYCLOTOMIC:
-        # the factors that name these points need Phi_d, whose index
-        # cyclotomic_poly bounds: factor once to raise its RingError
-        cyclotomic_factors_mod(d, coprime[0])
-    for q in coprime:
+    for q in primes_upto(prime_bound):
+        if d % q == 0:
+            continue
         split = prime_splitting(d, q)
         lbl = residue_field_label(q, split.residue_degree)
         for i in range(split.count):

@@ -4,7 +4,10 @@ import pathlib
 
 import pytest
 
+from quillen_strata.checks import check_fan_shape
 from quillen_strata.cli import run
+from quillen_strata.groups import build_group
+from quillen_strata.spectrum import check_agreement, deserialize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -33,6 +36,12 @@ CASES = [
      ["strata", "--group", "sym:4", "--theory", "modp:q=8,deg=2"]),
     ("strata_elemab3_2_modp_q9_deg3.json",
      ["strata", "--group", "elem-abelian:3^2", "--theory", "modp:q=9,deg=3"]),
+    ("spectrum_sym4_ku.json", ["spectrum", "--group", "sym:4", "--theory", "ku"]),
+    # p = 23 above the default prime bound 19: the fan into F_23 stays
+    ("spectrum_cyclic23_height1_p23.json",
+     ["spectrum", "--group", "cyclic:23", "--theory", "height1:p=23"]),
+    ("spectrum_dihedral23_height1_p23.json",
+     ["spectrum", "--group", "dihedral:23", "--theory", "height1:p=23"]),
 ]
 
 
@@ -42,3 +51,18 @@ def test_golden_bytes(name, args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+def test_sym4_ku_golden_is_isomorphic_to_the_weak_form(capsys):
+    # strong ku on a non-cyclic group against its weak form, with edges compared
+    assert run(["spectrum", "--group", "sym:4", "--theory", "ku", "--mode", "weak"]) == 0
+    weak = deserialize(capsys.readouterr().out)
+    strong = deserialize((GOLDEN / "spectrum_sym4_ku.json").read_text())
+    assert len(strong.solid_edges()) == len(weak.solid_edges())
+    assert check_agreement(strong, weak).isomorphic
+
+
+def test_height1_above_the_prime_bound_is_a_fan():
+    groups = [(dsl, build_group(dsl)) for dsl in ("cyclic:23", "dihedral:23")]
+    result = check_fan_shape(groups, primes=(23,))
+    assert result.ok, result.detail

@@ -3,7 +3,7 @@
 The fixed corpus only contains well-known groups; these tests draw arbitrary
 generator sets on up to 6 points (order capped at 48) and require the core
 invariants to hold: Mackey cardinality, Weyl divisibility, fan shape, and
-weak/strong agreement at height one.
+weak/strong agreement at height one and for ku.
 """
 
 import itertools
@@ -101,3 +101,16 @@ def test_random_group_weyl_matches_reference(G):
 def test_random_group_cyclic_generator_matches_order_scan(G):
     for cls in [G] + subgroups_up_to_conjugacy(G):
         assert cls.cyclic_generator() == reference_cyclic_generator(cls)
+
+
+@given(group_strategy())
+@settings(max_examples=15, deadline=None)
+def test_random_group_ku_agreement(G):
+    # strong ku glues by Segal's rule on every group, weak from its cyclic
+    # members; the two must agree with edges compared
+    th = parse_theory("ku", prime_bound=7)
+    strong = assemble_strong(th, G, "random")
+    weak = assemble_weak(th, G, "random")
+    rep = check_agreement(strong, weak)
+    assert rep.isomorphic, rep.obstruction
+    assert len(strong.solid_edges()) == len(weak.solid_edges())

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from quillen_strata import groups
+from quillen_strata import checks, groups, spectrum, strata
+from quillen_strata.corpus import small_corpus
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
 from quillen_strata.rings import (RingError, cyclic_spectrum_ring,
                                   cyclotomic_factors_mod, p_part)
 from quillen_strata.spectrum import (SpaceEdge, SpacePoint, StratifiedSpace,
-                                     _segal_edges, assemble_strong, assemble_weak,
+                                     assemble_strong, assemble_weak,
                                      check_agreement,
                                      deserialize, serialize, to_document)
 from quillen_strata.strata import (UnsupportedTheory, parse_theory, stratum,
@@ -178,20 +179,44 @@ def test_strong_ku_on_a_cyclic_group_factors_nothing():
     assert cyclotomic_factors_mod.cache_info().misses == 0
 
 
-def test_cyclic_ku_gluing_keeps_the_order_bound():
-    # as cyclic_spectrum_ring does for R(C_n) with n > MAX_CYCLOTOMIC
-    with pytest.raises(RingError, match="n = 5040 out of range"):
-        list(_segal_edges(5040, 7, (), {}, ()))
+def test_ku_keeps_the_cyclotomic_index_bound_at_every_prime_bound(monkeypatch):
+    # with the index bound lowered to 8, a cyclic subgroup of order 12 is out
+    # of range whether or not some prime <= B is prime to 12, on a cyclic G
+    # and on a non-cyclic one
+    monkeypatch.setattr(strata, "MAX_CYCLOTOMIC", 8)
+    for dsl in ("cyclic:12", "dihedral:12"):
+        G = build_group(dsl)
+        for bound in (2, 3, 5):
+            with pytest.raises(RingError, match="cyclotomic index 12 out of range"):
+                assemble_strong(parse_theory("ku", prime_bound=bound), G)
 
 
-def test_ku_noncyclic_points_only():
+def test_ku_noncyclic_agreement_compares_edges():
     G = build_group("sym:3")
     th = parse_theory("ku", prime_bound=7)
     s = assemble_strong(th, G, "sym:3")
-    assert not s.order_complete
     w = assemble_weak(th, G, "sym:3")
+    assert len(s.solid_edges()) == len(w.solid_edges())
+    assert any(e.kind == "cross-stratum" for e in s.edges)
     rep = check_agreement(s, w)
-    assert rep.isomorphic  # point sets compared, edges skipped
+    assert rep.isomorphic
+    # the witness carries the solid edges of one form onto the other's
+    image = {(rep.witness[e.src], rep.witness[e.dst]) for e in s.solid_edges()}
+    assert image == {(e.src, e.dst) for e in w.solid_edges()}
+
+
+def test_agreement_suite_catches_c_e_found_by_order(monkeypatch):
+    # the first family class of order e is not always the class of C_e when
+    # G has several classes of that order; weak glues cyclic members, where
+    # the order names the subgroup, so only the strong form goes wrong
+    def first_of_order(classes, mask):
+        return next(c for c in classes if c.order == bin(mask).count("1"))
+
+    monkeypatch.setattr(spectrum, "_class_of_mask", first_of_order)
+    assert not checks.check_agreement_suite().ok
+    failing = [dsl for dsl, G in small_corpus()
+               if not checks.check_agreement_suite([(dsl, G)]).ok]
+    assert failing == ["product:cyclic:2xcyclic:6", "dihedral:6"]
 
 
 def test_ku_noncyclic_point_counts_agree():
@@ -363,7 +388,6 @@ def test_space_point_equality_ignores_descriptor_and_stratum_keys():
                    stratum_order=2, local_id="q3")
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != SpacePoint("p1", "o1.0", "Q", False)
-    assert (StratifiedSpace({}, [a], [])
-            == StratifiedSpace({}, [b], [], order_complete=False))
+    assert StratifiedSpace({}, [a], []) == StratifiedSpace({}, [b], [])
     with pytest.raises(AttributeError):
         a.label = "F_2"

@@ -147,14 +147,18 @@ def test_ku_stratum_counts_match_splitting():
 
 
 def test_ku_points_keep_the_cyclotomic_index_bound():
-    # past MAX_CYCLOTOMIC the first prime q not dividing d raises, as the
-    # factoring of Phi_d mod q does; with no such prime there is nothing to name
+    # past MAX_CYCLOTOMIC every prime bound raises, whether or not some prime
+    # q <= B is prime to d, and also for d = 2 mod 4 (Phi_2m is read from Phi_m)
     with pytest.raises(RingError, match="cyclotomic index 9009 out of range"):
         _ku_points(9009, 3)
     with pytest.raises(RingError, match="cyclotomic index 5040 out of range"):
         _ku_points(5040, 11)
-    points, edges = _ku_points(5040, 7)
-    assert [pt.local_id for pt in points] == ["0"] and edges == ()
+    with pytest.raises(RingError, match="cyclotomic index 5040 out of range"):
+        _ku_points(5040, 7)
+    with pytest.raises(RingError, match="cyclotomic index 4098 out of range"):
+        _ku_points(4098, 5)
+    # at the bound itself: 3 has order 1024 mod 4096, so two primes lie over 3
+    assert [pt.local_id for pt in _ku_points(4096, 3)[0]] == ["0", "3.0", "3.1"]
 
 
 def test_ku_weyl_action_swaps_split_primes():
