@@ -7,6 +7,7 @@ functions back the pytest invariant tests.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import namedtuple
 
@@ -16,7 +17,8 @@ from .groups import (FamilySpec, all_subgroup_sets, build_group,
 from .orbit_cat import verify_mackey
 from .rings import (GF, Poly, ZZ, cyclotomic_factors_mod, cyclotomic_poly,
                     factor, is_separable, prime_splitting, primes_upto)
-from .spectrum import assemble_strong, assemble_weak, check_agreement
+from .spectrum import (assemble_strong, assemble_weak, check_agreement,
+                       deserialize, serialize, to_document)
 from .strata import parse_theory, stratum, theory_family_classes
 
 
@@ -274,7 +276,8 @@ def check_ku_stratum_counts():
 
 
 def check_serialization_round_trip():
-    from .spectrum import deserialize, serialize
+    """Each document re-serializes to itself and equals the text json.dumps
+    writes for to_document, the oracle of the one-pass writer."""
 
     def run():
         cases = [("cyclic:4", "height1:p=2"), ("cyclic:2", "ku"),
@@ -284,6 +287,8 @@ def check_serialization_round_trip():
             th = parse_theory(tname)
             space = assemble_strong(th, build_group(dsl), dsl)
             txt = serialize(space, "json")
+            if txt != json.dumps(to_document(space), sort_keys=True, indent=2) + "\n":
+                return False, "writer differs from json.dumps for %s / %s" % (dsl, tname)
             if serialize(deserialize(txt), "json") != txt:
                 return False, "round trip broke for %s / %s" % (dsl, tname)
         return True, "%d documents" % len(cases)

@@ -270,7 +270,8 @@ class CycloField:
     """Q(zeta_m): rationals adjoined a primitive m-th root of unity.
 
     Elements are coefficient tuples of length phi(m) in the power basis of
-    Q[Y]/(Phi_m(Y)).
+    Q[Y]/(Phi_m(Y)).  The coefficients are ints until an inverse brings in
+    Fractions; the two mix exactly.
     """
 
     is_field = True
@@ -280,13 +281,13 @@ class CycloField:
             raise RingError("conductor %d out of range" % m)
         self.m = m
         self.phi = euler_phi(m)
-        self.modulus = tuple(QQ.of_int(c) for c in cyclotomic_poly(m).coeffs)
-        self.zero = (QQ.zero,) * self.phi
+        self.modulus = cyclotomic_poly(m).coeffs
+        self.zero = (0,) * self.phi
         self.one = self._embed_int(1)
         self.name = "Q(zeta_%d)" % m
 
     def _embed_int(self, n):
-        return (QQ.of_int(n),) + (QQ.zero,) * (self.phi - 1)
+        return (n,) + (0,) * (self.phi - 1)
 
     def of_int(self, n):
         return self._embed_int(n)
@@ -295,7 +296,7 @@ class CycloField:
         if self.phi == 1:
             # zeta_1 = 1, zeta_2 = -1
             return self._embed_int(1 if self.m == 1 else -1)
-        return (QQ.zero, QQ.one) + (QQ.zero,) * (self.phi - 2)
+        return (0, 1) + (0,) * (self.phi - 2)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -304,7 +305,7 @@ class CycloField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        prod = [QQ.zero] * (2 * self.phi - 1)
+        prod = [0] * (2 * self.phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -312,7 +313,7 @@ class CycloField:
         for i in range(len(prod) - 1, self.phi - 1, -1):
             c = prod[i]
             if c:
-                prod[i] = QQ.zero
+                prod[i] = 0
                 for j in range(self.phi):
                     prod[i - self.phi + j] -= c * self.modulus[j]
         return tuple(prod[: self.phi])
@@ -944,9 +945,7 @@ def reduce_cyclo_mod_p(f, p):
     dom = GF(p)
 
     def conv(elem):
-        acc = QQ.zero
-        for c in elem:
-            acc += c
+        acc = sum(elem)
         if acc.denominator % p == 0:
             raise RingError("coefficient not integral at %d" % p)
         return (acc.numerator * pow(acc.denominator, -1, p)) % p

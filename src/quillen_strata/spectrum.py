@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from .groups import _class_of_mask, _mask
@@ -348,9 +350,42 @@ def to_document(space):
     }
 
 
+_POINT = ('    {\n      "closed": %s,\n      "id": %s,\n      "label": %s,\n'
+          '      "stratum": %s\n    }')
+_EDGE = ('    {\n      "from": %s,\n      "kind": %s,\n      "provenance": %s,\n'
+         '      "to": %s\n    }')
+
+
+def _json_bool(value):
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError("closed must be a bool, not %s" % type(value).__name__)
+
+
+def _json_list(items):
+    return "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
+
+
+def to_json(space):
+    """The text of json.dumps(to_document(space), sort_keys=True, indent=2)
+    plus a newline, written in one pass: one template per point and per edge,
+    strings through the C escaper, which raises TypeError on a non-str."""
+    q = encode_basestring_ascii
+    points = [_POINT % (_json_bool(pt.closed), q(pt.id), q(pt.label), q(pt.stratum))
+              for pt in sorted(space.points, key=attrgetter("id"))]
+    edges = [_EDGE % (q(e.src), q(e.kind), q(e.provenance), q(e.dst))
+             for e in sorted(space.edges)]
+    # escaped output holds no literal newline, so this indents meta one level
+    meta = json.dumps(space.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return '{\n  "edges": %s,\n  "meta": %s,\n  "points": %s,\n  "schema": %s\n}\n' % (
+        _json_list(edges), meta, _json_list(points), q(SCHEMA))
+
+
 def serialize(space, fmt="json"):
     if fmt == "json":
-        return json.dumps(to_document(space), sort_keys=True, indent=2) + "\n"
+        return to_json(space)
     if fmt == "dot":
         return to_dot(space)
     if fmt == "table":

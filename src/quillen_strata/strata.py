@@ -559,8 +559,19 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
 
 
 def theory_family_classes(theory, G):
-    """Family members of the theory in G, in canonical class order."""
+    """Family members of the theory in G, in canonical class order.
+
+    For ku the cyclotomic index bound of `_ku_points` is checked here, before
+    the lattice: the least element order above MAX_CYCLOTOMIC is the order of
+    the first stratum that would refuse, and only |G| > MAX_CYCLOTOMIC allows
+    one.
+    """
     theory.check_supports(G)
+    if theory.kind == "ku" and G.order > MAX_CYCLOTOMIC:
+        above = [d for d in (math.lcm(*map(len, g.cycles())) for g in G.elements)
+                 if d > MAX_CYCLOTOMIC]
+        if above:
+            raise RingError("cyclotomic index %d out of range" % min(above))
     members = family_members(G, theory.family())
     if theory.kind == "modp":
         for cls in members:

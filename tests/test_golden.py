@@ -42,7 +42,8 @@ CASES = [
      ["spectrum", "--group", "cyclic:23", "--theory", "height1:p=23"]),
     ("spectrum_dihedral23_height1_p23.json",
      ["spectrum", "--group", "dihedral:23", "--theory", "height1:p=23"]),
-]
+] + [("drinfeld_p%d.json" % p, ["drinfeld-check", "--p", str(p)])
+     for p in (2, 3, 5, 7, 11, 13)]
 
 
 @pytest.mark.parametrize("name,args", CASES)

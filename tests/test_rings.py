@@ -453,6 +453,16 @@ def test_cyclo_field_inverse_and_zeta():
     assert K2.zeta() == K2.neg(K2.one)
 
 
+@given(st.integers(min_value=3, max_value=13), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cyclo_field_inverse_of_int_elements(m, data):
+    K = CycloField(m)
+    a = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=K.phi,
+                                 max_size=K.phi).filter(any)))
+    assert K.mul(a, K.inv(a)) == K.one
+    assert K.mul(K.inv(a), a) == K.one
+
+
 def test_gcd_over_cyclotomic_field():
     K = CycloField(3)
     f = level_polynomial_P(3).P

@@ -1,8 +1,13 @@
 import json
+import pathlib
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quillen_strata import checks, groups, spectrum, strata
+from quillen_strata.cli import run
 from quillen_strata.corpus import small_corpus
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
@@ -391,3 +396,88 @@ def test_space_point_equality_ignores_descriptor_and_stratum_keys():
     assert StratifiedSpace({}, [a], []) == StratifiedSpace({}, [b], [])
     with pytest.raises(AttributeError):
         a.label = "F_2"
+
+
+# -- the one-pass JSON writer against its oracle ---------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def oracle_json(space):
+    return json.dumps(to_document(space), sort_keys=True, indent=2) + "\n"
+
+
+# escapes, control characters, non-ASCII (astral too) and the JS line separators
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028\u2029'
+                                          "\u00e9\u03b6\u2603\U0001d11e"),
+                          st.characters()), max_size=8)
+_POINT = st.builds(SpacePoint, _TEXT, _TEXT, _TEXT, st.booleans())
+_EDGE = st.builds(SpaceEdge, _TEXT, _TEXT, _TEXT, _TEXT)
+_META = st.dictionaries(_TEXT, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=6), max_size=4)
+
+
+@given(_META, st.lists(_POINT, max_size=6), st.lists(_EDGE, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_serialize_matches_json_dumps_of_the_document(meta, points, edges):
+    space = StratifiedSpace(meta=meta, points=points, edges=edges)
+    assert serialize(space, "json") == oracle_json(space)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in GOLDEN.glob("*.json")
+    if json.loads(p.read_text()).get("schema") == "quillen-strata/1"))
+def test_every_spectrum_golden_is_reserialized_byte_for_byte(name):
+    text = (GOLDEN / name).read_text()
+    space = deserialize(text)
+    assert serialize(space, "json") == text == oracle_json(space)
+
+
+def test_serialize_of_a_large_ku_space_matches_json_dumps():
+    space = assemble_strong(parse_theory("ku", prime_bound=220),
+                            build_group("cyclic:42"), "cyclic:42")
+    assert serialize(space, "json") == oracle_json(space)
+
+
+_META0 = {"group": "", "mode": "strong"}
+
+
+@pytest.mark.parametrize("space", [
+    StratifiedSpace(_META0, [SpacePoint(5, "o1.0", "Q", False)], []),
+    StratifiedSpace(_META0, [SpacePoint("p", None, "Q", False)], []),
+    StratifiedSpace(_META0, [SpacePoint("p", "o1.0", b"Q", False)], []),
+    StratifiedSpace(_META0, [], [SpaceEdge("a", 1, "internal")]),
+    StratifiedSpace(_META0, [], [SpaceEdge("a", "b", "internal", None)]),
+    StratifiedSpace(_META0, [], [SpaceEdge(("a",), "b", "internal")]),
+    StratifiedSpace(_META0, [SpacePoint("p", "o1.0", "Q", 1)], []),
+    StratifiedSpace(_META0, [SpacePoint("p", "o1.0", "Q", None)], []),
+    StratifiedSpace(_META0, [SpacePoint("p", "o1.0", "Q", "true")], []),
+])
+def test_serialize_refuses_a_non_str_field_or_a_non_bool_closed(space):
+    with pytest.raises(TypeError):
+        serialize(space, "json")
+
+
+# -- the ku cyclotomic index bound comes before the lattice ------------------------
+
+BIG_CYCLIC = ("perm:(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)(16 17 18 19 20 21 22 23 24)"
+              "(25 26 27 28 29)(30 31 32 33 34 35 36)")
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_ku_index_bound_exits_before_the_lattice(mode, monkeypatch, capsys):
+    def no_lattice(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(strata, "family_members", no_lattice)
+    start = time.perf_counter()
+    code = run(["spectrum", "--group", BIG_CYCLIC, "--theory", "ku",
+                "--prime-bound", "7", "--mode", mode])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ('{"error": {"message": "cyclotomic index 5040 out of range", '
+                            '"type": "domain"}}\n')

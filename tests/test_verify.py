@@ -1,6 +1,8 @@
 import time
 
-from quillen_strata.checks import check_subgroup_counts
+from quillen_strata import spectrum
+from quillen_strata.checks import (check_serialization_round_trip,
+                                   check_subgroup_counts)
 from quillen_strata.cli import run
 from quillen_strata.corpus import CORPUS, corpus_group
 
@@ -33,3 +35,14 @@ def test_subgroup_counts_reports_the_groups_checked():
     result = check_subgroup_counts(groups)
     assert result.ok and result.detail == "checked 2 groups"
     assert check_subgroup_counts().detail == "checked %d groups" % len(CORPUS)
+
+
+def test_round_trip_suite_catches_a_deterministic_writer_bug(monkeypatch):
+    # a writer that drops the closed flag of every point still round-trips
+    # to itself; only the comparison with json.dumps sees it
+    writer = spectrum.to_json
+    monkeypatch.setattr(spectrum, "to_json",
+                        lambda space: writer(space).replace('"closed": true', '"closed": false'))
+    result = check_serialization_round_trip()
+    assert not result.ok
+    assert result.detail.startswith("writer differs from json.dumps")
