@@ -99,9 +99,6 @@ class Perm:
             inv[j] = i
         return Perm._trusted(tuple(inv))
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self):
         """Non-trivial cycles, each rotated to start at its minimum, sorted."""
         seen = set()

@@ -96,9 +96,6 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
             for m in self.homs[(i, j)]:
                 yield m
 
-    def automorphism_count(self, i):
-        return len(self.homs[(i, i)])
-
 
 def build_orbit_category(G, classes):
     """The Quillen orbit category on the given family classes.

@@ -215,10 +215,6 @@ class GF:
     def power(self, a, e):
         return _power(a, e, self.mul, 1)
 
-    def gen(self):
-        """The class of the variable in F_p[t]/(modulus); 0 generator for f=1."""
-        return self.p if self.f > 1 else 0
-
     def elements(self):
         return range(self.q)
 
@@ -481,13 +477,6 @@ class Poly(namedtuple("Poly", "coeffs dom")):
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.dom.inv(self.leading()))
-
-    def evaluate(self, point):
-        dom = self.dom
-        acc = dom.zero
-        for c in reversed(self.coeffs):
-            acc = dom.add(dom.mul(acc, point), c)
-        return acc
 
     def pretty(self, var="X"):
         if self.is_zero():

@@ -30,9 +30,13 @@ from .strata import (UnsupportedTheory, stratum, theory_family_classes,
 SCHEMA = "quillen-strata/1"
 
 
-class SpacePoint(namedtuple("SpacePoint", "id stratum label closed descriptor "
-                            "stratum_order local_id", defaults=(None, 0, ""))):
-    """A point of a space; only its first four fields count in == and hash."""
+class SpacePoint(namedtuple("SpacePoint", "id stratum label closed descriptor cls",
+                            defaults=(None, None))):
+    """A point of a space; only its first four fields count in == and hash.
+
+    cls is the SubgroupClass of its stratum, among the classes of the space's
+    group; inside the package strata are named by class, and the key in
+    `stratum` is for output only."""
 
     __slots__ = ()
 
@@ -60,9 +64,6 @@ class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges")):
 
     def solid_edges(self):
         return [e for e in self.edges if e.kind != "external"]
-
-    def strata_keys(self):
-        return sorted({pt.stratum for pt in self.points})
 
 
 def _class_keys(members):
@@ -108,15 +109,14 @@ def assemble_strong(theory, G, group_label=""):
             pid = "%s:%s" % (skey, rp.local_id)
             points.append(SpacePoint(
                 id=pid, stratum=skey, label=rp.label, closed=rp.closed,
-                descriptor=rp.descriptor, stratum_order=cls.order,
-                local_id=rp.local_id))
+                descriptor=rp.descriptor, cls=cls))
             for i in orb:
                 pid_of[i] = pid
         for (i, j) in model.internal_edges:
             if pid_of[i] != pid_of[j]:
                 add_edge(pid_of[i], pid_of[j], "internal")
     if theory.kind in ("height1", "ku"):
-        for src, dst in _segal_edges(G, members, keys, points):
+        for src, dst in _segal_edges(G, members, points):
             add_edge(src, dst, "cross-stratum")
     elif theory.kind == "hz":
         for cls, prev in zip(members[1:], members):
@@ -132,7 +132,7 @@ def assemble_strong(theory, G, group_label=""):
                   points, edges.values())
 
 
-def _segal_edges(G, members, keys, points):
+def _segal_edges(G, members, points):
     """The cross-stratum edges of strong height1 and ku.
 
     For each family class C of order d and each prime q dividing d, the
@@ -146,22 +146,22 @@ def _segal_edges(G, members, keys, points):
     between strata; for height1, q = p and C_e is trivial, so every point of
     a nontrivial class goes to F_p.
     """
-    generic = {pt.stratum: pt.id for pt in points if not pt.closed}
-    over = {}  # (stratum key, q) -> ids of the closed points over q
+    generic = {pt.cls: pt.id for pt in points if not pt.closed}
+    over = {}  # (class, q) -> ids of the closed points over q
     for pt in points:
         if pt.closed:
-            over.setdefault((pt.stratum, pt.descriptor.data[1]), []).append(pt.id)
+            over.setdefault((pt.cls, pt.descriptor.data[1]), []).append(pt.id)
     index = G.element_index()
     for cls in members:
         d = rest = cls.order
         powers = index.powers(index.number[cls.cyclic_generator().images])
-        src = generic[keys[cls.index]]
+        src = generic[cls]
         while rest > 1:
             q = least_prime_factor(rest)
             rest = p_part(rest, q)[1]
             step = d // p_part(d, q)[1]  # C_e is generated by h^step
             target = _class_of_mask(members, _mask(powers[step - 1::step]))
-            for dst in over.get((keys[target.index], q), ()):
+            for dst in over.get((target, q), ()):
                 yield src, dst
 
 
@@ -212,10 +212,11 @@ def assemble_weak(theory, G, group_label=""):
     weak_points = []
     proj_id = {}
     for cid, ms in result.classes:
-        # the members lying in the V^+ part of their object form one Weyl
-        # orbit inside a single stratum (disjointness of the decomposition)
+        # the members lying in the V^+ part of their object (the stratum of
+        # the object itself) form one Weyl orbit inside a single stratum
+        # (disjointness of the decomposition)
         owners = [(i, pid) for (i, pid) in ms
-                  if point_index[i][pid].stratum_order == members[i].order]
+                  if point_index[i][pid].cls.mask() == members[i].mask()]
         if len({i for (i, _) in owners}) != 1:
             raise UnsupportedTheory(
                 "colimit class %r meets %d strata" % (cid, len({i for i, _ in owners})))
@@ -224,8 +225,7 @@ def assemble_weak(theory, G, group_label=""):
         wid = min("%s|%s" % (keys[members[i].index], pid) for (i, pid) in ms)
         wpt = SpacePoint(
             id=wid, stratum=keys[members[oi].index], label=opt.label,
-            closed=opt.closed, descriptor=opt.descriptor,
-            stratum_order=members[oi].order, local_id=opt.local_id)
+            closed=opt.closed, descriptor=opt.descriptor, cls=members[oi])
         weak_points.append(wpt)
         for mkey in ms:
             proj_id[mkey] = wid
@@ -422,14 +422,8 @@ def deserialize(text):
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA:
         raise ValueError("unknown schema %r" % (doc.get("schema"),))
-    points = []
-    for p in doc["points"]:
-        skey = p["stratum"]
-        order = int(skey[1:].split(".", 1)[0]) if skey.startswith("o") else 0
-        local = p["id"].split(":", 1)[1] if ":" in p["id"] else p["id"]
-        points.append(SpacePoint(
-            id=p["id"], stratum=skey, label=p["label"], closed=p["closed"],
-            stratum_order=order, local_id=local))
+    points = [SpacePoint(p["id"], p["stratum"], p["label"], p["closed"])
+              for p in doc["points"]]
     edges = [SpaceEdge(e["from"], e["to"], e["kind"], e.get("provenance", ""))
              for e in doc["edges"]]
     points.sort(key=lambda pt: pt.id)

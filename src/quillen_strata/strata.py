@@ -20,7 +20,8 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .groups import FamilySpec, GroupError, family_members, weyl
+from .groups import (FamilySpec, GroupError, _class_of_mask, _mask, family_members,
+                     weyl)
 from .orbit_cat import quotient
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
@@ -134,7 +135,7 @@ def _prime_power(q):
     raise TheoryError("q = %d is not a prime power" % q)
 
 
-def weyl_action_kind(theory, subgroup=None):
+def weyl_action_kind(subgroup=None):
     """Which Weyl flavor acts on a stratum.
 
     Every built-in theory is global: abelian family members get the
@@ -159,19 +160,11 @@ class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges we
 
     __slots__ = ()
 
-    def is_empty(self):
-        return not self.points
-
     def orbits(self):
         """Weyl orbits of point indices, each sorted, in canonical order."""
         result = quotient(range(len(self.points)),
                           [(i, j) for perm in self.action for i, j in enumerate(perm)])
         return [members for _, members in result.classes]
-
-
-def _trivial_action(weyl_group, npoints):
-    ident = tuple(range(npoints))
-    return tuple(ident for _ in weyl_group.sorted_quotient())
 
 
 def stratum(theory, G, cls):
@@ -180,17 +173,59 @@ def stratum(theory, G, cls):
     Classes outside the theory's family give an empty stratum with a reason
     (the geometric fixed points vanish there); group/theory combinations the
     engine cannot handle raise UnsupportedTheory.  The builders get a family
-    member and its Weyl group.
+    member and return its points, internal edges and truncation flag; each
+    Weyl witness n acts on the points by `_conjugation` along c_n: cls -> cls.
     """
     theory.check_supports(G)
     if not theory.family().contains(cls):
         return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
                             reason="outside family: geometric fixed points vanish")
-    w = weyl(G, cls, weyl_action_kind(theory, cls))
-    return _BUILDERS[theory.kind](theory, cls, w)
+    w = weyl(G, cls, weyl_action_kind(cls))
+    points, edges, truncated = _BUILDERS[theory.kind](theory, cls)
+    position = {pt.descriptor.data: k for k, pt in enumerate(points)}
+    number = cls.element_index().number
+    action = []
+    for _, n in w.witnesses:
+        move = _conjugation(theory, number[n.images], cls, cls)
+        action.append(tuple(position[move(pt.descriptor.data)] for pt in points))
+    return StratumModel(subgroup=cls, points=points, internal_edges=edges, weyl=w,
+                        action=tuple(action), truncated=truncated)
 
 
-def _stratum_height1(theory, cls, w):
+def _same(data):
+    return data
+
+
+def _conjugation(theory, x, L, L2):
+    """The map of a stratum's descriptor data along c_x: L -> L2 = x L x^-1,
+    for the element number x and class representatives L and L2.
+
+    For ku it is the Galois twist zeta -> zeta^a, with x h x^-1 = h2^a for
+    the canonical generators h of L and h2 of L2; for a rank-2 modp stratum
+    the substitution f -> f o M^-1 of `_form_substitute`, (x, y) -> (x, y) M^-1,
+    with M^-1 the matrix of c_x^-1: L2 -> L; for every other stratum the
+    identity.  Weyl actions (L2 = L) and transition maps both read it.
+    """
+    index = L.element_index()
+    if theory.kind == "ku":
+        h = index.number[L.cyclic_generator().images]
+        h2 = index.number[L2.cyclic_generator().images]
+        a = _generator_power(index, h2, index.conjugates(x, (h,))[0])
+        d = L.order
+        if (a - 1) % d == 0:
+            return _same  # a = 1 fixes every point
+        return lambda data: _galois_image(data, d, a)
+    if theory.kind == "modp" and L.p_rank(theory.p) == 2:
+        dom = GF(theory.p, theory.f)
+        coords = _elem_abelian_basis(L, theory.p)[1]
+        Minv = _weyl_matrix(index, L2.generator_numbers, coords, index.inverse(x))
+        left, right = _linear_powers(Minv, dom, theory.degree_bound)
+        return lambda data: (data if data[0] != "form" else
+                             ("form", data[1], _form_substitute(data[2], left, right)))
+    return _same
+
+
+def _stratum_height1(theory, cls):
     p = theory.p
     if cls.order == 1:
         points = (
@@ -208,9 +243,7 @@ def _stratum_height1(theory, cls, w):
             lbl, PrimeDescriptor("Z_p", "generic", ("cyclo", cls.order), lbl),
             lbl, False),)
         edges = ()
-    # the Quillen-Weyl group acts trivially on these spectra
-    return StratumModel(subgroup=cls, points=points, internal_edges=edges,
-                        weyl=w, action=_trivial_action(w, len(points)))
+    return points, edges, False
 
 
 def _generator_power(index, gen, target):
@@ -286,30 +319,19 @@ def _vanishes_at_power(g, a, d, g0):
     return (Poly(tuple(at), dom) % g0).is_zero()
 
 
-def _galois_image(local_id, d, a):
-    """The point of Spec Z[zeta_d, 1/d] that local_id goes to under
-    zeta -> zeta^a, for a unit a mod d."""
-    if local_id == "0" or (a - 1) % d == 0:
-        return local_id  # the generic point is Galois-stable, and a = 1 fixes all
-    q, i = (int(s) for s in local_id.split("."))
+def _galois_image(data, d, a):
+    """The descriptor data of the point of Spec Z[zeta_d, 1/d] that the point
+    with descriptor data `data` goes to under zeta -> zeta^a, for a unit a
+    mod d."""
+    if data[0] != "modular":
+        return data  # the generic point is Galois-stable
+    _, q, i = data
     labels, reps = _frobenius_labels(d, q)
-    return "%d.%d" % (q, labels[reps[i] * a % d])
+    return ("modular", q, labels[reps[i] * a % d])
 
 
-def _stratum_ku(theory, cls, w):
-    d = cls.order
-    points, edges = _ku_points(d, theory.prime_bound)
-    position = {pt.local_id: k for k, pt in enumerate(points)}
-    index = cls.element_index()
-    h = index.number[cls.cyclic_generator().images]
-    action = []
-    for _, n in w.witnesses:
-        nh = index.conjugates(index.number[n.images], (h,))[0]
-        a = _generator_power(index, h, nh)  # c_n(h) = h^a
-        action.append(tuple(position[_galois_image(pt.local_id, d, a)]
-                            for pt in points))
-    return StratumModel(subgroup=cls, points=points, internal_edges=edges,
-                        weyl=w, action=tuple(action), truncated=True)
+def _stratum_ku(theory, cls):
+    return _ku_points(cls.order, theory.prime_bound) + (True,)
 
 
 def _spec_z_points(prime_bound):
@@ -323,9 +345,9 @@ def _spec_z_points(prime_bound):
     return tuple(points), edges
 
 
-def _stratum_hz(theory, cls, w):
+def _stratum_hz(theory, cls):
     if cls.order == 1:
-        return _stratum_kr(theory, cls, w)
+        return _stratum_kr(theory, cls)
     p = theory.p
     ring = "Z/%d[t]^h" % p
     points = (
@@ -334,16 +356,12 @@ def _stratum_hz(theory, cls, w):
         StratumPoint("t", PrimeDescriptor(ring, "closed", ("t",), "F_%d" % p),
                      "F_%d" % p, True),
     )
-    return StratumModel(subgroup=cls, points=points, internal_edges=((0, 1),),
-                        weyl=w, action=_trivial_action(w, 2))
+    return points, ((0, 1),), False
 
 
-def _stratum_kr(theory, cls, w):
+def _stratum_kr(theory, cls):
     """The truncated Spec Z at the trivial subgroup, the one family member."""
-    points, edges = _spec_z_points(theory.prime_bound)
-    return StratumModel(subgroup=cls, points=points, internal_edges=edges,
-                        weyl=w, action=_trivial_action(w, len(points)),
-                        truncated=True)
+    return _spec_z_points(theory.prime_bound) + (True,)
 
 
 # -- mod-p strata over F_q ------------------------------------------------------
@@ -469,7 +487,7 @@ def _weyl_matrix(index, basis, coords, g):
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
-def _stratum_modp(theory, cls, w):
+def _stratum_modp(theory, cls):
     p, q = theory.p, theory.q
     r = cls.p_rank(p)
     if r > 2:
@@ -479,45 +497,28 @@ def _stratum_modp(theory, cls, w):
     dom = GF(theory.p, theory.f)
     ring = "F_%d[x,y]^h" % q
     if r == 0:
-        points = (StratumPoint(
+        return (StratumPoint(
             "irr", PrimeDescriptor(ring, "closed", ("irrelevant",), "F_%d" % q),
-            "F_%d" % q, True),)
-        return StratumModel(subgroup=cls, points=points, internal_edges=(),
-                            weyl=w, action=_trivial_action(w, 1))
+            "F_%d" % q, True),), (), False
     if r == 1:
-        points = (StratumPoint(
+        return (StratumPoint(
             "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x)" % q),
-            "F_%d(x)" % q, False),)
-        return StratumModel(subgroup=cls, points=points, internal_edges=(),
-                            weyl=w, action=_trivial_action(w, 1))
+            "F_%d(x)" % q, False),), (), False
     forms = [cf for cf in irreducible_forms(dom, theory.degree_bound)
              if not _is_rational_linear(cf, dom)]
     forms.sort(key=lambda cf: (len(cf), cf))
     points = [StratumPoint(
         "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x,y)" % q),
         "F_%d(x,y)" % q, False)]
-    index_of = {}
     for cf in forms:
         lbl = "(%s)" % form_label(cf, dom)
-        index_of[cf] = len(points)
         points.append(StratumPoint(
             form_label(cf, dom),
             PrimeDescriptor(ring, "height-one", ("form", len(cf) - 1, cf), lbl),
             lbl, False))
     edges = tuple((0, j) for j in range(1, len(points)))
-    basis, coords = _elem_abelian_basis(cls, p)
-    index = cls.element_index()
-    action = []
-    for _, n in w.witnesses:
-        # n sends a form f to f o M^-1, and M^-1 is the matrix of conjugation by n^-1
-        Minv = _weyl_matrix(index, basis, coords, index.inverse(index.number[n.images]))
-        left, right = _linear_powers(Minv, dom, theory.degree_bound)
-        action.append((0,) + tuple(index_of[_form_substitute(cf, left, right)]
-                                   for cf in forms))
     # the full homogeneous spectrum is infinite; the degree bound truncates it
-    return StratumModel(subgroup=cls, points=tuple(points),
-                        internal_edges=edges, weyl=w, action=tuple(action),
-                        truncated=True)
+    return tuple(points), edges, True
 
 
 _BUILDERS = {"height1": _stratum_height1, "ku": _stratum_ku, "hz": _stratum_hz,
@@ -529,32 +530,31 @@ _BUILDERS = {"height1": _stratum_height1, "ku": _stratum_ku, "hz": _stratum_hz,
 def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     """Point map induced by a morphism c_g: H -> K on full per-subgroup spectra.
 
-    src_points / dst_points are the points of the assembled spectra of the
-    source and target subgroups (duck-typed: .id, .stratum_order,
-    .local_id).  Each point goes to the target point with the same stratum
-    order and local id; for ku, after the Galois twist.  Returns
-    {src id: dst id}.
+    src_points / dst_points are the points of the assembled spectra of H and
+    K (duck-typed: .id, .cls, .descriptor), each carrying the class of its
+    stratum.  A point of the stratum of L goes to the stratum of L2, the
+    class of g L g^-1 among K's, with its descriptor data moved by
+    `_conjugation` along x = t^-1 g, where t L2 t^-1 = g L g^-1 for the t of
+    L2's orbit, so that x L x^-1 = L2.  Returns {src id: dst id}.
     """
     if not theory.has_transition_maps():
         raise UnsupportedTheory(
             "theory %s has no transition maps" % theory.name)
-    u = None
-    if theory.kind == "ku":
-        # contraction along R(K) -> R(H), X -> Y^u, with u a unit mod c = |H|
-        c, d = src_cls.order, dst_cls.order
-        index = dst_cls.element_index()
-        num = index.number
-        img = index.conjugates(num[morphism.witness.images],
-                               (num[src_cls.cyclic_generator().images],))[0]
-        u = _generator_power(index, num[dst_cls.cyclic_generator().images],
-                             img) * c // d % c
-    by_key = {(pt.stratum_order, pt.local_id): pt.id for pt in dst_points}
+    index = dst_cls.element_index()
+    g = index.number[morphism.witness.images]
+    targets = list(dict.fromkeys(pt.cls for pt in dst_points))
+    by_key = {(pt.cls, pt.descriptor.data): pt.id for pt in dst_points}
+    moves = {}  # L -> (L2, its conjugation)
     out = {}
     for pt in src_points:
-        local = pt.local_id
-        if u is not None:
-            local = _galois_image(local, pt.stratum_order, u)
-        out[pt.id] = by_key[(pt.stratum_order, local)]
+        L = pt.cls
+        if L not in moves:
+            T = _mask(index.conjugates(g, L.numbers()))
+            L2 = _class_of_mask(targets, T)
+            x = index.mul(index.inverse(L2.orbit[T][0]), g)
+            moves[L] = L2, _conjugation(theory, x, L, L2)
+        L2, move = moves[L]
+        out[pt.id] = by_key[(L2, move(pt.descriptor.data))]
     return out
 
 

@@ -38,7 +38,8 @@ def naive_closure(gens):
 def perm_powers(g):
     """The tuple (g, g^2, ..., e) of the powers of a Perm, by multiplying."""
     out = [g]
-    while not out[-1].is_identity():
+    ident = tuple(range(g.degree))
+    while out[-1].images != ident:
         out.append(out[-1] * g)
     return tuple(out)
 
@@ -291,36 +292,48 @@ def reference_ku_action(model):
 
 
 def reference_ku_transition(morphism, src_cls, dst_cls, src_points, dst_points):
-    """A ku transition map found by search: along X -> Y^u, each cyclotomic
-    point goes to the target's point of the same divisor and each modular
-    point (q, g) to the target's (q, g') with g'(X^u) = 0 mod (q, g)."""
-    c, d = src_cls.order, dst_cls.order
-    u = 1
-    if c > 1:
-        h = src_cls.cyclic_generator()
-        img = morphism.witness * h * ~morphism.witness
-        u = (perm_powers(dst_cls.cyclic_generator()).index(img) + 1) * c // d % c
+    """A ku transition map found by search.  A point of the stratum of L goes
+    to the stratum of the target class L2 with k L2 k^-1 = g L g^-1, found by
+    conjugating every target class by every k of K; with x = k^-1 g and
+    x h x^-1 = h2^a for the canonical generators h of L and h2 of L2 (the
+    least elements of full order, found by scanning), the generic point goes
+    to L2's and each modular point (q, g) to L2's (q, g') with g'(X^a) = 0
+    mod (q, g).  K is cyclic, so a does not depend on the choice of k."""
+    w = morphism.witness
+    targets = list(dict.fromkeys(pt.cls for pt in dst_points))
+    found = {}
 
-    def factor_of(pt):
-        _, q, i = pt.descriptor.data
-        return _reference_factors(pt.stratum_order, q)[i]
+    def target(L):
+        if L not in found:
+            wL = conjugate_set(L.elements, w)
+            L2, k = next((L2, k) for L2 in targets for k in dst_cls.sorted_elements
+                         if conjugate_set(L2.elements, k) == wL)
+            x = ~k * w
+            h2 = reference_cyclic_generator(L2)
+            h = reference_cyclic_generator(L)
+            found[L] = L2, perm_powers(h2).index(x * h * ~x) + 1
+        return found[L]
 
-    by_cyclo = {}
-    by_modular = {}
+    generic = {}
+    modular = {}
     for pt in dst_points:
         data = pt.descriptor.data
         if data[0] == "cyclo":
-            by_cyclo[data[1]] = pt.id
+            generic[pt.cls] = pt.id
         else:
-            by_modular.setdefault(data[1], []).append((pt.id, factor_of(pt)))
+            _, q, i = data
+            modular.setdefault((pt.cls, q), []).append(
+                (pt.id, _reference_factors(pt.cls.order, q)[i]))
     out = {}
     for pt in src_points:
+        L2, a = target(pt.cls)
         data = pt.descriptor.data
         if data[0] == "cyclo":
-            out[pt.id] = by_cyclo[data[1]]
+            out[pt.id] = generic[L2]
         else:
-            out[pt.id] = modular_preimage(data[1], factor_of(pt), u,
-                                          by_modular[data[1]])
+            _, q, i = data
+            out[pt.id] = modular_preimage(q, _reference_factors(pt.cls.order, q)[i], a,
+                                          modular[(L2, q)])
     return out
 
 

@@ -237,7 +237,7 @@ def test_every_monic_linear_polynomial_is_irreducible():
 
 def test_gf4_structure():
     F4 = GF(2, 2)
-    a = F4.gen()
+    a = F4.p  # the class of the variable of F_2[t]/(modulus)
     assert F4.mul(a, a) == F4.add(a, F4.one)      # a^2 = a + 1
     assert F4.mul(a, F4.mul(a, a)) == F4.one      # a^3 = 1
     assert F4.repr_elem(F4.mul(a, a)) == "a+1"
@@ -353,7 +353,7 @@ def test_factor_is_deterministic():
 
 def test_is_irreducible_over_gf4():
     F4 = GF(2, 2)
-    a = F4.gen()
+    a = F4.p  # the class of the variable of F_2[t]/(modulus)
     # x^2 + x + a is irreducible over F_4; x^2 + 1 = (x+1)^2 is not
     assert is_irreducible(Poly((a, F4.one, F4.one), F4))
     assert not is_irreducible(Poly((F4.one, F4.zero, F4.one), F4))

@@ -78,7 +78,7 @@ def test_quotient_orbit_sizes_sum():
     members = theory_family_classes(th, G)
     for cls in members:
         model = stratum(th, G, cls)
-        if model.is_empty():
+        if not model.points:
             continue
         orbits = model.orbits()
         assert sum(len(o) for o in orbits) == len(model.points)
@@ -93,12 +93,12 @@ def test_ku_c2_fig3():
     s = assemble_strong(th, G, "cyclic:2")
     minimal = [p for p in s.points if not p.closed]
     assert len(minimal) == 2
-    at2 = [p for p in s.points if p.closed and p.local_id.startswith("2.")]
+    at2 = [p for p in s.points if p.closed and p.descriptor.data[1] == 2]
     assert len(at2) == 1
     into2 = [e for e in s.edges if e.dst == at2[0].id]
     assert sorted(e.src for e in into2) == sorted(p.id for p in minimal)
     for q in (3, 5, 7, 11, 13, 17, 19):
-        atq = [p for p in s.points if p.closed and p.local_id.startswith("%d." % q)]
+        atq = [p for p in s.points if p.closed and p.descriptor.data[1] == q]
         assert len(atq) == 2
         for p in atq:
             incoming = [e for e in s.edges if e.dst == p.id]
@@ -239,7 +239,7 @@ def test_hz_fig5():
         G = build_group("cyclic:%d" % p ** 2)
         th = parse_theory("hz:p=%d" % p)
         s = assemble_strong(th, G, "cyclic:%d" % p ** 2)
-        two_point = [k for k in s.strata_keys()
+        two_point = [k for k in sorted({pt.stratum for pt in s.points})
                      if len([q for q in s.points if q.stratum == k]) == 2]
         assert len(two_point) == 2
         ext = [e for e in s.edges if e.kind == "external"]
@@ -254,7 +254,7 @@ def test_hz_fig5():
 def test_kr_c2_is_spec_z():
     G = build_group("cyclic:2")
     s = assemble_strong(parse_theory("kr"), G, "cyclic:2")
-    assert s.strata_keys() == ["o1.0"]
+    assert sorted({pt.stratum for pt in s.points}) == ["o1.0"]
     labels = sorted(p.label for p in s.points)
     assert labels == sorted(["Q"] + ["F_%d" % q for q in (2, 3, 5, 7, 11, 13, 17, 19)])
 
@@ -390,7 +390,7 @@ def test_height1_owner_stratum_matches_minimal_subgroup():
 def test_space_point_equality_ignores_descriptor_and_stratum_keys():
     a = SpacePoint("p0", "o1.0", "Q", False)
     b = SpacePoint("p0", "o1.0", "Q", False, descriptor=("zero",),
-                   stratum_order=2, local_id="q3")
+                   cls=groups.subgroups_up_to_conjugacy(build_group("cyclic:2"))[1])
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != SpacePoint("p1", "o1.0", "Q", False)
     assert StratifiedSpace({}, [a], []) == StratifiedSpace({}, [b], [])

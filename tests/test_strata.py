@@ -63,11 +63,10 @@ def test_theory_families():
 
 
 def test_weyl_action_kind():
-    th = parse_theory("height1:p=2")
-    assert weyl_action_kind(th) == "quillen"
-    assert weyl_action_kind(parse_theory("modp:q=4")) == "quillen"
+    assert weyl_action_kind() == "quillen"
     G, classes = classes_of("sym:3")
-    assert weyl_action_kind(th, classes[-1]) == "global"  # non-abelian subgroup
+    assert weyl_action_kind(classes[1]) == "quillen"  # abelian subgroup
+    assert weyl_action_kind(classes[-1]) == "global"  # non-abelian subgroup
 
 
 # -- height1 --------------------------------------------------------------------
@@ -93,9 +92,9 @@ def test_height1_outside_family_is_empty():
     th = parse_theory("height1:p=2")
     c3 = [c for c in classes if c.order == 3][0]
     m = stratum(th, G, c3)
-    assert m.is_empty() and "vanish" in m.reason
+    assert not m.points and "vanish" in m.reason
     top = classes[-1]
-    assert stratum(th, G, top).is_empty()
+    assert not stratum(th, G, top).points
 
 
 def test_height1_sigma3_weyl_acts_trivially_but_is_nontrivial():
@@ -218,7 +217,7 @@ def test_kr_only_c2():
     with pytest.raises(UnsupportedTheory):
         theory_family_classes(th, build_group("cyclic:4"))
     G, classes = classes_of("cyclic:2")
-    assert stratum(th, G, classes[1]).is_empty()
+    assert not stratum(th, G, classes[1]).points
     m = stratum(th, G, classes[0])
     assert m.points[0].label == "Q" and len(m.points) == 9  # bound 19
 
@@ -356,6 +355,40 @@ def test_weyl_matrices_match_perm_products():
                     == reference_weyl_matrix(cls, n, p), (dsl, cls.index, n)
 
 
+def _reference_modp_action(model, p, dom):
+    """The Weyl action on a modp stratum from Perm products: a witness n sends
+    the form f to f o M^-1, M^-1 the matrix of conjugation by n^-1, by
+    binomial expansion; every other point is fixed."""
+    position = {pt.descriptor.data: k for k, pt in enumerate(model.points)}
+    action = []
+    for _, n in model.weyl.witnesses:
+        images = []
+        for pt in model.points:
+            data = pt.descriptor.data
+            if data[0] == "form":
+                M = reference_weyl_matrix(model.subgroup, ~n, p)
+                Mdom = tuple(tuple(dom.of_int(c) for c in row) for row in M)
+                data = ("form", data[1], reference_form_substitute(data[2], Mdom, dom))
+            images.append(position[data])
+        action.append(tuple(images))
+    return tuple(action)
+
+
+@pytest.mark.parametrize("name", ["modp:q=4,deg=2", "modp:q=9,deg=2", "modp:q=2,deg=3"])
+def test_modp_action_matches_perm_products(name):
+    th = parse_theory(name)
+    dom = GF(th.p, th.f)
+    moved = 0
+    for dsl in ("elem-abelian:2^2", "elem-abelian:3^2", "sym:4", "dihedral:4", WREATH,
+                "product:sym:3xsym:3"):
+        G = build_group(dsl)
+        for cls in theory_family_classes(th, G):
+            m = stratum(th, G, cls)
+            assert m.action == _reference_modp_action(m, th.p, dom), (name, dsl, cls.index)
+            moved += sum(perm != tuple(range(len(perm))) for perm in m.action)
+    assert moved  # some witness moves a form
+
+
 def test_modp_actions_are_group_actions():
     from quillen_strata.checks import _is_group_action
     G, classes = classes_of(WREATH)
@@ -369,7 +402,7 @@ def test_modp_empty_outside_family():
     G, classes = classes_of("dihedral:4")
     th = parse_theory("modp:q=4,deg=1")
     c4 = [c for c in classes if c.order == 4 and c.is_cyclic()][0]
-    assert stratum(th, G, c4).is_empty()
+    assert not stratum(th, G, c4).points
 
 
 def test_modp_degree_two_stratum_over_f2():
@@ -396,7 +429,7 @@ def test_empty_stratum_law(corpus_groups, name):
             continue
         for cls in subgroups_up_to_conjugacy(G):
             m = stratum(th, G, cls)
-            assert m.is_empty() == (cls.index not in members) == bool(m.reason)
+            assert (not m.points) == (cls.index not in members) == bool(m.reason)
 
 
 def test_generator_power():

@@ -7,11 +7,11 @@ import pytest
 
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import build_orbit_category
-from quillen_strata.rings import (CycloField, RingError,
+from quillen_strata.rings import (CycloField, Poly, RingError,
                                   cyclic_spectrum_ring, cyclotomic_factors_mod,
-                                  cyclotomic_poly, level_polynomial_P,
+                                  cyclotomic_poly, divides, level_polynomial_P,
                                   primes_upto)
-from quillen_strata.spectrum import assemble_strong, assemble_weak
+from quillen_strata.spectrum import _class_keys, assemble_strong, assemble_weak
 from quillen_strata.strata import (_galois_image, parse_theory, stratum,
                                    theory_family_classes, transition_map)
 
@@ -22,7 +22,8 @@ from conftest import (modular_preimage, reference_ku_action,
 # nontrivial Weyl actions on ku strata
 KU_SEARCH_GROUPS = ([("cyclic:%d" % n, 19) for n in range(12, 37)]
                     + [(g, 43) for g in ("sym:3", "sym:4", "dihedral:5", "alt:4",
-                                         "perm:(0 1 2 3 4 5 6);(1 2 4)(3 6 5)")])
+                                         "perm:(0 1 2 3 4 5 6);(1 2 4)(3 6 5)",
+                                         "sym:5", "product:cyclic:4xsym:3")])
 
 
 def _setup(dsl, theory_text, **kw):
@@ -82,7 +83,7 @@ def test_ku_conjugation_transition_is_galois():
     th, G, members, cat, spaces = _setup("sym:3", "ku", prime_bound=7)
     i = [k for k, c in enumerate(members) if c.order == 3][0]
     auts = cat.hom(i, i)
-    nontrivial = [m for m in auts if not m.witness.is_identity()]
+    nontrivial = [m for m in auts if m.witness != G.identity()]
     assert len(nontrivial) == 1
     t = transition_map(th, nontrivial[0], members[i], members[i],
                        spaces[i].points, spaces[i].points)
@@ -90,10 +91,40 @@ def test_ku_conjugation_transition_is_galois():
     # exactly the two C3-stratum primes above 7 = 1 mod 3 swap; the copy of
     # Spec(Z) inside Spec(R(C_3)) is fixed pointwise
     at7_top = {p.id for p in spaces[i].points
-               if p.stratum_order == 3
+               if p.cls.mask() == members[i].mask()
                and p.descriptor.data[0] == "modular"
                and p.descriptor.data[1] == 7}
     assert moved == at7_top and len(at7_top) == 2
+
+
+def _stratum_masks(th, H):
+    """{stratum key: bitmask of its subgroup} for the strata of H's spectrum."""
+    members = theory_family_classes(th, H)
+    keys = _class_keys(members)
+    return {keys[c.index]: c.mask() for c in members}
+
+
+@pytest.mark.parametrize("dsl", ["product:cyclic:4xsym:3", "sym:5"])
+def test_ku_identity_witness_keeps_stratum_and_descriptor(dsl):
+    # an inclusion H <= K moves no point: each goes to the point of the
+    # stratum of the same subgroup, with the same descriptor data, whatever
+    # the canonical generators of H and K
+    th, G, members, cat, spaces = _setup(dsl, "ku", prime_bound=43)
+    identity = G.identity()
+    checked = 0
+    for m in cat.all_morphisms():
+        if m.witness != identity:
+            continue
+        H, K = members[m.src], members[m.dst]
+        t = transition_map(th, m, H, K, spaces[m.src].points, spaces[m.dst].points)
+        masks_h, masks_k = _stratum_masks(th, H), _stratum_masks(th, K)
+        src = {pt.id: pt for pt in spaces[m.src].points}
+        dst = {pt.id: pt for pt in spaces[m.dst].points}
+        for a, b in t.items():
+            assert masks_k[dst[b].stratum] == masks_h[src[a].stratum], (dsl, m.key(), a)
+            assert dst[b].descriptor.data == src[a].descriptor.data, (dsl, m.key(), a, b)
+            checked += 1
+    assert checked
 
 
 def test_galois_image_matches_search_on_every_unit():
@@ -106,8 +137,8 @@ def test_galois_image_matches_search_on_every_unit():
             for a in units:
                 for i, coeffs in cands:
                     expected = modular_preimage(q, coeffs, a, cands)
-                    assert _galois_image("%d.%d" % (q, i), d, a) == \
-                        "%d.%d" % (q, expected), (d, q, a, i)
+                    assert _galois_image(("modular", q, i), d, a) == \
+                        ("modular", q, expected), (d, q, a, i)
 
 
 @pytest.mark.parametrize("dsl,bound", KU_SEARCH_GROUPS)
@@ -151,7 +182,7 @@ def test_zeta_is_root_of_cyclotomic():
     for m in (1, 2, 3, 4, 5, 8, 12):
         K = CycloField(m)
         phi = cyclotomic_poly(m).map_domain(K, K.of_int)
-        assert phi.evaluate(K.zeta()) == K.zero
+        assert divides(Poly((K.neg(K.zeta()), K.one), K), phi)[0]  # X - zeta | Phi_m
 
 
 def test_level_polynomial_bounds():
