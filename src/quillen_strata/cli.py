@@ -10,11 +10,11 @@ invocations produce byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 
-from . import checks
 from .groups import (GroupError, GroupParseError, build_group, double_cosets,
                      minimal_generators, select_class,
                      subgroups_up_to_conjugacy, weyl)
@@ -40,14 +40,19 @@ def _dump(doc):
 
 
 def _emit(text, path):
-    if path and path != "-":
-        try:
+    to_stdout = not path or path == "-"
+    try:
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CliParseError("cannot write output: %s" % exc)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        if to_stdout:
+            # the exit flush would fail again on what is left in the buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliParseError("cannot write output: %s" % exc)
 
 
 def _class_doc(cls):
@@ -223,6 +228,7 @@ def _cmd_drinfeld_check(args):
 
 
 def _cmd_verify(args):
+    from . import checks    # with the corpus, only verify needs it
     results = checks.run_all()
     failed = [r for r in results if not r.ok]
     lines = []
@@ -234,66 +240,59 @@ def _cmd_verify(args):
     return 0 if not failed else 3
 
 
-def make_parser():
+_GROUP = ("--group", {"required": True, "help": "group DSL string"})
+_THEORY = [
+    ("--theory", {"required": True,
+                  "help": "height1:p=P | ku | hz:p=P | modp:q=Q,deg=D | kr"}),
+    ("--prime-bound", {"type": int, "default": None,
+                       "help": "truncation bound for infinite spectra (default 19)"}),
+    ("--degree-bound", {"type": int, "default": None,
+                        "help": "degree bound for homogeneous strata (default 1)"})]
+_SELECTOR = {"required": True,
+             "help": "subgroup selector: ORDER:INDEX, gens:<cycles>, or A<n>"}
+_OUTPUT_PATH = ("--output", "-o", {"default": "-", "help": "output path (default stdout)"})
+_OUTPUT = ("--output", "-o", {"default": "-"})
+
+# command -> (help, handler, [(*option strings, add_argument keywords)])
+COMMANDS = {
+    "spectrum": ("assemble a stratified spectrum", _cmd_spectrum, [
+        _GROUP, *_THEORY, _OUTPUT_PATH,
+        ("--mode", {"choices": ("strong", "weak"), "default": "strong"}),
+        ("--format", {"choices": ("json", "dot", "table"), "default": "json"})]),
+    "strata": ("per-subgroup strata with Weyl actions", _cmd_strata,
+               [_GROUP, *_THEORY, _OUTPUT_PATH]),
+    "subgroups": ("subgroup classes up to conjugacy", _cmd_subgroups,
+                  [_GROUP, _OUTPUT_PATH]),
+    "weyl": ("Weyl group of a subgroup class", _cmd_weyl, [
+        _GROUP, ("--h", _SELECTOR), _OUTPUT_PATH,
+        ("--kind", {"choices": ("ordinary", "global", "quillen"),
+                    "default": "ordinary"})]),
+    "double-cosets": ("double coset decomposition H\\G/K", _cmd_double_cosets,
+                      [_GROUP, ("--h", _SELECTOR), ("--k", _SELECTOR), _OUTPUT_PATH]),
+    "coequalize": ("colimit of an explicit point-set diagram", _cmd_coequalize, [
+        ("--input", "-i", {"default": "-", "help": "diagram JSON (default stdin)"}),
+        _OUTPUT]),
+    "drinfeld-check": ("torsion polynomial vs p-series divisibility report",
+                       _cmd_drinfeld_check,
+                       [("--p", {"type": int, "required": True}), _OUTPUT]),
+    "verify": ("run every invariant suite over the corpus", _cmd_verify, [
+        ("--all", {"action": "store_true", "default": True,
+                   "help": "run all suites (default)"}), _OUTPUT]),
+}
+
+
+def make_parser(command=None):
+    """The full parser, or one with only `command`'s subparser if it is known;
+    both parse that command's arguments alike."""
     parser = _Parser(prog="quillen-strata",
                      description="Stratified prime spectra for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, theory=False, bounds=False, selector=()):
-        p.add_argument("--group", required=True, help="group DSL string")
-        if theory:
-            p.add_argument("--theory", required=True,
-                           help="height1:p=P | ku | hz:p=P | modp:q=Q,deg=D | kr")
-        if bounds:
-            p.add_argument("--prime-bound", type=int, default=None,
-                           help="truncation bound for infinite spectra (default 19)")
-            p.add_argument("--degree-bound", type=int, default=None,
-                           help="degree bound for homogeneous strata (default 1)")
-        for name in selector:
-            p.add_argument("--" + name, required=True,
-                           help="subgroup selector: ORDER:INDEX, gens:<cycles>, or A<n>")
-        p.add_argument("--output", "-o", default="-", help="output path (default stdout)")
-
-    p = sub.add_parser("spectrum", help="assemble a stratified spectrum")
-    add_common(p, theory=True, bounds=True)
-    p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--format", choices=("json", "dot", "table"), default="json")
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("strata", help="per-subgroup strata with Weyl actions")
-    add_common(p, theory=True, bounds=True)
-    p.set_defaults(fn=_cmd_strata)
-
-    p = sub.add_parser("subgroups", help="subgroup classes up to conjugacy")
-    add_common(p)
-    p.set_defaults(fn=_cmd_subgroups)
-
-    p = sub.add_parser("weyl", help="Weyl group of a subgroup class")
-    add_common(p, selector=("h",))
-    p.add_argument("--kind", choices=("ordinary", "global", "quillen"),
-                   default="ordinary")
-    p.set_defaults(fn=_cmd_weyl)
-
-    p = sub.add_parser("double-cosets", help="double coset decomposition H\\G/K")
-    add_common(p, selector=("h", "k"))
-    p.set_defaults(fn=_cmd_double_cosets)
-
-    p = sub.add_parser("coequalize", help="colimit of an explicit point-set diagram")
-    p.add_argument("--input", "-i", default="-", help="diagram JSON (default stdin)")
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(fn=_cmd_coequalize)
-
-    p = sub.add_parser("drinfeld-check",
-                       help="torsion polynomial vs p-series divisibility report")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(fn=_cmd_drinfeld_check)
-
-    p = sub.add_parser("verify", help="run every invariant suite over the corpus")
-    p.add_argument("--all", action="store_true", default=True,
-                   help="run all suites (default)")
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(fn=_cmd_verify)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_, fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for *flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -307,7 +306,7 @@ def run(argv):
             _error_json("parse", "QUILLEN_STRATA_THREADS must be a positive integer")
             return 1
         # evaluation is sequential, which respects any positive cap
-    parser = make_parser()
+    parser = make_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except CliParseError as exc:
@@ -329,7 +328,11 @@ def _error_json(kind, message):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # finalization's collections then skip everything alive at exit; not in
+    # run(), whose in-process callers keep collecting their own objects
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

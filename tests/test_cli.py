@@ -1,3 +1,5 @@
+import gc
+import importlib.util
 import json
 import os
 import pathlib
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from quillen_strata.cli import run
+from quillen_strata.cli import COMMANDS, CliParseError, make_parser, run
 from quillen_strata.spectrum import check_agreement, deserialize
 
 
@@ -143,12 +145,17 @@ def test_strata_command(capsys):
     assert doc["strata"][1]["weyl_order"] == 2
 
 
-def run_python(argv, timeout=None):
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(argv, timeout=None, env=None, **options):
+    src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable] + argv,
-                          capture_output=True, text=True, env=env, timeout=timeout)
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    options = dict({"capture_output": True, "text": True}, **options)
+    return subprocess.run([sys.executable] + argv, env=env, timeout=timeout,
+                          **options)
 
 
 def run_subprocess(args, timeout=None):
@@ -164,6 +171,21 @@ def test_cli_import_skips_dataclass_machinery():
                        " & set(sys.modules)))"])
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_every_traced_layer_and_not_verify():
+    # bench/tracer.py reads each LAYERS module from sys.modules right after
+    # importing the CLI; checks and the corpus serve only the verify command
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    proc = run_python(["-c", "import sys, quillen_strata.cli; print(' '.join("
+                       "sorted(sys.modules)))"])
+    assert proc.returncode == 0
+    loaded = set(proc.stdout.split())
+    assert {"quillen_strata." + layer for layer in tracer.LAYERS} <= loaded
+    assert not {"quillen_strata.checks", "quillen_strata.corpus"} & loaded
 
 
 def test_console_script_subprocess():
@@ -353,3 +375,128 @@ def test_coequalize_rejects_points_that_are_not_a_list(tmp_path, capsys):
     for points in ("xy", {"x": "y"}):
         doc = {"objects": [{"id": "a", "points": points}], "maps": []}
         _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
+
+
+# argv lists on which the one-command parser must behave like the full one
+PARSES = [
+    ["spectrum", "--gro", "cyclic:4", "--theory", "ku"],
+    ["spectrum", "--group=cyclic:4", "--theory=height1:p=2", "--mode", "weak",
+     "--format", "dot", "-o", "-"],
+    ["spectrum", "--group", "cyclic:4", "--theory", "ku", "--prime-bound", "7",
+     "--degree-bound", "2", "--output", "doc.json"],
+    ["strata", "--gro", "sym:3", "--the", "height1:p=3", "-o", "-"],
+    ["subgroups", "--group=sym:3"],
+    ["weyl", "--gr", "sym:3", "--h=2:0", "--kind", "quillen"],
+    ["double-cosets", "--group", "sym:3", "--h", "2:0", "--k", "3:0", "-o", "-"],
+    ["coequalize", "-i", "diagram.json", "-o", "-"],
+    ["coequalize"],
+    ["drinfeld-check", "--p=5", "-o", "out.json"],
+    ["verify", "--all"],
+    ["verify"],
+]
+PARSE_ERRORS = [
+    ["spectrum", "--theory", "ku"],
+    ["double-cosets", "--group", "sym:3", "--h", "2:0"],
+    ["subgroups", "--group"],
+    ["spectrum", "--group", "cyclic:4", "--theory", "ku", "--mode", "medium"],
+    ["spectrum", "--group", "cyclic:4", "--theory", "ku", "--format", "xml"],
+    ["weyl", "--group", "sym:3", "--h", "2:0", "--kind", "normal"],
+    ["spectrum", "--group", "cyclic:4", "--theory", "ku", "--prime-bound", "ten"],
+    ["drinfeld-check", "--p", "x"],
+    ["subgroups", "--group", "sym:3", "--bogus"],
+    ["subgroups", "--group", "sym:3", "extra"],
+    [],
+    ["bogus"],
+]
+HELPS = [[name, "-h"] for name in COMMANDS] + [["-h"]]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        return "ok", vars(parser.parse_args(argv))
+    except CliParseError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, outcome", [(a, "ok") for a in PARSES]
+                         + [(a, "error") for a in PARSE_ERRORS]
+                         + [(a, "exit") for a in HELPS])
+def test_one_command_parser_parses_like_the_full_one(argv, outcome, capsys):
+    one = _parse(make_parser(argv[0] if argv else None), argv, capsys)
+    full = _parse(make_parser(), argv, capsys)
+    assert one == full
+    assert one[0] == outcome
+
+
+def test_one_command_parser_knows_no_other_command():
+    with pytest.raises(CliParseError, match="invalid choice: 'subgroups'"):
+        make_parser("weyl").parse_args(["subgroups", "--group", "sym:3"])
+
+
+BIG_DOCUMENT = ["spectrum", "--group", "cyclic:42", "--theory", "ku",
+                "--prime-bound", "200"]
+
+
+# stdout is block-buffered unless PYTHONUNBUFFERED is a non-empty string
+BUFFERING = [{"PYTHONUNBUFFERED": ""}, {"PYTHONUNBUFFERED": "1"}]
+
+
+@pytest.mark.parametrize("env", BUFFERING)
+def test_main_writes_what_run_writes(env, tmp_path, capsys):
+    code, out, err = invoke(BIG_DOCUMENT, capsys)
+    assert code == 0 and err == "" and len(out) > 100000
+    out = out.encode()
+    command = ["-m", "quillen_strata"] + BIG_DOCUMENT
+    proc = run_python(command, env=env, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+    target = tmp_path / "doc.json"
+    proc = run_python(command + ["-o", str(target)], env=env, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert target.read_bytes() == out
+
+
+@pytest.mark.parametrize("args, code", [
+    (["spectrum", "--group", "cyclic:4"], 1),
+    (["spectrum", "--group", "cyclic:4", "--theory", "kr"], 2),
+])
+def test_main_error_exit_codes(args, code, capsys):
+    result = invoke(args, capsys)
+    assert result[:2] == (code, "")
+    proc = run_subprocess(args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == result
+    err = result[2]
+    assert json.loads(err)["error"]["type"] == ("parse", "domain")[code - 1]
+
+
+def test_only_main_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    invoke(["subgroups", "--group", "sym:3"], capsys)
+    assert gc.get_freeze_count() == before
+    # main() freezes before it exits, and atexit handlers still run
+    proc = run_python(["-c", "import atexit, gc, sys; from quillen_strata import cli; "
+                       "atexit.register(lambda: print(gc.get_freeze_count() > 0, "
+                       "file=sys.stderr)); sys.argv[1:] = ['drinfeld-check', '--p', '2']; "
+                       "cli.main()"])
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert json.loads(proc.stdout)["p"] == 2
+
+
+@pytest.mark.parametrize("env", BUFFERING)
+@pytest.mark.parametrize("args", [["spectrum", "--group", "cyclic:2", "--theory", "kr"],
+                                  BIG_DOCUMENT])
+def test_closed_stdout_is_an_output_error(args, env):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python(["-m", "quillen_strata"] + args, env=env,
+                          capture_output=False, stdout=write_end,
+                          stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "parse"
+    assert error["message"].startswith("cannot write output: ")
