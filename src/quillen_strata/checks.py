@@ -14,12 +14,12 @@ from collections import namedtuple
 from . import corpus as corpus_mod
 from .groups import (FamilySpec, all_subgroup_sets, build_group,
                      family_members, subgroups_up_to_conjugacy, weyl)
-from .orbit_cat import verify_mackey
+from .orbit_cat import coequalize_raw, verify_mackey
 from .rings import (GF, Poly, ZZ, cyclotomic_factors_mod, cyclotomic_poly,
                     factor, is_separable, prime_splitting, primes_upto)
 from .spectrum import (assemble_strong, assemble_weak, check_agreement,
                        deserialize, serialize, to_document)
-from .strata import parse_theory, stratum, theory_family_classes
+from .strata import UnsupportedTheory, parse_theory, stratum, theory_family_classes
 
 
 CheckResult = namedtuple("CheckResult", "name ok detail seconds")
@@ -145,8 +145,6 @@ def check_strata_actions(groups=None,
                          theories=("height1:p=2", "height1:p=3", "ku",
                                    "hz:p=2", "hz:p=3", "kr",
                                    "modp:q=4,deg=1", "modp:q=9,deg=1")):
-    from .strata import UnsupportedTheory
-
     def run():
         checked = 0
         for dsl, G in groups or corpus_mod.small_corpus():
@@ -185,15 +183,19 @@ def _is_group_action(model):
 def check_agreement_suite(groups=None,
                           theories=("height1:p=2", "height1:p=3", "ku")):
     def run():
-        cases = [(tname, dsl, G)
-                 for dsl, G in groups or corpus_mod.small_corpus() for tname in theories]
-        for tname, dsl, G in cases:
-            th = parse_theory(tname)
+        corpus = groups or corpus_mod.small_corpus()
+        cases = [(parse_theory(tname), dsl, G) for dsl, G in corpus for tname in theories]
+        # hz on the cyclic 2- and 3-groups, also at a prime bound below p = 3
+        cases += [(parse_theory("hz:p=%d" % p, prime_bound=bound), dsl, G)
+                  for dsl, G in corpus for p in (2, 3)
+                  if G.is_cyclic() and G.is_p_group(p) for bound in (None, 2)]
+        for th, dsl, G in cases:
             strong = assemble_strong(th, G, dsl)
             weak = assemble_weak(th, G, dsl)
             rep = check_agreement(strong, weak)
             if not rep.isomorphic:
-                return False, "%s disagrees on %s (%s)" % (tname, dsl, rep.obstruction)
+                return False, "%s at prime bound %d disagrees on %s (%s)" % (
+                    th.name, th.prime_bound, dsl, rep.obstruction)
         return True, "%d comparisons" % len(cases)
     return _timed("weak-strong-agreement", run)
 
@@ -224,8 +226,6 @@ def check_fan_shape(groups=None, primes=(2, 3)):
 
 def check_colimit_quotient_laws():
     """Idempotence and relabeling invariance of the union-find colimit."""
-    from .orbit_cat import coequalize_raw
-
     def run():
         objects = {"a": ["x", "y", "z"], "b": ["u", "v"]}
         maps = [("a", "b", {"x": "u", "y": "u", "z": "v"}),
@@ -252,10 +252,8 @@ def check_colimit_quotient_laws():
 def check_ku_stratum_counts():
     """Points above q in a KU stratum, counted from the splitting formula,
     match the factors of Phi_d mod q."""
-    from .strata import parse_theory as _pt
-
     def run():
-        th = _pt("ku", prime_bound=13)
+        th = parse_theory("ku", prime_bound=13)
         checked = 0
         for n in (2, 3, 4, 6, 8, 12):
             G = build_group("cyclic:%d" % n)

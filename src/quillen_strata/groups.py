@@ -673,57 +673,33 @@ def weyl(G, cls, kind):
 
 # -- families ----------------------------------------------------------------
 
-class FamilySpec(namedtuple("FamilySpec", "kind p n", defaults=(0, 0))):
-    """A conjugation- and subgroup-closed family of subgroups; kind is one of
-    all | cyclic | cyclic-p | elem-abelian-p | abelian-p-rank."""
+class FamilySpec(namedtuple("FamilySpec", "name contains")):
+    """A conjugation- and subgroup-closed family of subgroups: its name and its
+    membership test on a SubgroupClass."""
 
     __slots__ = ()
 
     @staticmethod
     def all():
-        return FamilySpec("all")
+        return FamilySpec("all", lambda cls: True)
 
     @staticmethod
     def cyclic():
-        return FamilySpec("cyclic")
+        return FamilySpec("cyclic", lambda cls: cls.is_cyclic())
 
     @staticmethod
     def cyclic_p(p):
-        return FamilySpec("cyclic-p", p=p)
+        return FamilySpec("cyclic-%d" % p, lambda cls: cls.is_p_group(p) and cls.is_cyclic())
 
     @staticmethod
     def elem_abelian_p(p):
-        return FamilySpec("elem-abelian-p", p=p)
+        return FamilySpec("elem-abelian-%d" % p, lambda cls: cls.is_elementary_abelian(p))
 
     @staticmethod
     def abelian_p_rank(p, n):
-        return FamilySpec("abelian-p-rank", p=p, n=n)
-
-    @property
-    def name(self):
-        if self.kind == "all":
-            return "all"
-        if self.kind == "cyclic":
-            return "cyclic"
-        if self.kind == "cyclic-p":
-            return "cyclic-%d" % self.p
-        if self.kind == "elem-abelian-p":
-            return "elem-abelian-%d" % self.p
-        return "abelian-%d-rank<=%d" % (self.p, self.n)
-
-    def contains(self, cls):
-        if self.kind == "all":
-            return True
-        if self.kind == "cyclic":
-            return cls.is_cyclic()
-        if self.kind == "cyclic-p":
-            return cls.is_p_group(self.p) and cls.is_cyclic()
-        if self.kind == "elem-abelian-p":
-            return cls.is_elementary_abelian(self.p)
-        if self.kind == "abelian-p-rank":
-            return (cls.is_p_group(self.p) and cls.is_abelian()
-                    and cls.p_rank(self.p) <= self.n)
-        raise GroupError("unknown family kind %r" % (self.kind,))
+        return FamilySpec("abelian-%d-rank<=%d" % (p, n),
+                          lambda cls: (cls.is_p_group(p) and cls.is_abelian()
+                                       and cls.p_rank(p) <= n))
 
 
 def family_members(G, fam):

@@ -984,7 +984,7 @@ def cyclic_spectrum_ring(n, prime_bound):
     the g are the factors of Phi_e mod q over the q-free parts e of the
     divisors, and (Phi_d) lies in (q, g) iff g divides Phi_e mod q.  Strong
     ku glues its strata by Segal's rule without factoring
-    (`spectrum._segal_edges`); on a cyclic group that rule gives these
+    (`strata._segal_edges`); on a cyclic group that rule gives these
     containments, and this ring is its test oracle.
     """
     if n < 1 or n > MAX_CYCLOTOMIC:

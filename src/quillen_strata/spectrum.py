@@ -1,10 +1,9 @@
 """Assembly of stratified spectra and their serialization.
 
 Two assemblies of the same space: the strong form glues Weyl-orbit quotients
-of strata as a disjoint union and attaches specialization edges (for height1
-and ku on every group by one rule, `_segal_edges`; hz by recorded external
-edges; modp has none across strata yet); the weak form computes the colimit
-of the full per-subgroup spectra over the orbit category.  Both are finite
+of strata as a disjoint union and attaches the edges between strata that the
+theory's record gives; the weak form computes the colimit of the full
+per-subgroup spectra over the orbit category.  Both are finite
 labeled posets; check_agreement searches for a label/stratum/edge-preserving
 isomorphism between them.
 
@@ -22,8 +21,6 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
-from .groups import _class_of_mask, _mask
-from .rings import least_prime_factor, p_part
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
                      transition_map)
 
@@ -115,54 +112,12 @@ def assemble_strong(theory, G, group_label=""):
         for (i, j) in model.internal_edges:
             if pid_of[i] != pid_of[j]:
                 add_edge(pid_of[i], pid_of[j], "internal")
-    if theory.kind in ("height1", "ku"):
-        for src, dst in _segal_edges(G, members, points):
-            add_edge(src, dst, "cross-stratum")
-    elif theory.kind == "hz":
-        for cls, prev in zip(members[1:], members):
-            prev_key = keys[prev.index]
-            if prev.order == 1:
-                dst = "%s:q%d" % (prev_key, theory.p)
-            else:
-                dst = "%s:t" % prev_key
-            add_edge("%s:gen" % keys[cls.index], dst, "external", "Balmer-Gallauer")
-    # modp: no cross-stratum edges yet; kr: single stratum, internal edges complete
+    if theory.record.glue:  # None: no edges between strata
+        for edge in theory.record.glue(theory, G, members, points):
+            add_edge(*edge)
 
     return _space(_meta(theory, group_label, "strong", truncated),
                   points, edges.values())
-
-
-def _segal_edges(G, members, points):
-    """The cross-stratum edges of strong height1 and ku.
-
-    For each family class C of order d and each prime q dividing d, the
-    non-closed point of C's stratum specializes to every closed point over q
-    in the stratum of C_e, the subgroup of C of order e, the q-free part of
-    d: the prime of R(G) at (C, P), P over q, is the prime at
-    (C_e, P meet Z[zeta_e]) (Segal, "The representation ring of a compact Lie
-    group", Publ. IHES 34, 1968).  C_e is found by its elements, not its
-    order, as a non-cyclic G can have several classes of one order.  For ku
-    on a cyclic G these are the containments of `rings.cyclic_spectrum_ring`
-    between strata; for height1, q = p and C_e is trivial, so every point of
-    a nontrivial class goes to F_p.
-    """
-    generic = {pt.cls: pt.id for pt in points if not pt.closed}
-    over = {}  # (class, q) -> ids of the closed points over q
-    for pt in points:
-        if pt.closed:
-            over.setdefault((pt.cls, pt.descriptor.data[1]), []).append(pt.id)
-    index = G.element_index()
-    for cls in members:
-        d = rest = cls.order
-        powers = index.powers(index.number[cls.cyclic_generator().images])
-        src = generic[cls]
-        while rest > 1:
-            q = least_prime_factor(rest)
-            rest = p_part(rest, q)[1]
-            step = d // p_part(d, q)[1]  # C_e is generated by h^step
-            target = _class_of_mask(members, _mask(powers[step - 1::step]))
-            for dst in over.get((target, q), ()):
-                yield src, dst
 
 
 def _space(meta, points, edges):

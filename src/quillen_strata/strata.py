@@ -9,7 +9,8 @@ spectra that the weak (colimit) assembly consumes.
 Theories: height1 (p-complete K-theory for a prime p), ku (representation
 rings), hz (integral constant coefficients over cyclic p-groups), modp
 (group cohomology over F_q at elementary abelian subgroups of rank <= 2),
-kr (real K-theory over C_2).
+kr (real K-theory over C_2).  Each is one record in THEORIES, which holds
+all the theory's own facts; the functions here read it and name no theory.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class UnsupportedTheory(Exception):
 
 class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
                             defaults=(0, 1, DEFAULT_PRIME_BOUND, DEFAULT_DEGREE_BOUND))):
-    """kind is height1 | ku | hz | modp | kr; p the prime (height1, hz, modp,
-    kr); q = p^f for modp.  All built-in theories arise globally."""
+    """kind is the key of the theory's record in THEORIES; p the prime (height1,
+    hz, modp, kr); q = p^f for modp.  All built-in theories arise globally."""
 
     __slots__ = ()
 
@@ -62,68 +63,47 @@ class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
         return self.p ** self.f
 
     @property
+    def record(self):
+        return THEORIES[self.kind]
+
+    @property
     def name(self):
-        if self.kind in ("height1", "hz"):
-            return "%s:p=%d" % (self.kind, self.p)
-        if self.kind == "modp":
-            return "modp:q=%d,deg=%d" % (self.q, self.degree_bound)
-        return self.kind
+        return self.record.name.format(self)
 
     def family(self):
-        if self.kind == "height1":
-            return FamilySpec.cyclic_p(self.p)
-        if self.kind == "ku":
-            return FamilySpec.cyclic()
-        if self.kind == "hz":
-            return FamilySpec.all()
-        if self.kind == "modp":
-            return FamilySpec.elem_abelian_p(self.p)
-        if self.kind == "kr":
-            return FamilySpec.abelian_p_rank(2, 0)  # trivial subgroup only
-        raise TheoryError("unknown theory kind %r" % (self.kind,))
+        return self.record.family(self.p)
 
     def has_transition_maps(self):
-        return self.kind in ("height1", "ku", "hz")
-
-    def check_supports(self, G):
-        if self.kind == "hz":
-            if not (G.is_p_group(self.p) and G.is_cyclic()):
-                raise UnsupportedTheory(
-                    "hz:p=%d supports only cyclic %d-groups, got order %d"
-                    % (self.p, self.p, G.order))
-        if self.kind == "kr":
-            if G.order != 2:
-                raise UnsupportedTheory(
-                    "kr supports only the group of order 2, got order %d" % G.order)
+        return self.record.glue is not None
 
 
 def parse_theory(text, prime_bound=None, degree_bound=None):
-    """Parse a theory spec string: height1:p=2 | ku | hz:p=3 | modp:q=4,deg=1 | kr."""
+    """Parse a theory spec string, such as modp:q=4,deg=1, by THEORIES' patterns."""
     text = text.strip()
-    pb = DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound
-    db = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
-    if text == "ku":
-        return TheorySpec(kind="ku", prime_bound=pb, degree_bound=db)
-    if text == "kr":
-        return TheorySpec(kind="kr", p=2, prime_bound=pb, degree_bound=db)
-    m = re.fullmatch(r"(height1|hz):p=(\d+)", text)
-    if m:
-        p = int(m.group(2))
+    for kind, record in THEORIES.items():
+        m = re.fullmatch(record.pattern, text)
+        if m:
+            break
+    else:
+        raise TheoryError("cannot parse theory spec %r" % (text,))
+    found = m.groupdict()
+    fields = {"p": record.prime,
+              "prime_bound": DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
+              "degree_bound": DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound}
+    if found.get("p"):
+        p = fields["p"] = int(found["p"])
         if p > MAX_FIELD_ORDER:  # before the trial division of is_prime
             raise UnsupportedTheory("p = %d exceeds 2^16" % p)
         if not is_prime(p):
             raise TheoryError("p = %d is not prime" % p)
-        return TheorySpec(kind=m.group(1), p=p, prime_bound=pb, degree_bound=db)
-    m = re.fullmatch(r"modp:q=(\d+)(?:,deg=(\d+))?", text)
-    if m:
-        q = int(m.group(1))
+    if found.get("q"):
+        q = int(found["q"])
         if q > MAX_FIELD_ORDER:  # before _prime_power's divisor search
             raise UnsupportedTheory("field size %d exceeds 2^16" % q)
-        if m.group(2) is not None:
-            db = int(m.group(2))
-        p, f = _prime_power(q)
-        return TheorySpec(kind="modp", p=p, f=f, prime_bound=pb, degree_bound=db)
-    raise TheoryError("cannot parse theory spec %r" % (text,))
+        fields["p"], fields["f"] = _prime_power(q)
+    if found.get("deg"):
+        fields["degree_bound"] = int(found["deg"])
+    return TheorySpec(kind, **fields)
 
 
 def _prime_power(q):
@@ -171,22 +151,21 @@ def stratum(theory, G, cls):
     """The stratum of one subgroup class: points, internal order, Weyl action.
 
     Classes outside the theory's family give an empty stratum with a reason
-    (the geometric fixed points vanish there); group/theory combinations the
-    engine cannot handle raise UnsupportedTheory.  The builders get a family
-    member and return its points, internal edges and truncation flag; each
-    Weyl witness n acts on the points by `_conjugation` along c_n: cls -> cls.
+    (the geometric fixed points vanish there); the record's checks ran in
+    `theory_family_classes`, once per job.  The record's builder gets a family
+    member and returns its points, internal edges and truncation flag; each
+    Weyl witness n acts on the points by its conjugation along c_n: cls -> cls.
     """
-    theory.check_supports(G)
     if not theory.family().contains(cls):
         return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
                             reason="outside family: geometric fixed points vanish")
     w = weyl(G, cls, weyl_action_kind(cls))
-    points, edges, truncated = _BUILDERS[theory.kind](theory, cls)
+    points, edges, truncated = theory.record.build(theory, cls)
     position = {pt.descriptor.data: k for k, pt in enumerate(points)}
     number = cls.element_index().number
     action = []
     for _, n in w.witnesses:
-        move = _conjugation(theory, number[n.images], cls, cls)
+        move = theory.record.conjugation(theory, number[n.images], cls, cls)
         action.append(tuple(position[move(pt.descriptor.data)] for pt in points))
     return StratumModel(subgroup=cls, points=points, internal_edges=edges, weyl=w,
                         action=tuple(action), truncated=truncated)
@@ -196,33 +175,21 @@ def _same(data):
     return data
 
 
-def _conjugation(theory, x, L, L2):
-    """The map of a stratum's descriptor data along c_x: L -> L2 = x L x^-1,
-    for the element number x and class representatives L and L2.
-
-    For ku it is the Galois twist zeta -> zeta^a, with x h x^-1 = h2^a for
-    the canonical generators h of L and h2 of L2; for a rank-2 modp stratum
-    the substitution f -> f o M^-1 of `_form_substitute`, (x, y) -> (x, y) M^-1,
-    with M^-1 the matrix of c_x^-1: L2 -> L; for every other stratum the
-    identity.  Weyl actions (L2 = L) and transition maps both read it.
-    """
-    index = L.element_index()
-    if theory.kind == "ku":
-        h = index.number[L.cyclic_generator().images]
-        h2 = index.number[L2.cyclic_generator().images]
-        a = _generator_power(index, h2, index.conjugates(x, (h,))[0])
-        d = L.order
-        if (a - 1) % d == 0:
-            return _same  # a = 1 fixes every point
-        return lambda data: _galois_image(data, d, a)
-    if theory.kind == "modp" and L.p_rank(theory.p) == 2:
-        dom = GF(theory.p, theory.f)
-        coords = _elem_abelian_basis(L, theory.p)[1]
-        Minv = _weyl_matrix(index, L2.generator_numbers, coords, index.inverse(x))
-        left, right = _linear_powers(Minv, dom, theory.degree_bound)
-        return lambda data: (data if data[0] != "form" else
-                             ("form", data[1], _form_substitute(data[2], left, right)))
+def _fixed(theory, x, L, L2):  # no c_x moves the theory's descriptor data
     return _same
+
+
+def _ku_conjugation(theory, x, L, L2):
+    """The Galois twist zeta -> zeta^a along c_x: L -> L2, with x h x^-1 = h2^a
+    for the canonical generators h of L and h2 of L2."""
+    index = L.element_index()
+    h = index.number[L.cyclic_generator().images]
+    h2 = index.number[L2.cyclic_generator().images]
+    a = _generator_power(index, h2, index.conjugates(x, (h,))[0])
+    d = L.order
+    if (a - 1) % d == 0:
+        return _same  # a = 1 fixes every point
+    return lambda data: _galois_image(data, d, a)
 
 
 def _stratum_height1(theory, cls):
@@ -280,7 +247,7 @@ def _ku_points(d, prime_bound):
                 "%d.%d" % (q, i),
                 PrimeDescriptor(ring, "closed", ("modular", q, i), lbl), lbl, True))
     edges = tuple((0, j) for j in range(1, len(points)))
-    return tuple(points), edges
+    return tuple(points), edges, True
 
 
 @lru_cache(maxsize=None)
@@ -330,11 +297,8 @@ def _galois_image(data, d, a):
     return ("modular", q, labels[reps[i] * a % d])
 
 
-def _stratum_ku(theory, cls):
-    return _ku_points(cls.order, theory.prime_bound) + (True,)
-
-
 def _spec_z_points(prime_bound):
+    """The truncated Spec Z: the stratum of kr, and of hz at the trivial class."""
     points = [StratumPoint(
         "0", PrimeDescriptor("Z", "generic", ("zero",), "Q"), "Q", False)]
     for q in primes_upto(prime_bound):
@@ -342,12 +306,12 @@ def _spec_z_points(prime_bound):
             "q%d" % q, PrimeDescriptor("Z", "closed", ("rat", q), "F_%d" % q),
             "F_%d" % q, True))
     edges = tuple((0, j) for j in range(1, len(points)))
-    return tuple(points), edges
+    return tuple(points), edges, True
 
 
 def _stratum_hz(theory, cls):
     if cls.order == 1:
-        return _stratum_kr(theory, cls)
+        return _spec_z_points(theory.prime_bound)
     p = theory.p
     ring = "Z/%d[t]^h" % p
     points = (
@@ -357,11 +321,6 @@ def _stratum_hz(theory, cls):
                      "F_%d" % p, True),
     )
     return points, ((0, 1),), False
-
-
-def _stratum_kr(theory, cls):
-    """The truncated Spec Z at the trivial subgroup, the one family member."""
-    return _spec_z_points(theory.prime_bound) + (True,)
 
 
 # -- mod-p strata over F_q ------------------------------------------------------
@@ -487,13 +446,24 @@ def _weyl_matrix(index, basis, coords, g):
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
+def _modp_conjugation(theory, x, L, L2):
+    """On a rank-2 stratum the substitution f -> f o M^-1 of `_form_substitute`,
+    (x, y) -> (x, y) M^-1, with M^-1 the matrix of c_x^-1: L2 -> L; at rank
+    <= 1 the identity."""
+    if L.p_rank(theory.p) != 2:
+        return _same
+    index = L.element_index()
+    dom = GF(theory.p, theory.f)
+    coords = _elem_abelian_basis(L, theory.p)[1]
+    Minv = _weyl_matrix(index, L2.generator_numbers, coords, index.inverse(x))
+    left, right = _linear_powers(Minv, dom, theory.degree_bound)
+    return lambda data: (data if data[0] != "form" else
+                         ("form", data[1], _form_substitute(data[2], left, right)))
+
+
 def _stratum_modp(theory, cls):
     p, q = theory.p, theory.q
-    r = cls.p_rank(p)
-    if r > 2:
-        raise UnsupportedTheory(
-            "modp strata are implemented for elementary abelian rank <= 2; "
-            "got rank %d" % r)
+    r = cls.p_rank(p)  # at most 2, by the record's member check
     dom = GF(theory.p, theory.f)
     ring = "F_%d[x,y]^h" % q
     if r == 0:
@@ -521,10 +491,6 @@ def _stratum_modp(theory, cls):
     return tuple(points), edges, True
 
 
-_BUILDERS = {"height1": _stratum_height1, "ku": _stratum_ku, "hz": _stratum_hz,
-             "modp": _stratum_modp, "kr": _stratum_kr}
-
-
 # -- transition maps (weak assembly) -------------------------------------------
 
 def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
@@ -533,9 +499,9 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     src_points / dst_points are the points of the assembled spectra of H and
     K (duck-typed: .id, .cls, .descriptor), each carrying the class of its
     stratum.  A point of the stratum of L goes to the stratum of L2, the
-    class of g L g^-1 among K's, with its descriptor data moved by
-    `_conjugation` along x = t^-1 g, where t L2 t^-1 = g L g^-1 for the t of
-    L2's orbit, so that x L x^-1 = L2.  Returns {src id: dst id}.
+    class of g L g^-1 among K's, with its descriptor data moved by the
+    record's conjugation along x = t^-1 g, where t L2 t^-1 = g L g^-1 for
+    the t of L2's orbit, so that x L x^-1 = L2.  Returns {src id: dst id}.
     """
     if not theory.has_transition_maps():
         raise UnsupportedTheory(
@@ -552,32 +518,131 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
             T = _mask(index.conjugates(g, L.numbers()))
             L2 = _class_of_mask(targets, T)
             x = index.mul(index.inverse(L2.orbit[T][0]), g)
-            moves[L] = L2, _conjugation(theory, x, L, L2)
+            moves[L] = L2, theory.record.conjugation(theory, x, L, L2)
         L2, move = moves[L]
         out[pt.id] = by_key[(L2, move(pt.descriptor.data))]
     return out
 
 
 def theory_family_classes(theory, G):
-    """Family members of the theory in G, in canonical class order.
+    """Family members of the theory in G, in canonical class order, after the
+    record's checks: on G before the lattice, then on each member."""
+    record = theory.record
+    if record.check_group:
+        record.check_group(theory, G)
+    members = family_members(G, theory.family())
+    if record.check_member:
+        for cls in members:
+            record.check_member(theory, cls)
+    return members
 
-    For ku the cyclotomic index bound of `_ku_points` is checked here, before
-    the lattice: the least element order above MAX_CYCLOTOMIC is the order of
-    the first stratum that would refuse, and only |G| > MAX_CYCLOTOMIC allows
-    one.
+
+# -- the theory table: gluing rules, checks and records ----------------------------
+
+def _segal_edges(theory, G, members, points):
+    """The cross-stratum edges of strong height1 and ku.
+
+    For each family class C of order d and each prime q dividing d, the
+    non-closed point of C's stratum specializes to every closed point over q
+    in the stratum of C_e, the subgroup of C of order e, the q-free part of
+    d: the prime of R(G) at (C, P), P over q, is the prime at
+    (C_e, P meet Z[zeta_e]) (Segal, "The representation ring of a compact Lie
+    group", Publ. IHES 34, 1968).  C_e is found by its elements, not its
+    order, as a non-cyclic G can have several classes of one order.  For ku
+    on a cyclic G these are the containments of `rings.cyclic_spectrum_ring`
+    between strata; for height1, q = p and C_e is trivial, so every point of
+    a nontrivial class goes to F_p.
     """
-    theory.check_supports(G)
-    if theory.kind == "ku" and G.order > MAX_CYCLOTOMIC:
+    generic = {pt.cls: pt.id for pt in points if not pt.closed}
+    over = {}  # (class, q) -> ids of the closed points over q
+    for pt in points:
+        if pt.closed:
+            over.setdefault((pt.cls, pt.descriptor.data[1]), []).append(pt.id)
+    index = G.element_index()
+    for cls in members:
+        d = rest = cls.order
+        powers = index.powers(index.number[cls.cyclic_generator().images])
+        src = generic[cls]
+        while rest > 1:
+            q = least_prime_factor(rest)
+            rest = p_part(rest, q)[1]
+            step = d // p_part(d, q)[1]  # C_e is generated by h^step
+            target = _class_of_mask(members, _mask(powers[step - 1::step]))
+            for dst in over.get((target, q), ()):
+                yield src, dst, "cross-stratum", ""
+
+
+def _balmer_gallauer_edges(theory, G, members, points):
+    """The external edges of strong hz on a cyclic p-group: the generic point
+    of each nontrivial class goes to the closed point of its subgroup of
+    index p, (t) in Z/p[t], or (p) in the truncated Spec Z at the trivial
+    class, where the prime bound may have left it out."""
+    at = {(pt.cls, pt.descriptor.data): pt.id for pt in points}
+    for cls, prev in zip(members[1:], members):
+        dst = at.get((prev, ("rat", theory.p) if prev.order == 1 else ("t",)))
+        if dst is not None:
+            yield at[(cls, ("zero",))], dst, "external", "Balmer-Gallauer"
+
+
+def _ku_index_bound(theory, G):
+    """The cyclotomic index bound of `_ku_points`, checked before the lattice:
+    the least element order above MAX_CYCLOTOMIC is the order of the first
+    stratum that would refuse, and only |G| > MAX_CYCLOTOMIC allows one."""
+    if G.order > MAX_CYCLOTOMIC:
         above = [d for d in (math.lcm(*map(len, g.cycles())) for g in G.elements)
                  if d > MAX_CYCLOTOMIC]
         if above:
             raise RingError("cyclotomic index %d out of range" % min(above))
-    members = family_members(G, theory.family())
-    if theory.kind == "modp":
-        for cls in members:
-            if cls.p_rank(theory.p) > 2:
-                raise UnsupportedTheory(
-                    "modp strata are implemented for elementary abelian "
-                    "rank <= 2; group has a rank-%d subgroup"
-                    % cls.p_rank(theory.p))
-    return members
+
+
+def _cyclic_p_groups_only(theory, G):
+    if not (G.is_p_group(theory.p) and G.is_cyclic()):
+        raise UnsupportedTheory(
+            "hz:p=%d supports only cyclic %d-groups, got order %d"
+            % (theory.p, theory.p, G.order))
+
+
+def _order_two_only(theory, G):
+    if G.order != 2:
+        raise UnsupportedTheory(
+            "kr supports only the group of order 2, got order %d" % G.order)
+
+
+def _rank_at_most_two(theory, cls):
+    if cls.p_rank(theory.p) > 2:
+        raise UnsupportedTheory(
+            "modp strata are implemented for elementary abelian "
+            "rank <= 2; group has a rank-%d subgroup"
+            % cls.p_rank(theory.p))
+
+
+# A theory's record.  pattern: its spec regex, with the groups p, or q and deg.
+# name: the format of TheorySpec.name.  family(p).  build(theory, cls): a member
+# stratum's points, internal edges and truncation flag.  conjugation(theory, x,
+# L, L2): the map of descriptor data along c_x: L -> L2 = x L x^-1, for Weyl
+# actions and transition maps.  glue(theory, G, members, points): the strong
+# form's edges between strata, or None, and then no transition maps either.
+# check_group(theory, G) runs before the lattice, check_member(theory, cls) on
+# each member.  prime: the p, when the pattern has no group for it.
+TheoryRecord = namedtuple("TheoryRecord", "pattern name family build conjugation glue "
+                          "check_group check_member prime", defaults=(None, None, 0))
+
+THEORIES = {
+    "height1": TheoryRecord(r"height1:p=(?P<p>\d+)", "height1:p={0.p}", FamilySpec.cyclic_p,
+                            _stratum_height1, _fixed, _segal_edges),
+    "ku": TheoryRecord("ku", "ku", lambda p: FamilySpec.cyclic(),
+                       lambda theory, cls: _ku_points(cls.order, theory.prime_bound),
+                       _ku_conjugation, _segal_edges, check_group=_ku_index_bound),
+    "hz": TheoryRecord(r"hz:p=(?P<p>\d+)", "hz:p={0.p}", lambda p: FamilySpec.all(),
+                       _stratum_hz, _fixed, _balmer_gallauer_edges,
+                       check_group=_cyclic_p_groups_only),
+    # no edges between strata yet, so no weak form
+    "modp": TheoryRecord(r"modp:q=(?P<q>\d+)(?:,deg=(?P<deg>\d+))?",
+                         "modp:q={0.q},deg={0.degree_bound}", FamilySpec.elem_abelian_p,
+                         _stratum_modp, _modp_conjugation, None,
+                         check_member=_rank_at_most_two),
+    # the trivial subgroup is the one family member, so there is one stratum
+    "kr": TheoryRecord("kr", "kr", lambda p: FamilySpec.abelian_p_rank(p, 0),
+                       lambda theory, cls: _spec_z_points(theory.prime_bound), _fixed,
+                       None, check_group=_order_two_only, prime=2),
+}

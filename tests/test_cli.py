@@ -10,6 +10,7 @@ import pytest
 
 from quillen_strata.cli import COMMANDS, CliParseError, make_parser, run
 from quillen_strata.spectrum import check_agreement, deserialize
+from quillen_strata.strata import THEORIES
 
 
 def invoke(args, capsys):
@@ -256,6 +257,42 @@ def test_prime_bound_cap_for_every_theory(capsys):
         code, out, _ = invoke(args + ["1000"], capsys)
         assert code == 0
         assert json.loads(out)["meta"]["bounds"]["prime"] == 1000
+
+
+# specs of every theory record, with primes on both sides of the bounds below
+TABLE_SPECS = {"height1": ("height1:p=2", "height1:p=3"), "ku": ("ku",),
+               "hz": ("hz:p=2", "hz:p=3", "hz:p=5"), "kr": ("kr",),
+               "modp": ("modp:q=4,deg=2", "modp:q=3,deg=1")}
+TABLE_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:8", "cyclic:9",
+                "cyclic:25", "sym:3", "elem-abelian:2^2", "elem-abelian:2^3",
+                "dihedral:4", "alt:4")
+
+
+def test_table_specs_cover_every_theory():
+    assert set(TABLE_SPECS) == set(THEORIES)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_SPECS))
+def test_every_theory_gives_a_document_or_a_json_error(kind, capsys):
+    for theory in TABLE_SPECS[kind]:
+        for group in TABLE_GROUPS:
+            for bound in ("1", "2", "19"):
+                common = ["--group", group, "--theory", theory, "--prime-bound", bound]
+                for argv in (["spectrum", *common, "--mode", "strong"],
+                             ["spectrum", *common, "--mode", "weak"], ["strata", *common]):
+                    code, out, err = invoke(argv, capsys)
+                    if code:
+                        error = json.loads(err)["error"]
+                        assert code in (1, 2) and out == "", argv
+                        assert error == {"type": ("parse", "domain")[code - 1],
+                                         "message": error["message"]}, argv
+                        continue
+                    assert code == 0 and err == "", argv
+                    doc = json.loads(out)
+                    if argv[0] == "spectrum":
+                        ids = {pt["id"] for pt in doc["points"]}
+                        assert all(e["from"] in ids and e["to"] in ids
+                                   for e in doc["edges"]), argv
 
 
 def test_ku_cyclic_order_above_64_strong_and_weak_agree(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quillen_strata import checks, groups, spectrum, strata
+from quillen_strata import checks, groups, strata
 from quillen_strata.cli import run
 from quillen_strata.corpus import small_corpus
 from quillen_strata.groups import build_group
@@ -217,7 +217,7 @@ def test_agreement_suite_catches_c_e_found_by_order(monkeypatch):
     def first_of_order(classes, mask):
         return next(c for c in classes if c.order == bin(mask).count("1"))
 
-    monkeypatch.setattr(spectrum, "_class_of_mask", first_of_order)
+    monkeypatch.setattr(strata, "_class_of_mask", first_of_order)
     assert not checks.check_agreement_suite().ok
     failing = [dsl for dsl, G in small_corpus()
                if not checks.check_agreement_suite([(dsl, G)]).ok]
@@ -249,6 +249,28 @@ def test_hz_fig5():
         assert all(e.kind != "external" for e in solid)
         w = assemble_weak(th, G, "")
         assert check_agreement(s, w).isomorphic
+
+
+@pytest.mark.parametrize("dsl, p", [("cyclic:2", 2), ("cyclic:4", 2), ("cyclic:9", 3),
+                                    ("cyclic:23", 23), ("cyclic:25", 5)])
+def test_hz_below_p_glues_without_the_missing_point(dsl, p, capsys):
+    # below p the truncated Spec Z at the trivial class has no point over p,
+    # so the edge into it goes; the other external edges stay
+    G = build_group(dsl)
+    nontrivial = len(groups.subgroups_up_to_conjugacy(G)) - 1
+    for bound in sorted({1, p - 1, p}):
+        external = nontrivial - (bound < p)
+        th = parse_theory("hz:p=%d" % p, prime_bound=bound)
+        s, w = assemble_strong(th, G, dsl), assemble_weak(th, G, dsl)
+        assert check_agreement(s, w).isomorphic
+        for space in (s, w):
+            ids = {pt.id for pt in space.points}
+            assert all(e.src in ids and e.dst in ids for e in space.edges)
+            assert len([e for e in space.edges if e.kind == "external"]) == external
+        for mode in ("strong", "weak"):
+            assert run(["spectrum", "--group", dsl, "--theory", th.name,
+                        "--prime-bound", str(bound), "--mode", mode]) == 0
+            assert capsys.readouterr().err == ""
 
 
 def test_kr_c2_is_spec_z():

@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
-from quillen_strata.rings import (GF, Poly, RingError, cyclotomic_poly, factor,
-                                  residue_field_label)
-from quillen_strata.strata import (TheoryError, TheorySpec, UnsupportedTheory,
+from quillen_strata.rings import (GF, MAX_PRIME_BOUND, Poly, RingError, cyclotomic_poly,
+                                  factor, primes_upto, residue_field_label)
+from quillen_strata.strata import (THEORIES, TheoryError, TheorySpec, UnsupportedTheory,
                                    _elem_abelian_basis, _form_substitute,
                                    _generator_power, _ku_points, _linear_powers,
                                    _weyl_matrix, irreducible_forms,
@@ -36,6 +39,46 @@ def test_parse_theory_round_trip():
         parse_theory("modp:q=12")
     with pytest.raises(TheoryError):
         parse_theory("nonsense")
+
+
+@st.composite
+def theory_specs(draw):
+    """A TheorySpec of any record, with the fields its pattern names drawn:
+    a prime p, or a prime power q <= 256, and the bounds."""
+    kind = draw(st.sampled_from(sorted(THEORIES)))
+    groups = re.compile(THEORIES[kind].pattern).groupindex
+    fields = {"p": THEORIES[kind].prime,
+              "prime_bound": draw(st.integers(1, MAX_PRIME_BOUND)),
+              "degree_bound": draw(st.integers(1, 64))}
+    if "p" in groups:
+        fields["p"] = draw(st.sampled_from(primes_upto(65521)))
+    if "q" in groups:
+        p = fields["p"] = draw(st.sampled_from(primes_upto(256)))
+        fields["f"] = draw(st.integers(1, max(f for f in range(1, 9) if p ** f <= 256)))
+    return TheorySpec(kind, **fields)
+
+
+@given(theory_specs(), st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_parse_theory_inverts_name_for_every_record(spec, other_degree):
+    # a spec that names its degree bound keeps it over the one passed in
+    named = "deg" in re.compile(spec.record.pattern).groupindex
+    degree_bound = other_degree if named else spec.degree_bound
+    assert parse_theory(spec.name, prime_bound=spec.prime_bound,
+                        degree_bound=degree_bound) == spec
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("hz:p=1", TheoryError, "p = 1 is not prime"),
+    ("modp:q=1", TheoryError, "q = 1 is not a prime power"),
+    ("modp:q=70000", UnsupportedTheory, "field size 70000 exceeds 2^16"),
+    ("height1:p=65537", UnsupportedTheory, "p = 65537 exceeds 2^16"),
+    ("nonsense", TheoryError, "cannot parse theory spec 'nonsense'"),
+])
+def test_parse_theory_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_theory(text)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_theory_spec_checks_bounds_and_is_frozen():
