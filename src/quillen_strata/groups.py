@@ -4,14 +4,16 @@ Elements are permutations of {0..n-1}.  A root group numbers its elements
 0..|G|-1 in sorted order, the identity being 0, and its subgroups share that
 numbering.  The rows of its Cayley table are built on first use, one per
 element used as a generator or conjugator, never the whole table.  All group
-arithmetic runs on these numbers, with a subgroup held as an int bitmask:
-Weyl cosets are orbits under the right rows of the quotiented subgroup's
-generators, transporters are a class's orbit transversal times its
-normalizer, and cyclic generators are read off the root's cyclic subgroups.
-Perm objects appear only at the edges: the DSL (mulclose builds root groups
-only), selectors, cycle strings, the element sets of groups, and the Weyl
-quotients and witnesses returned.  Subgroups are found by cyclic extension:
-one subgroup of each conjugacy class is joined with each cyclic subgroup by
+arithmetic runs on these numbers, with a subgroup held as an int bitmask.
+Sets are closed by one loop per element representation: row_orbit closes
+numbers under Cayley rows (joins, Weyl cosets, double cosets), and mulclose
+closes Perms under products (root groups, and the Weyl quotients, from the
+normalizer's action on the cosets).  Transporters are a class's orbit
+transversal times its normalizer, and cyclic generators are read off the
+root's cyclic subgroups.  Perm objects appear only at the edges: the DSL,
+selectors, cycle strings, the element sets of groups, and the Weyl quotients
+and witnesses returned.  Subgroups are found by cyclic extension: one
+subgroup of each conjugacy class is joined with each cyclic subgroup by
 closing its generators and one more element over the rows.  All outputs are
 canonically ordered so repeated runs produce identical results.
 """
@@ -250,37 +252,19 @@ def _mask(numbers):
     return mask
 
 
-def _join(index, elems, mask, gens, c, whole=None):
+def _join(index, elems, gens, c, whole=None):
     """The subgroup generated by a subgroup and one more element c.
 
-    elems and mask give the subgroup, which is closed under left
-    multiplication by gens; the result (elements, mask) closes gens + (c,)
-    over the left Cayley rows.  whole = (elements, mask) of an ambient group
-    ends the closure early: once it holds more elements than a proper
-    subgroup can, it is the ambient group.
+    elems are the elements of the subgroup generated by gens; the result
+    (elements, mask) is their closure under the left Cayley rows of
+    gens + (c,).  whole = (elements, mask) of an ambient group ends the
+    closure early: once it holds more elements than a proper subgroup can,
+    it is the ambient group.
     """
-    crow = index.left(c)
-    rows = [index.left(a) for a in gens]
-    rows.append(crow)
-    bound = len(whole[0]) // least_prime_factor(len(whole[0])) if whole else len(index.perms)
-    out = list(elems)
-    for x in elems:  # the subgroup is closed under gens, so only c moves it
-        y = crow[x]
-        if not mask >> y & 1:
-            mask |= 1 << y
-            out.append(y)
-    i = len(elems)
-    while i < len(out):
-        if len(out) > bound:
-            return whole
-        x = out[i]
-        i += 1
-        for row in rows:
-            y = row[x]
-            if not mask >> y & 1:
-                mask |= 1 << y
-                out.append(y)
-    return out, mask
+    rows = [index.left(a) for a in (*gens, c)]
+    bound = len(whole[0]) // least_prime_factor(len(whole[0])) if whole else None
+    out = row_orbit(elems, rows, bytearray(len(index.perms)), bound)
+    return whole if out is None else (out, _mask(out))
 
 
 def _generate(index, candidates, whole=None):
@@ -293,17 +277,23 @@ def _generate(index, candidates, whole=None):
         if whole and len(span) == len(whole[0]):
             break
         if not mask >> g & 1:
-            span, mask = _join(index, span, mask, gens, g, whole)
+            span, mask = _join(index, span, gens, g, whole)
             gens.append(g)
     return gens, span, mask
 
 
-def row_orbit(g, rows, seen):
-    """The numbers in the orbit of g under the given Cayley rows, marked in
-    seen (a bytearray over the root's numbers) as they are found."""
-    seen[g] = 1
-    orbit = [g]
+def row_orbit(starts, rows, seen, bound=None):
+    """The numbers reached from starts under the given Cayley rows, marked in
+    seen (a bytearray over the root's numbers) as they are found; None once
+    more than bound of them are held."""
+    orbit = []
+    for g in starts:
+        if not seen[g]:
+            seen[g] = 1
+            orbit.append(g)
     for x in orbit:
+        if bound is not None and len(orbit) > bound:
+            return None
         for row in rows:
             y = row[x]
             if not seen[y]:
@@ -487,7 +477,7 @@ def all_subgroup_sets(G):
     for elems, S, gens in reps:
         for C, (c, _) in cyclic.items():
             if C & ~S:
-                add(*_join(index, elems, S, gens, c, whole), gens + (c,))
+                add(*_join(index, elems, gens, c, whole), gens + (c,))
     return {S: tuple(sorted(elems)) for S, elems in found.items()}
 
 
@@ -497,7 +487,7 @@ def _orbit_and_normalizer(index, S, elems, gens):
     of S, closed from the Schreier generators t_U^-1 a t_T (U = a T a^-1)."""
     orbit = {S: (0, elems)}
     queue = [S]
-    n_elems, n_mask, n_gens = [0], 1, []
+    schreier = []
     for T in queue:
         t, els = orbit[T]
         for a in gens:
@@ -508,12 +498,9 @@ def _orbit_and_normalizer(index, S, elems, gens):
             if U not in orbit:
                 orbit[U] = (at, img)
                 queue.append(U)
-                continue
-            s = index.mul(index.inverse(orbit[U][0]), at)
-            if not n_mask >> s & 1:
-                n_elems, n_mask = _join(index, n_elems, n_mask, n_gens, s)
-                n_gens.append(s)
-    return orbit, tuple(sorted(n_elems))
+            else:
+                schreier.append(index.mul(index.inverse(orbit[U][0]), at))
+    return orbit, tuple(sorted(_generate(index, schreier)[1]))
 
 
 class SubgroupClass(PermGroup):
@@ -639,8 +626,9 @@ def weyl(G, cls, kind):
     """Weyl group of a subgroup class: ordinary N/H, global N/(H*C), quillen N/C.
 
     The left cosets nX are the orbits of N's numbers under the right rows of
-    X's generators; as X is normal in N, the least number of each coset is
-    its witness, and the witnesses' products give the action on the cosets.
+    X's generators.  The left rows of N's generators act on the cosets, and
+    mulclose closes these actions to N/X, which acts regularly as X is normal
+    in N: coset 0 is X, so q's witness is the least number of coset q(0).
     The quillen quotient N/C is well-defined (as the image of N in Aut(H))
     for any H; the name is only standard for abelian H.
     """
@@ -655,17 +643,18 @@ def weyl(G, cls, kind):
     index = cls.element_index()
     rows = [index.right(x) for x in gens]
     seen = bytearray(len(index.perms))
-    cosets = [row_orbit(n, rows, seen) for n in cls.normalizer_numbers if not seen[n]]
+    N = cls.normalizer_numbers
+    cosets = [row_orbit((n,), rows, seen) for n in N if not seen[n]]
     coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [coset[0] for coset in cosets]
-    images = {}
-    for r in reps:
-        pi = Perm(tuple(coset_of[index.mul(r, s)] for s in reps))
-        images.setdefault(pi, index.perms[r])
-    quotient = PermGroup(len(reps), tuple(sorted(images)), _elements=frozenset(images))
-    w = WeylGroup(kind=kind, order=len(cls.normalizer_numbers) // len(cosets[0]),
+    n_gens = _generate(index, N, (N, _mask(N)))[0]
+    actions = [Perm._trusted(tuple(coset_of[row[r]] for r in reps))
+               for row in map(index.left, n_gens)]
+    elements = sorted(mulclose(actions or [Perm.identity(len(reps))]))
+    quotient = PermGroup(len(reps), tuple(elements), _elements=frozenset(elements))
+    w = WeylGroup(kind=kind, order=len(N) // len(cosets[0]),
                   quotient=quotient,
-                  witnesses=tuple((q, images[q]) for q in sorted(images)))
+                  witnesses=tuple((q, index.perms[reps[q.images[0]]]) for q in elements))
     if w.order != quotient.order:
         raise GroupError("Weyl quotient order mismatch")
     return w
@@ -751,7 +740,7 @@ def double_cosets(G, H, K):
     for g in G.numbers():
         if seen[g]:
             continue
-        size = len(row_orbit(g, rows, seen))
+        size = len(row_orbit((g,), rows, seen))
         inter = frozenset(perms[k] for k, x in
                           zip(k_numbers, index.conjugates(g, k_numbers))
                           if h_mask >> x & 1)
@@ -770,6 +759,14 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _CYCLES_RE = re.compile(r"\s*(?:\([\s0-9]*\)\s*)*")
 
 
+def read_int(digits, error=GroupParseError):
+    """int(digits), raising error in place of ValueError for too many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error("number of %d digits is too long" % len(digits)) from None
+
+
 def _parse_cycles(text):
     """The cycles of one generator, written as a sequence of (...) cycles
     whose points are separated by spaces or commas."""
@@ -779,7 +776,7 @@ def _parse_cycles(text):
         raise GroupParseError("bad cycle syntax %r" % (text,))
     consumed = "".join(_CYCLE_RE.findall(rest))
     for body in _CYCLE_RE.findall(rest):
-        pts = [int(t) for t in body.split()]
+        pts = [read_int(t) for t in body.split()]
         if len(pts) >= 2:
             cycles.append(tuple(pts))
         elif len(pts) == 0 and not consumed:
@@ -828,14 +825,14 @@ def build_group(spec):
 
     m = re.fullmatch(r"(cyclic|dihedral|sym|alt):(\d+)", spec)
     if m:
-        name, n = m.group(1), int(m.group(2))
+        name, n = m.group(1), read_int(m.group(2))
         if n < 1:
             raise GroupParseError("%s:%d needs n >= 1" % (name, n))
         return _named_group(name, n)
 
     m = re.fullmatch(r"elem-abelian:(\d+)\^(\d+)", spec)
     if m:
-        p, k = int(m.group(1)), int(m.group(2))
+        p, k = read_int(m.group(1)), read_int(m.group(2))
         return _elem_abelian(p, k)
 
     raise GroupParseError("cannot parse group spec %r" % (spec,))
@@ -927,7 +924,7 @@ def select_class(G, classes, selector):
     selector = selector.strip()
     m = re.fullmatch(r"(\d+):(\d+)", selector)
     if m:
-        order, idx = int(m.group(1)), int(m.group(2))
+        order, idx = read_int(m.group(1)), read_int(m.group(2))
         matching = [c for c in classes if c.order == order]
         if idx >= len(matching):
             raise GroupParseError(
@@ -944,7 +941,7 @@ def select_class(G, classes, selector):
         return _class_of_mask(classes, mask)
     m = re.fullmatch(r"[Aa](\d+)", selector)
     if m:
-        if int(m.group(1)) != G.degree:
+        if read_int(m.group(1)) != G.degree:
             raise GroupParseError("selector %s does not match degree %d"
                                   % (selector, G.degree))
         even = frozenset(g for g in G.elements if _is_even(g))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .groups import (GroupError, double_cosets, row_orbit,
+from .groups import (GroupError, _mask, double_cosets, row_orbit,
                      subgroups_up_to_conjugacy)
 
 
@@ -71,9 +71,6 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
 
     __slots__ = ()
 
-    def hom(self, i, j):
-        return self.homs[(i, j)]
-
     def identity(self, i):
         for m in self.homs[(i, i)]:
             if m.coset & 1:  # the identity is number 0
@@ -120,7 +117,7 @@ def build_orbit_category(G, classes):
             morphs = []
             for g in sorted(g for T, gs in transporters if not T & outside for g in gs):
                 if not seen[g]:  # sorted, so each witness is its coset's least
-                    coset = sum(1 << x for x in row_orbit(g, rows, seen))
+                    coset = _mask(row_orbit((g,), rows, seen))
                     morphs.append(Morphism(src=i, dst=j, witness=index.perms[g],
                                            coset=coset))
             homs[(i, j)] = tuple(morphs)

@@ -248,41 +248,46 @@ def check_agreement(strong, weak):
         kind = "degree sequence mismatch" if same_labels else "label multiset mismatch"
         return SpaceIsoReport(False, obstruction=kind)
 
-    edge_s = {(e.src, e.dst) for e in strong.solid_edges()}
-    edge_w = {(e.src, e.dst) for e in weak.solid_edges()}
     order = [pid for key in sorted(inv_s) for pid in sorted(inv_s[key])]
-    cands = {}
-    for key in sorted(inv_s):
-        for pid in inv_s[key]:
-            cands[pid] = sorted(inv_w[key])
+    cands = {pid: sorted(inv_w[key]) for key in inv_s for pid in inv_s[key]}
+    # (successors, predecessors) of each point along the solid edges
+    adj_s = {pt.id: (set(), set()) for pt in strong.points}
+    adj_w = {pt.id: (set(), set()) for pt in weak.points}
+    for adj, space in ((adj_s, strong), (adj_w, weak)):
+        for e in space.solid_edges():
+            adj[e.src][0].add(e.dst)
+            adj[e.dst][1].add(e.src)
 
-    assignment = {}
-    used = set()
+    assignment = {}  # strong id -> weak id
+    inverse = {}     # weak id -> strong id
 
     def consistent(sid, wid):
-        for aid, bid in assignment.items():
-            if ((sid, aid) in edge_s) != ((wid, bid) in edge_w):
+        """Whether sid -> wid keeps every edge to or from an assigned point."""
+        for near_s, near_w in zip(adj_s[sid], adj_w[wid]):  # successors, predecessors
+            if any(a in assignment and assignment[a] not in near_w for a in near_s):
                 return False
-            if ((aid, sid) in edge_s) != ((bid, wid) in edge_w):
+            if any(b in inverse and inverse[b] not in near_s for b in near_w):
                 return False
         return True
 
-    def backtrack(k):
-        if k == len(order):
-            return True
+    # no recursion: order[:k] is assigned, and tried[k] candidates of order[k] spent
+    tried = [0] * (len(order) + 1)
+    k = 0
+    while 0 <= k < len(order):
         sid = order[k]
-        for wid in cands[sid]:
-            if wid in used or not consistent(sid, wid):
-                continue
-            assignment[sid] = wid
-            used.add(wid)
-            if backtrack(k + 1):
-                return True
-            del assignment[sid]
-            used.remove(wid)
-        return False
-
-    if backtrack(0):
+        for pos in range(tried[k], len(cands[sid])):
+            wid = cands[sid][pos]
+            if wid not in inverse and consistent(sid, wid):
+                assignment[sid], inverse[wid] = wid, sid
+                tried[k] = pos + 1
+                k += 1
+                tried[k] = 0
+                break
+        else:
+            k -= 1
+            if k >= 0:
+                del inverse[assignment.pop(order[k])]
+    if k == len(order):
         return SpaceIsoReport(True, witness=dict(assignment))
     return SpaceIsoReport(False, obstruction="exhausted search")
 

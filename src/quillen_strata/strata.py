@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .groups import (FamilySpec, GroupError, _class_of_mask, _mask, family_members,
-                     weyl)
+                     read_int, weyl)
 from .orbit_cat import quotient
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
@@ -91,18 +91,18 @@ def parse_theory(text, prime_bound=None, degree_bound=None):
               "prime_bound": DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
               "degree_bound": DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound}
     if found.get("p"):
-        p = fields["p"] = int(found["p"])
+        p = fields["p"] = read_int(found["p"], TheoryError)
         if p > MAX_FIELD_ORDER:  # before the trial division of is_prime
             raise UnsupportedTheory("p = %d exceeds 2^16" % p)
         if not is_prime(p):
             raise TheoryError("p = %d is not prime" % p)
     if found.get("q"):
-        q = int(found["q"])
+        q = read_int(found["q"], TheoryError)
         if q > MAX_FIELD_ORDER:  # before _prime_power's divisor search
             raise UnsupportedTheory("field size %d exceeds 2^16" % q)
         fields["p"], fields["f"] = _prime_power(q)
     if found.get("deg"):
-        fields["degree_bound"] = int(found["deg"])
+        fields["degree_bound"] = read_int(found["deg"], TheoryError)
     return TheorySpec(kind, **fields)
 
 

@@ -350,6 +350,29 @@ def test_huge_numbers_exit_2_before_the_expensive_work(args):
     assert json.loads(proc.stderr)["error"]["type"] == "domain"
 
 
+HUGE = "1" * 5000  # more digits than int() converts from a string
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--group", "cyclic:2", "--theory", "height1:p=" + HUGE],
+    ["spectrum", "--group", "cyclic:2", "--theory", "modp:q=%s,deg=1" % HUGE],
+    ["spectrum", "--group", "cyclic:2", "--theory", "modp:q=4,deg=" + HUGE],
+    ["subgroups", "--group", "cyclic:" + HUGE],
+    ["subgroups", "--group", "dihedral:" + HUGE],
+    ["subgroups", "--group", "sym:" + HUGE],
+    ["subgroups", "--group", "alt:" + HUGE],
+    ["subgroups", "--group", "elem-abelian:%s^2" % HUGE],
+    ["subgroups", "--group", "elem-abelian:2^" + HUGE],
+    ["subgroups", "--group", "perm:(0 %s)" % HUGE],
+    ["weyl", "--group", "sym:3", "--h", "%s:0" % HUGE],
+    ["weyl", "--group", "sym:3", "--h", "2:" + HUGE],
+    ["weyl", "--group", "sym:3", "--h", "A" + HUGE],
+    ["weyl", "--group", "sym:3", "--h", "gens:(0 %s)" % HUGE],
+])
+def test_numbers_too_long_to_convert_are_parse_errors(args, capsys):
+    _assert_parse_error(*invoke(args, capsys))
+
+
 def _coequalize(doc, tmp_path, capsys):
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(doc))

@@ -43,7 +43,13 @@ CASES = [
     ("spectrum_dihedral23_height1_p23.json",
      ["spectrum", "--group", "dihedral:23", "--theory", "height1:p=23"]),
 ] + [("drinfeld_p%d.json" % p, ["drinfeld-check", "--p", str(p)])
-     for p in (2, 3, 5, 7, 11, 13)]
+     for p in (2, 3, 5, 7, 11, 13)] + [
+    # order 720, 1455 subgroups in 56 classes: the cyclic-extension joins
+    ("subgroups_sym6.json", ["subgroups", "--group", "sym:6"]),
+    # the order-360 regular quotient of alt:6 by its trivial subgroup
+    ("weyl_alt6_1_0_ordinary.json",
+     ["weyl", "--group", "alt:6", "--h", "1:0", "--kind", "ordinary"]),
+]
 
 
 @pytest.mark.parametrize("name,args", CASES)

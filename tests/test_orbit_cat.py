@@ -18,7 +18,7 @@ def cat_for(dsl, fam):
 def test_hom_from_trivial_is_single():
     G, members, cat = cat_for("sym:4", FamilySpec.cyclic_p(2))
     for j in range(len(members)):
-        assert len(cat.hom(0, j)) == 1
+        assert len(cat.homs[(0, j)]) == 1
 
 
 def test_aut_c3_in_sym3():
@@ -30,9 +30,9 @@ def test_aut_c3_in_sym3():
 def test_hom_c2_c4_in_cyclic4():
     G, members, cat = cat_for("cyclic:4", FamilySpec.cyclic_p(2))
     idx = {c.order: k for k, c in enumerate(members)}
-    assert len(cat.hom(idx[2], idx[4])) == 1
+    assert len(cat.homs[(idx[2], idx[4])]) == 1
     # no morphism down
-    assert len(cat.hom(idx[4], idx[2])) == 0
+    assert len(cat.homs[(idx[4], idx[2])]) == 0
 
 
 def test_aut_counts_match_global_weyl():
@@ -48,7 +48,7 @@ def test_hom_sets_complete():
     G, members, cat = cat_for("dihedral:6", FamilySpec.cyclic_p(2))
     for i, Hc in enumerate(members):
         for j, Kc in enumerate(members):
-            morphs = cat.hom(i, j)
+            morphs = cat.homs[(i, j)]
             union = set()
             total = 0
             for m in morphs:
@@ -80,7 +80,7 @@ def test_composition_closed():
     G, members, cat = cat_for("sym:4", FamilySpec.cyclic_p(2))
     for f1 in cat.all_morphisms():
         for k in range(len(members)):
-            for f2 in cat.hom(f1.dst, k):
+            for f2 in cat.homs[(f1.dst, k)]:
                 comp = cat.compose(f2, f1)
                 assert comp.src == f1.src and comp.dst == k
 
@@ -149,7 +149,7 @@ def test_diagram_validation_rejects_non_functorial():
         maps[m.key()] = {"p0": "p0", "p1": "p1"}
     # break one composite: e -> C4 swaps while e -> C2 -> C4 does not
     broken = dict(maps)
-    key = (idx[1], idx[4], cat.hom(idx[1], idx[4])[0].witness.images)
+    key = (idx[1], idx[4], cat.homs[(idx[1], idx[4])][0].witness.images)
     broken[key] = {"p0": "p1", "p1": "p0"}
     diagram = OrbitDiagram(category=cat, point_sets=pts, maps=broken)
     with pytest.raises(DiagramError):

@@ -128,6 +128,18 @@ def test_agreement_reports_degree_sequence_mismatch():
     assert rep.obstruction == "degree sequence mismatch"
 
 
+@pytest.mark.parametrize("bound,points", [(200, 1273), (1000, 4850)])
+def test_agreement_scales_past_the_recursion_limit(bound, points):
+    # one search step per point: a recursive search overflowed at about 990
+    th = parse_theory("ku", prime_bound=bound)
+    G = build_group("cyclic:60")
+    s, w = assemble_strong(th, G, "cyclic:60"), assemble_weak(th, G, "cyclic:60")
+    assert len(s.points) == len(w.points) == points
+    rep = check_agreement(s, w)
+    assert rep.isomorphic
+    assert len(rep.witness) == points
+
+
 def test_ku_cyclic_agreement_small():
     th = parse_theory("ku", prime_bound=13)
     for n in (1, 2, 3, 4, 6, 12):
@@ -338,7 +350,7 @@ def test_of_colimit_matches_oq_colimit():
                         continue
                     seen |= {g * k for k in Kc.elements}
                     target = None
-                    for m in cat.hom(i, j):
+                    for m in cat.homs[(i, j)]:
                         if ~g in coset_perms(G, m):
                             target = m
                             break

@@ -38,7 +38,7 @@ def _setup(dsl, theory_text, **kw):
 def test_height1_inclusion_c2_in_c4_is_label_preserving():
     th, G, members, cat, spaces = _setup("cyclic:4", "height1:p=2")
     idx = {c.order: i for i, c in enumerate(members)}
-    m = cat.hom(idx[2], idx[4])[0]
+    m = cat.homs[(idx[2], idx[4])][0]
     t = transition_map(th, m, members[idx[2]], members[idx[4]],
                        spaces[idx[2]].points, spaces[idx[4]].points)
     src_labels = {p.id: p.label for p in spaces[idx[2]].points}
@@ -52,7 +52,7 @@ def test_height1_inclusion_c2_in_c4_is_label_preserving():
 def test_height1_automorphism_acts_as_identity():
     th, G, members, cat, spaces = _setup("sym:3", "height1:p=3")
     i = [k for k, c in enumerate(members) if c.order == 3][0]
-    auts = cat.hom(i, i)
+    auts = cat.homs[(i, i)]
     assert len(auts) == 2
     for m in auts:
         t = transition_map(th, m, members[i], members[i],
@@ -63,7 +63,7 @@ def test_height1_automorphism_acts_as_identity():
 def test_ku_inclusion_preserves_minimal_and_modular_descriptors():
     th, G, members, cat, spaces = _setup("cyclic:6", "ku", prime_bound=7)
     idx = {c.order: i for i, c in enumerate(members)}
-    m = cat.hom(idx[3], idx[6])[0]
+    m = cat.homs[(idx[3], idx[6])][0]
     t = transition_map(th, m, members[idx[3]], members[idx[6]],
                        spaces[idx[3]].points, spaces[idx[6]].points)
     src = {p.id: p for p in spaces[idx[3]].points}
@@ -82,7 +82,7 @@ def test_ku_conjugation_transition_is_galois():
     # the nontrivial automorphism of C3 inside S3 moves the primes above 7
     th, G, members, cat, spaces = _setup("sym:3", "ku", prime_bound=7)
     i = [k for k, c in enumerate(members) if c.order == 3][0]
-    auts = cat.hom(i, i)
+    auts = cat.homs[(i, i)]
     nontrivial = [m for m in auts if m.witness != G.identity()]
     assert len(nontrivial) == 1
     t = transition_map(th, nontrivial[0], members[i], members[i],
