@@ -5,8 +5,6 @@ returns a CheckResult; a violation anywhere fails the suite.  The same
 functions back the pytest invariant tests.
 """
 
-from __future__ import annotations
-
 import json
 import time
 from collections import namedtuple

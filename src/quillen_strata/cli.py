@@ -7,13 +7,11 @@ machine-readable JSON object on stderr.  Output is deterministic: identical
 invocations produce byte-identical documents.
 """
 
-from __future__ import annotations
-
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .groups import (GroupError, GroupParseError, build_group, double_cosets,
                      minimal_generators, select_class,
@@ -28,11 +26,6 @@ from .strata import (TheoryError, UnsupportedTheory, parse_theory, stratum,
 
 class CliParseError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliParseError(message)
 
 
 def _dump(doc):
@@ -187,11 +180,17 @@ def _cmd_coequalize(args):
     names += [name for src, dst, table in maps for name in (src, dst, *table.values())]
     if not all(isinstance(name, str) for name in names):
         raise CliParseError("bad diagram document: ids and points must be strings")
-    if len(dict(objects)) != len(objects):
+    declared = dict(objects)
+    if len(declared) != len(objects):
         raise CliParseError("bad diagram document: object ids must be distinct")
     if not all(len(set(pts)) == len(pts) for _, pts in objects):
         raise CliParseError("bad diagram document: points must be distinct")
-    result = coequalize_raw(dict(objects), maps)
+    undeclared = [end for src, dst, _ in maps for end in (src, dst)
+                  if end not in declared]
+    if undeclared:
+        raise CliParseError("bad diagram document: map end %r is not an object id"
+                            % undeclared[0])
+    result = coequalize_raw(declared, maps)
     out = {
         "schema": "quillen-strata/coequalizer/1",
         "classes": [
@@ -281,19 +280,70 @@ COMMANDS = {
 }
 
 
-def make_parser(command=None):
-    """The full parser, or one with only `command`'s subparser if it is known;
-    both parse that command's arguments alike."""
+def make_parser():
+    import argparse     # with gettext and locale, for what table_parse defers
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise CliParseError(message)
+
     parser = _Parser(prog="quillen-strata",
                      description="Stratified prime spectra for finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        help_, fn, arguments = COMMANDS[name]
+    for name, (help_, fn, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for *flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=fn)
     return parser
+
+
+def table_parse(argv):
+    """The namespace make_parser().parse_args(argv) returns, read straight off
+    COMMANDS; None when argv is not plainly well formed, so that argparse
+    gives its help, messages and exit codes.  Plainly well formed: a command,
+    then each option string in full, with its value as the next token or
+    after `=` unless it is a flag; no value begins with `-`, each converts
+    and is one of its choices, and every required option is given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    options = {}
+    for *flags, kwargs in arguments:
+        dest = flags[0].lstrip("-").replace("-", "_")   # each row lists --long first
+        values[dest] = kwargs.get("default")
+        options.update(dict.fromkeys(flags, (dest, kwargs)))
+    values["fn"] = fn
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        dest, kwargs = options[flag]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")   # a missing value defers too
+            if value.startswith("-"):
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except ValueError:
+                    return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        values[dest] = value
+        given.add(dest)
+    if any(kwargs.get("required") and dest not in given
+           for dest, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def run(argv):
@@ -306,12 +356,13 @@ def run(argv):
             _error_json("parse", "QUILLEN_STRATA_THREADS must be a positive integer")
             return 1
         # evaluation is sequential, which respects any positive cap
-    parser = make_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except CliParseError as exc:
-        _error_json("parse", str(exc))
-        return 1
+    args = table_parse(argv)
+    if args is None:
+        try:
+            args = make_parser().parse_args(argv)
+        except CliParseError as exc:
+            _error_json("parse", str(exc))
+            return 1
     try:
         return args.fn(args)
     except (GroupParseError, TheoryError, CliParseError) as exc:

@@ -18,8 +18,6 @@ closing its generators and one more element over the rows.  All outputs are
 canonically ordered so repeated runs produce identical results.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

@@ -7,8 +7,6 @@ double coset K g C_G(H).  Colimits of point-set diagrams are computed with
 union-find.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 
@@ -17,7 +15,8 @@ from .groups import (GroupError, _mask, double_cosets, row_orbit,
 
 
 class DiagramError(Exception):
-    """A diagram failed validation (named violation in args)."""
+    """A diagram failed validation; the message names the violation and
+    its operands."""
 
 
 class UnionFind:
@@ -86,7 +85,8 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
         for m in self.homs[(f1.src, f2.dst)]:
             if m.coset >> g & 1:
                 return m
-        raise DiagramError("composition not closed", f1.key(), f2.key())
+        raise DiagramError("the composite of %r and then %r is no morphism"
+                           % (f1.key(), f2.key()))
 
     def all_morphisms(self):
         for (i, j) in sorted(self.homs):
@@ -141,7 +141,8 @@ class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
             tid = self.transition(ident)
             for pt in self.point_sets[i]:
                 if tid[pt] != pt:
-                    raise DiagramError("identity moves a point", i, pt)
+                    raise DiagramError("the identity of object %d moves point %r"
+                                       % (i, pt))
         for f1 in cat.all_morphisms():
             for k in range(len(cat.objects)):
                 for f2 in cat.homs[(f1.dst, k)]:
@@ -151,8 +152,9 @@ class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
                     for pt in self.point_sets[f1.src]:
                         if t2[t1[pt]] != tc[pt]:
                             raise DiagramError(
-                                "functoriality fails",
-                                f1.key(), f2.key(), pt)
+                                "functoriality fails at point %r: %r and then "
+                                "%r differ from their composite"
+                                % (pt, f1.key(), f2.key()))
         return True
 
 
@@ -212,9 +214,11 @@ def coequalize_raw(objects, maps):
     for src, dst, table in maps:
         for a, b in table.items():
             if (src, a) not in node_set:
-                raise DiagramError("map source point missing", src, a)
+                raise DiagramError("map %r -> %r sends %r, which is not a "
+                                   "point of %r" % (src, dst, a, src))
             if (dst, b) not in node_set:
-                raise DiagramError("map target point missing", dst, b)
+                raise DiagramError("map %r -> %r sends %r to %r, which is not "
+                                   "a point of %r" % (src, dst, a, b, dst))
             relations.append(((src, a), (dst, b)))
     return quotient(nodes, relations)
 

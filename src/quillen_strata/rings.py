@@ -12,8 +12,6 @@ coefficient.  Factor lists are always returned in canonical order, so every
 result here is reproducible bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import random

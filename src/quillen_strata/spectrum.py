@@ -13,8 +13,6 @@ edges: [{from, to, kind, provenance}]}.  Output is deterministic and
 integer/string-only, so golden-file comparisons are byte-exact.
 """
 
-from __future__ import annotations
-
 import json
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii

@@ -13,8 +13,6 @@ kr (real K-theory over C_2).  Each is one record in THEORIES, which holds
 all the theory's own facts; the functions here read it and name no theory.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import re

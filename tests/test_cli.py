@@ -1,5 +1,8 @@
+import contextlib
 import gc
+import importlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -7,8 +10,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quillen_strata.cli import COMMANDS, CliParseError, make_parser, run
+from quillen_strata.cli import (COMMANDS, CliParseError, make_parser, run,
+                                table_parse)
 from quillen_strata.spectrum import check_agreement, deserialize
 from quillen_strata.strata import THEORIES
 
@@ -174,19 +180,42 @@ def test_cli_import_skips_dataclass_machinery():
     assert proc.stdout == "[]\n"
 
 
+# runs one job through main() and prints its exit code and loaded modules
+MAIN_THEN_MODULES = """
+import sys
+from quillen_strata import cli
+sys.argv[1:] = %r
+try:
+    cli.main()
+except SystemExit as exc:
+    print(exc.code, *sorted(sys.modules), file=sys.stderr)
+"""
+
+
 def test_cli_import_loads_every_traced_layer_and_not_verify():
     # bench/tracer.py reads each LAYERS module from sys.modules right after
-    # importing the CLI; checks and the corpus serve only the verify command
+    # importing the CLI; checks and the corpus serve only the verify command,
+    # and argparse (with gettext and locale) only help and malformed argv
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    layers = {"quillen_strata." + layer for layer in tracer.LAYERS}
+    unused = {"quillen_strata.checks", "quillen_strata.corpus", "argparse",
+              "gettext", "locale", "__future__"}
     proc = run_python(["-c", "import sys, quillen_strata.cli; print(' '.join("
                        "sorted(sys.modules)))"])
     assert proc.returncode == 0
     loaded = set(proc.stdout.split())
-    assert {"quillen_strata." + layer for layer in tracer.LAYERS} <= loaded
-    assert not {"quillen_strata.checks", "quillen_strata.corpus"} & loaded
+    assert layers <= loaded
+    assert not unused & loaded
+    job = ["spectrum", "--group", "sym:3", "--theory", "height1:p=3"]
+    proc = run_python(["-c", MAIN_THEN_MODULES % job])
+    assert json.loads(proc.stdout)["meta"]["theory"] == "height1:p=3"
+    code, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert layers <= set(loaded)
+    assert not unused & set(loaded)
 
 
 def test_console_script_subprocess():
@@ -437,7 +466,32 @@ def test_coequalize_rejects_points_that_are_not_a_list(tmp_path, capsys):
         _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
 
 
-# argv lists on which the one-command parser must behave like the full one
+def test_coequalize_rejects_a_map_end_that_is_no_object(tmp_path, capsys):
+    objects = [{"id": "a", "points": ["x"]}]
+    for table in ({}, {"x": "x"}):
+        for end in ("src", "dst"):
+            m = {"src": "a", "dst": "a", "table": table}
+            m[end] = "q"
+            code, out, err = _coequalize({"objects": objects, "maps": [m]},
+                                         tmp_path, capsys)
+            _assert_parse_error(code, out, err)
+            assert json.loads(err)["error"]["message"] == (
+                "bad diagram document: map end 'q' is not an object id")
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"q": "x"}, "map 'a' -> 'b' sends 'q', which is not a point of 'a'"),
+    ({"x": "q"}, "map 'a' -> 'b' sends 'x' to 'q', which is not a point of 'b'"),
+])
+def test_coequalize_names_a_missing_map_point(table, message, tmp_path, capsys):
+    doc = {"objects": [{"id": "a", "points": ["x"]}, {"id": "b", "points": ["x"]}],
+           "maps": [{"src": "a", "dst": "b", "table": table}]}
+    code, out, err = _coequalize(doc, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "domain", "message": message}}
+
+
+# argv lists on which table_parse must agree with argparse
 PARSES = [
     ["spectrum", "--gro", "cyclic:4", "--theory", "ku"],
     ["spectrum", "--group=cyclic:4", "--theory=height1:p=2", "--mode", "weak",
@@ -471,28 +525,96 @@ PARSE_ERRORS = [
 HELPS = [[name, "-h"] for name in COMMANDS] + [["-h"]]
 
 
-def _parse(parser, argv, capsys):
+def _parse(argv):
+    """argparse's outcome: the namespace, the error message, or the exit with
+    what it printed."""
+    out = io.StringIO()
     try:
-        return "ok", vars(parser.parse_args(argv))
+        with contextlib.redirect_stdout(out):
+            return "ok", vars(make_parser().parse_args(argv))
     except CliParseError as exc:
         return "error", str(exc)
     except SystemExit as exc:
-        return "exit", exc.code, capsys.readouterr().out
+        return "exit", exc.code, out.getvalue()
+
+
+def _assert_table_parses_like_argparse(argv):
+    expected = _parse(argv)
+    args = table_parse(argv)
+    assert args is None or ("ok", vars(args)) == expected
+    return args, expected
 
 
 @pytest.mark.parametrize("argv, outcome", [(a, "ok") for a in PARSES]
                          + [(a, "error") for a in PARSE_ERRORS]
                          + [(a, "exit") for a in HELPS])
-def test_one_command_parser_parses_like_the_full_one(argv, outcome, capsys):
-    one = _parse(make_parser(argv[0] if argv else None), argv, capsys)
-    full = _parse(make_parser(), argv, capsys)
-    assert one == full
-    assert one[0] == outcome
+def test_one_command_parser_parses_like_the_full_one(argv, outcome):
+    # the one-command parser is table_parse: one command's rows of COMMANDS
+    _, expected = _assert_table_parses_like_argparse(argv)
+    assert expected[0] == outcome
 
 
-def test_one_command_parser_knows_no_other_command():
-    with pytest.raises(CliParseError, match="invalid choice: 'subgroups'"):
-        make_parser("weyl").parse_args(["subgroups", "--group", "sym:3"])
+def test_table_parse_takes_every_benchmark_job(monkeypatch):
+    # a benchmark job that fell back to argparse would pay its import again
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    jobs = importlib.import_module("jobs")
+    argvs = [job.argv for workload in jobs.WORKLOADS for seed in (1, 2)
+             for batch in jobs.rounds(workload, seed) for job in batch]
+    assert len(argvs) > 100
+    for argv in argvs:
+        args, _ = _assert_table_parses_like_argparse(list(argv))
+        assert args is not None, argv
+
+
+_VALUES = ["-", "-5", "", "a b", "5" * 5000, "7", "sym:3", "-o", "--group"]
+_FORMS = ["exact"] * 4 + ["equals"] * 2 + ["prefix", "alone", "help"]
+
+
+@st.composite
+def _argv(draw):
+    """A command line, and whether argparse must read each token as written:
+    options in full, values that do not begin with `-`, no help."""
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["bogus"]))
+    arguments = COMMANDS.get(command, ("", "", []))[2]
+    options = [(flag, kwargs) for *flags, kwargs in arguments + [("--bogus", {})]
+               for flag in flags]
+    pieces = [[flags[0], "7"] for *flags, kwargs in arguments
+              if kwargs.get("required") and draw(st.integers(0, 5))]
+    plain = True
+    for _ in range(draw(st.integers(0, 4))):
+        flag, kwargs = draw(st.sampled_from(options))
+        value = draw(st.sampled_from(list(kwargs.get("choices", ())) + _VALUES))
+        form = draw(st.sampled_from(_FORMS))
+        if form == "prefix":
+            pieces.append([flag[:draw(st.integers(2, max(2, len(flag) - 1)))], value])
+            plain = False
+        elif form == "help":
+            pieces.append([draw(st.sampled_from(["-h", "--help"]))])
+            plain = False
+        elif form == "alone":
+            # argparse may take the next token as its value, even "--x=a b"
+            pieces.append([flag])
+            plain = plain and kwargs.get("action") == "store_true"
+        else:
+            pieces.append(["%s=%s" % (flag, value)] if form == "equals"
+                          else [flag, value])
+            plain = plain and not value.startswith("-")
+    pieces = draw(st.permutations(pieces))
+    return [command] + [token for piece in pieces for token in piece], plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+@example((["verify", "--all=x"], True))
+@example((["subgroups", "--group=", "-o="], True))
+@example((["subgroups", "--group", "a=b", "-o=x"], True))
+@example((["drinfeld-check", "--p", "-5"], False))
+@example((["drinfeld-check", "--p", "5", "--", "-o", "x"], False))
+def test_table_parse_agrees_with_argparse(case):
+    argv, plain = case
+    args, expected = _assert_table_parses_like_argparse(argv)
+    if plain and expected[0] == "ok":
+        assert args is not None, argv
 
 
 BIG_DOCUMENT = ["spectrum", "--group", "cyclic:42", "--theory", "ku",
