@@ -142,7 +142,8 @@ def check_splitting_oracle(max_d=40, max_q=100):
 def check_strata_actions(groups=None,
                          theories=("height1:p=2", "height1:p=3", "ku",
                                    "hz:p=2", "hz:p=3", "kr",
-                                   "modp:q=4,deg=1", "modp:q=9,deg=1")):
+                                   "modp:q=4,deg=1", "modp:q=9,deg=1",
+                                   "modp:q=4,deg=2", "modp:q=8,deg=2")):
     def run():
         checked = 0
         for dsl, G in groups or corpus_mod.small_corpus():

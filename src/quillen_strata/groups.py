@@ -11,11 +11,12 @@ closes Perms under products (root groups, and the Weyl quotients, from the
 normalizer's action on the cosets).  Transporters are a class's orbit
 transversal times its normalizer, and cyclic generators are read off the
 root's cyclic subgroups.  Perm objects appear only at the edges: the DSL,
-selectors, cycle strings, the element sets of groups, and the Weyl quotients
-and witnesses returned.  Subgroups are found by cyclic extension: one
-subgroup of each conjugacy class is joined with each cyclic subgroup by
-closing its generators and one more element over the rows.  All outputs are
-canonically ordered so repeated runs produce identical results.
+selectors, cycle strings, the element sets of groups, the Weyl quotients and
+witnesses returned, and the conjugations c_x between classes that a
+SubgroupClass answers for the strata.  Subgroups are found by cyclic
+extension: one subgroup of each conjugacy class is joined with each cyclic
+subgroup by closing its generators and one more element over the rows.  All
+outputs are canonically ordered so repeated runs produce identical results.
 """
 
 import functools
@@ -235,15 +236,16 @@ class ElementIndex:
             for k, x in enumerate(powers, 1):
                 if math.gcd(k, len(powers)) == 1:
                     done[x] = 1
-            out[_mask(powers)] = (g, powers)
+            out[bitmask(powers)] = (g, powers)
         return out
 
     def mask(self, elements):
         """The bitmask of a set of Perms; KeyError if one is not numbered."""
-        return _mask(self.number[p.images] for p in elements)
+        return bitmask(self.number[p.images] for p in elements)
 
 
-def _mask(numbers):
+def bitmask(numbers):
+    """The int with bit x set for each element number x."""
     mask = 0
     for x in numbers:
         mask |= 1 << x
@@ -262,7 +264,7 @@ def _join(index, elems, gens, c, whole=None):
     rows = [index.left(a) for a in (*gens, c)]
     bound = len(whole[0]) // least_prime_factor(len(whole[0])) if whole else None
     out = row_orbit(elems, rows, bytearray(len(index.perms)), bound)
-    return whole if out is None else (out, _mask(out))
+    return whole if out is None else (out, bitmask(out))
 
 
 def _generate(index, candidates, whole=None):
@@ -361,7 +363,7 @@ class PermGroup:
     def mask(self):
         """The elements as a bitmask over the root's index."""
         if self._mask is None:
-            self._mask = _mask(self.numbers())
+            self._mask = bitmask(self.numbers())
         return self._mask
 
     def identity(self):
@@ -463,7 +465,7 @@ def all_subgroup_sets(G):
         for els in orbit:
             for row in rows:
                 img = [row[x] for x in els]
-                T = _mask(img)
+                T = bitmask(img)
                 if T not in found:
                     found[T] = img
                     orbit.append(img)
@@ -491,7 +493,7 @@ def _orbit_and_normalizer(index, S, elems, gens):
         for a in gens:
             row = index.conj(a)
             img = [row[x] for x in els]
-            U = _mask(img)
+            U = bitmask(img)
             at = index.left(a)[t]
             if U not in orbit:
                 orbit[U] = (at, img)
@@ -535,7 +537,51 @@ class SubgroupClass(PermGroup):
     def centralizer_generators(self):
         """Greedy generators of C_G(S), as numbers."""
         C = self.centralizer_numbers
-        return tuple(_generate(self.element_index(), C, (C, _mask(C)))[0])
+        return tuple(_generate(self.element_index(), C, (C, bitmask(C)))[0])
+
+    # The conjugations c_x: S -> L, with x S x^-1 = L for S this class's
+    # representative and L another's, between strata; elements are Perms.
+
+    def conjugate_class(self, g, classes):
+        """(L, x): the class L among classes (of one group) of g S g^-1, and an
+        x with x S x^-1 = L, x = t^-1 g for the t of L's orbit at g S g^-1."""
+        index = self.element_index()
+        g = index.number[g.images]
+        T = bitmask(index.conjugates(g, self.numbers()))
+        L = _class_of_mask(classes, T)
+        return L, index.perms[index.mul(index.inverse(L.orbit[T][0]), g)]
+
+    def conjugation_exponent(self, x, L):
+        """The a in 1..|S| with x h x^-1 = h2^a, for h and h2 the cyclic
+        generators of S and of L = x S x^-1."""
+        index = self.element_index()
+        h = index.cyclic_subgroups[self.mask()][0]
+        powers = index.cyclic_subgroups[L.mask()][1]
+        image = index.conjugates(index.number[x.images], (h,))[0]
+        if image not in powers:
+            raise GroupError("x h x^-1 is not a power of the generator of L")
+        return powers.index(image) + 1
+
+    def conjugation_matrix(self, x, L):
+        """The matrix over F_p of c_x: S -> L = x S x^-1, for S elementary
+        abelian of rank 2 at p: column i holds the coordinates (j, k) of
+        x e_i x^-1 = f1^j f2^k, where (e1, e2) and (f1, f2) are the generator
+        numbers of S and of L."""
+        index = self.element_index()
+        # f^0..f^(p-1) from the powers f, ..., f^p = e; the identity is number 0
+        f1, f2 = ([0] + index.powers(f)[:-1] for f in L.generator_numbers)
+        coords = {index.mul(a, b): (j, k)
+                  for j, a in enumerate(f1) for k, b in enumerate(f2)}
+        cols = [coords[e] for e in index.conjugates(index.number[x.images],
+                                                    self.generator_numbers)]
+        return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+    def cyclic_subgroup_class(self, e, classes):
+        """The class among classes of the subgroup of order e of S, cyclic,
+        found by its elements: a group can have several classes of order e."""
+        powers = self.element_index().cyclic_subgroups[self.mask()][1]
+        step = self.order // e  # generated by h^step
+        return _class_of_mask(classes, bitmask(powers[step - 1::step]))
 
     def __repr__(self):
         return "SubgroupClass(order=%d, index=%d, size=%d)" % (
@@ -578,7 +624,7 @@ def subgroups_up_to_conjugacy(G):
                             normalizer=normalizer, index=len(classes))
         if cls.conjugates != G.order // len(normalizer):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
-        if S & ~_mask(normalizer):
+        if S & ~bitmask(normalizer):
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
         class_of.update(dict.fromkeys(orbit, cls))
@@ -645,7 +691,7 @@ def weyl(G, cls, kind):
     cosets = [row_orbit((n,), rows, seen) for n in N if not seen[n]]
     coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [coset[0] for coset in cosets]
-    n_gens = _generate(index, N, (N, _mask(N)))[0]
+    n_gens = _generate(index, N, (N, bitmask(N)))[0]
     actions = [Perm._trusted(tuple(coset_of[row[r]] for r in reps))
                for row in map(index.left, n_gens)]
     elements = sorted(mulclose(actions or [Perm.identity(len(reps))]))

@@ -10,7 +10,7 @@ union-find.
 import itertools
 from collections import namedtuple
 
-from .groups import (GroupError, _mask, double_cosets, row_orbit,
+from .groups import (GroupError, bitmask, double_cosets, row_orbit,
                      subgroups_up_to_conjugacy)
 
 
@@ -117,7 +117,7 @@ def build_orbit_category(G, classes):
             morphs = []
             for g in sorted(g for T, gs in transporters if not T & outside for g in gs):
                 if not seen[g]:  # sorted, so each witness is its coset's least
-                    coset = _mask(row_orbit((g,), rows, seen))
+                    coset = bitmask(row_orbit((g,), rows, seen))
                     morphs.append(Morphism(src=i, dst=j, witness=index.perms[g],
                                            coset=coset))
             homs[(i, j)] = tuple(morphs)

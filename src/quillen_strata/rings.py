@@ -870,7 +870,7 @@ def p_series_mult(p):
     return Poly.from_ints(coeffs, ZZ)
 
 
-class LevelData(namedtuple("LevelData", "p k P Q_poly")):
+class LevelData(namedtuple("LevelData", "p P Q_poly")):
     """P is a Poly over Q(zeta_p), Q_poly one over Z."""
 
     __slots__ = ()
@@ -880,25 +880,21 @@ class LevelData(namedtuple("LevelData", "p k P Q_poly")):
         return self.Q_poly.map_domain(K, K.of_int)
 
 
-def level_polynomial_P(p, k=1):
-    """prod_{j<p} (X - (zeta_p^j - 1)) over Q(zeta_p); equals X for k = 0.
+def level_polynomial_P(p):
+    """prod_{j<p} (X - (zeta_p^j - 1)) over Q(zeta_p).
 
     The roots are the p-torsion values of the coordinate on the multiplicative
-    group at the level-p locus, so the product is independent of k >= 1.
+    group at the level-p locus.
     """
     if p > 13 or not is_prime(p):
         raise RingError("p = %d out of range for level polynomials" % p)
-    if k < 0:
-        raise RingError("k must be >= 0")
     K = CycloField(p)
-    if k == 0:
-        return LevelData(p=p, k=0, P=Poly.x(K), Q_poly=Poly.from_ints([0, 1], ZZ))
     P = Poly.one(K)
     zeta = K.zeta()
     for j in range(p):
         root = K.add(K.power(zeta, j), K.neg(K.one))
         P = P * Poly((K.neg(root), K.one), K)
-    data = LevelData(p=p, k=k, P=P, Q_poly=p_series_mult(p))
+    data = LevelData(p=p, P=P, Q_poly=p_series_mult(p))
     if not data.P.is_monic() or data.P.degree != p:
         raise RingError("level polynomial degree check failed")
     return data

@@ -19,8 +19,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .groups import (FamilySpec, GroupError, _class_of_mask, _mask, family_members,
-                     read_int, weyl)
+from .groups import FamilySpec, family_members, read_int, weyl
 from .orbit_cat import quotient
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
@@ -126,7 +125,19 @@ def weyl_action_kind(subgroup=None):
 
 # -- stratum models ------------------------------------------------------------
 
-StratumPoint = namedtuple("StratumPoint", "local_id descriptor label closed")
+class StratumPoint(namedtuple("StratumPoint", "local_id descriptor")):
+    """A point of a stratum: its local id and its PrimeDescriptor, which
+    holds its label; it is closed when the descriptor's kind is "closed"."""
+
+    __slots__ = ()
+
+    @property
+    def label(self):
+        return self.descriptor.label
+
+    @property
+    def closed(self):
+        return self.descriptor.kind == "closed"
 
 
 class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges weyl "
@@ -160,10 +171,9 @@ def stratum(theory, G, cls):
     w = weyl(G, cls, weyl_action_kind(cls))
     points, edges, truncated = theory.record.build(theory, cls)
     position = {pt.descriptor.data: k for k, pt in enumerate(points)}
-    number = cls.element_index().number
     action = []
     for _, n in w.witnesses:
-        move = theory.record.conjugation(theory, number[n.images], cls, cls)
+        move = theory.record.conjugation(theory, n, cls, cls)
         action.append(tuple(position[move(pt.descriptor.data)] for pt in points))
     return StratumModel(subgroup=cls, points=points, internal_edges=edges, weyl=w,
                         action=tuple(action), truncated=truncated)
@@ -180,10 +190,7 @@ def _fixed(theory, x, L, L2):  # no c_x moves the theory's descriptor data
 def _ku_conjugation(theory, x, L, L2):
     """The Galois twist zeta -> zeta^a along c_x: L -> L2, with x h x^-1 = h2^a
     for the canonical generators h of L and h2 of L2."""
-    index = L.element_index()
-    h = index.number[L.cyclic_generator().images]
-    h2 = index.number[L2.cyclic_generator().images]
-    a = _generator_power(index, h2, index.conjugates(x, (h,))[0])
+    a = L.conjugation_exponent(x, L2)
     d = L.order
     if (a - 1) % d == 0:
         return _same  # a = 1 fixes every point
@@ -195,28 +202,17 @@ def _stratum_height1(theory, cls):
     if cls.order == 1:
         points = (
             StratumPoint("Q_%d" % p,
-                         PrimeDescriptor("Z_p", "generic", ("zero",), "Q_%d" % p),
-                         "Q_%d" % p, False),
+                         PrimeDescriptor("Z_p", "generic", ("zero",), "Q_%d" % p)),
             StratumPoint("F_%d" % p,
-                         PrimeDescriptor("Z_p", "closed", ("rat", p), "F_%d" % p),
-                         "F_%d" % p, True),
+                         PrimeDescriptor("Z_p", "closed", ("rat", p), "F_%d" % p)),
         )
         edges = ((0, 1),)
     else:
         lbl = "Q_%d(zeta_%d)" % (p, cls.order)
         points = (StratumPoint(
-            lbl, PrimeDescriptor("Z_p", "generic", ("cyclo", cls.order), lbl),
-            lbl, False),)
+            lbl, PrimeDescriptor("Z_p", "generic", ("cyclo", cls.order), lbl)),)
         edges = ()
     return points, edges, False
-
-
-def _generator_power(index, gen, target):
-    """The a in 1..|gen| with gen^a = target, for element numbers in index."""
-    powers = index.powers(gen)
-    if target not in powers:
-        raise GroupError("element is not a power of the subgroup generator")
-    return powers.index(target) + 1
 
 
 def _ku_points(d, prime_bound):
@@ -233,8 +229,7 @@ def _ku_points(d, prime_bound):
         raise RingError("cyclotomic index %d out of range" % d)
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
-    points = [StratumPoint(
-        "0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0), label0, False)]
+    points = [StratumPoint("0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0))]
     for q in primes_upto(prime_bound):
         if d % q == 0:
             continue
@@ -242,8 +237,7 @@ def _ku_points(d, prime_bound):
         lbl = residue_field_label(q, split.residue_degree)
         for i in range(split.count):
             points.append(StratumPoint(
-                "%d.%d" % (q, i),
-                PrimeDescriptor(ring, "closed", ("modular", q, i), lbl), lbl, True))
+                "%d.%d" % (q, i), PrimeDescriptor(ring, "closed", ("modular", q, i), lbl)))
     edges = tuple((0, j) for j in range(1, len(points)))
     return tuple(points), edges, True
 
@@ -297,12 +291,10 @@ def _galois_image(data, d, a):
 
 def _spec_z_points(prime_bound):
     """The truncated Spec Z: the stratum of kr, and of hz at the trivial class."""
-    points = [StratumPoint(
-        "0", PrimeDescriptor("Z", "generic", ("zero",), "Q"), "Q", False)]
+    points = [StratumPoint("0", PrimeDescriptor("Z", "generic", ("zero",), "Q"))]
     for q in primes_upto(prime_bound):
         points.append(StratumPoint(
-            "q%d" % q, PrimeDescriptor("Z", "closed", ("rat", q), "F_%d" % q),
-            "F_%d" % q, True))
+            "q%d" % q, PrimeDescriptor("Z", "closed", ("rat", q), "F_%d" % q)))
     edges = tuple((0, j) for j in range(1, len(points)))
     return tuple(points), edges, True
 
@@ -313,10 +305,8 @@ def _stratum_hz(theory, cls):
     p = theory.p
     ring = "Z/%d[t]^h" % p
     points = (
-        StratumPoint("gen", PrimeDescriptor(ring, "generic", ("zero",),
-                                            "F_%d(t)" % p), "F_%d(t)" % p, False),
-        StratumPoint("t", PrimeDescriptor(ring, "closed", ("t",), "F_%d" % p),
-                     "F_%d" % p, True),
+        StratumPoint("gen", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(t)" % p)),
+        StratumPoint("t", PrimeDescriptor(ring, "closed", ("t",), "F_%d" % p)),
     )
     return points, ((0, 1),), False
 
@@ -420,41 +410,14 @@ def _form_substitute(coeffs, left, right):
     return image + (dom.zero,) * (k + 1 - len(image))
 
 
-def _elem_abelian_basis(cls, p):
-    """The basis (e1, e2) of a rank-2 elementary abelian class as element
-    numbers, and the coordinates (i, j) of the number of each e1^i e2^j."""
-    index = cls.element_index()
-    e1, e2 = basis = cls.generator_numbers
-    right1, right2 = index.right(e1), index.right(e2)
-    coords = {}
-    x = 0  # the identity is the least element
-    for i in range(p):
-        y = x
-        for j in range(p):
-            coords[y] = (i, j)
-            y = right2[y]
-        x = right1[x]
-    return basis, coords
-
-
-def _weyl_matrix(index, basis, coords, g):
-    """The matrix of conjugation by the element number g, one column per
-    basis element."""
-    cols = [coords[e] for e in index.conjugates(g, basis)]
-    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-
-
 def _modp_conjugation(theory, x, L, L2):
-    """On a rank-2 stratum the substitution f -> f o M^-1 of `_form_substitute`,
-    (x, y) -> (x, y) M^-1, with M^-1 the matrix of c_x^-1: L2 -> L; at rank
-    <= 1 the identity."""
+    """On a rank-2 stratum the substitution (x, y) -> (x, y) M of
+    `_form_substitute`, M the matrix of c_x: L -> L2; as M_ab = M_a M_b, a
+    Weyl witness acts on the left.  At rank <= 1 the identity."""
     if L.p_rank(theory.p) != 2:
         return _same
-    index = L.element_index()
-    dom = GF(theory.p, theory.f)
-    coords = _elem_abelian_basis(L, theory.p)[1]
-    Minv = _weyl_matrix(index, L2.generator_numbers, coords, index.inverse(x))
-    left, right = _linear_powers(Minv, dom, theory.degree_bound)
+    M = L.conjugation_matrix(x, L2)
+    left, right = _linear_powers(M, GF(theory.p, theory.f), theory.degree_bound)
     return lambda data: (data if data[0] != "form" else
                          ("form", data[1], _form_substitute(data[2], left, right)))
 
@@ -466,24 +429,19 @@ def _stratum_modp(theory, cls):
     ring = "F_%d[x,y]^h" % q
     if r == 0:
         return (StratumPoint(
-            "irr", PrimeDescriptor(ring, "closed", ("irrelevant",), "F_%d" % q),
-            "F_%d" % q, True),), (), False
+            "irr", PrimeDescriptor(ring, "closed", ("irrelevant",), "F_%d" % q)),), (), False
     if r == 1:
         return (StratumPoint(
-            "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x)" % q),
-            "F_%d(x)" % q, False),), (), False
+            "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x)" % q)),), (), False
     forms = [cf for cf in irreducible_forms(dom, theory.degree_bound)
              if not _is_rational_linear(cf, dom)]
     forms.sort(key=lambda cf: (len(cf), cf))
     points = [StratumPoint(
-        "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x,y)" % q),
-        "F_%d(x,y)" % q, False)]
+        "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x,y)" % q))]
     for cf in forms:
-        lbl = "(%s)" % form_label(cf, dom)
-        points.append(StratumPoint(
-            form_label(cf, dom),
-            PrimeDescriptor(ring, "height-one", ("form", len(cf) - 1, cf), lbl),
-            lbl, False))
+        lbl = form_label(cf, dom)
+        points.append(StratumPoint(lbl, PrimeDescriptor(
+            ring, "height-one", ("form", len(cf) - 1, cf), "(%s)" % lbl)))
     edges = tuple((0, j) for j in range(1, len(points)))
     # the full homogeneous spectrum is infinite; the degree bound truncates it
     return tuple(points), edges, True
@@ -498,14 +456,12 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     K (duck-typed: .id, .cls, .descriptor), each carrying the class of its
     stratum.  A point of the stratum of L goes to the stratum of L2, the
     class of g L g^-1 among K's, with its descriptor data moved by the
-    record's conjugation along x = t^-1 g, where t L2 t^-1 = g L g^-1 for
-    the t of L2's orbit, so that x L x^-1 = L2.  Returns {src id: dst id}.
+    record's conjugation along the x with x L x^-1 = L2 that
+    `SubgroupClass.conjugate_class` gives.  Returns {src id: dst id}.
     """
     if not theory.has_transition_maps():
         raise UnsupportedTheory(
             "theory %s has no transition maps" % theory.name)
-    index = dst_cls.element_index()
-    g = index.number[morphism.witness.images]
     targets = list(dict.fromkeys(pt.cls for pt in dst_points))
     by_key = {(pt.cls, pt.descriptor.data): pt.id for pt in dst_points}
     moves = {}  # L -> (L2, its conjugation)
@@ -513,9 +469,7 @@ def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
     for pt in src_points:
         L = pt.cls
         if L not in moves:
-            T = _mask(index.conjugates(g, L.numbers()))
-            L2 = _class_of_mask(targets, T)
-            x = index.mul(index.inverse(L2.orbit[T][0]), g)
+            L2, x = L.conjugate_class(morphism.witness, targets)
             moves[L] = L2, theory.record.conjugation(theory, x, L, L2)
         L2, move = moves[L]
         out[pt.id] = by_key[(L2, move(pt.descriptor.data))]
@@ -545,27 +499,23 @@ def _segal_edges(theory, G, members, points):
     in the stratum of C_e, the subgroup of C of order e, the q-free part of
     d: the prime of R(G) at (C, P), P over q, is the prime at
     (C_e, P meet Z[zeta_e]) (Segal, "The representation ring of a compact Lie
-    group", Publ. IHES 34, 1968).  C_e is found by its elements, not its
-    order, as a non-cyclic G can have several classes of one order.  For ku
-    on a cyclic G these are the containments of `rings.cyclic_spectrum_ring`
-    between strata; for height1, q = p and C_e is trivial, so every point of
-    a nontrivial class goes to F_p.
+    group", Publ. IHES 34, 1968).  For ku on a cyclic G these are the
+    containments of `rings.cyclic_spectrum_ring` between strata; for
+    height1, q = p and C_e is trivial, so every point of a nontrivial class
+    goes to F_p.
     """
     generic = {pt.cls: pt.id for pt in points if not pt.closed}
     over = {}  # (class, q) -> ids of the closed points over q
     for pt in points:
         if pt.closed:
             over.setdefault((pt.cls, pt.descriptor.data[1]), []).append(pt.id)
-    index = G.element_index()
     for cls in members:
-        d = rest = cls.order
-        powers = index.powers(index.number[cls.cyclic_generator().images])
+        rest = cls.order
         src = generic[cls]
         while rest > 1:
             q = least_prime_factor(rest)
             rest = p_part(rest, q)[1]
-            step = d // p_part(d, q)[1]  # C_e is generated by h^step
-            target = _class_of_mask(members, _mask(powers[step - 1::step]))
+            target = cls.cyclic_subgroup_class(p_part(cls.order, q)[1], members)
             for dst in over.get((target, q), ()):
                 yield src, dst, "cross-stratum", ""
 

@@ -606,21 +606,22 @@ def reference_form_substitute(coeffs, M, dom):
     return tuple(dom.mul(inv, x) for x in out)
 
 
-def reference_weyl_matrix(cls, witness, p):
-    """The matrix of conjugation by witness on a rank-2 elementary abelian
-    class, one column per element of minimal_generators(cls), by Perm
-    products."""
+def reference_weyl_matrix(cls, witness, p, target=None):
+    """The matrix of conjugation by witness from a rank-2 elementary abelian
+    class to target (default cls), one column per element of
+    minimal_generators(cls), in the coordinates of minimal_generators(target),
+    by Perm products."""
     from quillen_strata.groups import minimal_generators
-    e1, e2 = minimal_generators(cls)
+    f1, f2 = minimal_generators(target or cls)
     coords = {}
     x = cls.identity()
     for i in range(p):
         y = x
         for j in range(p):
             coords[y] = (i, j)
-            y = y * e2
-        x = x * e1
-    cols = [coords[witness * e * ~witness] for e in (e1, e2)]
+            y = y * f2
+        x = x * f1
+    cols = [coords[witness * e * ~witness] for e in minimal_generators(cls)]
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 

@@ -49,7 +49,16 @@ CASES = [
     # the order-360 regular quotient of alt:6 by its trivial subgroup
     ("weyl_alt6_1_0_ordinary.json",
      ["weyl", "--group", "alt:6", "--h", "1:0", "--kind", "ordinary"]),
-]
+] + [
+    # the table and dot writers: cross-stratum edges of the strong form, and
+    # the external edges with their provenance of a weak one
+    ("spectrum_sym4_ku.%s" % fmt,
+     ["spectrum", "--group", "sym:4", "--theory", "ku", "--format", fmt])
+    for fmt in ("table", "dot")] + [
+    ("spectrum_cyclic9_hz_p3_weak.%s" % fmt,
+     ["spectrum", "--group", "cyclic:9", "--theory", "hz:p=3", "--mode", "weak",
+      "--format", fmt])
+    for fmt in ("table", "dot")]
 
 
 @pytest.mark.parametrize("name,args", CASES)

@@ -13,7 +13,7 @@ from quillen_strata.groups import (BoundExceeded, ElementIndex, FamilySpec,
 from conftest import (check_class_conjugators, check_weyl, class_facts,
                       compose, lattice_perm_sets, naive_closure,
                       naive_subgroup_count, naive_subgroup_sets,
-                      reference_cyclic_generator)
+                      reference_cyclic_generator, reference_weyl_matrix)
 
 # groups outside the corpus, of orders 20 to 60
 EXTRA_GROUPS = (["alt:5"] + ["dihedral:%d" % n for n in range(10, 16)]
@@ -404,3 +404,41 @@ def test_element_index_numbers_sorted_elements():
     H = subgroups_up_to_conjugacy(G)[-2]
     assert H.element_index() is index
     assert [index.perms[x] for x in H.numbers()] == list(H.sorted_elements)
+
+
+@pytest.mark.parametrize("dsl,p", [("sym:4", 2), ("perm:(0 1);(2 3);(0 2)(1 3)", 2),
+                                   ("dihedral:6", 2), ("elem-abelian:3^2", 3)])
+def test_conjugations_between_classes_match_perm_products(dsl, p):
+    # c_g: S -> K for every class S of G, every class K and every g with
+    # g S g^-1 <= K, landing among K's own classes, as the weak form asks
+    G = build_group(dsl)
+    classes = subgroups_up_to_conjugacy(G)
+    seen = set()
+    for K in classes:
+        targets = subgroups_up_to_conjugacy(K)
+        for S in classes:
+            for g in G:
+                image = frozenset(g * s * ~g for s in S)
+                if not image <= K.elements:
+                    continue
+                L, x = S.conjugate_class(g, targets)
+                assert L is class_containing(targets, image)
+                assert frozenset(x * s * ~x for s in S) == L.elements
+                assert x * ~g in K.elements
+                seen.add(L.elements == S.elements)
+                if S.is_cyclic():
+                    a = S.conjugation_exponent(x, L)
+                    power = L.identity()
+                    for _ in range(a):
+                        power = power * L.cyclic_generator()
+                    assert power == x * S.cyclic_generator() * ~x
+                if S.is_elementary_abelian(p) and S.p_rank(p) == 2:
+                    assert S.conjugation_matrix(x, L) \
+                        == reference_weyl_matrix(S, x, p, L), (dsl, S.index, g)
+    assert G.is_abelian() or seen == {True, False}  # some L is not S itself
+    for S in (c for c in classes if c.is_cyclic()):
+        for e in (d for d in range(1, S.order + 1) if S.order % d == 0):
+            # the subgroup of order e of a cyclic S is {s : s^e = 1}
+            sub = frozenset(s for s in S if e % len(mulclose([s])) == 0)
+            assert S.cyclic_subgroup_class(e, classes) is class_containing(classes, sub)
+

@@ -397,12 +397,6 @@ def test_level_polynomial_p3_oracle():
     assert data.P == expected
 
 
-def test_level_polynomial_trivial_convention():
-    data = level_polynomial_P(3, k=0)
-    assert data.P.degree == 1
-    assert data.P.coeffs[-1] == data.P.dom.one
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_level_divides_both_ways(p):
     data = level_polynomial_P(p)

@@ -226,10 +226,10 @@ def test_agreement_suite_catches_c_e_found_by_order(monkeypatch):
     # the first family class of order e is not always the class of C_e when
     # G has several classes of that order; weak glues cyclic members, where
     # the order names the subgroup, so only the strong form goes wrong
-    def first_of_order(classes, mask):
-        return next(c for c in classes if c.order == bin(mask).count("1"))
+    def first_of_order(cls, e, classes):
+        return next(c for c in classes if c.order == e)
 
-    monkeypatch.setattr(strata, "_class_of_mask", first_of_order)
+    monkeypatch.setattr(groups.SubgroupClass, "cyclic_subgroup_class", first_of_order)
     assert not checks.check_agreement_suite().ok
     failing = [dsl for dsl, G in small_corpus()
                if not checks.check_agreement_suite([(dsl, G)]).ok]

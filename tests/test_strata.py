@@ -11,10 +11,8 @@ from quillen_strata.groups import (GroupError, build_group, class_containing,
 from quillen_strata.rings import (GF, MAX_PRIME_BOUND, Poly, RingError, cyclotomic_poly,
                                   factor, primes_upto, residue_field_label)
 from quillen_strata.strata import (THEORIES, TheoryError, TheorySpec, UnsupportedTheory,
-                                   _elem_abelian_basis, _form_substitute,
-                                   _generator_power, _ku_points, _linear_powers,
-                                   _weyl_matrix, irreducible_forms,
-                                   parse_theory, stratum,
+                                   _form_substitute, _ku_points, _linear_powers,
+                                   irreducible_forms, parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
 
 from conftest import (reference_form_substitute, reference_irreducible_forms,
@@ -391,17 +389,15 @@ def test_weyl_matrices_match_perm_products():
         ranked = [c for c in classes if c.is_elementary_abelian(p) and c.p_rank(p) == 2]
         assert ranked, dsl
         for cls in ranked:
-            index = cls.element_index()
-            basis, coords = _elem_abelian_basis(cls, p)
             for n in cls.normalizer_elements:
-                assert _weyl_matrix(index, basis, coords, index.number[n.images]) \
+                assert cls.conjugation_matrix(n, cls) \
                     == reference_weyl_matrix(cls, n, p), (dsl, cls.index, n)
 
 
 def _reference_modp_action(model, p, dom):
     """The Weyl action on a modp stratum from Perm products: a witness n sends
-    the form f to f o M^-1, M^-1 the matrix of conjugation by n^-1, by
-    binomial expansion; every other point is fixed."""
+    the form f to f((x, y) M), M the matrix of conjugation by n, by binomial
+    expansion; every other point is fixed."""
     position = {pt.descriptor.data: k for k, pt in enumerate(model.points)}
     action = []
     for _, n in model.weyl.witnesses:
@@ -409,7 +405,7 @@ def _reference_modp_action(model, p, dom):
         for pt in model.points:
             data = pt.descriptor.data
             if data[0] == "form":
-                M = reference_weyl_matrix(model.subgroup, ~n, p)
+                M = reference_weyl_matrix(model.subgroup, n, p)
                 Mdom = tuple(tuple(dom.of_int(c) for c in row) for row in M)
                 data = ("form", data[1], reference_form_substitute(data[2], Mdom, dom))
             images.append(position[data])
@@ -433,12 +429,15 @@ def test_modp_action_matches_perm_products(name):
 
 
 def test_modp_actions_are_group_actions():
+    # on the normal V_4 of sym:4 the Weyl group is all of GL_2(F_2), which is
+    # not abelian, so a right action would fail here
     from quillen_strata.checks import _is_group_action
-    G, classes = classes_of(WREATH)
     th = parse_theory("modp:q=4,deg=2")
-    for cls in theory_family_classes(th, G):
-        m = stratum(th, G, cls)
-        assert _is_group_action(m)
+    for dsl in (WREATH, "sym:4"):
+        G, classes = classes_of(dsl)
+        for cls in theory_family_classes(th, G):
+            m = stratum(th, G, cls)
+            assert _is_group_action(m), (dsl, cls.index)
 
 
 def test_modp_empty_outside_family():
@@ -476,10 +475,13 @@ def test_empty_stratum_law(corpus_groups, name):
 
 
 def test_generator_power():
+    # conjugation by a transposition inverts the generator of C_3 in sym:3
     G = build_group("sym:3")
     c3 = [c for c in subgroups_up_to_conjugacy(G) if c.order == 3][0]
-    index = c3.element_index()
-    h = index.number[c3.cyclic_generator().images]
-    assert [_generator_power(index, h, g) for g in index.powers(h)] == [1, 2, 3]
-    with pytest.raises(GroupError):
-        _generator_power(index, h, index.number[(1, 0, 2)])
+    h = c3.cyclic_generator()
+    assert c3.conjugation_exponent(G.identity(), c3) == 1
+    assert c3.conjugation_exponent(Perm((1, 0, 2)), c3) == 2
+    assert h * h * h == G.identity()
+    c2 = [c for c in subgroups_up_to_conjugacy(G) if c.order == 2][0]
+    with pytest.raises(GroupError):  # no x takes C_3 to C_2
+        c3.conjugation_exponent(G.identity(), c2)
