@@ -24,7 +24,7 @@ for cls in classes:
 # The global order always divides the other two.
 print("\nWeyl groups per class (ordinary / global / quillen):")
 for cls in classes:
-    orders = [weyl(G, cls, kind).order
+    orders = [weyl(cls, kind).order
               for kind in ("ordinary", "global", "quillen")]
     print("  order-%d class #%d: %s" % (cls.order, cls.index, orders))
 

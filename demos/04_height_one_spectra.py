@@ -36,7 +36,7 @@ print("weak/strong agreement for (Z/2)^2:", report.isomorphic)
 S3 = build_group("sym:3")
 th3 = parse_theory("height1:p=3")
 c3 = [c for c in subgroups_up_to_conjugacy(S3) if c.order == 3][0]
-model = stratum(th3, S3, c3)
+model = stratum(th3, c3)
 print("W^Q(C3) order:", model.weyl.order,
       " action on stratum:", model.action,
       " (identity: the action is trivial, hence not free)")

@@ -26,7 +26,7 @@ print(serialize(assemble_strong(th, C2, "cyclic:2"), "table"))
 # above each q = 1 mod 3, and fixes the inert ones.
 S3 = build_group("sym:3")
 c3 = [c for c in subgroups_up_to_conjugacy(S3) if c.order == 3][0]
-model = stratum(parse_theory("ku", prime_bound=13), S3, c3)
+model = stratum(parse_theory("ku", prime_bound=13), c3)
 print("C3 stratum points:", [pt.local_id for pt in model.points])
 print("Weyl orbits:", model.orbits())
 # primes above 7 and 13 (both 1 mod 3) pair up; 2, 5, 11 stay inert

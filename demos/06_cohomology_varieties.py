@@ -18,7 +18,7 @@ klein = class_containing(classes, mulclose(
     [Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(2, 3)], 4)], cap=8))
 
 th = parse_theory("modp:q=4,deg=1")
-model = stratum(th, G, klein)
+model = stratum(th, klein)
 print("V^{h,+} of the Klein four subgroup over F_4 (degree <= 1):")
 for pt in model.points:
     print("  ", pt.label)
@@ -26,7 +26,7 @@ print("Weyl group order:", model.weyl.order)
 print("orbits:", model.orbits(), " -> the two lines are identified")
 
 # Raising the degree bound brings in the conjugate pairs of higher degree.
-model2 = stratum(parse_theory("modp:q=4,deg=2"), G, klein)
+model2 = stratum(parse_theory("modp:q=4,deg=2"), klein)
 print("\nwith degree bound 2 the stratum has %d points" % len(model2.points))
 
 # Full strong assembly over all elementary abelian strata of G:

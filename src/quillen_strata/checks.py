@@ -30,11 +30,11 @@ def _timed(name, fn):
                        seconds=time.perf_counter() - t0)
 
 
-def check_mackey(groups=None):
+def check_mackey():
     def run():
         bad = []
         pairs = 0
-        for dsl, G in groups or corpus_mod.corpus_groups():
+        for dsl, G in corpus_mod.corpus_groups():
             rep = verify_mackey(G)
             pairs += rep["pairs_checked"]
             if not rep["ok"]:
@@ -44,14 +44,14 @@ def check_mackey(groups=None):
     return _timed("mackey-double-cosets", run)
 
 
-def check_weyl_divisibility(groups=None):
+def check_weyl_divisibility():
     def run():
         checked = 0
-        for dsl, G in groups or corpus_mod.corpus_groups():
+        for dsl, G in corpus_mod.corpus_groups():
             for cls in subgroups_up_to_conjugacy(G):
-                wo = weyl(G, cls, "ordinary")
-                wg = weyl(G, cls, "global")
-                wq = weyl(G, cls, "quillen")
+                wo = weyl(cls, "ordinary")
+                wg = weyl(cls, "global")
+                wq = weyl(cls, "quillen")
                 checked += 1
                 if wo.order % wg.order or wq.order % wg.order:
                     return False, "divisibility fails for %s class %d" % (dsl, cls.index)
@@ -65,10 +65,10 @@ _FAMILIES = (FamilySpec.all(), FamilySpec.cyclic(), FamilySpec.cyclic_p(2),
              FamilySpec.abelian_p_rank(2, 2))
 
 
-def check_family_closure(groups=None):
+def check_family_closure():
     def run():
         checked = 0
-        for dsl, G in groups or corpus_mod.small_corpus():
+        for dsl, G in corpus_mod.corpus_groups():
             for fam in _FAMILIES:
                 members = family_members(G, fam)
                 if not any(c.order == 1 for c in members):
@@ -96,8 +96,9 @@ def check_subgroup_counts(groups=None):
     return _timed("subgroup-counts", run)
 
 
-def check_cyclotomic_product(limit=200):
+def check_cyclotomic_product():
     def run():
+        limit = 200
         for d in range(1, limit + 1):
             prod = Poly.one(ZZ)
             for e in range(1, d + 1):
@@ -110,11 +111,11 @@ def check_cyclotomic_product(limit=200):
     return _timed("cyclotomic-product", run)
 
 
-def check_splitting_oracle(max_d=40, max_q=100):
+def check_splitting_oracle():
     def run():
         checked = 0
-        for d in range(1, max_d + 1):
-            for q in primes_upto(max_q):
+        for d in range(1, 41):
+            for q in primes_upto(100):
                 if d % q == 0:
                     continue
                 checked += 1
@@ -139,15 +140,13 @@ def check_splitting_oracle(max_d=40, max_q=100):
     return _timed("cyclotomic-splitting-oracle", run)
 
 
-def check_strata_actions(groups=None,
-                         theories=("height1:p=2", "height1:p=3", "ku",
-                                   "hz:p=2", "hz:p=3", "kr",
-                                   "modp:q=4,deg=1", "modp:q=9,deg=1",
-                                   "modp:q=4,deg=2", "modp:q=8,deg=2")):
+def check_strata_actions():
     def run():
         checked = 0
-        for dsl, G in groups or corpus_mod.small_corpus():
-            for tname in theories:
+        for dsl, G in corpus_mod.corpus_groups():
+            for tname in ("height1:p=2", "height1:p=3", "ku", "hz:p=2", "hz:p=3",
+                          "kr", "modp:q=4,deg=1", "modp:q=9,deg=1",
+                          "modp:q=4,deg=2", "modp:q=8,deg=2"):
                 th = parse_theory(tname, prime_bound=11)
                 try:
                     members = theory_family_classes(th, G)
@@ -155,7 +154,7 @@ def check_strata_actions(groups=None,
                     continue
                 for cls in members:
                     checked += 1
-                    if not _is_group_action(stratum(th, G, cls)):
+                    if not _is_group_action(stratum(th, cls)):
                         return False, "action law fails: %s %s class %d" % (
                             dsl, tname, cls.index)
         return True, "%d strata" % checked
@@ -179,11 +178,11 @@ def _is_group_action(model):
     return True
 
 
-def check_agreement_suite(groups=None,
-                          theories=("height1:p=2", "height1:p=3", "ku")):
+def check_agreement_suite(groups=None):
     def run():
-        corpus = groups or corpus_mod.small_corpus()
-        cases = [(parse_theory(tname), dsl, G) for dsl, G in corpus for tname in theories]
+        corpus = groups or corpus_mod.corpus_groups()
+        cases = [(parse_theory(tname), dsl, G) for dsl, G in corpus
+                 for tname in ("height1:p=2", "height1:p=3", "ku")]
         # hz on the cyclic 2- and 3-groups, also at a prime bound below p = 3
         cases += [(parse_theory("hz:p=%d" % p, prime_bound=bound), dsl, G)
                   for dsl, G in corpus for p in (2, 3)
@@ -201,7 +200,7 @@ def check_agreement_suite(groups=None,
 
 def check_fan_shape(groups=None, primes=(2, 3)):
     def run():
-        for dsl, G in groups or corpus_mod.small_corpus():
+        for dsl, G in groups or corpus_mod.corpus_groups():
             for p in primes:
                 th = parse_theory("height1:p=%d" % p)
                 space = assemble_strong(th, G, dsl)
@@ -257,7 +256,7 @@ def check_ku_stratum_counts():
         for n in (2, 3, 4, 6, 8, 12):
             G = build_group("cyclic:%d" % n)
             for cls in theory_family_classes(th, G):
-                model = stratum(th, G, cls)
+                model = stratum(th, cls)
                 d = cls.order
                 for q in primes_upto(13):
                     if d % q == 0:

@@ -78,7 +78,7 @@ def _cmd_weyl(args):
     G = build_group(args.group)
     classes = subgroups_up_to_conjugacy(G)
     cls = select_class(G, classes, args.h)
-    w = weyl(G, cls, args.kind)
+    w = weyl(cls, args.kind)
     doc = {
         "schema": "quillen-strata/weyl/1",
         "group": args.group,
@@ -135,7 +135,7 @@ def _cmd_strata(args):
     members = theory_family_classes(theory, G)
     out = []
     for cls in members:
-        model = stratum(theory, G, cls)
+        model = stratum(theory, cls)
         out.append({
             "subgroup": {"order": cls.order, "index": cls.index},
             "weyl_kind": model.weyl.kind,

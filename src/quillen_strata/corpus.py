@@ -25,16 +25,3 @@ def corpus_group(dsl):
 
 def corpus_groups():
     return [(dsl, corpus_group(dsl)) for dsl in CORPUS]
-
-
-def small_corpus(max_order=16, extras=("sym:3", "sym:4", "dihedral:4",
-                                       "dihedral:6", Q8_DSL)):
-    """Groups of order <= max_order plus the named extras, deduplicated."""
-    out = []
-    seen = set()
-    for dsl in CORPUS:
-        G = corpus_group(dsl)
-        if (G.order <= max_order or dsl in extras) and dsl not in seen:
-            seen.add(dsl)
-            out.append((dsl, G))
-    return out

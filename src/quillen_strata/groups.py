@@ -43,36 +43,35 @@ class BoundExceeded(GroupError):
     """Order or degree construction bound exceeded."""
 
 
-class Perm:
-    """A permutation of {0..n-1} stored as its tuple of images."""
+class Perm(tuple):
+    """A permutation of {0..n-1}: the tuple of its images, so it compares,
+    orders and hashes as that tuple does."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ()
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise GroupError("not a bijection on 0..%d: %r" % (len(images) - 1, images))
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
+        return tuple.__new__(cls, images)
 
     @staticmethod
     def _trusted(images):
-        """The Perm of an images tuple already known to be a bijection."""
-        p = object.__new__(Perm)
-        object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_hash", hash(images))
-        return p
+        """The Perm of an iterable of images already known to be a bijection."""
+        return tuple.__new__(Perm, images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
+    @property
+    def images(self):
+        """The images tuple, which is the Perm itself."""
+        return self
 
     @property
     def degree(self):
-        return len(self.images)
+        return len(self)
 
     @staticmethod
     def identity(degree):
-        return Perm._trusted(tuple(range(degree)))
+        return Perm._trusted(range(degree))
 
     @staticmethod
     def from_cycles(cycles, degree):
@@ -92,28 +91,28 @@ class Perm:
 
     def __mul__(self, other):
         # (a*b)(x) = a(b(x))
-        return Perm._trusted(tuple(map(self.images.__getitem__, other.images)))
+        return Perm._trusted(map(self.__getitem__, other))
 
     def __invert__(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(inv)
 
     def cycles(self):
         """Non-trivial cycles, each rotated to start at its minimum, sorted."""
         seen = set()
         out = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
+        for start in range(len(self)):
+            if start in seen or self[start] == start:
                 continue
             cyc = [start]
             seen.add(start)
-            nxt = self.images[start]
+            nxt = self[start]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = self.images[nxt]
+                nxt = self[nxt]
             out.append(tuple(cyc))
         return tuple(sorted(out))
 
@@ -122,18 +121,6 @@ class Perm:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "Perm%s" % (self.cycle_string(),)
@@ -167,56 +154,46 @@ class ElementIndex:
     """The elements of a root group numbered 0..|G|-1 in sorted order.
 
     left(a)[x] is the number of a*x, right(a)[x] that of x*a and conj(a)[x]
-    that of a*x*a^-1.  Each row is built on first use and kept.
+    that of a*x*a^-1.  Each row is built on first use and kept by a cache on
+    the instance, which goes when the group does.  number also answers
+    lookups by plain image tuples.
     """
 
     def __init__(self, perms):
         self.perms = perms
-        self.number = {p.images: i for i, p in enumerate(perms)}
-        self._left = {}
-        self._right = {}
-        self._conj = {}
+        self.number = {p: i for i, p in enumerate(perms)}
+        self.left = functools.cache(self._left)
+        self.right = functools.cache(self._right)
+        self.conj = functools.cache(self._conj)
 
-    def left(self, a):
-        row = self._left.get(a)
-        if row is None:
-            num, ai = self.number, self.perms[a].images.__getitem__
-            row = self._left[a] = [num[tuple(map(ai, p.images))] for p in self.perms]
-        return row
+    def _left(self, a):
+        num, ai = self.number, self.perms[a].__getitem__
+        return [num[tuple(map(ai, p))] for p in self.perms]
 
-    def right(self, a):
-        row = self._right.get(a)
-        if row is None:
-            num, ai = self.number, self.perms[a].images
-            row = self._right[a] = [num[tuple(map(p.images.__getitem__, ai))]
-                                    for p in self.perms]
-        return row
+    def _right(self, a):
+        num, ai = self.number, self.perms[a]
+        return [num[tuple(map(p.__getitem__, ai))] for p in self.perms]
 
-    def conj(self, a):
-        row = self._conj.get(a)
-        if row is None:
-            row = self._conj[a] = self.conjugates(a, range(len(self.perms)))
-        return row
+    def _conj(self, a):
+        return self.conjugates(a, range(len(self.perms)))
 
     def conjugates(self, a, xs):
         """The numbers of a*x*a^-1 for the numbers x in xs."""
-        num, ai = self.number, self.perms[a].images.__getitem__
-        ainv = (~self.perms[a]).images
+        num, ai = self.number, self.perms[a].__getitem__
+        ainv = ~self.perms[a]
         perms = self.perms
-        return [num[tuple(map(ai, map(perms[x].images.__getitem__, ainv)))]
-                for x in xs]
+        return [num[tuple(map(ai, map(perms[x].__getitem__, ainv)))] for x in xs]
 
     def mul(self, a, b):
-        return self.number[tuple(map(self.perms[a].images.__getitem__,
-                                     self.perms[b].images))]
+        return self.number[tuple(map(self.perms[a].__getitem__, self.perms[b]))]
 
     def inverse(self, a):
-        return self.number[(~self.perms[a]).images]
+        return self.number[~self.perms[a]]
 
     def powers(self, a):
         """The numbers of a, a^2, ..., e."""
-        num, ai = self.number, self.perms[a].images
-        ident = self.perms[0].images
+        num, ai = self.number, self.perms[a]
+        ident = self.perms[0]
         out, x = [a], ai
         while x != ident:
             x = tuple(map(x.__getitem__, ai))
@@ -241,7 +218,7 @@ class ElementIndex:
 
     def mask(self, elements):
         """The bitmask of a set of Perms; KeyError if one is not numbered."""
-        return bitmask(self.number[p.images] for p in elements)
+        return bitmask(self.number[p] for p in elements)
 
 
 def bitmask(numbers):
@@ -307,10 +284,14 @@ class PermGroup:
 
     A group with a parent (a SubgroupClass) reads its subgroups off the
     parent's; only a root group (parent None) enumerates its own, and only a
-    root builds an element index, which its subgroups share.  The subgroup
-    sets, the conjugacy classes (with the class of each subgroup set) and the
-    generator numbers are each computed once and cached on the group.
+    root builds an element index, which its subgroups share.  The sorted
+    elements, the index, the element numbers and mask, the subgroup sets and
+    the generator numbers are cached properties; the conjugacy classes (with
+    the class of each subgroup set) are cached by subgroups_up_to_conjugacy.
     """
+
+    _classes = None
+    _class_of = None
 
     def __init__(self, degree, generators, _elements=None, parent=None):
         self.degree = degree
@@ -326,44 +307,40 @@ class PermGroup:
         else:
             self.elements = mulclose(gens)
         self.parent = parent
-        self._sorted = None
-        self._index = None
-        self._numbers = None
-        self._mask = None
-        self._subgroup_sets = None
-        self._classes = None
-        self._class_of = None
 
     @property
     def order(self):
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def sorted_elements(self):
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=lambda p: p.images))
-        return self._sorted
+        return tuple(sorted(self.elements))
+
+    @functools.cached_property
+    def _index(self):
+        if self.parent is None:
+            return ElementIndex(self.sorted_elements)
+        return self.parent.element_index()
 
     def element_index(self):
         """The element index of the root group, built on first use."""
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        if root._index is None:
-            root._index = ElementIndex(root.sorted_elements)
-        return root._index
+        return self._index
+
+    @functools.cached_property
+    def _numbers(self):
+        num = self.element_index().number
+        return tuple(sorted(num[p] for p in self.elements))
 
     def numbers(self):
         """The numbers of the elements in the root's index, ascending."""
-        if self._numbers is None:
-            num = self.element_index().number
-            self._numbers = tuple(sorted(num[p.images] for p in self.elements))
         return self._numbers
+
+    @functools.cached_property
+    def _mask(self):
+        return bitmask(self.numbers())
 
     def mask(self):
         """The elements as a bitmask over the root's index."""
-        if self._mask is None:
-            self._mask = bitmask(self.numbers())
         return self._mask
 
     def identity(self):
@@ -378,16 +355,16 @@ class PermGroup:
     def __len__(self):
         return self.order
 
+    @functools.cached_property
+    def _subgroup_sets(self):
+        if self.parent is None:
+            return all_subgroup_sets(self)
+        outside = ~self.mask()
+        return {S: els for S, els in self.parent.subgroup_sets().items()
+                if not S & outside}
+
     def subgroup_sets(self):
         """Every subgroup as {bitmask: ascending element numbers}, computed once."""
-        if self._subgroup_sets is None:
-            if self.parent is None:
-                self._subgroup_sets = all_subgroup_sets(self)
-            else:
-                outside = ~self.mask()
-                self._subgroup_sets = {S: els for S, els
-                                       in self.parent.subgroup_sets().items()
-                                       if not S & outside}
         return self._subgroup_sets
 
     @functools.cached_property
@@ -519,7 +496,7 @@ class SubgroupClass(PermGroup):
         perms = ind.perms
         elements = tuple(perms[x] for x in numbers)
         super().__init__(parent.degree, elements, _elements=elements, parent=parent)
-        self._sorted = elements
+        self.sorted_elements = elements
         self._numbers = numbers
         self._mask = mask
         self.orbit = orbit
@@ -546,7 +523,7 @@ class SubgroupClass(PermGroup):
         """(L, x): the class L among classes (of one group) of g S g^-1, and an
         x with x S x^-1 = L, x = t^-1 g for the t of L's orbit at g S g^-1."""
         index = self.element_index()
-        g = index.number[g.images]
+        g = index.number[g]
         T = bitmask(index.conjugates(g, self.numbers()))
         L = _class_of_mask(classes, T)
         return L, index.perms[index.mul(index.inverse(L.orbit[T][0]), g)]
@@ -557,7 +534,7 @@ class SubgroupClass(PermGroup):
         index = self.element_index()
         h = index.cyclic_subgroups[self.mask()][0]
         powers = index.cyclic_subgroups[L.mask()][1]
-        image = index.conjugates(index.number[x.images], (h,))[0]
+        image = index.conjugates(index.number[x], (h,))[0]
         if image not in powers:
             raise GroupError("x h x^-1 is not a power of the generator of L")
         return powers.index(image) + 1
@@ -572,7 +549,7 @@ class SubgroupClass(PermGroup):
         f1, f2 = ([0] + index.powers(f)[:-1] for f in L.generator_numbers)
         coords = {index.mul(a, b): (j, k)
                   for j, a in enumerate(f1) for k, b in enumerate(f2)}
-        cols = [coords[e] for e in index.conjugates(index.number[x.images],
+        cols = [coords[e] for e in index.conjugates(index.number[x],
                                                     self.generator_numbers)]
         return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
@@ -666,7 +643,7 @@ class WeylGroup(namedtuple("WeylGroup", "kind order quotient witnesses")):
         return self.quotient.sorted_elements
 
 
-def weyl(G, cls, kind):
+def weyl(cls, kind):
     """Weyl group of a subgroup class: ordinary N/H, global N/(H*C), quillen N/C.
 
     The left cosets nX are the orbits of N's numbers under the right rows of
@@ -692,13 +669,13 @@ def weyl(G, cls, kind):
     coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [coset[0] for coset in cosets]
     n_gens = _generate(index, N, (N, bitmask(N)))[0]
-    actions = [Perm._trusted(tuple(coset_of[row[r]] for r in reps))
+    actions = [Perm._trusted(coset_of[row[r]] for r in reps)
                for row in map(index.left, n_gens)]
     elements = sorted(mulclose(actions or [Perm.identity(len(reps))]))
     quotient = PermGroup(len(reps), tuple(elements), _elements=frozenset(elements))
     w = WeylGroup(kind=kind, order=len(N) // len(cosets[0]),
                   quotient=quotient,
-                  witnesses=tuple((q, index.perms[reps[q.images[0]]]) for q in elements))
+                  witnesses=tuple((q, index.perms[reps[q[0]]]) for q in elements))
     if w.order != quotient.order:
         raise GroupError("Weyl quotient order mismatch")
     return w
@@ -955,9 +932,9 @@ def _direct_product(A, B):
         raise BoundExceeded("product order exceeds bound")
     gens = []
     for g in A.generators:
-        gens.append(Perm(tuple(g.images) + tuple(A.degree + i for i in range(B.degree))))
+        gens.append(Perm(g + tuple(range(A.degree, degree))))
     for g in B.generators:
-        gens.append(Perm(tuple(range(A.degree)) + tuple(A.degree + i for i in g.images)))
+        gens.append(Perm(tuple(range(A.degree)) + tuple(A.degree + i for i in g)))
     return PermGroup(degree, gens)
 
 
@@ -981,7 +958,7 @@ def select_class(G, classes, selector):
             if g not in G.elements:
                 raise GroupParseError("generator %s not in group" % g.cycle_string())
         index = G.element_index()
-        mask = _generate(index, [index.number[g.images] for g in gens])[2]
+        mask = _generate(index, [index.number[g] for g in gens])[2]
         return _class_of_mask(classes, mask)
     m = re.fullmatch(r"[Aa](\d+)", selector)
     if m:

@@ -61,7 +61,7 @@ class Morphism(namedtuple("Morphism", "src dst witness coset")):
         return hash(self[:3])
 
     def key(self):
-        return (self.src, self.dst, self.witness.images)
+        return (self.src, self.dst, self.witness)
 
 
 class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs")):
@@ -81,7 +81,7 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
         if f1.dst != f2.src:
             raise GroupError("morphisms not composable")
         index = self.G.element_index()
-        g = index.mul(index.number[f2.witness.images], index.number[f1.witness.images])
+        g = index.mul(index.number[f2.witness], index.number[f1.witness])
         for m in self.homs[(f1.src, f2.dst)]:
             if m.coset >> g & 1:
                 return m
@@ -192,14 +192,8 @@ def quotient(nodes, relations):
 def colimit(diagram):
     """Colimit of an orbit diagram: points modulo x ~ (transition f)(x)."""
     diagram.validate()
-    nodes = [(i, pt) for i, pts in sorted(diagram.point_sets.items())
-             for pt in pts]
-    relations = []
-    for m in diagram.category.all_morphisms():
-        t = diagram.transition(m)
-        for pt in diagram.point_sets[m.src]:
-            relations.append(((m.src, pt), (m.dst, t[pt])))
-    return quotient(nodes, relations)
+    return coequalize_raw(diagram.point_sets, [
+        (m.src, m.dst, diagram.transition(m)) for m in diagram.category.all_morphisms()])
 
 
 def coequalize_raw(objects, maps):

@@ -476,7 +476,7 @@ class Poly(namedtuple("Poly", "coeffs dom")):
             return self
         return self.scale(self.dom.inv(self.leading()))
 
-    def pretty(self, var="X"):
+    def pretty(self):
         if self.is_zero():
             return "0"
         terms = []
@@ -488,7 +488,7 @@ class Poly(namedtuple("Poly", "coeffs dom")):
             if i == 0:
                 terms.append(cs)
             else:
-                xs = var if i == 1 else "%s^%d" % (var, i)
+                xs = "X" if i == 1 else "X^%d" % i
                 terms.append(xs if cs == "1" else "%s*%s" % (cs, xs))
         return "+".join(terms)
 

@@ -95,7 +95,7 @@ def assemble_strong(theory, G, group_label=""):
         edges.setdefault((src, dst), SpaceEdge(src, dst, kind, provenance))
 
     for cls in members:
-        model = stratum(theory, G, cls)
+        model = stratum(theory, cls)
         skey = keys[cls.index]
         truncated = truncated or model.truncated
         pid_of = {}    # point index -> id of its orbit's point
@@ -111,7 +111,7 @@ def assemble_strong(theory, G, group_label=""):
             if pid_of[i] != pid_of[j]:
                 add_edge(pid_of[i], pid_of[j], "internal")
     if theory.record.glue:  # None: no edges between strata
-        for edge in theory.record.glue(theory, G, members, points):
+        for edge in theory.record.glue(theory, members, points):
             add_edge(*edge)
 
     return _space(_meta(theory, group_label, "strong", truncated),
@@ -152,9 +152,8 @@ def assemble_weak(theory, G, group_label=""):
         point_index[i] = {pt.id: pt for pt in spaces[i].points}
     maps = {}
     for m in cat.all_morphisms():
-        maps[m.key()] = transition_map(
-            theory, m, members[m.src], members[m.dst],
-            spaces[m.src].points, spaces[m.dst].points)
+        maps[m.key()] = transition_map(theory, m, spaces[m.src].points,
+                                       spaces[m.dst].points)
     diagram = OrbitDiagram(
         category=cat,
         point_sets={i: tuple(pt.id for pt in spaces[i].points)

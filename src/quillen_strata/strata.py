@@ -112,13 +112,13 @@ def _prime_power(q):
     raise TheoryError("q = %d is not a prime power" % q)
 
 
-def weyl_action_kind(subgroup=None):
+def weyl_action_kind(subgroup):
     """Which Weyl flavor acts on a stratum.
 
     Every built-in theory is global: abelian family members get the
     Quillen-Weyl group N/C, and a non-abelian subgroup gets N/(H*C).
     """
-    if subgroup is None or subgroup.is_abelian():
+    if subgroup.is_abelian():
         return "quillen"
     return "global"
 
@@ -156,7 +156,7 @@ class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges we
         return [members for _, members in result.classes]
 
 
-def stratum(theory, G, cls):
+def stratum(theory, cls):
     """The stratum of one subgroup class: points, internal order, Weyl action.
 
     Classes outside the theory's family give an empty stratum with a reason
@@ -168,7 +168,7 @@ def stratum(theory, G, cls):
     if not theory.family().contains(cls):
         return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
                             reason="outside family: geometric fixed points vanish")
-    w = weyl(G, cls, weyl_action_kind(cls))
+    w = weyl(cls, weyl_action_kind(cls))
     points, edges, truncated = theory.record.build(theory, cls)
     position = {pt.descriptor.data: k for k, pt in enumerate(points)}
     action = []
@@ -449,7 +449,7 @@ def _stratum_modp(theory, cls):
 
 # -- transition maps (weak assembly) -------------------------------------------
 
-def transition_map(theory, morphism, src_cls, dst_cls, src_points, dst_points):
+def transition_map(theory, morphism, src_points, dst_points):
     """Point map induced by a morphism c_g: H -> K on full per-subgroup spectra.
 
     src_points / dst_points are the points of the assembled spectra of H and
@@ -491,7 +491,7 @@ def theory_family_classes(theory, G):
 
 # -- the theory table: gluing rules, checks and records ----------------------------
 
-def _segal_edges(theory, G, members, points):
+def _segal_edges(theory, members, points):
     """The cross-stratum edges of strong height1 and ku.
 
     For each family class C of order d and each prime q dividing d, the
@@ -520,7 +520,7 @@ def _segal_edges(theory, G, members, points):
                 yield src, dst, "cross-stratum", ""
 
 
-def _balmer_gallauer_edges(theory, G, members, points):
+def _balmer_gallauer_edges(theory, members, points):
     """The external edges of strong hz on a cyclic p-group: the generic point
     of each nontrivial class goes to the closed point of its subgroup of
     index p, (t) in Z/p[t], or (p) in the truncated Spec Z at the trivial
@@ -568,8 +568,8 @@ def _rank_at_most_two(theory, cls):
 # name: the format of TheorySpec.name.  family(p).  build(theory, cls): a member
 # stratum's points, internal edges and truncation flag.  conjugation(theory, x,
 # L, L2): the map of descriptor data along c_x: L -> L2 = x L x^-1, for Weyl
-# actions and transition maps.  glue(theory, G, members, points): the strong
-# form's edges between strata, or None, and then no transition maps either.
+# actions and transition maps.  glue(theory, members, points): the strong form's
+# edges between the members' strata, or None, and then no transition maps either.
 # check_group(theory, G) runs before the lattice, check_member(theory, cls) on
 # each member.  prime: the p, when the pattern has no group for it.
 TheoryRecord = namedtuple("TheoryRecord", "pattern name family build conjugation glue "

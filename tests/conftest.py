@@ -469,7 +469,7 @@ def check_weyl(G, label=""):
     for cls in subgroups_up_to_conjugacy(G):
         for kind in ("ordinary", "global", "quillen"):
             order, quotient, witnesses = reference_weyl(cls, kind)
-            w = weyl(G, cls, kind)
+            w = weyl(cls, kind)
             where = (label, cls.index, kind)
             assert w.order == order, where
             assert [q.images for q in w.sorted_quotient()] == quotient, where

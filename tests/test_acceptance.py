@@ -90,7 +90,7 @@ def test_criterion_03_sigma3_trivial_action():
         th = parse_theory("height1:p=3")
         classes = subgroups_up_to_conjugacy(G)
         c3 = [c for c in classes if c.order == 3][0]
-        model = stratum(th, G, c3)
+        model = stratum(th, c3)
         assert model.weyl.kind == "quillen"
         assert model.weyl.order == 2
         identity = tuple(range(len(model.points)))
@@ -130,7 +130,7 @@ def test_criterion_05_remark_rank2_quotient():
         klein = class_containing(classes, mulclose(
             [Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(2, 3)], 4)],
             cap=8))
-        model = stratum(th, G, klein)
+        model = stratum(th, klein)
         assert [pt.label for pt in model.points] == [
             "F_4(x,y)", "(x+a*y)", "(x+(a+1)*y)"]
         assert model.weyl.order == 2

@@ -33,6 +33,27 @@ def test_perm_basics():
         Perm((0, 0, 1))
 
 
+def test_perm_is_an_immutable_value():
+    a = Perm((1, 2, 0))
+    with pytest.raises(AttributeError):
+        a.images = (0, 1, 2)
+    with pytest.raises(TypeError):
+        a[0] = 0
+    perms = [Perm(t) for t in itertools.permutations(range(3))][::-1]
+    assert [p.images for p in sorted(perms)] == sorted(itertools.permutations(range(3)))
+    assert a == a.images == (1, 2, 0) and hash(a) == hash(a.images) == hash((1, 2, 0))
+    for bad in ((0, 0, 1), (1, 2), (0, 2)):
+        with pytest.raises(GroupError):
+            Perm(bad)
+    b = Perm.from_cycles([(0, 1)], 3)
+    assert all(type(p) is Perm for p in (a * b, ~a, Perm.identity(3), b))
+    index = build_group("sym:3").element_index()
+    assert all(type(p) is Perm for p in index.perms)
+    assert index.number[(1, 0, 2)] == index.number[b]
+    assert index.left(3) is index.left(3) and index.right(3) is index.right(3)
+    assert index.conj(3) is index.conj(3)
+
+
 def test_perm_powers():
     a = Perm.from_cycles([(0, 1, 2, 3)], 4)
     index = ElementIndex(sorted(mulclose([a]), key=lambda p: p.images))
@@ -141,10 +162,10 @@ def test_weyl_examples():
     G = build_group("sym:3")
     classes = subgroups_up_to_conjugacy(G)
     top = classes[-1]
-    assert weyl(G, top, "ordinary").order == 1
+    assert weyl(top, "ordinary").order == 1
     c3 = [c for c in classes if c.order == 3][0]
-    assert weyl(G, c3, "ordinary").order == 2
-    wq = weyl(G, c3, "quillen")
+    assert weyl(c3, "ordinary").order == 2
+    wq = weyl(c3, "quillen")
     assert wq.order == 2
     last = wq.quotient.sorted_elements[-1]
     assert last != Perm.identity(last.degree)
@@ -155,9 +176,9 @@ def test_weyl_divisibility_chain(corpus_groups):
         if G.order > 16:
             continue
         for cls in subgroups_up_to_conjugacy(G):
-            wo = weyl(G, cls, "ordinary")
-            wg = weyl(G, cls, "global")
-            wq = weyl(G, cls, "quillen")
+            wo = weyl(cls, "ordinary")
+            wg = weyl(cls, "global")
+            wq = weyl(cls, "quillen")
             assert wo.order % wg.order == 0
             assert wq.order % wg.order == 0
             if cls.is_abelian():
@@ -168,7 +189,7 @@ def test_weyl_witnesses_act_as_recorded():
     G = build_group("dihedral:4")
     classes = subgroups_up_to_conjugacy(G)
     for cls in classes:
-        w = weyl(G, cls, "quillen")
+        w = weyl(cls, "quillen")
         for q, n in w.witnesses:
             assert n in cls.normalizer_elements
 

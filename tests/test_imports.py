@@ -2,13 +2,16 @@
 
 The group kernel owns element numbering: other modules reach it through
 public names, and strata asks the kernel's SubgroupClass methods for every
-conjugation instead of working on element numbers itself.
+conjugation instead of working on element numbers itself.  Every parameter
+earns its place: a default is overridden by some call in src/, tests/ or
+demos/, and a public function reads each parameter it takes.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quillen_strata"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quillen_strata"
 
 
 def _trees():
@@ -80,3 +83,108 @@ def test_the_checks_see_what_they_forbid():
                      "n = i.number[g.images]\n")
     assert private_imports(tree) == [(1, "_mask"), (4, "c._private"), (4, "r._zp_mul")]
     assert element_number_uses(tree) == [(5, "element_index()"), (6, ".number[...]")]
+
+
+def _defs(tree, public=True, method=False):
+    """(def node, is a method, is public) for every def in tree.  A def is
+    public when neither its name nor an enclosing one begins with "_", so a
+    dunder, whose signature Python fixes, is not."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+            here = public and not name.startswith("_")
+            if isinstance(node, ast.FunctionDef):
+                yield node, method, here
+            yield from _defs(node, here, isinstance(node, ast.ClassDef))
+        else:
+            yield from _defs(node, public, False)
+
+
+def _params(fn):
+    a = fn.args
+    return ([x.arg for x in a.posonlyargs + a.args]
+            + [x.arg for x in (a.vararg, a.kwarg) if x] + [x.arg for x in a.kwonlyargs])
+
+
+def _is_static(fn):
+    return any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+
+
+def never_overridden_defaults(src_trees, call_trees):
+    """(function, parameter) of each defaulted parameter of a def in
+    src_trees that no call in call_trees passes.  A call is matched by the
+    name it calls (a method's through any attribute, a class's __init__
+    through the class name), so one name covers every def that bears it; a
+    *args or **kwargs in a call passes every parameter."""
+    calls = {}  # called name -> [(positional count, keywords)]
+    for tree in call_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (float("inf") if star or None in keywords else len(node.args), keywords))
+    inits = {node.name for tree in src_trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and any(
+                 isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                 for item in node.body)}
+    found = []
+    for tree in src_trees:
+        for fn, method, _ in _defs(tree):
+            names = [x.arg for x in fn.args.posonlyargs + fn.args.args]
+            shift = 1 if method and not _is_static(fn) else 0
+            defaulted = [(i, name) for i, name in enumerate(names)
+                         if i >= len(names) - len(fn.args.defaults)]
+            defaulted += [(None, x.arg) for x, d in zip(fn.args.kwonlyargs,
+                                                       fn.args.kw_defaults) if d]
+            sites = list(calls.get(fn.name, ()))
+            if fn.name == "__init__":
+                sites += [c for cls in inits for c in calls.get(cls, ())]
+            for i, name in defaulted:
+                if not any(name in kw or (i is not None and count > i - shift)
+                           for count, kw in sites):
+                    found.append((fn.name, name))
+    return sorted(found)
+
+
+def unread_parameters(trees):
+    """(function, parameter) of each parameter that a public def in trees
+    never reads; a method's first parameter is exempt."""
+    found = []
+    for tree in trees:
+        for fn, method, public in _defs(tree):
+            if public:
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found += [(fn.name, p) for p in _params(fn)[1 if method else 0:]
+                          if p not in read]
+    return sorted(found)
+
+
+def _call_trees(root):
+    return [ast.parse(path.read_text(), str(path))
+            for sub in ("src", "tests", "demos") for path in sorted((root / sub).rglob("*.py"))]
+
+
+def test_every_default_is_overridden_by_some_call():
+    assert never_overridden_defaults(_trees().values(), _call_trees(ROOT)) == []
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    assert unread_parameters(_trees().values()) == []
+
+
+def test_the_parameter_checks_see_what_they_forbid():
+    src = ast.parse("def f(a, b=1, *, c=2):\n    return a\n"
+                    "def _g(a, b=1):\n    return 0\n"
+                    "class K:\n"
+                    "    def __init__(self, x=0):\n        self.x = 1\n"
+                    "    def m(self, y, z=3):\n        return y\n"
+                    "    @staticmethod\n"
+                    "    def s(y, z=3):\n        return y + z\n")
+    calls = ast.parse("f(1, c=3)\n_g(*xs)\nK()\nk.m(1, 2)\nK.s(1)\n")
+    assert never_overridden_defaults([src], [src, calls]) == [
+        ("__init__", "x"), ("f", "b"), ("s", "z")]
+    assert unread_parameters([src]) == [("f", "b"), ("f", "c"), ("m", "z")]

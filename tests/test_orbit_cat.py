@@ -40,7 +40,7 @@ def test_aut_counts_match_global_weyl():
     for dsl in ("sym:3", "dihedral:4", "sym:4"):
         G, members, cat = cat_for(dsl, FamilySpec.cyclic_p(2))
         for i, cls in enumerate(members):
-            assert len(cat.homs[(i, i)]) == weyl(G, cls, "global").order
+            assert len(cat.homs[(i, i)]) == weyl(cls, "global").order
 
 
 def test_hom_sets_complete():

@@ -49,9 +49,9 @@ def test_random_group_mackey(G):
 @settings(max_examples=25, deadline=None)
 def test_random_group_weyl_divisibility(G):
     for cls in subgroups_up_to_conjugacy(G):
-        wo = weyl(G, cls, "ordinary")
-        wg = weyl(G, cls, "global")
-        wq = weyl(G, cls, "quillen")
+        wo = weyl(cls, "ordinary")
+        wg = weyl(cls, "global")
+        wq = weyl(cls, "quillen")
         assert wo.order % wg.order == 0
         assert wq.order % wg.order == 0
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quillen_strata import checks, groups, strata
 from quillen_strata.cli import run
-from quillen_strata.corpus import small_corpus
+from quillen_strata.corpus import corpus_groups
 from quillen_strata.groups import build_group
 from quillen_strata.orbit_cat import UnionFind, build_orbit_category
 from quillen_strata.rings import (RingError, cyclic_spectrum_ring,
@@ -77,7 +77,7 @@ def test_quotient_orbit_sizes_sum():
     th = parse_theory("modp:q=4,deg=1")
     members = theory_family_classes(th, G)
     for cls in members:
-        model = stratum(th, G, cls)
+        model = stratum(th, cls)
         if not model.points:
             continue
         orbits = model.orbits()
@@ -231,7 +231,7 @@ def test_agreement_suite_catches_c_e_found_by_order(monkeypatch):
 
     monkeypatch.setattr(groups.SubgroupClass, "cyclic_subgroup_class", first_of_order)
     assert not checks.check_agreement_suite().ok
-    failing = [dsl for dsl, G in small_corpus()
+    failing = [dsl for dsl, G in corpus_groups()
                if not checks.check_agreement_suite([(dsl, G)]).ok]
     assert failing == ["product:cyclic:2xcyclic:6", "dihedral:6"]
 
@@ -333,8 +333,7 @@ def test_of_colimit_matches_oq_colimit():
 
         rel_oq = []
         for m in cat.all_morphisms():
-            t = transition_map(th, m, members[m.src], members[m.dst],
-                               spaces[m.src].points, spaces[m.dst].points)
+            t = transition_map(th, m, spaces[m.src].points, spaces[m.dst].points)
             rel_oq.extend((((m.src, a), (m.dst, b)) for a, b in t.items()))
 
         rel_of = []
@@ -355,8 +354,7 @@ def test_of_colimit_matches_oq_colimit():
                             target = m
                             break
                     assert target is not None, "J is not surjective"
-                    t = transition_map(th, target, Hc, Kc,
-                                       spaces[i].points, spaces[j].points)
+                    t = transition_map(th, target, spaces[i].points, spaces[j].points)
                     rel_of.extend((((i, a), (j, b)) for a, b in t.items()))
         assert quotient_classes(rel_oq) == quotient_classes(rel_of), dsl
 

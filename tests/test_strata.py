@@ -104,7 +104,6 @@ def test_theory_families():
 
 
 def test_weyl_action_kind():
-    assert weyl_action_kind() == "quillen"
     G, classes = classes_of("sym:3")
     assert weyl_action_kind(classes[1]) == "quillen"  # abelian subgroup
     assert weyl_action_kind(classes[-1]) == "global"  # non-abelian subgroup
@@ -115,7 +114,7 @@ def test_weyl_action_kind():
 def test_height1_trivial_stratum_is_spec_zp():
     G, classes = classes_of("cyclic:4")
     th = parse_theory("height1:p=2")
-    m = stratum(th, G, classes[0])
+    m = stratum(th, classes[0])
     assert [(p.label, p.closed) for p in m.points] == [("Q_2", False), ("F_2", True)]
     assert m.internal_edges == ((0, 1),)
 
@@ -123,7 +122,7 @@ def test_height1_trivial_stratum_is_spec_zp():
 def test_height1_c4_top_stratum():
     G, classes = classes_of("cyclic:4")
     th = parse_theory("height1:p=2")
-    m = stratum(th, G, classes[-1])
+    m = stratum(th, classes[-1])
     assert [p.label for p in m.points] == ["Q_2(zeta_4)"]
     assert m.internal_edges == ()
 
@@ -132,17 +131,17 @@ def test_height1_outside_family_is_empty():
     G, classes = classes_of("sym:3")
     th = parse_theory("height1:p=2")
     c3 = [c for c in classes if c.order == 3][0]
-    m = stratum(th, G, c3)
+    m = stratum(th, c3)
     assert not m.points and "vanish" in m.reason
     top = classes[-1]
-    assert not stratum(th, G, top).points
+    assert not stratum(th, top).points
 
 
 def test_height1_sigma3_weyl_acts_trivially_but_is_nontrivial():
     G, classes = classes_of("sym:3")
     th = parse_theory("height1:p=3")
     c3 = [c for c in classes if c.order == 3][0]
-    m = stratum(th, G, c3)
+    m = stratum(th, c3)
     assert m.weyl.order == 2
     assert all(perm == tuple(range(len(m.points))) for perm in m.action)
 
@@ -153,7 +152,7 @@ def test_height1_point_counts():
         G, classes = classes_of(dsl)
         th = parse_theory("height1:p=%d" % p)
         for cls in theory_family_classes(th, G):
-            m = stratum(th, G, cls)
+            m = stratum(th, cls)
             assert len(m.points) == (2 if cls.order == 1 else 1)
 
 
@@ -162,7 +161,7 @@ def test_height1_point_counts():
 def test_ku_stratum_c2_bound7():
     G, classes = classes_of("cyclic:2")
     th = parse_theory("ku", prime_bound=7)
-    m = stratum(th, G, classes[-1])
+    m = stratum(th, classes[-1])
     assert [p.local_id for p in m.points] == ["0", "3.0", "5.0", "7.0"]
     assert all(p.closed for p in m.points[1:])
 
@@ -173,7 +172,7 @@ def test_ku_stratum_counts_match_splitting():
     G, classes = classes_of("cyclic:12")
     th = parse_theory("ku", prime_bound=13)
     for cls in theory_family_classes(th, G):
-        m = stratum(th, G, cls)
+        m = stratum(th, cls)
         d = cls.order
         for q in (5, 7, 11, 13):
             pts = [p for p in m.points if p.descriptor.data[0] == "modular"
@@ -207,7 +206,7 @@ def test_ku_weyl_action_swaps_split_primes():
     G, classes = classes_of("sym:3")
     th = parse_theory("ku", prime_bound=7)
     c3 = [c for c in classes if c.order == 3][0]
-    m = stratum(th, G, c3)
+    m = stratum(th, c3)
     nontriv = [perm for perm in m.action if perm != tuple(range(len(m.points)))]
     assert len(nontriv) == 1
     perm = nontriv[0]
@@ -224,7 +223,7 @@ def test_ku_action_is_group_action():
     G, classes = classes_of("dihedral:5")
     th = parse_theory("ku", prime_bound=11)
     for cls in theory_family_classes(th, G):
-        m = stratum(th, G, cls)
+        m = stratum(th, cls)
         assert _is_group_action(m)
 
 
@@ -242,10 +241,10 @@ def test_hz_strata_shapes():
     G, classes = classes_of("cyclic:4")
     th = parse_theory("hz:p=2")
     members = theory_family_classes(th, G)
-    m0 = stratum(th, G, members[0])
+    m0 = stratum(th, members[0])
     assert m0.points[0].label == "Q"
     assert all(p.label.startswith("F_") for p in m0.points[1:])
-    m1 = stratum(th, G, members[1])
+    m1 = stratum(th, members[1])
     assert [(p.local_id, p.label) for p in m1.points] == [
         ("gen", "F_2(t)"), ("t", "F_2")]
     assert m1.internal_edges == ((0, 1),)
@@ -258,8 +257,8 @@ def test_kr_only_c2():
     with pytest.raises(UnsupportedTheory):
         theory_family_classes(th, build_group("cyclic:4"))
     G, classes = classes_of("cyclic:2")
-    assert not stratum(th, G, classes[1]).points
-    m = stratum(th, G, classes[0])
+    assert not stratum(th, classes[1]).points
+    m = stratum(th, classes[0])
     assert m.points[0].label == "Q" and len(m.points) == 9  # bound 19
 
 
@@ -275,10 +274,10 @@ def test_modp_rank01_strata():
     G, classes = classes_of(WREATH)
     th = parse_theory("modp:q=4,deg=1")
     members = theory_family_classes(th, G)
-    m0 = stratum(th, G, members[0])
+    m0 = stratum(th, members[0])
     assert len(m0.points) == 1 and m0.points[0].closed
     rank1 = [c for c in members if c.order == 2][0]
-    m1 = stratum(th, G, rank1)
+    m1 = stratum(th, rank1)
     assert len(m1.points) == 1 and not m1.points[0].closed
 
 
@@ -287,7 +286,7 @@ def test_modp_klein_four_stratum_remark_values():
     th = parse_theory("modp:q=4,deg=1")
     kf = class_containing(classes, mulclose(
         [Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(2, 3)], 4)], cap=8))
-    m = stratum(th, G, kf)
+    m = stratum(th, kf)
     labels = [p.label for p in m.points]
     assert labels == ["F_4(x,y)", "(x+a*y)", "(x+(a+1)*y)"]
     assert m.weyl.order == 2
@@ -422,7 +421,7 @@ def test_modp_action_matches_perm_products(name):
                 "product:sym:3xsym:3"):
         G = build_group(dsl)
         for cls in theory_family_classes(th, G):
-            m = stratum(th, G, cls)
+            m = stratum(th, cls)
             assert m.action == _reference_modp_action(m, th.p, dom), (name, dsl, cls.index)
             moved += sum(perm != tuple(range(len(perm))) for perm in m.action)
     assert moved  # some witness moves a form
@@ -436,7 +435,7 @@ def test_modp_actions_are_group_actions():
     for dsl in (WREATH, "sym:4"):
         G, classes = classes_of(dsl)
         for cls in theory_family_classes(th, G):
-            m = stratum(th, G, cls)
+            m = stratum(th, cls)
             assert _is_group_action(m), (dsl, cls.index)
 
 
@@ -444,7 +443,7 @@ def test_modp_empty_outside_family():
     G, classes = classes_of("dihedral:4")
     th = parse_theory("modp:q=4,deg=1")
     c4 = [c for c in classes if c.order == 4 and c.is_cyclic()][0]
-    assert not stratum(th, G, c4).points
+    assert not stratum(th, c4).points
 
 
 def test_modp_degree_two_stratum_over_f2():
@@ -452,7 +451,7 @@ def test_modp_degree_two_stratum_over_f2():
     # rank-2 stratum is the generic point plus the single conjugate-pair point
     G, classes = classes_of("elem-abelian:2^2")
     th = parse_theory("modp:q=2,deg=2")
-    m = stratum(th, G, classes[-1])
+    m = stratum(th, classes[-1])
     assert [pt.label for pt in m.points] == ["F_2(x,y)", "(x^2+x*y+y^2)"]
     assert m.weyl.order == 1  # abelian parent: N = C = G
 
@@ -470,7 +469,7 @@ def test_empty_stratum_law(corpus_groups, name):
         except UnsupportedTheory:
             continue
         for cls in subgroups_up_to_conjugacy(G):
-            m = stratum(th, G, cls)
+            m = stratum(th, cls)
             assert (not m.points) == (cls.index not in members) == bool(m.reason)
 
 

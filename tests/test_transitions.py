@@ -39,8 +39,7 @@ def test_height1_inclusion_c2_in_c4_is_label_preserving():
     th, G, members, cat, spaces = _setup("cyclic:4", "height1:p=2")
     idx = {c.order: i for i, c in enumerate(members)}
     m = cat.homs[(idx[2], idx[4])][0]
-    t = transition_map(th, m, members[idx[2]], members[idx[4]],
-                       spaces[idx[2]].points, spaces[idx[4]].points)
+    t = transition_map(th, m, spaces[idx[2]].points, spaces[idx[4]].points)
     src_labels = {p.id: p.label for p in spaces[idx[2]].points}
     dst_labels = {p.id: p.label for p in spaces[idx[4]].points}
     assert sorted(src_labels.values()) == ["F_2", "Q_2", "Q_2(zeta_2)"]
@@ -55,8 +54,7 @@ def test_height1_automorphism_acts_as_identity():
     auts = cat.homs[(i, i)]
     assert len(auts) == 2
     for m in auts:
-        t = transition_map(th, m, members[i], members[i],
-                           spaces[i].points, spaces[i].points)
+        t = transition_map(th, m, spaces[i].points, spaces[i].points)
         assert all(src == dst for src, dst in t.items())
 
 
@@ -64,8 +62,7 @@ def test_ku_inclusion_preserves_minimal_and_modular_descriptors():
     th, G, members, cat, spaces = _setup("cyclic:6", "ku", prime_bound=7)
     idx = {c.order: i for i, c in enumerate(members)}
     m = cat.homs[(idx[3], idx[6])][0]
-    t = transition_map(th, m, members[idx[3]], members[idx[6]],
-                       spaces[idx[3]].points, spaces[idx[6]].points)
+    t = transition_map(th, m, spaces[idx[3]].points, spaces[idx[6]].points)
     src = {p.id: p for p in spaces[idx[3]].points}
     dst = {p.id: p for p in spaces[idx[6]].points}
     for a, b in t.items():
@@ -85,8 +82,7 @@ def test_ku_conjugation_transition_is_galois():
     auts = cat.homs[(i, i)]
     nontrivial = [m for m in auts if m.witness != G.identity()]
     assert len(nontrivial) == 1
-    t = transition_map(th, nontrivial[0], members[i], members[i],
-                       spaces[i].points, spaces[i].points)
+    t = transition_map(th, nontrivial[0], spaces[i].points, spaces[i].points)
     moved = {a for a, b in t.items() if a != b}
     # exactly the two C3-stratum primes above 7 = 1 mod 3 swap; the copy of
     # Spec(Z) inside Spec(R(C_3)) is fixed pointwise
@@ -116,7 +112,7 @@ def test_ku_identity_witness_keeps_stratum_and_descriptor(dsl):
         if m.witness != identity:
             continue
         H, K = members[m.src], members[m.dst]
-        t = transition_map(th, m, H, K, spaces[m.src].points, spaces[m.dst].points)
+        t = transition_map(th, m, spaces[m.src].points, spaces[m.dst].points)
         masks_h, masks_k = _stratum_masks(th, H), _stratum_masks(th, K)
         src = {pt.id: pt for pt in spaces[m.src].points}
         dst = {pt.id: pt for pt in spaces[m.dst].points}
@@ -147,13 +143,12 @@ def test_ku_frobenius_labels_match_search(dsl, bound):
     # equal those found by composing every candidate factor
     th, G, members, cat, spaces = _setup(dsl, "ku", prime_bound=bound)
     for cls in members:
-        model = stratum(th, G, cls)
+        model = stratum(th, cls)
         assert model.action == reference_ku_action(model), (dsl, cls.index)
     for m in cat.all_morphisms():
-        args = (members[m.src], members[m.dst],
-                spaces[m.src].points, spaces[m.dst].points)
-        assert transition_map(th, m, *args) == reference_ku_transition(m, *args), \
-            (dsl, m.key())
+        src, dst = spaces[m.src].points, spaces[m.dst].points
+        assert transition_map(th, m, src, dst) == reference_ku_transition(
+            m, members[m.src], members[m.dst], src, dst), (dsl, m.key())
 
 
 def test_weak_assembly_over_sym4_p2():
