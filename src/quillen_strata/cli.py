@@ -165,7 +165,7 @@ def _cmd_coequalize(args):
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliParseError("cannot read diagram: %s" % exc)
     try:
         objects = [(obj["id"], obj["points"]) for obj in doc["objects"]]
@@ -190,12 +190,11 @@ def _cmd_coequalize(args):
     if undeclared:
         raise CliParseError("bad diagram document: map end %r is not an object id"
                             % undeclared[0])
-    result = coequalize_raw(declared, maps)
     out = {
         "schema": "quillen-strata/coequalizer/1",
         "classes": [
             {"id": "%s|%s" % cid, "members": [[o, p] for (o, p) in members]}
-            for cid, members in result.classes],
+            for cid, members in coequalize_raw(declared, maps)],
     }
     _emit(_dump(out), args.output)
     return 0

@@ -346,9 +346,6 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
-    def __contains__(self, p):
-        return p in self.elements
-
     def __iter__(self):
         return iter(self.sorted_elements)
 
@@ -778,6 +775,7 @@ def double_cosets(G, H, K):
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _CYCLES_RE = re.compile(r"\s*(?:\([\s0-9]*\)\s*)*")
+_PRODUCTS_RE = re.compile(r"((?:\s*product:)*)(.*)", re.S)
 
 
 def read_int(digits, error=GroupParseError):
@@ -818,16 +816,27 @@ def build_group(spec):
     """
     spec = spec.strip()
     if spec.startswith("product:"):
-        body = spec[len("product:"):]
-        for pos in [m.start() for m in re.finditer("x", body)]:
-            left, right = body[:pos], body[pos + 1:]
+        # No name contains "x" and each product: takes one, so the x-separated
+        # parts are the factors in prefix order, each after its own product:s.
+        cannot = GroupParseError("cannot split product spec %r" % (spec,))
+        parts = [_PRODUCTS_RE.fullmatch(text).groups() for text in spec.split("x")]
+        # the factors still to read before each part and after the last one
+        unread = list(itertools.accumulate(
+            (prefixes.count("product:") - 1 for prefixes, _ in parts), initial=1))
+        if unread[-1] or 0 in unread[:-1]:
+            raise cannot
+        pending = []  # per open product: its left factor once built, else None
+        for prefixes, text in parts:
+            pending += [None] * prefixes.count("product:")
             try:
-                A = build_group(left)
-                B = build_group(right)
+                group = build_group(text)
             except GroupParseError:
-                continue
-            return _direct_product(A, B)
-        raise GroupParseError("cannot split product spec %r" % (spec,))
+                raise cannot from None
+            while pending and pending[-1] is not None:
+                group = _direct_product(pending.pop(), group)
+            if pending:
+                pending[-1] = group
+        return group
 
     if spec.startswith("perm:"):
         body = spec[len("perm:"):]

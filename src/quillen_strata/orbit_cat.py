@@ -7,11 +7,9 @@ double coset K g C_G(H).  Colimits of point-set diagrams are computed with
 union-find.
 """
 
-import itertools
 from collections import namedtuple
 
-from .groups import (GroupError, bitmask, double_cosets, row_orbit,
-                     subgroups_up_to_conjugacy)
+from .groups import GroupError, bitmask, row_orbit
 
 
 class DiagramError(Exception):
@@ -19,49 +17,14 @@ class DiagramError(Exception):
     its operands."""
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-
-
 class Morphism(namedtuple("Morphism", "src dst witness coset")):
     """c_g : H_src -> H_dst, h |-> g h g^-1, with gHg^-1 <= K.
 
-    coset is K g C_G(H) as a bitmask; it does not count in == or hash.
+    coset is K g C_G(H) as a bitmask; within one category it is determined
+    by (src, dst, witness).
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Morphism) and self[:3] == other[:3]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:3])
-
-    def key(self):
-        return (self.src, self.dst, self.witness)
 
 
 class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs")):
@@ -86,12 +49,11 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
             if m.coset >> g & 1:
                 return m
         raise DiagramError("the composite of %r and then %r is no morphism"
-                           % (f1.key(), f2.key()))
+                           % (f1[:3], f2[:3]))
 
     def all_morphisms(self):
-        for (i, j) in sorted(self.homs):
-            for m in self.homs[(i, j)]:
-                yield m
+        for ij in sorted(self.homs):
+            yield from self.homs[ij]
 
 
 def build_orbit_category(G, classes):
@@ -126,12 +88,12 @@ def build_orbit_category(G, classes):
 
 class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
     """A functor to point-sets: point_sets maps each object index to a tuple
-    of point keys, maps each Morphism.key() to a dict point -> point."""
+    of point keys, maps each Morphism to a dict point -> point."""
 
     __slots__ = ()
 
     def transition(self, m):
-        return self.maps[m.key()]
+        return self.maps[m]
 
     def validate(self):
         """Check functoriality on all composable pairs; raise a named violation."""
@@ -154,39 +116,27 @@ class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
                             raise DiagramError(
                                 "functoriality fails at point %r: %r and then "
                                 "%r differ from their composite"
-                                % (pt, f1.key(), f2.key()))
+                                % (pt, f1[:3], f2[:3]))
         return True
 
 
-class CoequalizerResult(namedtuple("CoequalizerResult", "classes projection")):
-    """Partition of the disjoint union of point sets, with deterministic ids:
-    classes is ((class_id, ((obj, point), ...)), ...) sorted, projection maps
-    (obj, point) -> class_id."""
-
-    __slots__ = ()
-
-    def class_count(self):
-        return len(self.classes)
-
-
 def quotient(nodes, relations):
-    """Union-find quotient; class ids are the minimal contained node keys."""
-    uf = UnionFind(nodes)
+    """Union-find quotient: ((class id, sorted members), ...), sorted.  Each
+    root is the least member of its class, which is the class id."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     for a, b in relations:
-        uf.union(a, b)
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)
     groups = {}
     for x in nodes:
-        groups.setdefault(uf.find(x), []).append(x)
-    classes = []
-    projection = {}
-    for members in groups.values():
-        members.sort()
-        cid = members[0]
-        classes.append((cid, tuple(members)))
-        for x in members:
-            projection[x] = cid
-    classes.sort()
-    return CoequalizerResult(classes=tuple(classes), projection=projection)
+        groups.setdefault(find(x), []).append(x)
+    return tuple(sorted((root, tuple(sorted(ms))) for root, ms in groups.items()))
 
 
 def colimit(diagram):
@@ -199,10 +149,7 @@ def colimit(diagram):
 def coequalize_raw(objects, maps):
     """Colimit of an explicit diagram: objects {id: [points]}, maps
     [(src, dst, {point: point})].  Used by the CLI coequalize command."""
-    nodes = []
-    for oid in sorted(objects):
-        for pt in objects[oid]:
-            nodes.append((oid, pt))
+    nodes = [(oid, pt) for oid in sorted(objects) for pt in objects[oid]]
     node_set = set(nodes)
     relations = []
     for src, dst, table in maps:
@@ -215,22 +162,3 @@ def coequalize_raw(objects, maps):
                                    "a point of %r" % (src, dst, a, b, dst))
             relations.append(((src, a), (dst, b)))
     return quotient(nodes, relations)
-
-
-def verify_mackey(G):
-    """Check the double-coset cardinality identity for all class pairs.
-
-    sum over [g] in H\\G/K of [G : H^g cap K] must equal [G:H] * [G:K].
-    """
-    classes = subgroups_up_to_conjugacy(G)
-    violations = []
-    pairs = 0
-    for Hc, Kc in itertools.product(classes, repeat=2):
-        pairs += 1
-        dec = double_cosets(G, Hc, Kc)
-        if not dec.mackey_ok():
-            violations.append({
-                "h": (Hc.order, Hc.index), "k": (Kc.order, Kc.index),
-                "cosets": len(dec.pairs)})
-    return {"group_order": G.order, "pairs_checked": pairs,
-            "violations": violations, "ok": not violations}

@@ -275,21 +275,18 @@ class CycloField:
             raise RingError("conductor %d out of range" % m)
         self.m = m
         self.phi = euler_phi(m)
-        self.modulus = cyclotomic_poly(m).coeffs
+        self.modulus = cyclotomic_poly(m)
         self.zero = (0,) * self.phi
-        self.one = self._embed_int(1)
+        self.one = self.of_int(1)
         self.name = "Q(zeta_%d)" % m
 
-    def _embed_int(self, n):
-        return (n,) + (0,) * (self.phi - 1)
-
     def of_int(self, n):
-        return self._embed_int(n)
+        return (n,) + (0,) * (self.phi - 1)
 
     def zeta(self):
         if self.phi == 1:
             # zeta_1 = 1, zeta_2 = -1
-            return self._embed_int(1 if self.m == 1 else -1)
+            return self.of_int(1 if self.m == 1 else -1)
         return (0, 1) + (0,) * (self.phi - 2)
 
     def add(self, a, b):
@@ -299,24 +296,14 @@ class CycloField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for i in range(len(prod) - 1, self.phi - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.phi):
-                    prod[i - self.phi + j] -= c * self.modulus[j]
-        return tuple(prod[: self.phi])
+        prod = (Poly(a, ZZ) * Poly(b, ZZ) % self.modulus).coeffs
+        return prod + (0,) * (self.phi - len(prod))
 
     def inv(self, a):
         if all(x == 0 for x in a):
             raise ZeroDivisionError("inverse of zero in %s" % self.name)
         # extended Euclid in Q[Y] against Phi_m
-        r0, r1 = Poly(self.modulus, QQ), Poly(a, QQ)
+        r0, r1 = Poly(self.modulus.coeffs, QQ), Poly(a, QQ)
         s0, s1 = Poly.zero(QQ), Poly.one(QQ)
         while not r1.is_zero():
             q, r = r0.divmod(r1)

@@ -150,20 +150,15 @@ def assemble_weak(theory, G, group_label=""):
         spaces[i] = assemble_strong(theory, cls,
                                     group_label="%s|%s" % (group_label, keys[cls.index]))
         point_index[i] = {pt.id: pt for pt in spaces[i].points}
-    maps = {}
-    for m in cat.all_morphisms():
-        maps[m.key()] = transition_map(theory, m, spaces[m.src].points,
-                                       spaces[m.dst].points)
     diagram = OrbitDiagram(
         category=cat,
         point_sets={i: tuple(pt.id for pt in spaces[i].points)
                     for i in range(len(members))},
-        maps=maps)
-    result = colimit(diagram)
-
+        maps={m: transition_map(theory, m, spaces[m.src].points, spaces[m.dst].points)
+              for m in cat.all_morphisms()})
     weak_points = []
     proj_id = {}
-    for cid, ms in result.classes:
+    for cid, ms in colimit(diagram):
         # the members lying in the V^+ part of their object (the stratum of
         # the object itself) form one Weyl orbit inside a single stratum
         # (disjointness of the decomposition)
@@ -208,26 +203,25 @@ SpaceIsoReport = namedtuple("SpaceIsoReport", "isomorphic witness obstruction",
                             defaults=(None, ""))
 
 
-def _invariant_multiset(space, with_degrees):
+def _invariant_multiset(space):
+    indeg = {pt.id: 0 for pt in space.points}
+    outdeg = {pt.id: 0 for pt in space.points}
+    for e in space.solid_edges():
+        outdeg[e.src] += 1
+        indeg[e.dst] += 1
     inv = {}
-    if with_degrees:
-        indeg = {pt.id: 0 for pt in space.points}
-        outdeg = {pt.id: 0 for pt in space.points}
-        for e in space.solid_edges():
-            outdeg[e.src] += 1
-            indeg[e.dst] += 1
-        for pt in space.points:
-            key = (pt.stratum, pt.label, pt.closed, indeg[pt.id], outdeg[pt.id])
-            inv.setdefault(key, []).append(pt.id)
-    else:
-        for pt in space.points:
-            key = (pt.stratum, pt.label, pt.closed)
-            inv.setdefault(key, []).append(pt.id)
+    for pt in space.points:
+        key = (pt.stratum, pt.label, pt.closed, indeg[pt.id], outdeg[pt.id])
+        inv.setdefault(key, []).append(pt.id)
     return inv
 
 
-def _counts(inv):
-    return {k: len(v) for k, v in inv.items()}
+def _counts(inv, fields):
+    """Point counts per invariant key cut to its first fields."""
+    counts = {}
+    for key, ids in inv.items():
+        counts[key[:fields]] = counts.get(key[:fields], 0) + len(ids)
+    return counts
 
 
 def check_agreement(strong, weak):
@@ -237,11 +231,10 @@ def check_agreement(strong, weak):
     (internal and cross-stratum) edges must correspond; external (dashed)
     edges are excluded from the order comparison.
     """
-    inv_s = _invariant_multiset(strong, True)
-    inv_w = _invariant_multiset(weak, True)
-    if _counts(inv_s) != _counts(inv_w):
-        same_labels = (_counts(_invariant_multiset(strong, False))
-                       == _counts(_invariant_multiset(weak, False)))
+    inv_s = _invariant_multiset(strong)
+    inv_w = _invariant_multiset(weak)
+    if _counts(inv_s, 5) != _counts(inv_w, 5):
+        same_labels = _counts(inv_s, 3) == _counts(inv_w, 3)
         kind = "degree sequence mismatch" if same_labels else "label multiset mismatch"
         return SpaceIsoReport(False, obstruction=kind)
 

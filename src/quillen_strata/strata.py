@@ -151,9 +151,9 @@ class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges we
 
     def orbits(self):
         """Weyl orbits of point indices, each sorted, in canonical order."""
-        result = quotient(range(len(self.points)),
-                          [(i, j) for perm in self.action for i, j in enumerate(perm)])
-        return [members for _, members in result.classes]
+        return [members for _, members in quotient(
+            range(len(self.points)),
+            [(i, j) for perm in self.action for i, j in enumerate(perm)])]
 
 
 def stratum(theory, cls):
@@ -317,12 +317,7 @@ def form_label(coeffs, dom):
     """Pretty form sum c_i x^i y^(k-i) with canonical normalization applied."""
     k = len(coeffs) - 1
     if k == 1:
-        c0, c1 = coeffs
-        if c1 == dom.zero:
-            return "y"
-        if c0 == dom.zero:
-            return "x"
-        cs = dom.repr_elem(c0)
+        cs = dom.repr_elem(coeffs[0])
         return "x+%s*y" % (cs if "+" not in cs and "^" not in cs else "(%s)" % cs)
     terms = []
     for i in range(k, -1, -1):

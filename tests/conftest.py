@@ -625,6 +625,29 @@ def reference_weyl_matrix(cls, witness, p, target=None):
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
 
 
+def reference_build_group(spec):
+    """build_group as it read product specs before its one-pass reader: each
+    x of the body in turn is tried as the split, the left side built first,
+    and a split whose sides fail to parse is skipped.  Exponential in the
+    nesting, so only for short specs."""
+    import re
+
+    from quillen_strata import groups
+
+    spec = spec.strip()
+    if not spec.startswith("product:"):
+        return groups.build_group(spec)
+    body = spec[len("product:"):]
+    for pos in [m.start() for m in re.finditer("x", body)]:
+        try:
+            A = reference_build_group(body[:pos])
+            B = reference_build_group(body[pos + 1:])
+        except groups.GroupParseError:
+            continue
+        return groups._direct_product(A, B)
+    raise groups.GroupParseError("cannot split product spec %r" % (spec,))
+
+
 def class_facts(classes):
     """Per subgroup class: order, conjugates, elements, normalizer,
     centralizer and index, for comparing two class lists."""
@@ -634,5 +657,5 @@ def class_facts(classes):
 
 @pytest.fixture(scope="session")
 def corpus_groups():
-    from quillen_strata.corpus import corpus_groups as cg
+    from quillen_strata.checks import corpus_groups as cg
     return cg()

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -194,15 +195,15 @@ except SystemExit as exc:
 
 def test_cli_import_loads_every_traced_layer_and_not_verify():
     # bench/tracer.py reads each LAYERS module from sys.modules right after
-    # importing the CLI; checks and the corpus serve only the verify command,
+    # importing the CLI; checks, with the corpus, serve only the verify command,
     # and argparse (with gettext and locale) only help and malformed argv
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     layers = {"quillen_strata." + layer for layer in tracer.LAYERS}
-    unused = {"quillen_strata.checks", "quillen_strata.corpus", "argparse",
-              "gettext", "locale", "__future__"}
+    unused = {"quillen_strata.checks", "argparse", "gettext", "locale",
+              "__future__"}
     proc = run_python(["-c", "import sys, quillen_strata.cli; print(' '.join("
                        "sorted(sys.modules)))"])
     assert proc.returncode == 0
@@ -243,6 +244,27 @@ def test_coequalize_malformed_json(tmp_path, capsys):
     path = tmp_path / "diagram.json"
     path.write_text("{not json")
     _assert_parse_error(*invoke(["coequalize", "--input", str(path)], capsys))
+
+
+def test_coequalize_deep_json(tmp_path, capsys):
+    # json's decoder recurses once per nesting level
+    path = tmp_path / "diagram.json"
+    deep = "[" * 100000 + "]" * 100000
+    valid = {"objects": [{"id": "a", "points": ["x"]}], "maps": []}
+    for text in (deep[:100000], json.dumps(valid)[:-1] + ', "extra": %s}' % deep):
+        path.write_text(text)
+        code, out, err = invoke(["coequalize", "--input", str(path)], capsys)
+        _assert_parse_error(code, out, err)
+        assert json.loads(err)["error"]["message"].startswith("cannot read diagram")
+
+
+def test_nested_product_spec_fails_fast(capsys):
+    spec = "product:" * 20 + "x".join(["cyclic:1"] * 20) + "xbad"
+    for group in (spec, (spec * 30)[:10000]):
+        start = time.perf_counter()
+        code, out, err = invoke(["subgroups", "--group", group], capsys)
+        assert time.perf_counter() - start < 1
+        _assert_parse_error(code, out, err)
 
 
 def test_coequalize_missing_input(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -13,7 +15,8 @@ from quillen_strata.groups import (BoundExceeded, ElementIndex, FamilySpec,
 from conftest import (check_class_conjugators, check_weyl, class_facts,
                       compose, lattice_perm_sets, naive_closure,
                       naive_subgroup_count, naive_subgroup_sets,
-                      reference_cyclic_generator, reference_weyl_matrix)
+                      reference_build_group, reference_cyclic_generator,
+                      reference_weyl_matrix)
 
 # groups outside the corpus, of orders 20 to 60
 EXTRA_GROUPS = (["alt:5"] + ["dihedral:%d" % n for n in range(10, 16)]
@@ -95,6 +98,52 @@ def test_build_group_errors():
         build_group("sym:8")
     with pytest.raises(BoundExceeded):
         build_group("cyclic:65")
+
+
+def _build_outcome(build, spec):
+    try:
+        G = build(spec)
+    except GroupError as exc:
+        return type(exc).__name__, str(exc)
+    return G.degree, tuple(G.generators)
+
+
+def test_product_specs_match_the_split_search():
+    # seeded specs of up to five x-separated parts, each a run of product:
+    # prefixes before a name that builds, fails to parse or exceeds a bound
+    rng = random.Random(27)
+    names = ["cyclic:1", "cyclic:2", " sym:3 ", "perm:(0 1)", "dihedral:3",
+             "bad", "cyclic:0", "", "sym:9", "cyclic:40"]
+    accepted = 0
+    for _ in range(2000):
+        spec = "x".join(
+            "".join(rng.choice(["product:", " product: "])
+                    for _ in range(rng.choice([0, 0, 1, 1, 2]))) + rng.choice(names)
+            for _ in range(rng.randint(1, 5)))
+        if rng.random() < 0.7:
+            spec = "product:" + spec
+        old, new = (_build_outcome(reference_build_group, spec),
+                    _build_outcome(build_group, spec))
+        accepted += isinstance(old[0], int)
+        # only a spec whose x and product: do not pair up may now fail to
+        # parse where the split search built a factor past a bound
+        assert new == old or (old[0] == "BoundExceeded" and new == (
+            "GroupParseError", "cannot split product spec %r" % spec.strip())), spec
+    assert accepted > 50
+
+
+def test_product_specs_read_in_linear_time():
+    # the split search took seconds at 20 nested products, 4x more per 2
+    for spec in ["product:" * 24 + "x".join(["cyclic:1"] * 24) + "xbad",
+                 "product:" * 1000 + "cyclic:1x" * 1000 + "sym:3x"]:
+        start = time.perf_counter()
+        with pytest.raises(GroupParseError, match="cannot split product spec"):
+            build_group(spec)
+        assert time.perf_counter() - start < 1
+    G = build_group("product:" * 63 + "x".join(["cyclic:1"] * 64))
+    assert G.degree == 64 and G.order == 1
+    with pytest.raises(BoundExceeded):
+        build_group("product:" * 64 + "x".join(["cyclic:1"] * 65))
 
 
 def test_small_dihedral_special_cases():

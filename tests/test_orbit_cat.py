@@ -1,10 +1,10 @@
 import pytest
 
-from quillen_strata.groups import (FamilySpec, build_group, family_members,
-                                   subgroups_up_to_conjugacy)
+from quillen_strata.groups import (FamilySpec, build_group, double_cosets,
+                                   family_members, subgroups_up_to_conjugacy)
 from quillen_strata.orbit_cat import (DiagramError, Morphism, OrbitDiagram,
                                       build_orbit_category, coequalize_raw,
-                                      colimit, verify_mackey)
+                                      colimit)
 
 from conftest import conjugate_set, coset_perms, reference_orbit_category
 
@@ -86,23 +86,24 @@ def test_composition_closed():
 
 
 def test_verify_mackey_examples():
-    assert verify_mackey(build_group("cyclic:1"))["ok"]
-    rep = verify_mackey(build_group("dihedral:4"))
-    assert rep["ok"] and rep["pairs_checked"] == 64  # 8 classes squared
-    rep = verify_mackey(build_group("sym:4"))
-    assert rep["ok"] and rep["pairs_checked"] == 121  # 11 classes squared
+    # 1, 8 and 11 subgroup classes, squared
+    for dsl, pairs in (("cyclic:1", 1), ("dihedral:4", 64), ("sym:4", 121)):
+        G = build_group(dsl)
+        classes = subgroups_up_to_conjugacy(G)
+        decs = [double_cosets(G, H, K) for H in classes for K in classes]
+        assert len(decs) == pairs and all(dec.mackey_ok() for dec in decs), dsl
 
 
 def test_coequalize_single_object_identity():
     r = coequalize_raw({"a": ["x", "y", "z"]}, [("a", "a", {"x": "x", "y": "y", "z": "z"})])
-    assert r.class_count() == 3
+    assert len(r) == 3
 
 
 def test_coequalize_fold():
     r = coequalize_raw({"a": ["x", "y"], "b": ["z"]},
                        [("a", "b", {"x": "z", "y": "z"}),
                         ("a", "b", {"x": "z", "y": "z"})])
-    assert r.class_count() == 1
+    assert len(r) == 1
 
 
 def test_coequalize_missing_point_rejected():
@@ -114,10 +115,10 @@ def test_coequalize_idempotent():
     objects = {"a": ["x", "y"], "b": ["u", "v", "w"]}
     maps = [("a", "b", {"x": "u", "y": "u"})]
     first = coequalize_raw(objects, maps)
-    quotient_points = ["%s|%s" % cid for cid, _ in first.classes]
+    quotient_points = ["%s|%s" % cid for cid, _ in first]
     second = coequalize_raw({"q": quotient_points},
                             [("q", "q", {p: p for p in quotient_points})])
-    assert second.class_count() == first.class_count()
+    assert len(second) == len(first)
 
 
 def test_coequalize_respects_relabeling():
@@ -128,16 +129,10 @@ def test_coequalize_respects_relabeling():
     objects2 = {"a": ["p1", "p2"], "b": ["p3", "p4"]}
     maps2 = [("a", "b", {"p1": "p3", "p2": "p4"}), ("a", "b", {"p1": "p4", "p2": "p4"})]
     other = coequalize_raw(objects2, maps2)
-    proj = {(o, rename[p]): base.projection[(o, p)]
-            for (o, p) in base.projection}
     # partitions correspond under the relabeling
-    blocks1 = {}
-    for k, v in proj.items():
-        blocks1.setdefault(v, set()).add(k)
-    blocks2 = {}
-    for k, v in other.projection.items():
-        blocks2.setdefault(v, set()).add(k)
-    assert sorted(map(sorted, blocks1.values())) == sorted(map(sorted, blocks2.values()))
+    blocks1 = sorted(sorted((o, rename[p]) for o, p in members) for _, members in base)
+    blocks2 = sorted(sorted(members) for _, members in other)
+    assert blocks1 == blocks2
 
 
 def test_diagram_validation_rejects_non_functorial():
@@ -146,11 +141,10 @@ def test_diagram_validation_rejects_non_functorial():
     pts = {i: ("p0", "p1") for i in range(len(members))}
     maps = {}
     for m in cat.all_morphisms():
-        maps[m.key()] = {"p0": "p0", "p1": "p1"}
+        maps[m] = {"p0": "p0", "p1": "p1"}
     # break one composite: e -> C4 swaps while e -> C2 -> C4 does not
     broken = dict(maps)
-    key = (idx[1], idx[4], cat.homs[(idx[1], idx[4])][0].witness.images)
-    broken[key] = {"p0": "p1", "p1": "p0"}
+    broken[cat.homs[(idx[1], idx[4])][0]] = {"p0": "p1", "p1": "p0"}
     diagram = OrbitDiagram(category=cat, point_sets=pts, maps=broken)
     with pytest.raises(DiagramError):
         diagram.validate()
@@ -159,17 +153,18 @@ def test_diagram_validation_rejects_non_functorial():
 def test_colimit_over_identity_diagram():
     G, members, cat = cat_for("cyclic:2", FamilySpec.cyclic_p(2))
     pts = {i: ("a", "b") for i in range(len(members))}
-    maps = {m.key(): {"a": "a", "b": "b"} for m in cat.all_morphisms()}
+    maps = {m: {"a": "a", "b": "b"} for m in cat.all_morphisms()}
     res = colimit(OrbitDiagram(category=cat, point_sets=pts, maps=maps))
     # e -> C2 inclusion identifies the two copies pointwise
-    assert res.class_count() == 2
+    assert len(res) == 2
 
 
-def test_morphism_equality_ignores_coset():
+def test_morphism_is_a_value():
     G = build_group("sym:3")
     m = build_orbit_category(G, subgroups_up_to_conjugacy(G)).homs[(0, 1)][0]
-    other = Morphism(m.src, m.dst, m.witness, coset=0)
+    other = Morphism(m.src, m.dst, m.witness, m.coset)
     assert other == m and not other != m and hash(other) == hash(m)
+    assert Morphism(m.src, m.dst, m.witness, 0) != m
     assert Morphism(m.src, m.src, m.witness, m.coset) != m
     with pytest.raises(AttributeError):
         m.coset = 0

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from quillen_strata import checks, groups, strata
 from quillen_strata.cli import run
-from quillen_strata.corpus import corpus_groups
 from quillen_strata.groups import build_group
-from quillen_strata.orbit_cat import UnionFind, build_orbit_category
+from quillen_strata.orbit_cat import build_orbit_category, quotient
 from quillen_strata.rings import (RingError, cyclic_spectrum_ring,
                                   cyclotomic_factors_mod, p_part)
 from quillen_strata.spectrum import (SpaceEdge, SpacePoint, StratifiedSpace,
@@ -128,6 +127,33 @@ def test_agreement_reports_degree_sequence_mismatch():
     assert rep.obstruction == "degree sequence mismatch"
 
 
+def _cycles(*lengths):
+    """Directed cycles on p0, p1, ... of the given lengths, in order."""
+    edges, start = [], 0
+    for n in lengths:
+        edges += [("p%d" % (start + i), "p%d" % (start + (i + 1) % n)) for i in range(n)]
+        start += n
+    return _space("X" * start, edges)
+
+
+def test_agreement_exhausts_the_search_on_equal_invariants():
+    # every point has in- and out-degree 1 on both sides
+    rep = check_agreement(_cycles(6), _cycles(3, 3))
+    assert not rep.isomorphic
+    assert rep.obstruction == "exhausted search"
+
+
+def test_agreement_backtracks_out_of_a_wrong_component():
+    # p0 first goes to the weak 6-cycle, where the strong 3-cycle cannot close
+    strong, weak = _cycles(3, 6), _cycles(6, 3)
+    rep = check_agreement(strong, weak)
+    assert rep.isomorphic
+    assert rep.witness["p0"] in ("p6", "p7", "p8")
+    assert sorted(rep.witness.values()) == sorted(pt.id for pt in weak.points)
+    assert ({(rep.witness[e.src], rep.witness[e.dst]) for e in strong.edges}
+            == {(e.src, e.dst) for e in weak.edges})
+
+
 @pytest.mark.parametrize("bound,points", [(200, 1273), (1000, 4850)])
 def test_agreement_scales_past_the_recursion_limit(bound, points):
     # one search step per point: a recursive search overflowed at about 990
@@ -231,7 +257,7 @@ def test_agreement_suite_catches_c_e_found_by_order(monkeypatch):
 
     monkeypatch.setattr(groups.SubgroupClass, "cyclic_subgroup_class", first_of_order)
     assert not checks.check_agreement_suite().ok
-    failing = [dsl for dsl, G in corpus_groups()
+    failing = [dsl for dsl, G in checks.corpus_groups()
                if not checks.check_agreement_suite([(dsl, G)]).ok]
     assert failing == ["product:cyclic:2xcyclic:6", "dihedral:6"]
 
@@ -323,13 +349,7 @@ def test_of_colimit_matches_oq_colimit():
         nodes = [(i, pt.id) for i in spaces for pt in spaces[i].points]
 
         def quotient_classes(relations):
-            uf = UnionFind(nodes)
-            for a, b in relations:
-                uf.union(a, b)
-            blocks = {}
-            for x in nodes:
-                blocks.setdefault(uf.find(x), set()).add(x)
-            return sorted(frozenset(b) for b in blocks.values())
+            return sorted(frozenset(ms) for _, ms in quotient(nodes, relations))
 
         rel_oq = []
         for m in cat.all_morphisms():

@@ -117,8 +117,8 @@ def test_ku_identity_witness_keeps_stratum_and_descriptor(dsl):
         src = {pt.id: pt for pt in spaces[m.src].points}
         dst = {pt.id: pt for pt in spaces[m.dst].points}
         for a, b in t.items():
-            assert masks_k[dst[b].stratum] == masks_h[src[a].stratum], (dsl, m.key(), a)
-            assert dst[b].descriptor.data == src[a].descriptor.data, (dsl, m.key(), a, b)
+            assert masks_k[dst[b].stratum] == masks_h[src[a].stratum], (dsl, m[:3], a)
+            assert dst[b].descriptor.data == src[a].descriptor.data, (dsl, m[:3], a, b)
             checked += 1
     assert checked
 
@@ -148,7 +148,7 @@ def test_ku_frobenius_labels_match_search(dsl, bound):
     for m in cat.all_morphisms():
         src, dst = spaces[m.src].points, spaces[m.dst].points
         assert transition_map(th, m, src, dst) == reference_ku_transition(
-            m, members[m.src], members[m.dst], src, dst), (dsl, m.key())
+            m, members[m.src], members[m.dst], src, dst), (dsl, m[:3])
 
 
 def test_weak_assembly_over_sym4_p2():

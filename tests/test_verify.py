@@ -4,7 +4,7 @@ from quillen_strata import spectrum
 from quillen_strata.checks import (check_serialization_round_trip,
                                    check_subgroup_counts)
 from quillen_strata.cli import run
-from quillen_strata.corpus import CORPUS, corpus_group
+from quillen_strata.checks import CORPUS, corpus_group
 
 
 def test_corpus_is_well_formed():
