@@ -17,8 +17,8 @@ print("\n%d conjugacy classes of subgroups:" % len(classes))
 print("%6s %6s %8s %8s %8s" % ("order", "count", "|N|", "|C|", "cyclic"))
 for cls in classes:
     print("%6d %6d %8d %8d %8s"
-          % (cls.order, cls.conjugates, len(cls.normalizer_elements),
-             len(cls.centralizer_elements), cls.is_cyclic()))
+          % (cls.order, cls.conjugates, len(cls.normalizer_numbers),
+             len(cls.centralizer_numbers), cls.is_cyclic()))
 
 # The three Weyl flavors: N/H (ordinary), N/(H*C) (global), N/C (Quillen).
 # The global order always divides the other two.

@@ -13,8 +13,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .groups import (GroupError, GroupParseError, build_group, double_cosets,
-                     minimal_generators, select_class,
+from .groups import (MAX_DIGITS, GroupError, GroupParseError, build_group,
+                     double_cosets, minimal_generators, read_int, select_class,
                      subgroups_up_to_conjugacy, weyl)
 from .orbit_cat import DiagramError, coequalize_raw
 from .rings import (RingError, divides, is_separable, level_polynomial_P,
@@ -53,11 +53,11 @@ def _class_doc(cls):
         "order": cls.order,
         "index": cls.index,
         "conjugates": cls.conjugates,
-        "normalizer_order": len(cls.normalizer_elements),
-        "centralizer_order": len(cls.centralizer_elements),
+        "normalizer_order": len(cls.normalizer_numbers),
+        "centralizer_order": len(cls.centralizer_numbers),
         "abelian": cls.is_abelian(),
         "cyclic": cls.is_cyclic(),
-        "generators": list(cls.generator_strings()),
+        "generators": [g.cycle_string() for g in minimal_generators(cls)],
     }
 
 
@@ -238,13 +238,24 @@ def _cmd_verify(args):
     return 0 if not failed else 3
 
 
+def _int(text):
+    """int(text) for an option of type int, whatever PYTHONINTMAXSTRDIGITS
+    is: past MAX_DIGITS characters a number is a parse error, and any other
+    text argparse's invalid int value."""
+    if len(text) > MAX_DIGITS and not text.isdecimal():
+        raise ValueError(text)
+    return read_int(text, CliParseError)
+
+
+_int.__name__ = "int"  # the type argparse names in its messages
+
 _GROUP = ("--group", {"required": True, "help": "group DSL string"})
 _THEORY = [
     ("--theory", {"required": True,
                   "help": "height1:p=P | ku | hz:p=P | modp:q=Q,deg=D | kr"}),
-    ("--prime-bound", {"type": int, "default": None,
+    ("--prime-bound", {"type": _int, "default": None,
                        "help": "truncation bound for infinite spectra (default 19)"}),
-    ("--degree-bound", {"type": int, "default": None,
+    ("--degree-bound", {"type": _int, "default": None,
                         "help": "degree bound for homogeneous strata (default 1)"})]
 _SELECTOR = {"required": True,
              "help": "subgroup selector: ORDER:INDEX, gens:<cycles>, or A<n>"}
@@ -272,7 +283,7 @@ COMMANDS = {
         _OUTPUT]),
     "drinfeld-check": ("torsion polynomial vs p-series divisibility report",
                        _cmd_drinfeld_check,
-                       [("--p", {"type": int, "required": True}), _OUTPUT]),
+                       [("--p", {"type": _int, "required": True}), _OUTPUT]),
     "verify": ("run every invariant suite over the corpus", _cmd_verify, [
         ("--all", {"action": "store_true", "default": True,
                    "help": "run all suites (default)"}), _OUTPUT]),
@@ -333,8 +344,8 @@ def table_parse(argv):
             if "type" in kwargs:
                 try:
                     value = kwargs["type"](value)
-                except ValueError:
-                    return None
+                except (ValueError, CliParseError):
+                    return None     # for argparse to report
             if value not in kwargs.get("choices", (value,)):
                 return None
         values[dest] = value

@@ -29,6 +29,7 @@ from .rings import is_prime, least_prime_factor, p_part
 
 MAX_ORDER = 10_000
 MAX_DSL_DEGREE = 64
+MAX_DIGITS = 640  # the least int/str digit limit CPython accepts
 
 
 class GroupError(Exception):
@@ -216,10 +217,6 @@ class ElementIndex:
             out[bitmask(powers)] = (g, powers)
         return out
 
-    def mask(self, elements):
-        """The bitmask of a set of Perms; KeyError if one is not numbered."""
-        return bitmask(self.number[p] for p in elements)
-
 
 def bitmask(numbers):
     """The int with bit x set for each element number x."""
@@ -317,69 +314,51 @@ class PermGroup:
         return tuple(sorted(self.elements))
 
     @functools.cached_property
-    def _index(self):
-        if self.parent is None:
-            return ElementIndex(self.sorted_elements)
-        return self.parent.element_index()
-
     def element_index(self):
         """The element index of the root group, built on first use."""
-        return self._index
+        if self.parent is None:
+            return ElementIndex(self.sorted_elements)
+        return self.parent.element_index
 
     @functools.cached_property
-    def _numbers(self):
-        num = self.element_index().number
-        return tuple(sorted(num[p] for p in self.elements))
-
     def numbers(self):
         """The numbers of the elements in the root's index, ascending."""
-        return self._numbers
+        num = self.element_index.number
+        return tuple(sorted(num[p] for p in self.elements))
 
     @functools.cached_property
-    def _mask(self):
-        return bitmask(self.numbers())
-
     def mask(self):
         """The elements as a bitmask over the root's index."""
-        return self._mask
+        return bitmask(self.numbers)
 
     def identity(self):
         return Perm.identity(self.degree)
 
-    def __iter__(self):
-        return iter(self.sorted_elements)
-
-    def __len__(self):
-        return self.order
-
     @functools.cached_property
-    def _subgroup_sets(self):
-        if self.parent is None:
-            return all_subgroup_sets(self)
-        outside = ~self.mask()
-        return {S: els for S, els in self.parent.subgroup_sets().items()
-                if not S & outside}
-
     def subgroup_sets(self):
         """Every subgroup as {bitmask: ascending element numbers}, computed once."""
-        return self._subgroup_sets
+        if self.parent is None:
+            return all_subgroup_sets(self)
+        outside = ~self.mask
+        return {S: els for S, els in self.parent.subgroup_sets.items()
+                if not S & outside}
 
     @functools.cached_property
     def generator_numbers(self):
         """A small (greedy, deterministic) generating set as numbers; empty
         for the trivial group."""
-        whole = (self.numbers(), self.mask())
-        return tuple(_generate(self.element_index(), whole[0], whole)[0])
+        whole = (self.numbers, self.mask)
+        return tuple(_generate(self.element_index, whole[0], whole)[0])
 
     def is_abelian(self):
-        index = self.element_index()
+        index = self.element_index
         return all(index.mul(a, b) == index.mul(b, a)
                    for a, b in itertools.combinations(self.generator_numbers, 2))
 
     def cyclic_generator(self):
         """The least element of full order, or None if the group is not cyclic."""
-        index = self.element_index()
-        found = index.cyclic_subgroups.get(self.mask())
+        index = self.element_index
+        found = index.cyclic_subgroups.get(self.mask)
         return index.perms[found[0]] if found else None
 
     def is_cyclic(self):
@@ -391,8 +370,8 @@ class PermGroup:
     def is_elementary_abelian(self, p):
         if not self.is_p_group(p) or not self.is_abelian():
             return False
-        powers = self.element_index().powers
-        return all(len(powers(g)) in (1, p) for g in self.numbers())
+        powers = self.element_index.powers
+        return all(len(powers(g)) in (1, p) for g in self.numbers)
 
     def p_rank(self, p):
         """Minimal generator count of an abelian p-group: rank of A/pA."""
@@ -400,11 +379,8 @@ class PermGroup:
             raise GroupError("p_rank needs an abelian p-group")
         # g^p, read off g's powers cyclically since g^|g| = e
         ppowers = frozenset(pw[(p - 1) % len(pw)]
-                            for pw in map(self.element_index().powers, self.numbers()))
+                            for pw in map(self.element_index.powers, self.numbers))
         return p_part(self.order // len(ppowers), p)[0]  # |A/pA| = p^rank
-
-    def generator_strings(self):
-        return tuple(g.cycle_string() for g in minimal_generators(self))
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
@@ -424,8 +400,8 @@ def all_subgroup_sets(G):
     Every subgroup arises, because it is generated by its cyclic subgroups
     and the join of a conjugate is the conjugate of a join.
     """
-    index = G.element_index()
-    whole = (G.numbers(), G.mask())
+    index = G.element_index
+    whole = (G.numbers, G.mask)
     rows = [] if G.is_abelian() else [index.conj(g) for g in G.generator_numbers]
     found = {}  # bitmask -> elements
     reps = []  # (elements, bitmask, generators) of one subgroup per class
@@ -489,29 +465,25 @@ class SubgroupClass(PermGroup):
     """
 
     def __init__(self, parent, mask, numbers, orbit, normalizer, index):
-        ind = parent.element_index()
-        perms = ind.perms
-        elements = tuple(perms[x] for x in numbers)
+        ind = parent.element_index
+        elements = tuple(ind.perms[x] for x in numbers)
         super().__init__(parent.degree, elements, _elements=elements, parent=parent)
         self.sorted_elements = elements
-        self._numbers = numbers
-        self._mask = mask
+        self.numbers = numbers
+        self.mask = mask
         self.orbit = orbit
         self.conjugates = len(orbit)
         self.normalizer_numbers = normalizer
         rows = [ind.conj(s) for s in self.generator_numbers]
         self.centralizer_numbers = tuple(  # s g s^-1 = g for every generator s
             g for g in normalizer if all(row[g] == g for row in rows))
-        self.normalizer_elements = frozenset(perms[x] for x in normalizer)
-        self.centralizer_elements = frozenset(
-            perms[x] for x in self.centralizer_numbers)
         self.index = index
 
     @functools.cached_property
     def centralizer_generators(self):
         """Greedy generators of C_G(S), as numbers."""
         C = self.centralizer_numbers
-        return tuple(_generate(self.element_index(), C, (C, bitmask(C)))[0])
+        return tuple(_generate(self.element_index, C, (C, bitmask(C)))[0])
 
     # The conjugations c_x: S -> L, with x S x^-1 = L for S this class's
     # representative and L another's, between strata; elements are Perms.
@@ -519,18 +491,18 @@ class SubgroupClass(PermGroup):
     def conjugate_class(self, g, classes):
         """(L, x): the class L among classes (of one group) of g S g^-1, and an
         x with x S x^-1 = L, x = t^-1 g for the t of L's orbit at g S g^-1."""
-        index = self.element_index()
+        index = self.element_index
         g = index.number[g]
-        T = bitmask(index.conjugates(g, self.numbers()))
+        T = bitmask(index.conjugates(g, self.numbers))
         L = _class_of_mask(classes, T)
         return L, index.perms[index.mul(index.inverse(L.orbit[T][0]), g)]
 
     def conjugation_exponent(self, x, L):
         """The a in 1..|S| with x h x^-1 = h2^a, for h and h2 the cyclic
         generators of S and of L = x S x^-1."""
-        index = self.element_index()
-        h = index.cyclic_subgroups[self.mask()][0]
-        powers = index.cyclic_subgroups[L.mask()][1]
+        index = self.element_index
+        h = index.cyclic_subgroups[self.mask][0]
+        powers = index.cyclic_subgroups[L.mask][1]
         image = index.conjugates(index.number[x], (h,))[0]
         if image not in powers:
             raise GroupError("x h x^-1 is not a power of the generator of L")
@@ -541,7 +513,7 @@ class SubgroupClass(PermGroup):
         abelian of rank 2 at p: column i holds the coordinates (j, k) of
         x e_i x^-1 = f1^j f2^k, where (e1, e2) and (f1, f2) are the generator
         numbers of S and of L."""
-        index = self.element_index()
+        index = self.element_index
         # f^0..f^(p-1) from the powers f, ..., f^p = e; the identity is number 0
         f1, f2 = ([0] + index.powers(f)[:-1] for f in L.generator_numbers)
         coords = {index.mul(a, b): (j, k)
@@ -553,7 +525,7 @@ class SubgroupClass(PermGroup):
     def cyclic_subgroup_class(self, e, classes):
         """The class among classes of the subgroup of order e of S, cyclic,
         found by its elements: a group can have several classes of order e."""
-        powers = self.element_index().cyclic_subgroups[self.mask()][1]
+        powers = self.element_index.cyclic_subgroups[self.mask][1]
         step = self.order // e  # generated by h^step
         return _class_of_mask(classes, bitmask(powers[step - 1::step]))
 
@@ -564,7 +536,7 @@ class SubgroupClass(PermGroup):
 
 def minimal_generators(G):
     """The generator numbers of G as Perms; the identity for the trivial group."""
-    perms = G.element_index().perms
+    perms = G.element_index.perms
     return tuple(perms[g] for g in G.generator_numbers) or (G.identity(),)
 
 
@@ -579,8 +551,8 @@ def subgroups_up_to_conjugacy(G):
         return list(G._classes)
     if G.order > MAX_ORDER:
         raise BoundExceeded("group order %d exceeds bound" % G.order)
-    index = G.element_index()
-    subs = G.subgroup_sets()
+    index = G.element_index
+    subs = G.subgroup_sets
     abelian = G.is_abelian()
     gens = G.generator_numbers
     classes = []
@@ -591,7 +563,7 @@ def subgroups_up_to_conjugacy(G):
         if S in class_of:
             continue
         if abelian:
-            orbit, normalizer = {S: (0, subs[S])}, G.numbers()
+            orbit, normalizer = {S: (0, subs[S])}, G.numbers
         else:
             orbit, normalizer = _orbit_and_normalizer(index, S, subs[S], gens)
         cls = SubgroupClass(parent=G, mask=S, numbers=subs[S], orbit=orbit,
@@ -609,8 +581,9 @@ def subgroups_up_to_conjugacy(G):
 
 def class_containing(classes, elements):
     """The class, among classes, whose orbit contains the given subgroup set."""
+    number = classes[0].parent.element_index.number
     try:
-        mask = classes[0].parent.element_index().mask(elements)
+        mask = bitmask(number[p] for p in elements)
     except KeyError:
         mask = None
     return _class_of_mask(classes, mask)
@@ -631,13 +604,10 @@ class WeylGroup(namedtuple("WeylGroup", "kind order quotient witnesses")):
     kind "ordinary" takes X = H, "global" X = H*C_G(H), "quillen" X = C_G(H).
     quotient is a PermGroup; witnesses pairs each quotient element with its
     minimal representative in N, ((quotient Perm, representative Perm), ...),
-    in the order of sorted_quotient().
+    in the order of quotient.sorted_elements.
     """
 
     __slots__ = ()
-
-    def sorted_quotient(self):
-        return self.quotient.sorted_elements
 
 
 def weyl(cls, kind):
@@ -658,7 +628,7 @@ def weyl(cls, kind):
         gens = cls.centralizer_generators
     else:
         raise GroupError("unknown Weyl kind %r" % (kind,))
-    index = cls.element_index()
+    index = cls.element_index
     rows = [index.right(x) for x in gens]
     seen = bytearray(len(index.perms))
     N = cls.normalizer_numbers
@@ -745,17 +715,17 @@ def double_cosets(G, H, K):
     the generators of H and K.  Representatives are minimal in element
     order; intersections are H^g cap K = {k in K : g k g^-1 in H}.
     """
-    index = G.element_index()
-    if H.element_index() is not index or K.element_index() is not index:
+    index = G.element_index
+    if H.element_index is not index or K.element_index is not index:
         raise GroupError("double_cosets needs subgroups of one root group")
     perms = index.perms
     rows = ([index.left(h) for h in H.generator_numbers]
             + [index.right(k) for k in K.generator_numbers])
-    h_mask = H.mask()
-    k_numbers = K.numbers()
+    h_mask = H.mask
+    k_numbers = K.numbers
     seen = bytearray(len(perms))
     pairs = []
-    for g in G.numbers():
+    for g in G.numbers:
         if seen[g]:
             continue
         size = len(row_orbit((g,), rows, seen))
@@ -779,11 +749,11 @@ _PRODUCTS_RE = re.compile(r"((?:\s*product:)*)(.*)", re.S)
 
 
 def read_int(digits, error=GroupParseError):
-    """int(digits), raising error in place of ValueError for too many digits."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise error("number of %d digits is too long" % len(digits)) from None
+    """int(digits), raising error past MAX_DIGITS characters; int() itself
+    accepts them all, whatever PYTHONINTMAXSTRDIGITS is."""
+    if len(digits) > MAX_DIGITS:
+        raise error("number of %d digits is too long" % len(digits))
+    return int(digits)
 
 
 def _parse_cycles(text):
@@ -966,7 +936,7 @@ def select_class(G, classes, selector):
         for g in gens:
             if g not in G.elements:
                 raise GroupParseError("generator %s not in group" % g.cycle_string())
-        index = G.element_index()
+        index = G.element_index
         mask = _generate(index, [index.number[g] for g in gens])[2]
         return _class_of_mask(classes, mask)
     m = re.fullmatch(r"[Aa](\d+)", selector)

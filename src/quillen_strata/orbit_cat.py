@@ -43,7 +43,7 @@ class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs"))
         """f2 o f1 for f1: i -> j, f2: j -> k."""
         if f1.dst != f2.src:
             raise GroupError("morphisms not composable")
-        index = self.G.element_index()
+        index = self.G.element_index
         g = index.mul(index.number[f2.witness], index.number[f1.witness])
         for m in self.homs[(f1.src, f2.dst)]:
             if m.coset >> g & 1:
@@ -65,7 +65,7 @@ def build_orbit_category(G, classes):
     conjugate T in H's orbit, and each coset K g C_G(H) is the orbit of g
     under the left rows of K's generators and the right rows of C_G(H)'s.
     """
-    index = G.element_index()
+    index = G.element_index
     k_rows = [[index.left(k) for k in Kc.generator_numbers] for Kc in classes]
     homs = {}
     for i, Hc in enumerate(classes):
@@ -73,7 +73,7 @@ def build_orbit_category(G, classes):
         transporters = [(T, [index.mul(t, n) for n in Hc.normalizer_numbers])
                         for T, (t, _) in Hc.orbit.items()]
         for j, Kc in enumerate(classes):
-            outside = ~Kc.mask()
+            outside = ~Kc.mask
             rows = k_rows[j] + c_rows
             seen = bytearray(len(index.perms))
             morphs = []
@@ -92,15 +92,12 @@ class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
 
     __slots__ = ()
 
-    def transition(self, m):
-        return self.maps[m]
-
     def validate(self):
         """Check functoriality on all composable pairs; raise a named violation."""
         cat = self.category
         for i in range(len(cat.objects)):
             ident = cat.identity(i)
-            tid = self.transition(ident)
+            tid = self.maps[ident]
             for pt in self.point_sets[i]:
                 if tid[pt] != pt:
                     raise DiagramError("the identity of object %d moves point %r"
@@ -109,8 +106,7 @@ class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
             for k in range(len(cat.objects)):
                 for f2 in cat.homs[(f1.dst, k)]:
                     comp = cat.compose(f2, f1)
-                    t1, t2, tc = (self.transition(f1), self.transition(f2),
-                                  self.transition(comp))
+                    t1, t2, tc = self.maps[f1], self.maps[f2], self.maps[comp]
                     for pt in self.point_sets[f1.src]:
                         if t2[t1[pt]] != tc[pt]:
                             raise DiagramError(
@@ -143,7 +139,7 @@ def colimit(diagram):
     """Colimit of an orbit diagram: points modulo x ~ (transition f)(x)."""
     diagram.validate()
     return coequalize_raw(diagram.point_sets, [
-        (m.src, m.dst, diagram.transition(m)) for m in diagram.category.all_morphisms()])
+        (m.src, m.dst, diagram.maps[m]) for m in diagram.category.all_morphisms()])
 
 
 def coequalize_raw(objects, maps):

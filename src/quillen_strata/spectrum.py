@@ -25,24 +25,11 @@ from .strata import (UnsupportedTheory, stratum, theory_family_classes,
 SCHEMA = "quillen-strata/1"
 
 
-class SpacePoint(namedtuple("SpacePoint", "id stratum label closed descriptor cls",
-                            defaults=(None, None))):
-    """A point of a space; only its first four fields count in == and hash.
-
-    cls is the SubgroupClass of its stratum, among the classes of the space's
-    group; inside the package strata are named by class, and the key in
-    `stratum` is for output only."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, SpacePoint) and self[:4] == other[:4]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
+# A point of a space.  cls is the SubgroupClass of its stratum, among the
+# classes of the space's group; inside the package strata are named by class,
+# and the key in `stratum` is for output only.
+SpacePoint = namedtuple("SpacePoint", "id stratum label closed descriptor cls",
+                        defaults=(None, None))
 
 
 # kind: internal | cross-stratum | external
@@ -163,7 +150,7 @@ def assemble_weak(theory, G, group_label=""):
         # the object itself) form one Weyl orbit inside a single stratum
         # (disjointness of the decomposition)
         owners = [(i, pid) for (i, pid) in ms
-                  if point_index[i][pid].cls.mask() == members[i].mask()]
+                  if point_index[i][pid].cls.mask == members[i].mask]
         if len({i for (i, _) in owners}) != 1:
             raise UnsupportedTheory(
                 "colimit class %r meets %d strata" % (cid, len({i for i, _ in owners})))

@@ -72,10 +72,22 @@ def naive_subgroup_sets(G):
     return subs
 
 
+def normalizer_perms(cls):
+    """N_G(S) of a subgroup class S as a frozenset of Perms."""
+    perms = cls.element_index.perms
+    return frozenset(perms[x] for x in cls.normalizer_numbers)
+
+
+def centralizer_perms(cls):
+    """C_G(S) of a subgroup class S as a frozenset of Perms."""
+    perms = cls.element_index.perms
+    return frozenset(perms[x] for x in cls.centralizer_numbers)
+
+
 def lattice_perm_sets(G):
     """G's subgroup sets, read off its bitmasks as frozensets of Perms."""
-    perms = G.element_index().perms
-    return {frozenset(perms[x] for x in els) for els in G.subgroup_sets().values()}
+    perms = G.element_index.perms
+    return {frozenset(perms[x] for x in els) for els in G.subgroup_sets.values()}
 
 
 def naive_subgroup_count(elements):
@@ -360,7 +372,7 @@ def class_transporters(cls):
     """{T: [g, ...]} on image tuples for the g with g S g^-1 = T, read off the
     class's orbit data: t * n for the transversal element t of T and the n
     of the normalizer, sorted."""
-    index = cls.element_index()
+    index = cls.element_index
     images = [p.images for p in index.perms]
     return {frozenset(images[x] for x in els):
             sorted(images[index.mul(t, n)] for n in cls.normalizer_numbers)
@@ -381,8 +393,8 @@ def check_class_conjugators(G, label=""):
         S = frozenset(p.images for p in cls.elements)
         expected = naive_conjugators(group, S)
         assert class_transporters(cls) == expected, (label, cls.index)
-        assert {p.images for p in cls.normalizer_elements} == set(expected[S])
-        assert {p.images for p in cls.centralizer_elements} == {
+        assert {p.images for p in normalizer_perms(cls)} == set(expected[S])
+        assert {p.images for p in centralizer_perms(cls)} == {
             g for g in group if all(compose(g, s) == compose(s, g) for s in S)}
         for T in expected:
             assert class_containing(classes, [Perm(t) for t in T]) is cls
@@ -404,7 +416,7 @@ def set_product(A, B):
 def coset_perms(G, m):
     """The coset of an orbit-category morphism as a frozenset of Perms, read
     off its bitmask over G's numbers."""
-    perms = G.element_index().perms
+    perms = G.element_index.perms
     return frozenset(p for x, p in enumerate(perms) if m.coset >> x & 1)
 
 
@@ -418,7 +430,7 @@ def reference_orbit_category(G, classes):
     """
     homs = {}
     for i, Hc in enumerate(classes):
-        CH = Hc.centralizer_elements
+        CH = centralizer_perms(Hc)
         conjugates = [(g, conjugate_set(Hc.elements, g)) for g in G.sorted_elements]
         for j, Kc in enumerate(classes):
             K = Kc.elements
@@ -438,8 +450,8 @@ def reference_weyl(cls, kind):
     H*C or C by kind: each left coset nX is built by multiplying Perms and
     named by its least n, and each n of N acts on the cosets by left
     multiplication, its witness being the least n with that action."""
-    N = cls.normalizer_elements
-    C = cls.centralizer_elements
+    N = normalizer_perms(cls)
+    C = centralizer_perms(cls)
     X = {"ordinary": cls.elements, "global": set_product(cls.elements, C),
          "quillen": C}[kind]
     n_sorted = sorted(N)
@@ -472,7 +484,7 @@ def check_weyl(G, label=""):
             w = weyl(cls, kind)
             where = (label, cls.index, kind)
             assert w.order == order, where
-            assert [q.images for q in w.sorted_quotient()] == quotient, where
+            assert [q.images for q in w.quotient.sorted_elements] == quotient, where
             assert [(q.images, n) for q, n in w.witnesses] == witnesses, where
             assert w.quotient.degree == len(quotient[0]), where
 
@@ -651,8 +663,8 @@ def reference_build_group(spec):
 def class_facts(classes):
     """Per subgroup class: order, conjugates, elements, normalizer,
     centralizer and index, for comparing two class lists."""
-    return [(c.order, c.conjugates, c.elements, c.normalizer_elements,
-             c.centralizer_elements, c.index) for c in classes]
+    return [(c.order, c.conjugates, c.elements, normalizer_perms(c),
+             centralizer_perms(c), c.index) for c in classes]
 
 
 @pytest.fixture(scope="session")

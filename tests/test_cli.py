@@ -401,10 +401,9 @@ def test_huge_numbers_exit_2_before_the_expensive_work(args):
     assert json.loads(proc.stderr)["error"]["type"] == "domain"
 
 
-HUGE = "1" * 5000  # more digits than int() converts from a string
+HUGE = "1" * 5000  # more digits than the package's cap of 640
 
-
-@pytest.mark.parametrize("args", [
+TOO_LONG = [
     ["spectrum", "--group", "cyclic:2", "--theory", "height1:p=" + HUGE],
     ["spectrum", "--group", "cyclic:2", "--theory", "modp:q=%s,deg=1" % HUGE],
     ["spectrum", "--group", "cyclic:2", "--theory", "modp:q=4,deg=" + HUGE],
@@ -419,9 +418,44 @@ HUGE = "1" * 5000  # more digits than int() converts from a string
     ["weyl", "--group", "sym:3", "--h", "2:" + HUGE],
     ["weyl", "--group", "sym:3", "--h", "A" + HUGE],
     ["weyl", "--group", "sym:3", "--h", "gens:(0 %s)" % HUGE],
-])
+]
+
+
+@pytest.mark.parametrize("args", TOO_LONG)
 def test_numbers_too_long_to_convert_are_parse_errors(args, capsys):
     _assert_parse_error(*invoke(args, capsys))
+
+
+# runs each command line of stdin in-process; prints [exit code, stdout, stderr]s
+RUN_EACH = """
+import contextlib, io, json, sys
+from quillen_strata.cli import run
+results = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        results.append([run(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_the_digit_cap_ignores_the_interpreter_limit(monkeypatch):
+    # 640 digits is the least limit PYTHONINTMAXSTRDIGITS takes, so int()
+    # converts every number the package's own cap lets through
+    cases = TOO_LONG + [
+        ["subgroups", "--group", "cyclic:" + "1" * 700],
+        ["spectrum", "--group", "cyclic:2", "--theory", "ku", "--prime-bound", HUGE],
+        ["drinfeld-check", "--p=" + "1" * 700]]
+    monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+    outcomes = []
+    for env in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+        proc = run_python(["-c", RUN_EACH], env=env, input=json.dumps(cases))
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append(json.loads(proc.stdout))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    for (code, out, err), argv in zip(outcomes[0], cases):
+        assert code == 1 and out == "", argv
+        assert json.loads(err)["error"]["message"].endswith(" digits is too long")
 
 
 def _coequalize(doc, tmp_path, capsys):

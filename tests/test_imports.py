@@ -4,7 +4,8 @@ The group kernel owns element numbering: other modules reach it through
 public names, and strata asks the kernel's SubgroupClass methods for every
 conjugation instead of working on element numbers itself.  Every parameter
 earns its place: a default is overridden by some call in src/, tests/ or
-demos/, and a public function reads each parameter it takes.
+demos/, and a public function reads each parameter it takes.  No method
+only returns an attribute: a fact is the attribute itself.
 """
 
 import ast
@@ -48,15 +49,12 @@ def private_imports(tree):
 
 
 def element_number_uses(tree):
-    """(line, what) of each call of element_index and each subscript of a
-    .number attribute (the root's element numbers) in tree."""
+    """(line, what) of each read of an element_index attribute and each
+    subscript of a .number attribute (the root's element numbers) in tree."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name == "element_index":
-                found.append((node.lineno, "element_index()"))
+        if isinstance(node, ast.Attribute) and node.attr == "element_index":
+            found.append((node.lineno, ".element_index"))
         elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
               and node.value.attr == "number"):
             found.append((node.lineno, ".number[...]"))
@@ -79,10 +77,10 @@ def test_the_checks_see_what_they_forbid():
                      "from . import corpus as c\n"
                      "import quillen_strata.rings as r\n"
                      "x = c._private(r._zp_mul, c.__doc__)\n"
-                     "i = G.element_index()\n"
+                     "i = G.element_index\n"
                      "n = i.number[g.images]\n")
     assert private_imports(tree) == [(1, "_mask"), (4, "c._private"), (4, "r._zp_mul")]
-    assert element_number_uses(tree) == [(5, "element_index()"), (6, ".number[...]")]
+    assert element_number_uses(tree) == [(5, ".element_index"), (6, ".number[...]")]
 
 
 def _defs(tree, public=True, method=False):
@@ -188,3 +186,51 @@ def test_the_parameter_checks_see_what_they_forbid():
     assert never_overridden_defaults([src], [src, calls]) == [
         ("__init__", "x"), ("f", "b"), ("s", "z")]
     assert unread_parameters([src]) == [("f", "b"), ("f", "c"), ("m", "z")]
+
+
+def accessor_wrappers(trees):
+    """(class, method) of each method whose body, after its docstring, is one
+    return of an attribute chain on self, like `return self._x` or `return
+    self.a.b`.  Properties and dunders are exempt."""
+    found = []
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__")
+                        or any(getattr(d, "attr", getattr(d, "id", None))
+                               in ("property", "cached_property")
+                               for d in fn.decorator_list)):
+                    continue
+                body = fn.body
+                if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                        and isinstance(body[0].value.value, str)):
+                    body = body[1:]
+                if len(body) != 1 or not isinstance(body[0], ast.Return):
+                    continue
+                node = body[0].value
+                if not isinstance(node, ast.Attribute):
+                    continue
+                while isinstance(node, ast.Attribute):
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id == "self":
+                    found.append((cls.name, fn.name))
+    return sorted(found)
+
+
+def test_no_method_only_returns_an_attribute():
+    assert accessor_wrappers(_trees().values()) == []
+
+
+def test_the_accessor_check_sees_what_it_forbids():
+    tree = ast.parse("class K:\n"
+                     "    def a(self):\n        \"Doc.\"\n        return self._a\n"
+                     "    def b(self):\n        return self.x.y\n"
+                     "    @property\n    def c(self):\n        return self._c\n"
+                     "    @functools.cached_property\n"
+                     "    def d(self):\n        return self._d\n"
+                     "    def __len__(self):\n        return self.n\n"
+                     "    def e(self):\n        return self.f()\n"
+                     "    def g(self):\n        return self\n"
+                     "    def h(self, other):\n        return other.x\n"
+                     "    def i(self):\n        x = 1\n        return self.i\n")
+    assert accessor_wrappers([tree]) == [("K", "a"), ("K", "b")]

@@ -15,8 +15,8 @@ from quillen_strata.strata import (THEORIES, TheoryError, TheorySpec, Unsupporte
                                    irreducible_forms, parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
 
-from conftest import (reference_form_substitute, reference_irreducible_forms,
-                      reference_weyl_matrix)
+from conftest import (normalizer_perms, reference_form_substitute,
+                      reference_irreducible_forms, reference_weyl_matrix)
 
 WREATH = "perm:(0 1);(2 3);(0 2)(1 3)"
 
@@ -388,7 +388,7 @@ def test_weyl_matrices_match_perm_products():
         ranked = [c for c in classes if c.is_elementary_abelian(p) and c.p_rank(p) == 2]
         assert ranked, dsl
         for cls in ranked:
-            for n in cls.normalizer_elements:
+            for n in normalizer_perms(cls):
                 assert cls.conjugation_matrix(n, cls) \
                     == reference_weyl_matrix(cls, n, p), (dsl, cls.index, n)
 

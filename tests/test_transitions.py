@@ -87,7 +87,7 @@ def test_ku_conjugation_transition_is_galois():
     # exactly the two C3-stratum primes above 7 = 1 mod 3 swap; the copy of
     # Spec(Z) inside Spec(R(C_3)) is fixed pointwise
     at7_top = {p.id for p in spaces[i].points
-               if p.cls.mask() == members[i].mask()
+               if p.cls.mask == members[i].mask
                and p.descriptor.data[0] == "modular"
                and p.descriptor.data[1] == 7}
     assert moved == at7_top and len(at7_top) == 2
@@ -97,7 +97,7 @@ def _stratum_masks(th, H):
     """{stratum key: bitmask of its subgroup} for the strata of H's spectrum."""
     members = theory_family_classes(th, H)
     keys = _class_keys(members)
-    return {keys[c.index]: c.mask() for c in members}
+    return {keys[c.index]: c.mask for c in members}
 
 
 @pytest.mark.parametrize("dsl", ["product:cyclic:4xsym:3", "sym:5"])

@@ -1,6 +1,8 @@
+import ast
+import pathlib
 import time
 
-from quillen_strata import spectrum
+from quillen_strata import checks, spectrum
 from quillen_strata.checks import (check_serialization_round_trip,
                                    check_subgroup_counts)
 from quillen_strata.cli import run
@@ -46,3 +48,22 @@ def test_round_trip_suite_catches_a_deterministic_writer_bug(monkeypatch):
     result = check_serialization_round_trip()
     assert not result.ok
     assert result.detail.startswith("writer differs from json.dumps")
+
+
+# the suite names verify prints, in its order
+SUITE_NAMES = [
+    "mackey-double-cosets", "weyl-divisibility", "family-closure",
+    "subgroup-counts", "cyclotomic-product", "cyclotomic-splitting-oracle",
+    "weyl-actions-are-actions", "weak-strong-agreement", "height1-fan-shape",
+    "colimit-quotient-laws", "ku-stratum-splitting-counts",
+    "serialization-round-trip",
+]
+
+
+def test_suites_registers_each_suite_once_in_source_order():
+    tree = ast.parse(pathlib.Path(checks.__file__).read_text())
+    suites = [(node.name, d.args[0].value) for node in tree.body
+              if isinstance(node, ast.FunctionDef) for d in node.decorator_list
+              if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"]
+    assert [name for _, name in suites] == SUITE_NAMES
+    assert checks.SUITES == [getattr(checks, fn) for fn, _ in suites]
