@@ -70,8 +70,7 @@ def _cmd_subgroups(args):
         "order": G.order,
         "classes": [_class_doc(c) for c in classes],
     }
-    _emit(_dump(doc), args.output)
-    return 0
+    return _dump(doc), 0
 
 
 def _cmd_weyl(args):
@@ -89,8 +88,7 @@ def _cmd_weyl(args):
         "quotient_generators": [q.cycle_string()
                                 for q in minimal_generators(w.quotient)],
     }
-    _emit(_dump(doc), args.output)
-    return 0
+    return _dump(doc), 0
 
 
 def _cmd_double_cosets(args):
@@ -112,8 +110,7 @@ def _cmd_double_cosets(args):
             for dc in dec.pairs],
         "mackey": {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs},
     }
-    _emit(_dump(doc), args.output)
-    return 0
+    return _dump(doc), 0
 
 
 def _cmd_spectrum(args):
@@ -124,8 +121,7 @@ def _cmd_spectrum(args):
         space = assemble_weak(theory, G, args.group)
     else:
         space = assemble_strong(theory, G, args.group)
-    _emit(serialize(space, args.format), args.output)
-    return 0
+    return serialize(space, args.format), 0
 
 
 def _cmd_strata(args):
@@ -154,8 +150,7 @@ def _cmd_strata(args):
         "family": theory.family().name,
         "strata": out,
     }
-    _emit(_dump(doc), args.output)
-    return 0
+    return _dump(doc), 0
 
 
 def _cmd_coequalize(args):
@@ -180,6 +175,8 @@ def _cmd_coequalize(args):
     names += [name for src, dst, table in maps for name in (src, dst, *table.values())]
     if not all(isinstance(name, str) for name in names):
         raise CliParseError("bad diagram document: ids and points must be strings")
+    if any("|" in oid for oid, _ in objects):  # a class id is <object id>|<point>
+        raise CliParseError("bad diagram document: object ids must not contain '|'")
     declared = dict(objects)
     if len(declared) != len(objects):
         raise CliParseError("bad diagram document: object ids must be distinct")
@@ -196,8 +193,7 @@ def _cmd_coequalize(args):
             {"id": "%s|%s" % cid, "members": [[o, p] for (o, p) in members]}
             for cid, members in coequalize_raw(declared, maps)],
     }
-    _emit(_dump(out), args.output)
-    return 0
+    return _dump(out), 0
 
 
 def _cmd_drinfeld_check(args):
@@ -221,8 +217,7 @@ def _cmd_drinfeld_check(args):
         "mod_p_image": p_mod.pretty(),
         "separable_mod_p": is_separable(p_mod),
     }
-    _emit(_dump(doc), args.output)
-    return 0
+    return _dump(doc), 0
 
 
 def _cmd_verify(args):
@@ -234,8 +229,7 @@ def _cmd_verify(args):
         lines.append("%-32s %s  %6.2fs  %s"
                      % (r.name, "ok  " if r.ok else "FAIL", r.seconds, r.detail))
     lines.append("%d/%d suites passed" % (len(results) - len(failed), len(results)))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if not failed else 3
+    return "\n".join(lines) + "\n", 3 if failed else 0
 
 
 def _int(text):
@@ -374,7 +368,9 @@ def run(argv):
             _error_json("parse", str(exc))
             return 1
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        _emit(text, args.output)
+        return code
     except (GroupParseError, TheoryError, CliParseError) as exc:
         _error_json("parse", str(exc))
         return 1

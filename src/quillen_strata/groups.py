@@ -6,9 +6,9 @@ numbering.  The rows of its Cayley table are built on first use, one per
 element used as a generator or conjugator, never the whole table.  All group
 arithmetic runs on these numbers, with a subgroup held as an int bitmask.
 Sets are closed by one loop per element representation: row_orbit closes
-numbers under Cayley rows (joins, Weyl cosets, double cosets), and mulclose
-closes Perms under products (root groups, and the Weyl quotients, from the
-normalizer's action on the cosets).  Transporters are a class's orbit
+numbers under Cayley rows (joins, Weyl cosets, double cosets), and mulclose,
+called by PermGroup alone, closes Perms under products (root groups, and the
+Weyl quotients, from the normalizer's action on the cosets).  Transporters are a class's orbit
 transversal times its normalizer, and cyclic generators are read off the
 root's cyclic subgroups.  Perm objects appear only at the edges: the DSL,
 selectors, cycle strings, the element sets of groups, the Weyl quotients and
@@ -277,7 +277,8 @@ def row_orbit(starts, rows, seen, bound=None):
 
 
 class PermGroup:
-    """A finite permutation group; the full element set is computed eagerly.
+    """A finite permutation group: the closure of its generators, computed
+    eagerly.
 
     A group with a parent (a SubgroupClass) reads its subgroups off the
     parent's; only a root group (parent None) enumerates its own, and only a
@@ -287,27 +288,19 @@ class PermGroup:
     the class of each subgroup set) are cached by subgroups_up_to_conjugacy.
     """
 
+    parent = None
     _classes = None
     _class_of = None
 
-    def __init__(self, degree, generators, _elements=None, parent=None):
+    def __init__(self, degree, generators):
         self.degree = degree
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
                 raise GroupError("generator degree mismatch")
-        if not gens:
-            gens = (Perm.identity(degree),)
-        self.generators = gens
-        if _elements is not None:
-            self.elements = frozenset(_elements)
-        else:
-            self.elements = mulclose(gens)
-        self.parent = parent
-
-    @property
-    def order(self):
-        return len(self.elements)
+        self.generators = gens or (Perm.identity(degree),)
+        self.elements = mulclose(self.generators)
+        self.order = len(self.elements)
 
     @functools.cached_property
     def sorted_elements(self):
@@ -316,9 +309,7 @@ class PermGroup:
     @functools.cached_property
     def element_index(self):
         """The element index of the root group, built on first use."""
-        if self.parent is None:
-            return ElementIndex(self.sorted_elements)
-        return self.parent.element_index
+        return ElementIndex(self.sorted_elements)
 
     @functools.cached_property
     def numbers(self):
@@ -462,15 +453,17 @@ class SubgroupClass(PermGroup):
     normalizer.  conjugates is the number of subgroups in the class.  The
     normalizer and the centralizer are held as ascending numbers; the
     centralizer is taken inside the normalizer, against the generators of S.
+    A class closes nothing: it takes its numbers, mask and the parent's
+    index as given, and builds its Perm elements only when they are read.
     """
 
     def __init__(self, parent, mask, numbers, orbit, normalizer, index):
-        ind = parent.element_index
-        elements = tuple(ind.perms[x] for x in numbers)
-        super().__init__(parent.degree, elements, _elements=elements, parent=parent)
-        self.sorted_elements = elements
+        self.degree = parent.degree
+        self.parent = parent
+        self.element_index = ind = parent.element_index
         self.numbers = numbers
         self.mask = mask
+        self.order = len(numbers)
         self.orbit = orbit
         self.conjugates = len(orbit)
         self.normalizer_numbers = normalizer
@@ -478,6 +471,11 @@ class SubgroupClass(PermGroup):
         self.centralizer_numbers = tuple(  # s g s^-1 = g for every generator s
             g for g in normalizer if all(row[g] == g for row in rows))
         self.index = index
+
+    @functools.cached_property
+    def elements(self):
+        perms = self.element_index.perms
+        return frozenset(perms[x] for x in self.numbers)
 
     @functools.cached_property
     def centralizer_generators(self):
@@ -638,11 +636,10 @@ def weyl(cls, kind):
     n_gens = _generate(index, N, (N, bitmask(N)))[0]
     actions = [Perm._trusted(coset_of[row[r]] for r in reps)
                for row in map(index.left, n_gens)]
-    elements = sorted(mulclose(actions or [Perm.identity(len(reps))]))
-    quotient = PermGroup(len(reps), tuple(elements), _elements=frozenset(elements))
-    w = WeylGroup(kind=kind, order=len(N) // len(cosets[0]),
-                  quotient=quotient,
-                  witnesses=tuple((q, index.perms[reps[q[0]]]) for q in elements))
+    quotient = PermGroup(len(reps), actions)
+    w = WeylGroup(kind=kind, order=len(N) // len(cosets[0]), quotient=quotient,
+                  witnesses=tuple((q, index.perms[reps[q[0]]])
+                                  for q in quotient.sorted_elements))
     if w.order != quotient.order:
         raise GroupError("Weyl quotient order mismatch")
     return w
@@ -871,8 +868,6 @@ def _named_group(name, n):
             raise BoundExceeded("alt:%d exceeds order bound" % n)
         if n <= 2:
             return PermGroup(max(n, 1), ())
-        if n == 3:
-            return PermGroup(3, (Perm.from_cycles([(0, 1, 2)], 3),))
         three = Perm.from_cycles([(0, 1, 2)], n)
         if n % 2 == 1:
             big = Perm(tuple((i + 1) % n for i in range(n)))

@@ -16,7 +16,6 @@ integer/string-only, so golden-file comparisons are byte-exact.
 import json
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
@@ -37,7 +36,8 @@ SpaceEdge = namedtuple("SpaceEdge", "src dst kind provenance", defaults=("",))
 
 
 class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges")):
-    """A stratified space: its meta dict, sorted points and sorted edges."""
+    """A stratified space: its meta dict, sorted points and sorted edges, in
+    the order every writer keeps."""
 
     __slots__ = ()
 
@@ -70,6 +70,12 @@ def _meta(theory, group_label, mode, truncated):
     }
 
 
+def _representative(points):
+    """The point that stands for a Weyl orbit in both forms: the one with the
+    least descriptor data."""
+    return min(points, key=lambda pt: pt.descriptor.data)
+
+
 def assemble_strong(theory, G, group_label=""):
     """Disjoint union of Weyl-orbit quotients of strata with specialization edges."""
     members = theory_family_classes(theory, G)
@@ -87,7 +93,7 @@ def assemble_strong(theory, G, group_label=""):
         truncated = truncated or model.truncated
         pid_of = {}    # point index -> id of its orbit's point
         for orb in model.orbits():
-            rp = model.points[orb[0]]
+            rp = _representative(model.points[i] for i in orb)
             pid = "%s:%s" % (skey, rp.local_id)
             points.append(SpacePoint(
                 id=pid, stratum=skey, label=rp.label, closed=rp.closed,
@@ -106,42 +112,32 @@ def assemble_strong(theory, G, group_label=""):
 
 
 def _space(meta, points, edges):
-    """The space with points sorted by id and edges by all four fields."""
-    space = StratifiedSpace(
-        meta=meta, points=sorted(points, key=lambda pt: pt.id),
-        edges=sorted(edges, key=lambda e: (e.src, e.dst, e.kind, e.provenance)))
-    _check_disjointness(space)
-    return space
-
-
-def _check_disjointness(space):
-    seen = set()
-    for pt in space.points:
-        if pt.id in seen:
-            raise UnsupportedTheory("duplicate point id %s" % pt.id)
-        seen.add(pt.id)
+    """The space with points sorted by id, each id once, and edges by all
+    four fields."""
+    points = sorted(points, key=lambda pt: pt.id)
+    for a, b in zip(points, points[1:]):
+        if a.id == b.id:
+            raise UnsupportedTheory("duplicate point id %s" % a.id)
+    return StratifiedSpace(meta=meta, points=points, edges=sorted(edges))
 
 
 def assemble_weak(theory, G, group_label=""):
     """Colimit of full per-subgroup spectra over the Quillen orbit category."""
-    if not theory.has_transition_maps():
+    if theory.record.glue is None:
         raise UnsupportedTheory(
             "theory %s has no transition maps; weak assembly unavailable"
             % theory.name)
     members = theory_family_classes(theory, G)
     keys = _class_keys(members)
     cat = build_orbit_category(G, members)
-    spaces = {}
-    point_index = {}
-    for i, cls in enumerate(members):
-        spaces[i] = assemble_strong(theory, cls,
-                                    group_label="%s|%s" % (group_label, keys[cls.index]))
-        point_index[i] = {pt.id: pt for pt in spaces[i].points}
+    spaces = [assemble_strong(theory, cls) for cls in members]
+    point_index = [{pt.id: pt for pt in space.points} for space in spaces]
     diagram = OrbitDiagram(
         category=cat,
-        point_sets={i: tuple(pt.id for pt in spaces[i].points)
-                    for i in range(len(members))},
-        maps={m: transition_map(theory, m, spaces[m.src].points, spaces[m.dst].points)
+        point_sets={i: tuple(pt.id for pt in space.points)
+                    for i, space in enumerate(spaces)},
+        maps={m: transition_map(theory, m.witness, spaces[m.src].points,
+                                spaces[m.dst].points)
               for m in cat.all_morphisms()})
     weak_points = []
     proj_id = {}
@@ -154,8 +150,8 @@ def assemble_weak(theory, G, group_label=""):
         if len({i for (i, _) in owners}) != 1:
             raise UnsupportedTheory(
                 "colimit class %r meets %d strata" % (cid, len({i for i, _ in owners})))
-        oi, opid = min(owners)
-        opt = point_index[oi][opid]
+        oi = owners[0][0]
+        opt = _representative(point_index[i][pid] for i, pid in owners)
         wid = min("%s|%s" % (keys[members[i].index], pid) for (i, pid) in ms)
         wpt = SpacePoint(
             id=wid, stratum=keys[members[oi].index], label=opt.label,
@@ -166,8 +162,8 @@ def assemble_weak(theory, G, group_label=""):
 
     stratum_of = {pt.id: pt.stratum for pt in weak_points}
     weak_edges = {}
-    for i in range(len(members)):
-        for e in spaces[i].edges:
+    for i, space in enumerate(spaces):
+        for e in space.edges:
             src = proj_id[(i, e.src)]
             dst = proj_id[(i, e.dst)]
             if src == dst:
@@ -179,7 +175,7 @@ def assemble_weak(theory, G, group_label=""):
             kind = "internal" if stratum_of[src] == stratum_of[dst] else "cross-stratum"
             weak_edges[(src, dst, kind)] = SpaceEdge(src, dst, kind)
 
-    truncated = any(spaces[i].meta["truncated"] for i in spaces)
+    truncated = any(space.meta["truncated"] for space in spaces)
     return _space(_meta(theory, group_label, "weak", truncated),
                   weak_points, weak_edges.values())
 
@@ -278,12 +274,11 @@ def to_document(space):
         "points": [
             {"id": pt.id, "stratum": pt.stratum, "label": pt.label,
              "closed": pt.closed}
-            for pt in sorted(space.points, key=lambda p: p.id)],
+            for pt in space.points],
         "edges": [
             {"from": e.src, "to": e.dst, "kind": e.kind,
              "provenance": e.provenance}
-            for e in sorted(space.edges,
-                            key=lambda e: (e.src, e.dst, e.kind, e.provenance))],
+            for e in space.edges],
     }
 
 
@@ -311,9 +306,9 @@ def to_json(space):
     strings through the C escaper, which raises TypeError on a non-str."""
     q = encode_basestring_ascii
     points = [_POINT % (_json_bool(pt.closed), q(pt.id), q(pt.label), q(pt.stratum))
-              for pt in sorted(space.points, key=attrgetter("id"))]
+              for pt in space.points]
     edges = [_EDGE % (q(e.src), q(e.kind), q(e.provenance), q(e.dst))
-             for e in sorted(space.edges)]
+             for e in space.edges]
     # escaped output holds no literal newline, so this indents meta one level
     meta = json.dumps(space.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
     return '{\n  "edges": %s,\n  "meta": %s,\n  "points": %s,\n  "schema": %s\n}\n' % (
@@ -332,10 +327,10 @@ def serialize(space, fmt="json"):
 
 def to_dot(space):
     lines = ["digraph spectrum {"]
-    for pt in sorted(space.points, key=lambda p: p.id):
+    for pt in space.points:
         shape = ' shape=box' if pt.closed else ""
         lines.append('  "%s" [label="%s [%s]"%s];' % (pt.id, pt.label, pt.stratum, shape))
-    for e in sorted(space.edges, key=lambda e: (e.src, e.dst, e.kind, e.provenance)):
+    for e in space.edges:
         style = " [style=dashed]" if e.kind == "external" else ""
         lines.append('  "%s" -> "%s"%s;' % (e.src, e.dst, style))
     lines.append("}")
@@ -345,11 +340,11 @@ def to_dot(space):
 def to_table(space):
     lines = ["# %s" % json.dumps(space.meta, sort_keys=True)]
     lines.append("points (%d):" % len(space.points))
-    for pt in sorted(space.points, key=lambda p: p.id):
+    for pt in space.points:
         flag = "closed" if pt.closed else "generic"
         lines.append("  %-28s %-20s %-8s stratum=%s" % (pt.id, pt.label, flag, pt.stratum))
     lines.append("edges (%d):" % len(space.edges))
-    for e in sorted(space.edges, key=lambda e: (e.src, e.dst, e.kind)):
+    for e in space.edges:
         prov = " (%s)" % e.provenance if e.provenance else ""
         lines.append("  %s -> %s [%s]%s" % (e.src, e.dst, e.kind, prov))
     return "\n".join(lines) + "\n"

@@ -70,9 +70,6 @@ class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
     def family(self):
         return self.record.family(self.p)
 
-    def has_transition_maps(self):
-        return self.record.glue is not None
-
 
 def parse_theory(text, prime_bound=None, degree_bound=None):
     """Parse a theory spec string, such as modp:q=4,deg=1, by THEORIES' patterns."""
@@ -444,8 +441,9 @@ def _stratum_modp(theory, cls):
 
 # -- transition maps (weak assembly) -------------------------------------------
 
-def transition_map(theory, morphism, src_points, dst_points):
-    """Point map induced by a morphism c_g: H -> K on full per-subgroup spectra.
+def transition_map(theory, g, src_points, dst_points):
+    """Point map induced by c_g: H -> K, g a morphism's witness, on full
+    per-subgroup spectra.
 
     src_points / dst_points are the points of the assembled spectra of H and
     K (duck-typed: .id, .cls, .descriptor), each carrying the class of its
@@ -454,9 +452,6 @@ def transition_map(theory, morphism, src_points, dst_points):
     record's conjugation along the x with x L x^-1 = L2 that
     `SubgroupClass.conjugate_class` gives.  Returns {src id: dst id}.
     """
-    if not theory.has_transition_maps():
-        raise UnsupportedTheory(
-            "theory %s has no transition maps" % theory.name)
     targets = list(dict.fromkeys(pt.cls for pt in dst_points))
     by_key = {(pt.cls, pt.descriptor.data): pt.id for pt in dst_points}
     moves = {}  # L -> (L2, its conjugation)
@@ -464,7 +459,7 @@ def transition_map(theory, morphism, src_points, dst_points):
     for pt in src_points:
         L = pt.cls
         if L not in moves:
-            L2, x = L.conjugate_class(morphism.witness, targets)
+            L2, x = L.conjugate_class(g, targets)
             moves[L] = L2, theory.record.conjugation(theory, x, L, L2)
         L2, move = moves[L]
         out[pt.id] = by_key[(L2, move(pt.descriptor.data))]
@@ -564,7 +559,7 @@ def _rank_at_most_two(theory, cls):
 # stratum's points, internal edges and truncation flag.  conjugation(theory, x,
 # L, L2): the map of descriptor data along c_x: L -> L2 = x L x^-1, for Weyl
 # actions and transition maps.  glue(theory, members, points): the strong form's
-# edges between the members' strata, or None, and then no transition maps either.
+# edges between the members' strata, or None, and then no weak form either.
 # check_group(theory, G) runs before the lattice, check_member(theory, cls) on
 # each member.  prime: the p, when the pattern has no group for it.
 TheoryRecord = namedtuple("TheoryRecord", "pattern name family build conjugation glue "

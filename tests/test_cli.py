@@ -511,6 +511,17 @@ def test_coequalize_rejects_a_repeated_object_id(tmp_path, capsys):
     _assert_parse_error(*_coequalize(doc, tmp_path, capsys))
 
 
+def test_coequalize_rejects_a_bar_in_an_object_id(tmp_path, capsys):
+    # a class id is <object id>|<point>, so "a|b" with point "c" and "a" with
+    # point "b|c" would give two classes named "a|b|c"
+    doc = {"objects": [{"id": "a|b", "points": ["c"]}, {"id": "a", "points": ["b|c"]}],
+           "maps": []}
+    code, out, err = _coequalize(doc, tmp_path, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {
+        "type": "parse", "message": "bad diagram document: object ids must not contain '|'"}}
+
+
 def test_coequalize_rejects_a_point_repeated_in_one_object(tmp_path, capsys):
     doc = {"objects": [{"id": "a", "points": ["x", "x"]}], "maps": []}
     _assert_parse_error(*_coequalize(doc, tmp_path, capsys))

@@ -58,7 +58,10 @@ CASES = [
     ("spectrum_cyclic9_hz_p3_weak.%s" % fmt,
      ["spectrum", "--group", "cyclic:9", "--theory", "hz:p=3", "--mode", "weak",
       "--format", fmt])
-    for fmt in ("table", "dot")]
+    for fmt in ("table", "dot")] + [
+    # order 2520, 40 classes: the largest lattice of the goldens
+    ("subgroups_alt7.json", ["subgroups", "--group", "alt:7"]),
+]
 
 
 @pytest.mark.parametrize("name,args", CASES)

@@ -5,7 +5,9 @@ public names, and strata asks the kernel's SubgroupClass methods for every
 conjugation instead of working on element numbers itself.  Every parameter
 earns its place: a default is overridden by some call in src/, tests/ or
 demos/, and a public function reads each parameter it takes.  No method
-only returns an attribute: a fact is the attribute itself.
+only returns an attribute: a fact is the attribute itself.  A decision has
+one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
+orders a space, and cli.run alone writes a command's output.
 """
 
 import ast
@@ -234,3 +236,50 @@ def test_the_accessor_check_sees_what_it_forbids():
                      "    def h(self, other):\n        return other.x\n"
                      "    def i(self):\n        x = 1\n        return self.i\n")
     assert accessor_wrappers([tree]) == [("K", "a"), ("K", "b")]
+
+
+def callers(tree, name):
+    """(enclosing def, line) of each call in tree of a function or method
+    called name; the def is dotted through its classes and defs, "" at
+    module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, "%s.%s" % (where, child.name) if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_space_constructor_orders_a_space():
+    writers = ("to_document", "to_json", "to_dot", "to_table")
+    assert [c for c in callers(_trees()["spectrum.py"], "sorted") if c[0] in writers] == []
+
+
+def test_only_run_writes_a_commands_output():
+    assert {where for where, _ in callers(_trees()["cli.py"], "_emit")} == {"run"}
+
+
+def test_only_the_group_constructor_closes_generators():
+    assert {where for tree in _trees().values()
+            for where, _ in callers(tree, "mulclose")} == {"PermGroup.__init__"}
+
+
+def test_the_owner_checks_see_what_they_forbid():
+    tree = ast.parse("class G:\n"
+                     "    def __init__(self, gens):\n        self.e = mulclose(gens)\n"
+                     "def to_dot(space):\n    return [sorted(p) for p in space]\n"
+                     "def _cmd_x(args):\n"
+                     "    def inner():\n        cli._emit(args)\n"
+                     "    return sorted(args, key=lambda a: groups.mulclose(a))\n"
+                     "mulclose(x)\n")
+    assert callers(tree, "sorted") == [("_cmd_x", 9), ("to_dot", 5)]
+    assert callers(tree, "_emit") == [("_cmd_x.inner", 8)]
+    assert callers(tree, "mulclose") == [("", 10), ("G.__init__", 3), ("_cmd_x", 9)]

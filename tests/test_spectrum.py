@@ -327,6 +327,27 @@ def test_weak_unavailable_without_transitions():
         assemble_weak(parse_theory("modp:q=4"), G, "cyclic:2")
 
 
+def test_both_forms_pick_one_representative_per_orbit(corpus_groups, monkeypatch):
+    # with an empty gluing rule modp has a weak form; a rank-2 stratum's Weyl
+    # orbits hold forms of several labels, so the two forms agree only if
+    # they take the same point of each orbit
+    record = strata.THEORIES["modp"]
+    monkeypatch.setitem(strata.THEORIES, "modp", record._replace(
+        glue=lambda theory, members, points: ()))
+    compared = []
+    for dsl, G in corpus_groups + [("alt:5", build_group("alt:5"))]:
+        for q in (4, 8, 9):
+            th = parse_theory("modp:q=%d,deg=2" % q)
+            try:
+                strong = assemble_strong(th, G, dsl)
+            except UnsupportedTheory:  # a rank-3 subgroup
+                continue
+            weak = assemble_weak(th, G, dsl)
+            compared.append((dsl, q, check_agreement(strong, weak).isomorphic))
+    assert len(compared) == 104
+    assert [(dsl, q) for dsl, q, ok in compared if not ok] == []
+
+
 def test_point_counts_strong_equals_weak(corpus_groups):
     for dsl, G in corpus_groups:
         if G.order > 12:
@@ -353,7 +374,7 @@ def test_of_colimit_matches_oq_colimit():
 
         rel_oq = []
         for m in cat.all_morphisms():
-            t = transition_map(th, m, spaces[m.src].points, spaces[m.dst].points)
+            t = transition_map(th, m.witness, spaces[m.src].points, spaces[m.dst].points)
             rel_oq.extend((((m.src, a), (m.dst, b)) for a, b in t.items()))
 
         rel_of = []
@@ -374,7 +395,8 @@ def test_of_colimit_matches_oq_colimit():
                             target = m
                             break
                     assert target is not None, "J is not surjective"
-                    t = transition_map(th, target, spaces[i].points, spaces[j].points)
+                    t = transition_map(th, target.witness, spaces[i].points,
+                                       spaces[j].points)
                     rel_of.extend((((i, a), (j, b)) for a, b in t.items()))
         assert quotient_classes(rel_oq) == quotient_classes(rel_of), dsl
 

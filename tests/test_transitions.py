@@ -5,15 +5,16 @@ import math
 
 import pytest
 
+from quillen_strata.checks import CORPUS
 from quillen_strata.groups import build_group
-from quillen_strata.orbit_cat import build_orbit_category
+from quillen_strata.orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from quillen_strata.rings import (CycloField, Poly, RingError,
                                   cyclic_spectrum_ring, cyclotomic_factors_mod,
                                   cyclotomic_poly, divides, level_polynomial_P,
                                   primes_upto)
 from quillen_strata.spectrum import _class_keys, assemble_strong, assemble_weak
-from quillen_strata.strata import (_galois_image, parse_theory, stratum,
-                                   theory_family_classes, transition_map)
+from quillen_strata.strata import (UnsupportedTheory, _galois_image, parse_theory,
+                                   stratum, theory_family_classes, transition_map)
 
 from conftest import (modular_preimage, reference_ku_action,
                       reference_ku_transition)
@@ -39,7 +40,7 @@ def test_height1_inclusion_c2_in_c4_is_label_preserving():
     th, G, members, cat, spaces = _setup("cyclic:4", "height1:p=2")
     idx = {c.order: i for i, c in enumerate(members)}
     m = cat.homs[(idx[2], idx[4])][0]
-    t = transition_map(th, m, spaces[idx[2]].points, spaces[idx[4]].points)
+    t = transition_map(th, m.witness, spaces[idx[2]].points, spaces[idx[4]].points)
     src_labels = {p.id: p.label for p in spaces[idx[2]].points}
     dst_labels = {p.id: p.label for p in spaces[idx[4]].points}
     assert sorted(src_labels.values()) == ["F_2", "Q_2", "Q_2(zeta_2)"]
@@ -54,7 +55,7 @@ def test_height1_automorphism_acts_as_identity():
     auts = cat.homs[(i, i)]
     assert len(auts) == 2
     for m in auts:
-        t = transition_map(th, m, spaces[i].points, spaces[i].points)
+        t = transition_map(th, m.witness, spaces[i].points, spaces[i].points)
         assert all(src == dst for src, dst in t.items())
 
 
@@ -62,7 +63,7 @@ def test_ku_inclusion_preserves_minimal_and_modular_descriptors():
     th, G, members, cat, spaces = _setup("cyclic:6", "ku", prime_bound=7)
     idx = {c.order: i for i, c in enumerate(members)}
     m = cat.homs[(idx[3], idx[6])][0]
-    t = transition_map(th, m, spaces[idx[3]].points, spaces[idx[6]].points)
+    t = transition_map(th, m.witness, spaces[idx[3]].points, spaces[idx[6]].points)
     src = {p.id: p for p in spaces[idx[3]].points}
     dst = {p.id: p for p in spaces[idx[6]].points}
     for a, b in t.items():
@@ -82,7 +83,7 @@ def test_ku_conjugation_transition_is_galois():
     auts = cat.homs[(i, i)]
     nontrivial = [m for m in auts if m.witness != G.identity()]
     assert len(nontrivial) == 1
-    t = transition_map(th, nontrivial[0], spaces[i].points, spaces[i].points)
+    t = transition_map(th, nontrivial[0].witness, spaces[i].points, spaces[i].points)
     moved = {a for a, b in t.items() if a != b}
     # exactly the two C3-stratum primes above 7 = 1 mod 3 swap; the copy of
     # Spec(Z) inside Spec(R(C_3)) is fixed pointwise
@@ -112,7 +113,7 @@ def test_ku_identity_witness_keeps_stratum_and_descriptor(dsl):
         if m.witness != identity:
             continue
         H, K = members[m.src], members[m.dst]
-        t = transition_map(th, m, spaces[m.src].points, spaces[m.dst].points)
+        t = transition_map(th, m.witness, spaces[m.src].points, spaces[m.dst].points)
         masks_h, masks_k = _stratum_masks(th, H), _stratum_masks(th, K)
         src = {pt.id: pt for pt in spaces[m.src].points}
         dst = {pt.id: pt for pt in spaces[m.dst].points}
@@ -147,8 +148,40 @@ def test_ku_frobenius_labels_match_search(dsl, bound):
         assert model.action == reference_ku_action(model), (dsl, cls.index)
     for m in cat.all_morphisms():
         src, dst = spaces[m.src].points, spaces[m.dst].points
-        assert transition_map(th, m, src, dst) == reference_ku_transition(
+        assert transition_map(th, m.witness, src, dst) == reference_ku_transition(
             m, members[m.src], members[m.dst], src, dst), (dsl, m[:3])
+
+
+def _rank_two_modp_cases():
+    """(group, theory) for the corpus groups and alt:5 whose modp:q=Q,deg=2
+    family has a rank-2 member, at q = 4, 8 and 9."""
+    cases = []
+    for dsl in CORPUS + ["alt:5"]:
+        for q in (4, 8, 9):
+            th = parse_theory("modp:q=%d,deg=2" % q)
+            try:
+                members = theory_family_classes(th, build_group(dsl))
+            except UnsupportedTheory:  # a rank-3 subgroup
+                continue
+            if any(cls.p_rank(th.p) == 2 for cls in members):
+                cases.append((dsl, th.name))
+    return cases
+
+
+@pytest.mark.parametrize("dsl,theory_text", _rank_two_modp_cases())
+def test_modp_transition_maps_are_functorial(dsl, theory_text):
+    # the first transition maps that cross classes on modp's rank-2 strata:
+    # their diagram validates, and its colimit has one class per point of
+    # the strong form
+    th, G, members, cat, spaces = _setup(dsl, theory_text)
+    diagram = OrbitDiagram(
+        category=cat,
+        point_sets={i: tuple(pt.id for pt in space.points)
+                    for i, space in enumerate(spaces)},
+        maps={m: transition_map(th, m.witness, spaces[m.src].points,
+                                spaces[m.dst].points)
+              for m in cat.all_morphisms()})
+    assert len(colimit(diagram)) == len(assemble_strong(th, G).points)
 
 
 def test_weak_assembly_over_sym4_p2():
