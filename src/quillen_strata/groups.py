@@ -284,13 +284,12 @@ class PermGroup:
     parent's; only a root group (parent None) enumerates its own, and only a
     root builds an element index, which its subgroups share.  The sorted
     elements, the index, the element numbers and mask, the subgroup sets and
-    the generator numbers are cached properties; the conjugacy classes (with
-    the class of each subgroup set) are cached by subgroups_up_to_conjugacy.
+    the generator numbers are cached properties; the conjugacy classes are
+    cached by subgroups_up_to_conjugacy.
     """
 
     parent = None
     _classes = None
-    _class_of = None
 
     def __init__(self, degree, generators):
         self.degree = degree
@@ -424,23 +423,23 @@ def all_subgroup_sets(G):
 
 def _orbit_and_normalizer(index, S, elems, gens):
     """The conjugacy orbit of the subgroup S under the group generated by
-    gens, as {T: (t, elements of T)} with t S t^-1 = T, and the normalizer
-    of S, closed from the Schreier generators t_U^-1 a t_T (U = a T a^-1)."""
-    orbit = {S: (0, elems)}
-    queue = [S]
+    gens, as {T: t} with t S t^-1 = T, and the normalizer of S, closed
+    from the Schreier generators t_U^-1 a t_T (U = a T a^-1)."""
+    orbit = {S: 0}
+    queue = [(S, elems)]
     schreier = []
-    for T in queue:
-        t, els = orbit[T]
+    for T, els in queue:
+        t = orbit[T]
         for a in gens:
             row = index.conj(a)
             img = [row[x] for x in els]
             U = bitmask(img)
             at = index.left(a)[t]
             if U not in orbit:
-                orbit[U] = (at, img)
-                queue.append(U)
+                orbit[U] = at
+                queue.append((U, img))
             else:
-                schreier.append(index.mul(index.inverse(orbit[U][0]), at))
+                schreier.append(index.mul(index.inverse(orbit[U]), at))
     return orbit, tuple(sorted(_generate(index, schreier)[1]))
 
 
@@ -448,11 +447,12 @@ class SubgroupClass(PermGroup):
     """A conjugacy class of subgroups of parent, as its canonical representative.
 
     index is the position in the parent's canonical class list.  orbit maps
-    the bitmask of each conjugate T of the representative S to (t, elements
-    of T) with t S t^-1 = T, so the g with g S g^-1 = T are t times the
-    normalizer.  conjugates is the number of subgroups in the class.  The
-    normalizer and the centralizer are held as ascending numbers; the
-    centralizer is taken inside the normalizer, against the generators of S.
+    the bitmask of each conjugate T of the representative S to the number t
+    with t S t^-1 = T, so the g with g S g^-1 = T are t times the normalizer;
+    T's elements are the parent's subgroup_sets[T].  conjugates is the number
+    of subgroups in the class.  The normalizer and the centralizer are held
+    as ascending numbers; the centralizer is taken inside the normalizer,
+    against the generators of S.
     A class closes nothing: it takes its numbers, mask and the parent's
     index as given, and builds its Perm elements only when they are read.
     """
@@ -493,7 +493,7 @@ class SubgroupClass(PermGroup):
         g = index.number[g]
         T = bitmask(index.conjugates(g, self.numbers))
         L = _class_of_mask(classes, T)
-        return L, index.perms[index.mul(index.inverse(L.orbit[T][0]), g)]
+        return L, index.perms[index.mul(index.inverse(L.orbit[T]), g)]
 
     def conjugation_exponent(self, x, L):
         """The a in 1..|S| with x h x^-1 = h2^a, for h and h2 the cyclic
@@ -547,21 +547,19 @@ def subgroups_up_to_conjugacy(G):
     """
     if G._classes is not None:
         return list(G._classes)
-    if G.order > MAX_ORDER:
-        raise BoundExceeded("group order %d exceeds bound" % G.order)
     index = G.element_index
     subs = G.subgroup_sets
     abelian = G.is_abelian()
     gens = G.generator_numbers
     classes = []
-    class_of = {}
+    seen = set()
     # visited in (order, key) order, so the first unvisited subgroup is the
     # least of its orbit and the classes come out sorted
     for S in sorted(subs, key=lambda s: (len(subs[s]), subs[s])):
-        if S in class_of:
+        if S in seen:
             continue
         if abelian:
-            orbit, normalizer = {S: (0, subs[S])}, G.numbers
+            orbit, normalizer = {S: 0}, G.numbers
         else:
             orbit, normalizer = _orbit_and_normalizer(index, S, subs[S], gens)
         cls = SubgroupClass(parent=G, mask=S, numbers=subs[S], orbit=orbit,
@@ -571,9 +569,8 @@ def subgroups_up_to_conjugacy(G):
         if S & ~bitmask(normalizer):
             raise GroupError("normalizer inclusion violated")
         classes.append(cls)
-        class_of.update(dict.fromkeys(orbit, cls))
+        seen.update(orbit)
     G._classes = tuple(classes)
-    G._class_of = class_of
     return classes
 
 
@@ -588,10 +585,11 @@ def class_containing(classes, elements):
 
 
 def _class_of_mask(classes, mask):
-    cls = classes[0].parent._class_of.get(mask)
-    if cls is None or cls not in classes:
-        raise GroupError("subgroup does not match any class")
-    return cls
+    """The class among classes whose orbit holds the subgroup mask."""
+    for cls in classes:
+        if mask in cls.orbit:
+            return cls
+    raise GroupError("subgroup does not match any class")
 
 
 # -- Weyl groups -------------------------------------------------------------
@@ -755,18 +753,15 @@ def read_int(digits, error=GroupParseError):
 
 def _parse_cycles(text):
     """The cycles of one generator, written as a sequence of (...) cycles
-    whose points are separated by spaces or commas."""
+    whose points are separated by spaces or commas; () is the identity."""
     cycles = []
     rest = text.replace(",", " ")
     if not _CYCLES_RE.fullmatch(rest):
         raise GroupParseError("bad cycle syntax %r" % (text,))
-    consumed = "".join(_CYCLE_RE.findall(rest))
     for body in _CYCLE_RE.findall(rest):
         pts = [read_int(t) for t in body.split()]
         if len(pts) >= 2:
             cycles.append(tuple(pts))
-        elif len(pts) == 0 and not consumed:
-            raise GroupParseError("empty cycle in %r" % (text,))
     return cycles
 
 
@@ -838,8 +833,6 @@ def build_group(spec):
 def _named_group(name, n):
     if name == "cyclic":
         _check_degree(n)
-        if n == 1:
-            return PermGroup(1, ())
         return PermGroup(n, (Perm(tuple((i + 1) % n for i in range(n))),))
     if name == "dihedral":
         if 2 * n > MAX_ORDER:

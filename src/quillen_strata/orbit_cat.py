@@ -71,7 +71,7 @@ def build_orbit_category(G, classes):
     for i, Hc in enumerate(classes):
         c_rows = [index.right(c) for c in Hc.centralizer_generators]
         transporters = [(T, [index.mul(t, n) for n in Hc.normalizer_numbers])
-                        for T, (t, _) in Hc.orbit.items()]
+                        for T, t in Hc.orbit.items()]
         for j, Kc in enumerate(classes):
             outside = ~Kc.mask
             rows = k_rows[j] + c_rows

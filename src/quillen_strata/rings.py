@@ -450,13 +450,8 @@ class Poly(namedtuple("Poly", "coeffs dom")):
 
     def derivative(self):
         dom = self.dom
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            term = dom.zero
-            for _ in range(i):
-                term = dom.add(term, c)
-            out.append(term)
-        return Poly(tuple(out), dom)
+        return Poly(tuple(dom.mul(dom.of_int(i), c)
+                          for i, c in enumerate(self.coeffs) if i), dom)
 
     def monic(self):
         if self.is_zero() or self.is_monic():

@@ -81,12 +81,8 @@ def assemble_strong(theory, G, group_label=""):
     members = theory_family_classes(theory, G)
     keys = _class_keys(members)
     points = []
-    edges = {}         # (src, dst) -> SpaceEdge; the first edge of a pair wins
+    edges = set()
     truncated = False
-
-    def add_edge(src, dst, kind, provenance=""):
-        edges.setdefault((src, dst), SpaceEdge(src, dst, kind, provenance))
-
     for cls in members:
         model = stratum(theory, cls)
         skey = keys[cls.index]
@@ -102,13 +98,10 @@ def assemble_strong(theory, G, group_label=""):
                 pid_of[i] = pid
         for (i, j) in model.internal_edges:
             if pid_of[i] != pid_of[j]:
-                add_edge(pid_of[i], pid_of[j], "internal")
+                edges.add(SpaceEdge(pid_of[i], pid_of[j], "internal"))
     if theory.record.glue:  # None: no edges between strata
-        for edge in theory.record.glue(theory, members, points):
-            add_edge(*edge)
-
-    return _space(_meta(theory, group_label, "strong", truncated),
-                  points, edges.values())
+        edges.update(SpaceEdge(*edge) for edge in theory.record.glue(theory, members, points))
+    return _space(_meta(theory, group_label, "strong", truncated), points, edges)
 
 
 def _space(meta, points, edges):
@@ -161,23 +154,16 @@ def assemble_weak(theory, G, group_label=""):
             proj_id[mkey] = wid
 
     stratum_of = {pt.id: pt.stratum for pt in weak_points}
-    weak_edges = {}
+    weak_edges = set()
     for i, space in enumerate(spaces):
         for e in space.edges:
-            src = proj_id[(i, e.src)]
-            dst = proj_id[(i, e.dst)]
-            if src == dst:
-                continue
-            if e.kind == "external":
-                weak_edges[(src, dst, "external")] = SpaceEdge(
-                    src, dst, "external", e.provenance)
-                continue
-            kind = "internal" if stratum_of[src] == stratum_of[dst] else "cross-stratum"
-            weak_edges[(src, dst, kind)] = SpaceEdge(src, dst, kind)
-
+            src, dst = proj_id[(i, e.src)], proj_id[(i, e.dst)]
+            if src != dst:
+                kind = e.kind if e.kind == "external" else (
+                    "internal" if stratum_of[src] == stratum_of[dst] else "cross-stratum")
+                weak_edges.add(SpaceEdge(src, dst, kind, e.provenance))
     truncated = any(space.meta["truncated"] for space in spaces)
-    return _space(_meta(theory, group_label, "weak", truncated),
-                  weak_points, weak_edges.values())
+    return _space(_meta(theory, group_label, "weak", truncated), weak_points, weak_edges)
 
 
 # -- isomorphism check ---------------------------------------------------------

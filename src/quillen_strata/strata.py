@@ -20,7 +20,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .groups import FamilySpec, family_members, read_int, weyl
-from .orbit_cat import quotient
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
                     PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
                     least_prime_factor, p_part, prime_splitting, primes_upto,
@@ -42,7 +41,7 @@ class UnsupportedTheory(Exception):
 class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
                             defaults=(0, 1, DEFAULT_PRIME_BOUND, DEFAULT_DEGREE_BOUND))):
     """kind is the key of the theory's record in THEORIES; p the prime (height1,
-    hz, modp, kr); q = p^f for modp.  All built-in theories arise globally."""
+    hz, modp); q = p^f for modp.  All built-in theories arise globally."""
 
     __slots__ = ()
 
@@ -81,8 +80,7 @@ def parse_theory(text, prime_bound=None, degree_bound=None):
     else:
         raise TheoryError("cannot parse theory spec %r" % (text,))
     found = m.groupdict()
-    fields = {"p": record.prime,
-              "prime_bound": DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
+    fields = {"prime_bound": DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
               "degree_bound": DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound}
     if found.get("p"):
         p = fields["p"] = read_int(found["p"], TheoryError)
@@ -147,10 +145,10 @@ class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges we
     __slots__ = ()
 
     def orbits(self):
-        """Weyl orbits of point indices, each sorted, in canonical order."""
-        return [members for _, members in quotient(
-            range(len(self.points)),
-            [(i, j) for perm in self.action for i, j in enumerate(perm)])]
+        """Weyl orbits of point indices, each sorted, in canonical order: the
+        orbit of i is its images under every Weyl element."""
+        return sorted({tuple(sorted({perm[i] for perm in self.action}))
+                       for i in range(len(self.points))})
 
 
 def stratum(theory, cls):
@@ -561,9 +559,9 @@ def _rank_at_most_two(theory, cls):
 # actions and transition maps.  glue(theory, members, points): the strong form's
 # edges between the members' strata, or None, and then no weak form either.
 # check_group(theory, G) runs before the lattice, check_member(theory, cls) on
-# each member.  prime: the p, when the pattern has no group for it.
+# each member.
 TheoryRecord = namedtuple("TheoryRecord", "pattern name family build conjugation glue "
-                          "check_group check_member prime", defaults=(None, None, 0))
+                          "check_group check_member", defaults=(None, None))
 
 THEORIES = {
     "height1": TheoryRecord(r"height1:p=(?P<p>\d+)", "height1:p={0.p}", FamilySpec.cyclic_p,
@@ -580,7 +578,7 @@ THEORIES = {
                          _stratum_modp, _modp_conjugation, None,
                          check_member=_rank_at_most_two),
     # the trivial subgroup is the one family member, so there is one stratum
-    "kr": TheoryRecord("kr", "kr", lambda p: FamilySpec.abelian_p_rank(p, 0),
+    "kr": TheoryRecord("kr", "kr", lambda p: FamilySpec.abelian_p_rank(2, 0),
                        lambda theory, cls: _spec_z_points(theory.prime_bound), _fixed,
-                       None, check_group=_order_two_only, prime=2),
+                       None, check_group=_order_two_only),
 }

@@ -374,9 +374,9 @@ def class_transporters(cls):
     of the normalizer, sorted."""
     index = cls.element_index
     images = [p.images for p in index.perms]
-    return {frozenset(images[x] for x in els):
+    return {frozenset(images[x] for x in cls.parent.subgroup_sets[T]):
             sorted(images[index.mul(t, n)] for n in cls.normalizer_numbers)
-            for t, els in cls.orbit.values()}
+            for T, t in cls.orbit.items()}
 
 
 def check_class_conjugators(G, label=""):

@@ -380,6 +380,28 @@ def test_point_in_two_cycles_is_a_parse_error(capsys):
                                  "gens:(0 1)(0 2)"], capsys))
 
 
+@pytest.mark.parametrize("group", ["sym:4", "alt:5",
+                                   "perm:(0 1 4 5)(2 3 6 7);(0 2 4 6)(1 7 5 3)"])
+def test_printed_generators_select_their_class(group, capsys):
+    # the trivial class prints its generator as (), the identity
+    code, out, _ = invoke(["subgroups", "--group", group], capsys)
+    assert code == 0
+    for c in json.loads(out)["classes"]:
+        sel = "gens:" + ";".join(c["generators"])
+        code, out, _ = invoke(["weyl", "--group", group, "--h", sel], capsys)
+        assert code == 0 and json.loads(out)["subgroup"] == c, sel
+
+
+def test_an_empty_cycle_is_the_identity(capsys):
+    for spec in ("perm:()", "perm:();(0 1)"):
+        docs = []
+        for text in (spec, spec.replace("()", "( )")):
+            code, out, _ = invoke(["subgroups", "--group", text], capsys)
+            assert code == 0
+            docs.append(dict(json.loads(out), group=None))
+        assert docs[0] == docs[1], spec
+
+
 BIG = "99999999999999999999"
 M61 = str(2 ** 61 - 1)  # a prime: trial division up to its square root never ends
 

@@ -7,7 +7,9 @@ earns its place: a default is overridden by some call in src/, tests/ or
 demos/, and a public function reads each parameter it takes.  No method
 only returns an attribute: a fact is the attribute itself.  A decision has
 one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
-orders a space, and cli.run alone writes a command's output.
+orders a space, and cli.run alone writes a command's output.  A fact has one
+copy: mulclose's cap is the one order bound (the DSL reads it to refuse
+early), and strata reads Weyl orbits off its actions, not through orbit_cat.
 """
 
 import ast
@@ -238,10 +240,10 @@ def test_the_accessor_check_sees_what_it_forbids():
     assert accessor_wrappers([tree]) == [("K", "a"), ("K", "b")]
 
 
-def callers(tree, name):
-    """(enclosing def, line) of each call in tree of a function or method
-    called name; the def is dotted through its classes and defs, "" at
-    module level."""
+def _uses(tree, match):
+    """(enclosing def, line) of each node in tree that match accepts; the def
+    is dotted through its classes and defs, "" at module level, and a def's
+    signature belongs to it."""
     found = []
 
     def visit(node, where):
@@ -249,13 +251,45 @@ def callers(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, "%s.%s" % (where, child.name) if where else child.name)
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if match(child):
                 found.append((where, child.lineno))
             visit(child, where)
 
     visit(tree, "")
     return sorted(found)
+
+
+def _named(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def callers(tree, name):
+    """(enclosing def, line) of each call in tree of a function or method
+    called name."""
+    return _uses(tree, lambda node: isinstance(node, ast.Call) and _named(node.func, name))
+
+
+def readers(tree, name):
+    """(enclosing def, line) of each read in tree of a variable or attribute
+    called name."""
+    return _uses(tree, lambda node: (isinstance(getattr(node, "ctx", None), ast.Load)
+                                     and _named(node, name)))
+
+
+def imported_modules(tree):
+    """The package modules that tree imports or takes names from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package_import(node):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "quillen_strata"):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names
+                         if alias.name.startswith("quillen_strata."))
+    return found
 
 
 def test_only_the_space_constructor_orders_a_space():
@@ -272,6 +306,16 @@ def test_only_the_group_constructor_closes_generators():
             for where, _ in callers(tree, "mulclose")} == {"PermGroup.__init__"}
 
 
+def test_one_order_cap():
+    # mulclose's default cap bounds every group; the DSL checks it early
+    where = {where for tree in _trees().values() for where, _ in readers(tree, "MAX_ORDER")}
+    assert where == {"mulclose", "_named_group", "_direct_product"}
+
+
+def test_strata_reads_weyl_orbits_off_its_action():
+    assert "orbit_cat" not in imported_modules(_trees()["strata.py"])
+
+
 def test_the_owner_checks_see_what_they_forbid():
     tree = ast.parse("class G:\n"
                      "    def __init__(self, gens):\n        self.e = mulclose(gens)\n"
@@ -283,3 +327,12 @@ def test_the_owner_checks_see_what_they_forbid():
     assert callers(tree, "sorted") == [("_cmd_x", 9), ("to_dot", 5)]
     assert callers(tree, "_emit") == [("_cmd_x.inner", 8)]
     assert callers(tree, "mulclose") == [("", 10), ("G.__init__", 3), ("_cmd_x", 9)]
+    tree = ast.parse("from .orbit_cat import quotient\n"
+                     "from . import rings\n"
+                     "import quillen_strata.groups as g\n"
+                     "from quillen_strata import cli\n"
+                     "import os.path\n"
+                     "def mulclose(gens, cap=MAX_ORDER):\n    return g.MAX_ORDER\n"
+                     "MAX_ORDER = 1\n")
+    assert imported_modules(tree) == {"orbit_cat", "rings", "groups", "cli"}
+    assert readers(tree, "MAX_ORDER") == [("mulclose", 6), ("mulclose", 7)]

@@ -357,6 +357,28 @@ def test_point_counts_strong_equals_weak(corpus_groups):
         assert len(s.points) == len(w.points), dsl
 
 
+def test_each_pair_of_points_has_one_edge(corpus_groups):
+    # what lets both assemblies keep their edges in a set: a strong space
+    # has one edge per (src, dst), a weak one one per (src, dst, kind)
+    checked = []
+    for dsl, G in corpus_groups:
+        for spec in ("height1:p=2", "height1:p=3", "ku", "hz:p=2", "hz:p=3", "kr",
+                     "modp:q=4,deg=2", "modp:q=9,deg=2"):
+            theory = parse_theory(spec)
+            forms = [(assemble_strong, 2)]
+            if theory.record.glue:  # else no weak form
+                forms.append((assemble_weak, 3))
+            for assemble, fields in forms:
+                try:
+                    space = assemble(theory, G, dsl)
+                except UnsupportedTheory:  # outside the theory's groups
+                    continue
+                keys = [e[:fields] for e in space.edges]
+                assert len(keys) == len(set(keys)), (dsl, spec, assemble.__name__)
+                checked.append(space.meta["mode"])
+    assert (checked.count("strong"), checked.count("weak")) == (182, 113)
+
+
 def test_of_colimit_matches_oq_colimit():
     # the orbit-category colimit (computed through coset witnesses) gives the
     # same partition as the Quillen orbit category colimit

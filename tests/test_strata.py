@@ -45,8 +45,7 @@ def theory_specs(draw):
     a prime p, or a prime power q <= 256, and the bounds."""
     kind = draw(st.sampled_from(sorted(THEORIES)))
     groups = re.compile(THEORIES[kind].pattern).groupindex
-    fields = {"p": THEORIES[kind].prime,
-              "prime_bound": draw(st.integers(1, MAX_PRIME_BOUND)),
+    fields = {"prime_bound": draw(st.integers(1, MAX_PRIME_BOUND)),
               "degree_bound": draw(st.integers(1, 64))}
     if "p" in groups:
         fields["p"] = draw(st.sampled_from(primes_upto(65521)))
