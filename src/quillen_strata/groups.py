@@ -760,7 +760,7 @@ def _parse_cycles(text):
         raise GroupParseError("bad cycle syntax %r" % (text,))
     for body in _CYCLE_RE.findall(rest):
         pts = [read_int(t) for t in body.split()]
-        if len(pts) >= 2:
+        if pts:
             cycles.append(tuple(pts))
     return cycles
 

@@ -5,11 +5,12 @@ object.  Generic factorization over prime fields is distinct-degree followed
 by Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG.
 The factors of Phi_d mod q, all of one known degree, come instead from the
 roots of unity in F_q when that degree is 1, and otherwise from random
-Frobenius-fixed coset sums raised to (q-1)/2 once per round for all pieces,
-with no distinct-degree pass.  Both raise residues to powers with one bigint
-product per step, each residue packed into one int with a 64-bit slot per
-coefficient.  Factor lists are always returned in canonical order, so every
-result here is reproducible bit for bit.
+Frobenius-fixed coset sums raised to (q-1)/2 in F_q[X]/(Phi_e) once per round
+for all pieces, with no distinct-degree pass.  Both raise residues to powers
+through `_zp_mulmod`, with one bigint product per step, each residue packed
+into one int with a 64-bit slot per coefficient.  Factor lists are always
+returned in canonical order, so every result here is reproducible bit for
+bit.
 """
 
 import math
@@ -743,29 +744,16 @@ def cyclotomic_factors_mod(d, q):
     """The distinct monic irreducible factors of Phi_d mod q, sorted.
 
     For d = q^k * e with q coprime to e, Phi_d = Phi_e^phi(q^k) mod q, so the
-    factors are those of Phi_e, each of degree f = ord_e(q).  For e = 2m with
-    m > 1 odd, they come from those of Phi_m, as Phi_2m(X) = Phi_m(-X).  For
-    f = 1, e divides q - 1 and the factors are the X - zeta^a over the units
-    a mod e, for one zeta of exact order e in F_q.  For f > 1 they come from
+    factors are those of Phi_e, each of degree f = ord_e(q).  For f = 1 and
+    e > 2, e divides q - 1 and the factors are the X - zeta^a over the units
+    a mod e, for one zeta of exact order e in F_q.  Otherwise they come from
     `_split_cyclotomic`.
     """
     dom = GF(q)
     e = p_part(d, q)[1]
-    if e % 4 == 2 and e > 2:
-        # Phi_2m(X) = Phi_m(-X) for odd m > 1: a factor g of Phi_m of degree
-        # k gives the monic factor (-1)^k g(-X), with coefficients (-1)^(i+k) g_i
-        flipped = [tuple(-c % q if (i + g.degree) % 2 else c
-                         for i, c in enumerate(g.coeffs))
-                   for g in cyclotomic_factors_mod(e // 2, q)]
-        return tuple(Poly(c, dom) for c in sorted(flipped))
     f = multiplicative_order(q, e)
     phi = [c % q for c in cyclotomic_poly(e).coeffs]
-    if len(phi) - 1 == f:
-        # Phi_e is irreducible; neither path below handles one factor: the
-        # f = 1 search needs e >= 3, and `_split_cyclotomic` outputs a piece
-        # only after splitting it
-        return (Poly(tuple(phi), dom),)
-    if f == 1:
+    if f == 1 and e > 2:
         # zeta = x^((q-1)/e) for the least x >= 2 with zeta^(e/l) != 1 for
         # every prime l | e
         cofactors = []
@@ -784,19 +772,18 @@ def cyclotomic_factors_mod(d, q):
 
 
 def _split_cyclotomic(phi, e, f, q):
-    """The factors of phi = Phi_e mod q, all of degree f = ord_e(q) > 1.
+    """The factors of phi = Phi_e mod q, all of degree f = ord_e(q): phi
+    itself when it has degree f, as for e <= 2.
 
     Frobenius maps X^i to X^(iq), so a sum r = sum_i c_i X^i with c constant
     on every coset i<q> of Z/e is fixed by it: r is a scalar of F_q modulo
     each factor, and these coset sums span Berlekamp's fixed subalgebra.  Each
-    round draws one random coset sum r and computes s = r^((q-1)/2) - 1, or
-    s = r for q = 2, once for all pieces, in F_q[X]/(X^w - sign): X^e - 1
-    for odd e and X^(e/2) + 1 for 4 | e, both multiples of Phi_e.  Then
-    gcd(g, s mod g) splits each piece g whose factors s does not treat alike.
-    A residue is packed as in `_zp_mulmod`, so a product is one bigint
-    product and one fold of its high half onto the low one.
+    round draws one random coset sum r, reduces it mod phi and computes
+    s = r^((q-1)/2) - 1, or s = r for q = 2, once for all pieces, in
+    F_q[X]/(phi).  Then gcd(g, s mod g) splits each piece g whose factors s
+    does not treat alike.  A residue is packed as in `_zp_mulmod`, so a
+    product is one bigint product and one reduction.
     """
-    w, sign = (e, 1) if e % 2 else (e // 2, -1)
     coset = [None] * e
     ncosets = 0
     for i in range(e):
@@ -806,28 +793,16 @@ def _split_cyclotomic(phi, e, f, q):
                 coset[j] = ncosets
                 j = j * q % e
             ncosets += 1
-    reduce = _zp_reducer(phi, q, w)
-    low = (1 << 64 * w) - 1
-    # X^w = -1 folds by subtraction; adding w q^2, a multiple of q above every
-    # high slot, to each slot keeps them >= 0, and all stay below 2^64
-    bias = 0 if sign == 1 else _zp_pack([w * q * q] * w)
-
-    def mul(a, b):
-        c = a * b
-        return _zp_pack([x % q for x in _zp_unpack((c & low) + bias + sign * (c >> 64 * w))])
-
+    reduce = _zp_reducer(phi, q, e)
+    mul = _zp_mulmod(phi, q)
     rng = random.Random(e << 32 | q)
-    done = []
-    pieces = [phi]
+    done, pieces = ([phi], []) if len(phi) - 1 == f else ([], [phi])
     while pieces:
         lam = rng.choices(range(q), k=ncosets)
-        r = [lam[c] for c in coset]
-        if w < e:
-            r = [(a - b) % q for a, b in zip(r, r[w:])]
-        s = _zp_pack(r)
+        s = reduce(_zp_pack([lam[c] for c in coset]))
         if q > 2:
             s = _power(s, (q - 1) // 2, mul, 1) + q - 1
-        s = list(_zp_unpack(reduce(s)))
+        s = list(_zp_unpack(s))
         left = []
         for g in pieces:
             h = _zp_gcd(g, _zp_divmod(s, g, q)[1], q)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from quillen_strata.cli import (COMMANDS, CliParseError, make_parser, run,
                                 table_parse)
+from quillen_strata.groups import build_group
 from quillen_strata.spectrum import check_agreement, deserialize
 from quillen_strata.strata import THEORIES
 
@@ -400,6 +401,28 @@ def test_an_empty_cycle_is_the_identity(capsys):
             assert code == 0
             docs.append(dict(json.loads(out), group=None))
         assert docs[0] == docs[1], spec
+
+
+@pytest.mark.parametrize("args,code,kind,message", [
+    (["weyl", "--group", "sym:3", "--h", "gens:(7)"], 1, "parse", "point 7 out of range"),
+    (["weyl", "--group", "sym:3", "--h", "gens:(0 1);(5)"], 1, "parse",
+     "point 5 out of range"),
+    (["subgroups", "--group", "perm:(0 1)(99)"], 2, "domain",
+     "degree 100 exceeds DSL bound 64"),
+    (["subgroups", "--group", "perm:(0 1)(1)"], 1, "parse",
+     "point 1 in two cycles of one generator"),
+])
+def test_a_one_point_cycle_is_checked(args, code, kind, message, capsys):
+    got, out, err = invoke(args, capsys)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == {"message": message, "type": kind}
+
+
+def test_a_one_point_cycle_counts_in_the_degree(capsys):
+    # (9) fixes 9, so the group acts on 0..9 and gens:(9) is the identity
+    assert build_group("perm:(0 1)(9)").degree == 10
+    code, out, _ = invoke(["weyl", "--group", "perm:(0 1)(9)", "--h", "gens:(9)"], capsys)
+    assert code == 0 and json.loads(out)["subgroup"]["order"] == 1
 
 
 BIG = "99999999999999999999"

@@ -7,7 +7,8 @@ earns its place: a default is overridden by some call in src/, tests/ or
 demos/, and a public function reads each parameter it takes.  No method
 only returns an attribute: a fact is the attribute itself.  A decision has
 one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
-orders a space, and cli.run alone writes a command's output.  A fact has one
+orders a space, cli.run alone writes a command's output, and one splitter,
+which defines no arithmetic of its own, factors Phi_d mod q.  A fact has one
 copy: mulclose's cap is the one order bound (the DSL reads it to refuse
 early), and strata reads Weyl orbits off its actions, not through orbit_cat.
 """
@@ -276,6 +277,14 @@ def readers(tree, name):
                                      and _named(node, name)))
 
 
+def nested_functions(tree, name):
+    """The lines of the defs and lambdas inside each def in tree called name."""
+    return sorted(node.lineno for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == name
+                  for node in ast.walk(fn)
+                  if node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda)))
+
+
 def imported_modules(tree):
     """The package modules that tree imports or takes names from."""
     found = set()
@@ -316,6 +325,16 @@ def test_strata_reads_weyl_orbits_off_its_action():
     assert "orbit_cat" not in imported_modules(_trees()["strata.py"])
 
 
+def test_one_splitter_for_cyclotomic_factors():
+    # cyclotomic_factors_mod does not recurse, and _split_cyclotomic multiplies
+    # in F_q[X]/(Phi_e) through _zp_mulmod, not in a ring of its own
+    tree = _trees()["rings.py"]
+    assert {where for where, _ in callers(tree, "cyclotomic_factors_mod")} == {
+        "cyclic_spectrum_ring"}
+    assert nested_functions(tree, "_split_cyclotomic") == []
+    assert "_split_cyclotomic" in {where for where, _ in callers(tree, "_zp_mulmod")}
+
+
 def test_the_owner_checks_see_what_they_forbid():
     tree = ast.parse("class G:\n"
                      "    def __init__(self, gens):\n        self.e = mulclose(gens)\n"
@@ -336,3 +355,10 @@ def test_the_owner_checks_see_what_they_forbid():
                      "MAX_ORDER = 1\n")
     assert imported_modules(tree) == {"orbit_cat", "rings", "groups", "cli"}
     assert readers(tree, "MAX_ORDER") == [("mulclose", 6), ("mulclose", 7)]
+    tree = ast.parse("def split(phi):\n"
+                     "    def mul(a, b):\n        return a * b\n"
+                     "    sq = lambda a: mul(a, a)\n"
+                     "    return split(phi[1:])\n"
+                     "def other():\n    return lambda: split(0)\n")
+    assert nested_functions(tree, "split") == [2, 4]
+    assert callers(tree, "split") == [("other", 7), ("split", 5)]

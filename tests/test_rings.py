@@ -133,9 +133,9 @@ def test_splitting_against_naive_trial_division(d, q):
 
 
 def test_splitting_matches_package_factorization():
-    # d = 2m above 40 with m odd takes the Phi_2m(X) = Phi_m(-X) reduction;
-    # where q | d, as at q = 2 or q = 3 with 9 | d, it starts from the q-free
-    # part of d, and factor() has repeated factors
+    # d = 2m above 40 with m odd splits Phi_2m itself, as one splitter serves
+    # every e; where q | d, as at q = 2 or q = 3 with 9 | d, it starts from
+    # the q-free part of d, and factor() has repeated factors
     for d in list(range(1, 41)) + [42, 46, 58, 62, 66, 90, 126]:
         for q in (2, 3, 5, 7, 11, 13, 17, 97):
             dom = GF(q)
