@@ -10,7 +10,7 @@ for all pieces, with no distinct-degree pass.  Both raise residues to powers
 through `_zp_mulmod`, with one bigint product per step, each residue packed
 into one int with a 64-bit slot per coefficient.  Factor lists are always
 returned in canonical order, so every result here is reproducible bit for
-bit.
+bit; `frobenius_labels` numbers the primes above q by that order.
 """
 
 import math
@@ -61,12 +61,18 @@ def primes_upto(bound):
     return tuple(q for q in range(2, bound + 1) if is_prime(q))
 
 
-def euler_phi(n):
-    out = n
+def prime_divisors(n):
+    """The primes dividing n >= 1, in increasing order."""
     while n > 1:
         p = least_prime_factor(n)
-        out -= out // p
+        yield p
         n = p_part(n, p)[1]
+
+
+def euler_phi(n):
+    out = n
+    for p in prime_divisors(n):
+        out -= out // p
     return out
 
 
@@ -756,12 +762,7 @@ def cyclotomic_factors_mod(d, q):
     if f == 1 and e > 2:
         # zeta = x^((q-1)/e) for the least x >= 2 with zeta^(e/l) != 1 for
         # every prime l | e
-        cofactors = []
-        m = e
-        while m > 1:
-            ell = least_prime_factor(m)
-            cofactors.append(e // ell)
-            m = p_part(m, ell)[1]
+        cofactors = [e // ell for ell in prime_divisors(e)]
         x = 2
         while any(pow(x, (q - 1) // e * c, q) == 1 for c in cofactors):
             x += 1
@@ -784,6 +785,8 @@ def _split_cyclotomic(phi, e, f, q):
     does not treat alike.  A residue is packed as in `_zp_mulmod`, so a
     product is one bigint product and one reduction.
     """
+    if len(phi) - 1 == f:
+        return [phi]
     coset = [None] * e
     ncosets = 0
     for i in range(e):
@@ -796,7 +799,7 @@ def _split_cyclotomic(phi, e, f, q):
     reduce = _zp_reducer(phi, q, e)
     mul = _zp_mulmod(phi, q)
     rng = random.Random(e << 32 | q)
-    done, pieces = ([phi], []) if len(phi) - 1 == f else ([], [phi])
+    done, pieces = [], [phi]
     while pieces:
         lam = rng.choices(range(q), k=ncosets)
         s = reduce(_zp_pack([lam[c] for c in coset]))
@@ -813,6 +816,34 @@ def _split_cyclotomic(phi, e, f, q):
                 left.append(g)
         pieces = left
     return done
+
+
+@lru_cache(maxsize=None)
+def frobenius_labels(d, q):
+    """Label the primes above q in Z[zeta_d] by the units a mod d.
+
+    With zeta = X mod g_0, g_0 the first factor in cyclotomic_factors_mod(d,
+    q), labels[a] is the index of the factor g_i with g_i(zeta^a) = 0, and
+    reps[i] is one such a.  As zeta^d = 1, g(zeta^a) is the packed sum of
+    the c_k X^(k*a mod d) reduced mod g_0.  Each label is a Frobenius coset
+    a<q>, so each coset is tested once (Washington, Introduction to
+    Cyclotomic Fields, Thm 2.13).  For d = 1 the only unit is 0, and both
+    coefficients of X - 1 add into slot 0.
+    """
+    factors = cyclotomic_factors_mod(d, q)
+    reduce = _zp_reducer(factors[0].coeffs, q, d)
+    labels = [None] * d
+    reps = [None] * len(factors)
+    for a in range(d):
+        if labels[a] is not None or math.gcd(a, d) != 1:
+            continue
+        i = next(i for i, g in enumerate(factors) if reps[i] is None and not reduce(
+            sum(c << 64 * (k * a % d) for k, c in enumerate(g.coeffs))))
+        reps[i] = b = a
+        while labels[b] is None:
+            labels[b] = i
+            b = b * q % d
+    return tuple(labels), tuple(reps)
 
 
 # -- level-structure polynomials ----------------------------------------------

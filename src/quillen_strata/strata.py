@@ -17,13 +17,12 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from functools import lru_cache
 
 from .groups import FamilySpec, family_members, read_int, weyl
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
-                    PrimeDescriptor, RingError, cyclotomic_factors_mod, is_prime,
-                    least_prime_factor, p_part, prime_splitting, primes_upto,
-                    residue_field_label)
+                    PrimeDescriptor, RingError, frobenius_labels, is_prime,
+                    least_prime_factor, p_part, prime_divisors, prime_splitting,
+                    primes_upto, residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
 DEFAULT_DEGREE_BOUND = 1
@@ -217,11 +216,9 @@ def _ku_points(d, prime_bound):
     each of residue degree ord_d(q) (Washington, Introduction to Cyclotomic
     Fields, Thm 2.13).  The point "q.i" is the prime cut out by the i-th
     factor of cyclotomic_factors_mod(d, q); the factors are computed only
-    where a Galois twist needs them (`_frobenius_labels`).  Those factors
-    need Phi_d, so d > MAX_CYCLOTOMIC raises at every prime bound.
+    where a Galois twist needs them (`rings.frobenius_labels`).
+    `_ku_index_bound` keeps d within MAX_CYCLOTOMIC.
     """
-    if d > MAX_CYCLOTOMIC:
-        raise RingError("cyclotomic index %d out of range" % d)
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
     points = [StratumPoint("0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0))]
@@ -237,42 +234,6 @@ def _ku_points(d, prime_bound):
     return tuple(points), edges, True
 
 
-@lru_cache(maxsize=None)
-def _frobenius_labels(d, q):
-    """Label the primes above q in Z[zeta_d] by the units a mod d.
-
-    With zeta = X mod g_0, g_0 the first factor of Phi_d mod q, labels[a] is
-    the index of the factor g_i with g_i(zeta^a) = 0, and reps[i] is one such
-    a.  Each label is a Frobenius coset a<q>, so each coset is tested once
-    (Washington, Introduction to Cyclotomic Fields, Thm 2.13).  For d = 1
-    the only unit is 0.
-    """
-    factors = cyclotomic_factors_mod(d, q)
-    g0 = factors[0]
-    labels = [None] * d
-    reps = [None] * len(factors)
-    for a in range(d):
-        if labels[a] is not None or math.gcd(a, d) != 1:
-            continue
-        i = next(i for i, g in enumerate(factors)
-                 if reps[i] is None and _vanishes_at_power(g, a, d, g0))
-        reps[i] = b = a
-        while labels[b] is None:
-            labels[b] = i
-            b = b * q % d
-    return tuple(labels), tuple(reps)
-
-
-def _vanishes_at_power(g, a, d, g0):
-    """Whether g(zeta^a) = 0 for zeta = X mod g0, a d-th root of unity: as
-    zeta^d = 1, that is sum c_k X^(k*a mod d) = 0 mod g0."""
-    dom = g.dom
-    at = [dom.zero] * d
-    for k, c in enumerate(g.coeffs):
-        at[k * a % d] = dom.add(at[k * a % d], c)
-    return (Poly(tuple(at), dom) % g0).is_zero()
-
-
 def _galois_image(data, d, a):
     """The descriptor data of the point of Spec Z[zeta_d, 1/d] that the point
     with descriptor data `data` goes to under zeta -> zeta^a, for a unit a
@@ -280,7 +241,7 @@ def _galois_image(data, d, a):
     if data[0] != "modular":
         return data  # the generic point is Galois-stable
     _, q, i = data
-    labels, reps = _frobenius_labels(d, q)
+    labels, reps = frobenius_labels(d, q)
     return ("modular", q, labels[reps[i] * a % d])
 
 
@@ -498,11 +459,8 @@ def _segal_edges(theory, members, points):
         if pt.closed:
             over.setdefault((pt.cls, pt.descriptor.data[1]), []).append(pt.id)
     for cls in members:
-        rest = cls.order
         src = generic[cls]
-        while rest > 1:
-            q = least_prime_factor(rest)
-            rest = p_part(rest, q)[1]
+        for q in prime_divisors(cls.order):
             target = cls.cyclic_subgroup_class(p_part(cls.order, q)[1], members)
             for dst in over.get((target, q), ()):
                 yield src, dst, "cross-stratum", ""

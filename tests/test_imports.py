@@ -7,10 +7,12 @@ earns its place: a default is overridden by some call in src/, tests/ or
 demos/, and a public function reads each parameter it takes.  No method
 only returns an attribute: a fact is the attribute itself.  A decision has
 one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
-orders a space, cli.run alone writes a command's output, and one splitter,
-which defines no arithmetic of its own, factors Phi_d mod q.  A fact has one
-copy: mulclose's cap is the one order bound (the DSL reads it to refuse
-early), and strata reads Weyl orbits off its actions, not through orbit_cat.
+orders a space, cli.run alone writes a command's output, one splitter,
+which defines no arithmetic of its own, factors Phi_d mod q, rings alone
+labels the primes above q, and prime_divisors alone walks a number's
+primes.  A fact has one copy: mulclose's cap is the one order bound (the DSL
+reads it to refuse early), _ku_index_bound is the one ku index bound, and
+strata reads Weyl orbits off its actions, not through orbit_cat.
 """
 
 import ast
@@ -330,9 +332,27 @@ def test_one_splitter_for_cyclotomic_factors():
     # in F_q[X]/(Phi_e) through _zp_mulmod, not in a ring of its own
     tree = _trees()["rings.py"]
     assert {where for where, _ in callers(tree, "cyclotomic_factors_mod")} == {
-        "cyclic_spectrum_ring"}
+        "cyclic_spectrum_ring", "frobenius_labels"}
     assert nested_functions(tree, "_split_cyclotomic") == []
     assert "_split_cyclotomic" in {where for where, _ in callers(tree, "_zp_mulmod")}
+
+
+def test_rings_alone_labels_the_primes_above_q():
+    # strata reads the labels off rings.frobenius_labels, not the factors
+    assert readers(_trees()["strata.py"], "cyclotomic_factors_mod") == []
+
+
+def test_one_ku_index_bound():
+    where = {where for where, _ in readers(_trees()["strata.py"], "MAX_CYCLOTOMIC")}
+    assert where == {"_ku_index_bound"}
+
+
+def test_one_loop_walks_the_primes_of_a_number():
+    trees = _trees()
+    where = {where for tree in (trees["rings.py"], trees["strata.py"])
+             for where, _ in callers(tree, "least_prime_factor")}
+    assert where.isdisjoint({"euler_phi", "cyclotomic_factors_mod", "_segal_edges"})
+    assert "prime_divisors" in where
 
 
 def test_the_owner_checks_see_what_they_forbid():

@@ -185,16 +185,15 @@ def test_ku_stratum_counts_match_splitting():
 
 
 def test_ku_points_keep_the_cyclotomic_index_bound():
-    # past MAX_CYCLOTOMIC every prime bound raises, whether or not some prime
-    # q <= B is prime to d, and also for d = 2 mod 4 (Phi_2m is read from Phi_m)
-    with pytest.raises(RingError, match="cyclotomic index 9009 out of range"):
-        _ku_points(9009, 3)
-    with pytest.raises(RingError, match="cyclotomic index 5040 out of range"):
-        _ku_points(5040, 11)
-    with pytest.raises(RingError, match="cyclotomic index 5040 out of range"):
-        _ku_points(5040, 7)
-    with pytest.raises(RingError, match="cyclotomic index 4098 out of range"):
-        _ku_points(4098, 5)
+    # _ku_index_bound alone refuses an element order past MAX_CYCLOTOMIC, at
+    # every prime bound, whether or not some prime q <= B is prime to the order
+    G = build_group("perm:(0 1 2 3 4 5 6)(7 8 9 10 11 12 13 14 15)"
+                    "(16 17 18 19 20 21 22 23 24 25 26)"
+                    "(27 28 29 30 31 32 33 34 35 36 37 38 39)")
+    assert G.order == 9009 and G.degree == 40
+    for bound in (2, 3, 7, 11):
+        with pytest.raises(RingError, match="cyclotomic index 9009 out of range"):
+            theory_family_classes(parse_theory("ku", prime_bound=bound), G)
     # at the bound itself: 3 has order 1024 mod 4096, so two primes lie over 3
     assert [pt.local_id for pt in _ku_points(4096, 3)[0]] == ["0", "3.0", "3.1"]
 

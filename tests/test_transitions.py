@@ -125,17 +125,18 @@ def test_ku_identity_witness_keeps_stratum_and_descriptor(dsl):
 
 
 def test_galois_image_matches_search_on_every_unit():
-    for d in range(1, 31):
+    # every d <= 30 at q <= 31, and larger d at q up to 1000 where Phi_d mod q
+    # has 4 to 24 factors
+    pairs = [(d, q) for d in range(1, 31) for q in primes_upto(31) if d % q]
+    pairs += [(45, 31), (45, 991), (52, 5), (60, 7), (63, 997), (64, 97)]
+    for d, q in pairs:
         units = [a for a in range(1, d + 1) if math.gcd(a, d) == 1]
-        for q in primes_upto(31):
-            if d % q == 0:
-                continue
-            cands = [(i, g.coeffs) for i, g in enumerate(cyclotomic_factors_mod(d, q))]
-            for a in units:
-                for i, coeffs in cands:
-                    expected = modular_preimage(q, coeffs, a, cands)
-                    assert _galois_image(("modular", q, i), d, a) == \
-                        ("modular", q, expected), (d, q, a, i)
+        cands = [(i, g.coeffs) for i, g in enumerate(cyclotomic_factors_mod(d, q))]
+        for a in units:
+            for i, coeffs in cands:
+                expected = modular_preimage(q, coeffs, a, cands)
+                assert _galois_image(("modular", q, i), d, a) == \
+                    ("modular", q, expected), (d, q, a, i)
 
 
 @pytest.mark.parametrize("dsl,bound", KU_SEARCH_GROUPS)
