@@ -148,7 +148,9 @@ class GF:
 
     Elements are integers in [0, q); for f >= 2 the integer encodes the
     coefficient vector in base p with respect to the canonical modulus (the
-    lexicographically least monic irreducible of degree f over F_p).
+    lexicographically least monic irreducible of degree f over F_p), and a
+    product or sum is a lookup in the antilog, log and Zech tables of the
+    least primitive element (`_gf_tables`).  Prime fields reduce mod p.
     """
 
     is_field = True
@@ -164,50 +166,23 @@ class GF:
         self.zero = 0
         self.one = 1
         self.name = "F_%d" % self.q
-        self.modulus = _gf_modulus(p, f) if f > 1 else None
-
-    def _decode(self, a):
-        out = []
-        for _ in range(self.f):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, vec):
-        out = 0
-        for c in reversed(vec):
-            out = out * self.p + (c % self.p)
-        return out
+        self._exp, self._log, self._zech = _gf_tables(p, f) if f > 1 else (None,) * 3
 
     def add(self, a, b):
         if self.f == 1:
             return (a + b) % self.p
-        va, vb = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(va, vb)])
+        if not (a and b):
+            return a + b
+        la = self._log[a]  # a + b = a (1 + b/a); a negative index wraps mod q - 1
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
-        if self.f == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        return self.mul(a, self.p - 1)
 
     def mul(self, a, b):
         if self.f == 1:
             return (a * b) % self.p
-        va, vb = self._decode(a), self._decode(b)
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the monic modulus
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.f - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, mc in enumerate(mod[:-1]):
-                    prod[i - self.f + j] = (prod[i - self.f + j] - c * mc) % self.p
-        return self._encode(prod[: self.f])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
@@ -229,10 +204,9 @@ class GF:
     def repr_elem(self, a):
         if self.f == 1:
             return str(a)
-        vec = self._decode(a)
         terms = []
         for i in range(self.f - 1, -1, -1):
-            c = vec[i]
+            c = a // self.p ** i % self.p
             if not c:
                 continue
             if i == 0:
@@ -250,6 +224,33 @@ class GF:
 
     def __repr__(self):
         return self.name
+
+
+@lru_cache(maxsize=None)
+def _gf_tables(p, f):
+    """(exp, log, zech) of GF(p^f), f >= 2, for its least primitive element
+    g, by products modulo `_gf_modulus(p, f)` on the F_p core.  With n = q - 1,
+    exp[i] = g^(i mod n) below 2n and 0 up to 4n, and log[0] = 2n, so that
+    ab = exp[log a + log b]; zech[i] = log(1 + g^i), so that a + b =
+    exp[log a + zech[log b - log a]] for nonzero a and b."""
+    n = p ** f - 1
+    mul = _zp_mulmod(_gf_modulus(p, f), p)
+    weights = [p ** i for i in range(f)]
+    # the codes below p are F_p^*, whose orders divide p - 1 < n
+    for code in range(p, n + 1):
+        g = _zp_pack([code // w % p for w in weights])
+        if all(_power(g, n // r, mul, 1) != 1 for r in prime_divisors(n)):
+            break
+    powers, x = [], 1
+    for _ in range(n):
+        powers.append(sum(map(operator.mul, _zp_unpack(x), weights)))
+        x = mul(x, g)
+    log = [2 * n] * (n + 1)
+    for i, a in enumerate(powers):
+        log[a] = i
+    # 1 + a adds 1 to the constant digit of a, mod p
+    zech = [log[a + 1 if a % p < p - 1 else a + 1 - p] for a in powers]
+    return powers * 2 + [0] * (2 * n + 1), log, zech
 
 
 @lru_cache(maxsize=None)
@@ -509,11 +510,9 @@ def is_irreducible(f):
         return False
     q = dom.q
     x = Poly.x(dom)
-    for l in sorted({l for l in range(2, k + 1) if k % l == 0 and is_prime(l)}):
-        h = powmod(x, q ** (k // l), f) - x
-        if poly_gcd(f, h).degree != 0:
-            return False
-    return powmod(x, q ** k, f) == (powmod(x, 1, f))
+    if any(poly_gcd(f, powmod(x, q ** (k // l), f) - x).degree for l in prime_divisors(k)):
+        return False
+    return powmod(x, q ** k, f) == x % f
 
 
 # low-level F_p arithmetic on int coefficient lists (hot path of factor)

@@ -376,7 +376,6 @@ def _modp_conjugation(theory, x, L, L2):
 def _stratum_modp(theory, cls):
     p, q = theory.p, theory.q
     r = cls.p_rank(p)  # at most 2, by the record's member check
-    dom = GF(theory.p, theory.f)
     ring = "F_%d[x,y]^h" % q
     if r == 0:
         return (StratumPoint(
@@ -384,6 +383,7 @@ def _stratum_modp(theory, cls):
     if r == 1:
         return (StratumPoint(
             "0", PrimeDescriptor(ring, "generic", ("zero",), "F_%d(x)" % q)),), (), False
+    dom = GF(p, theory.f)  # its tables serve only the rank-2 forms
     forms = [cf for cf in irreducible_forms(dom, theory.degree_bound)
              if not _is_rational_linear(cf, dom)]
     forms.sort(key=lambda cf: (len(cf), cf))

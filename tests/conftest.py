@@ -532,6 +532,73 @@ def reference_gf_modulus(p, f):
     return None
 
 
+class ReferenceGF:
+    """GF(p^f), f >= 2, by the digit-vector arithmetic the package used before
+    its log tables: an element is the base-p code of its coefficient vector
+    over `_gf_modulus(p, f)`, a product is a schoolbook product reduced
+    modulo it, sums and negatives go digit by digit, and an inverse is the
+    (q-2)-th power by square-and-multiply."""
+
+    def __init__(self, p, f):
+        from quillen_strata.rings import _gf_modulus
+        self.p, self.f, self.q = p, f, p ** f
+        self.modulus = _gf_modulus(p, f)
+
+    def _decode(self, a):
+        out = []
+        for _ in range(self.f):
+            out.append(a % self.p)
+            a //= self.p
+        return out
+
+    def _encode(self, vec):
+        out = 0
+        for c in reversed(vec):
+            out = out * self.p + (c % self.p)
+        return out
+
+    def add(self, a, b):
+        va, vb = self._decode(a), self._decode(b)
+        return self._encode([(x + y) % self.p for x, y in zip(va, vb)])
+
+    def neg(self, a):
+        return self._encode([(-x) % self.p for x in self._decode(a)])
+
+    def mul(self, a, b):
+        va, vb = self._decode(a), self._decode(b)
+        prod = [0] * (2 * self.f - 1)
+        for i, x in enumerate(va):
+            for j, y in enumerate(vb):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        for i in range(len(prod) - 1, self.f - 1, -1):
+            c, prod[i] = prod[i], 0
+            for j, mc in enumerate(self.modulus[:-1]):
+                prod[i - self.f + j] = (prod[i - self.f + j] - c * mc) % self.p
+        return self._encode(prod[:self.f])
+
+    def inv(self, a):
+        out, x, e = 1, a, self.q - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x, e = self.mul(x, x), e >> 1
+        return out
+
+    def repr_elem(self, a):
+        vec = self._decode(a)
+        terms = []
+        for i in range(self.f - 1, -1, -1):
+            c = vec[i]
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                var = "a" if i == 1 else "a^%d" % i
+                terms.append(var if c == 1 else "%d*%s" % (c, var))
+        return "+".join(terms) if terms else "0"
+
+
 def reference_zp_powmod(base, e, mod, p):
     """base^e mod `mod` over F_p on int coefficient lists, by square-and-
     multiply with a schoolbook product and `_zp_divmod` after each step."""

@@ -61,6 +61,14 @@ CASES = [
     for fmt in ("table", "dot")] + [
     # order 2520, 40 classes: the largest lattice of the goldens
     ("subgroups_alt7.json", ["subgroups", "--group", "alt:7"]),
+    # F_16, F_25 and F_27 from their log and Zech tables: odd p with f >= 2
+    # runs the Zech sum and the negative through p - 1
+    ("spectrum_elemab2_2_modp_q16_deg2.json",
+     ["spectrum", "--group", "elem-abelian:2^2", "--theory", "modp:q=16,deg=2"]),
+    ("spectrum_elemab5_2_modp_q25_deg2.json",
+     ["spectrum", "--group", "elem-abelian:5^2", "--theory", "modp:q=25,deg=2"]),
+    ("strata_elemab3_2_modp_q27_deg2.json",
+     ["strata", "--group", "elem-abelian:3^2", "--theory", "modp:q=27,deg=2"]),
 ]
 
 

@@ -9,10 +9,12 @@ only returns an attribute: a fact is the attribute itself.  A decision has
 one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
 orders a space, cli.run alone writes a command's output, one splitter,
 which defines no arithmetic of its own, factors Phi_d mod q, rings alone
-labels the primes above q, and prime_divisors alone walks a number's
-primes.  A fact has one copy: mulclose's cap is the one order bound (the DSL
-reads it to refuse early), _ku_index_bound is the one ku index bound, and
-strata reads Weyl orbits off its actions, not through orbit_cat.
+labels the primes above q, prime_divisors alone walks a number's primes,
+and GF(p^f) takes its tables from _zp_mulmod, the one product modulo a
+polynomial over F_p, with no digit-vector arithmetic of its own.  A fact
+has one copy: mulclose's cap is the one order bound (the DSL reads it to
+refuse early), _ku_index_bound is the one ku index bound, and strata reads
+Weyl orbits off its actions, not through orbit_cat.
 """
 
 import ast
@@ -287,6 +289,21 @@ def nested_functions(tree, name):
                   if node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda)))
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def nested_loops(tree, name):
+    """(method, line) of each loop inside another loop, and of each
+    comprehension with two for clauses, in the methods of class name."""
+    return sorted((fn.name, loop.lineno) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == name
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
+                  and (len(getattr(loop, "generators", ())) > 1
+                       or any(node is not loop and isinstance(node, _LOOPS)
+                              for node in ast.walk(loop))))
+
+
 def imported_modules(tree):
     """The package modules that tree imports or takes names from."""
     found = set()
@@ -337,6 +354,18 @@ def test_one_splitter_for_cyclotomic_factors():
     assert "_split_cyclotomic" in {where for where, _ in callers(tree, "_zp_mulmod")}
 
 
+def test_one_product_modulo_a_polynomial_over_f_p():
+    # GF(p^f) multiplies and adds by table lookups; its tables come from the
+    # packed core's _zp_mulmod, not from digit vectors of its own
+    tree = _trees()["rings.py"]
+    gf = next(node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "GF")
+    methods = {fn.name for fn in gf.body if isinstance(fn, ast.FunctionDef)}
+    assert methods.isdisjoint({"_decode", "_encode"})
+    assert nested_loops(tree, "GF") == []
+    assert "_gf_tables" in {where for where, _ in callers(tree, "_zp_mulmod")}
+
+
 def test_rings_alone_labels_the_primes_above_q():
     # strata reads the labels off rings.frobenius_labels, not the factors
     assert readers(_trees()["strata.py"], "cyclotomic_factors_mod") == []
@@ -382,3 +411,10 @@ def test_the_owner_checks_see_what_they_forbid():
                      "def other():\n    return lambda: split(0)\n")
     assert nested_functions(tree, "split") == [2, 4]
     assert callers(tree, "split") == [("other", 7), ("split", 5)]
+    tree = ast.parse("class F:\n"
+                     "    def mul(self, a):\n"
+                     "        for x in a:\n            while x:\n                x -= 1\n"
+                     "    def add(self, a):\n        return [x for x in a for y in x]\n"
+                     "    def neg(self, a):\n        return [-x for x in a]\n"
+                     "def free(a):\n    return [[y for y in x] for x in a]\n")
+    assert nested_loops(tree, "F") == [("add", 7), ("mul", 3)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   _power, _zp_divmod, _zp_powmod)
 from quillen_strata.strata import TheoryError, parse_theory
 
-from conftest import (brute_force_spectrum_ring, compose_mod,
+from conftest import (ReferenceGF, brute_force_spectrum_ring, compose_mod,
                       frac_poly_divmod, frac_poly_mul, naive_factor_count,
                       reference_cyclotomic_factors_mod, reference_gf_modulus,
                       reference_zp_powmod)
@@ -253,6 +254,34 @@ def test_gf_modulus_matches_full_walk():
             checked += 1
             f += 1
     assert checked == 40
+
+
+def _check_against_reference(p, f, pairs):
+    dom, ref = GF(p, f), ReferenceGF(p, f)
+    for a, b in pairs:
+        assert dom.add(a, b) == ref.add(a, b), (p, f, a, b)
+        assert dom.mul(a, b) == ref.mul(a, b), (p, f, a, b)
+    for a in {a for a, _ in pairs}:
+        assert dom.neg(a) == ref.neg(a), (p, f, a)
+        assert dom.repr_elem(a) == ref.repr_elem(a), (p, f, a)
+        if a:
+            assert dom.inv(a) == ref.inv(a), (p, f, a)
+
+
+def test_gf_tables_match_the_digit_vector_reference():
+    # every pair of every field with f >= 2 and q <= 81: this pins the
+    # encoding, which the field axioms alone do not
+    fields = [(p, f) for p in (2, 3, 5, 7) for f in range(2, 7) if p ** f <= 81]
+    assert len(fields) == 10
+    for p, f in fields:
+        _check_against_reference(p, f, list(itertools.product(range(p ** f), repeat=2)))
+
+
+@pytest.mark.parametrize("p,f", [(2, 8), (5, 3), (3, 10), (2, 16)])
+def test_gf_tables_match_the_reference_on_sampled_pairs(p, f):
+    rng = random.Random("gf:%d:%d" % (p, f))
+    pairs = [(rng.randrange(p ** f), rng.randrange(p ** f)) for _ in range(300)]
+    _check_against_reference(p, f, pairs + [(0, 0), (1, p ** f - 1), (p - 1, 1)])
 
 
 def test_poly_record_semantics():

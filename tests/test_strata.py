@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quillen_strata import rings
+from quillen_strata.cli import run
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
 from quillen_strata.rings import (GF, MAX_PRIME_BOUND, Poly, RingError, cyclotomic_poly,
@@ -277,6 +279,17 @@ def test_modp_rank01_strata():
     rank1 = [c for c in members if c.order == 2][0]
     m1 = stratum(th, rank1)
     assert len(m1.points) == 1 and not m1.points[0].closed
+
+
+@pytest.mark.parametrize("group,theory,built", [
+    ("cyclic:4", "modp:q=65536", 0), ("sym:3", "modp:q=59049", 0),
+    ("elem-abelian:2^2", "modp:q=16", 1)])
+def test_modp_builds_field_tables_only_for_a_rank_2_stratum(group, theory, built, capsys):
+    # below rank 2 no product is taken over F_q, so no tables are built
+    rings._gf_tables.cache_clear()
+    assert run(["spectrum", "--group", group, "--theory", theory]) == 0
+    capsys.readouterr()
+    assert rings._gf_tables.cache_info().misses == built
 
 
 def test_modp_klein_four_stratum_remark_values():
