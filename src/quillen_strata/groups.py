@@ -358,10 +358,7 @@ class PermGroup:
         return p_part(self.order, p)[1] == 1
 
     def is_elementary_abelian(self, p):
-        if not self.is_p_group(p) or not self.is_abelian():
-            return False
-        powers = self.element_index.powers
-        return all(len(powers(g)) in (1, p) for g in self.numbers)
+        return self.is_p_group(p) and self.is_abelian() and p ** self.p_rank(p) == self.order
 
     def p_rank(self, p):
         """Minimal generator count of an abelian p-group: rank of A/pA."""
@@ -386,29 +383,20 @@ def all_subgroup_sets(G):
     cyclic subgroups and join one subgroup S of each conjugacy class with
     each cyclic <c> not in S, closing gens(S) + (c,) over the Cayley rows,
     until no new class appears.  Each new subgroup brings its whole
-    conjugacy class, found with the conjugation rows of G's generators.
+    conjugacy class, found by `_conjugates` under G's generators.
     Every subgroup arises, because it is generated by its cyclic subgroups
     and the join of a conjugate is the conjugate of a join.
     """
     index = G.element_index
     whole = (G.numbers, G.mask)
-    rows = [] if G.is_abelian() else [index.conj(g) for g in G.generator_numbers]
+    conjugators = () if G.is_abelian() else G.generator_numbers
     found = {}  # bitmask -> elements
     reps = []  # (elements, bitmask, generators) of one subgroup per class
 
     def add(elems, mask, gens):
-        if mask in found:
-            return
-        found[mask] = elems
-        reps.append((elems, mask, gens))
-        orbit = [elems]
-        for els in orbit:
-            for row in rows:
-                img = [row[x] for x in els]
-                T = bitmask(img)
-                if T not in found:
-                    found[T] = img
-                    orbit.append(img)
+        if mask not in found:
+            reps.append((elems, mask, gens))
+            found.update(_conjugates(index, mask, elems, conjugators)[1])
 
     cyclic = index.cyclic_subgroups
     add([0], 1, ())
@@ -421,26 +409,26 @@ def all_subgroup_sets(G):
     return {S: tuple(sorted(elems)) for S, elems in found.items()}
 
 
-def _orbit_and_normalizer(index, S, elems, gens):
-    """The conjugacy orbit of the subgroup S under the group generated by
-    gens, as {T: t} with t S t^-1 = T, and the normalizer of S, closed
-    from the Schreier generators t_U^-1 a t_T (U = a T a^-1)."""
+def _conjugates(index, S, elems, gens):
+    """The conjugates of the subgroup S, with elements elems, under the group
+    generated by gens: the transversal {T: t} with t S t^-1 = T, the pairs
+    (T, T's elements), and the Schreier generators t_U^-1 a t_T
+    (U = a T a^-1) of the normalizer of S, each multiplied out when read."""
     orbit = {S: 0}
     queue = [(S, elems)]
-    schreier = []
+    back = []  # (U, a t_T) of each step to a conjugate found before
+    rows = [(index.conj(a), index.left(a)) for a in gens]
     for T, els in queue:
         t = orbit[T]
-        for a in gens:
-            row = index.conj(a)
-            img = [row[x] for x in els]
+        for conj, left in rows:
+            img = [conj[x] for x in els]
             U = bitmask(img)
-            at = index.left(a)[t]
             if U not in orbit:
-                orbit[U] = at
+                orbit[U] = left[t]
                 queue.append((U, img))
             else:
-                schreier.append(index.mul(index.inverse(orbit[U]), at))
-    return orbit, tuple(sorted(_generate(index, schreier)[1]))
+                back.append((U, left[t]))
+    return orbit, queue, (index.mul(index.inverse(orbit[U]), at) for U, at in back)
 
 
 class SubgroupClass(PermGroup):
@@ -561,7 +549,8 @@ def subgroups_up_to_conjugacy(G):
         if abelian:
             orbit, normalizer = {S: 0}, G.numbers
         else:
-            orbit, normalizer = _orbit_and_normalizer(index, S, subs[S], gens)
+            orbit, _, schreier = _conjugates(index, S, subs[S], gens)
+            normalizer = tuple(sorted(_generate(index, schreier)[1]))
         cls = SubgroupClass(parent=G, mask=S, numbers=subs[S], orbit=orbit,
                             normalizer=normalizer, index=len(classes))
         if cls.conjugates != G.order // len(normalizer):

@@ -26,9 +26,10 @@ SCHEMA = "quillen-strata/1"
 
 # A point of a space.  cls is the SubgroupClass of its stratum, among the
 # classes of the space's group; inside the package strata are named by class,
-# and the key in `stratum` is for output only.
-SpacePoint = namedtuple("SpacePoint", "id stratum label closed descriptor cls",
-                        defaults=(None, None))
+# and the key in `stratum` is for output only.  A strong point's orbit is the
+# sorted descriptor data of its Weyl orbit, its descriptor's data first.
+SpacePoint = namedtuple("SpacePoint", "id stratum label closed descriptor cls orbit",
+                        defaults=(None, None, None))
 
 
 # kind: internal | cross-stratum | external
@@ -93,7 +94,8 @@ def assemble_strong(theory, G, group_label=""):
             pid = "%s:%s" % (skey, rp.local_id)
             points.append(SpacePoint(
                 id=pid, stratum=skey, label=rp.label, closed=rp.closed,
-                descriptor=rp.descriptor, cls=cls))
+                descriptor=rp.descriptor, cls=cls,
+                orbit=tuple(sorted(model.points[i].descriptor.data for i in orb))))
             for i in orb:
                 pid_of[i] = pid
         for (i, j) in model.internal_edges:

@@ -157,20 +157,36 @@ def stratum(theory, cls):
     (the geometric fixed points vanish there); the record's checks ran in
     `theory_family_classes`, once per job.  The record's builder gets a family
     member and returns its points, internal edges and truncation flag; each
-    Weyl witness n acts on the points by its conjugation along c_n: cls -> cls.
+    Weyl witness n acts on the points by `point_map` along c_n: cls -> cls.
     """
     if not theory.family().contains(cls):
         return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
                             reason="outside family: geometric fixed points vanish")
     w = weyl(cls, weyl_action_kind(cls))
     points, edges, truncated = theory.record.build(theory, cls)
-    position = {pt.descriptor.data: k for k, pt in enumerate(points)}
-    action = []
-    for _, n in w.witnesses:
-        move = theory.record.conjugation(theory, n, cls, cls)
-        action.append(tuple(position[move(pt.descriptor.data)] for pt in points))
+    at = {cls: {pt.descriptor.data: k for k, pt in enumerate(points)}}
+    action = tuple(tuple(point_map(theory, n, at, at).values()) for _, n in w.witnesses)
     return StratumModel(subgroup=cls, points=points, internal_edges=edges, weyl=w,
-                        action=tuple(action), truncated=truncated)
+                        action=action, truncated=truncated)
+
+
+def point_map(theory, g, src, dst):
+    """The map of points along c_g, for Weyl actions and transition maps.
+
+    src and dst map each class, among those of one group each, to
+    {descriptor data: point key}.  A point of L's stratum goes to L2's, L2
+    the class of g L g^-1 among dst's, with its data moved by the record's
+    conjugation along the x with x L x^-1 = L2 of
+    `SubgroupClass.conjugate_class`; g in N(L) gives L2 = L and x = g.
+    Returns {src key: dst key}, in src's order."""
+    targets = list(dst)
+    out = {}
+    for L, keys in src.items():
+        L2, x = L.conjugate_class(g, targets)
+        move, at = theory.record.conjugation(theory, x, L, L2), dst[L2]
+        for data, key in keys.items():
+            out[key] = at[move(data)]
+    return out
 
 
 def _same(data):
@@ -401,28 +417,17 @@ def _stratum_modp(theory, cls):
 # -- transition maps (weak assembly) -------------------------------------------
 
 def transition_map(theory, g, src_points, dst_points):
-    """Point map induced by c_g: H -> K, g a morphism's witness, on full
-    per-subgroup spectra.
-
-    src_points / dst_points are the points of the assembled spectra of H and
-    K (duck-typed: .id, .cls, .descriptor), each carrying the class of its
-    stratum.  A point of the stratum of L goes to the stratum of L2, the
-    class of g L g^-1 among K's, with its descriptor data moved by the
-    record's conjugation along the x with x L x^-1 = L2 that
-    `SubgroupClass.conjugate_class` gives.  Returns {src id: dst id}.
-    """
-    targets = list(dict.fromkeys(pt.cls for pt in dst_points))
-    by_key = {(pt.cls, pt.descriptor.data): pt.id for pt in dst_points}
-    moves = {}  # L -> (L2, its conjugation)
-    out = {}
+    """Point map induced by c_g: H -> K, g a morphism's witness, between the
+    strong spaces of H and K: `point_map` on the points' classes and data,
+    with every datum of a target point's Weyl orbit (its .orbit) keyed to it,
+    so an image need not be its orbit's representative.  {src id: dst id}."""
+    src, dst = {}, {}
     for pt in src_points:
-        L = pt.cls
-        if L not in moves:
-            L2, x = L.conjugate_class(g, targets)
-            moves[L] = L2, theory.record.conjugation(theory, x, L, L2)
-        L2, move = moves[L]
-        out[pt.id] = by_key[(L2, move(pt.descriptor.data))]
-    return out
+        src.setdefault(pt.cls, {})[pt.descriptor.data] = pt.id
+    for pt in dst_points:
+        for data in pt.orbit:
+            dst.setdefault(pt.cls, {})[data] = pt.id
+    return point_map(theory, g, src, dst)
 
 
 def theory_family_classes(theory, G):

@@ -10,11 +10,12 @@ one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
 orders a space, cli.run alone writes a command's output, one splitter,
 which defines no arithmetic of its own, factors Phi_d mod q, rings alone
 labels the primes above q, prime_divisors alone walks a number's primes,
-and GF(p^f) takes its tables from _zp_mulmod, the one product modulo a
-polynomial over F_p, with no digit-vector arithmetic of its own.  A fact
-has one copy: mulclose's cap is the one order bound (the DSL reads it to
-refuse early), _ku_index_bound is the one ku index bound, and strata reads
-Weyl orbits off its actions, not through orbit_cat.
+strata's point_map alone moves points along a conjugation, and GF(p^f)
+takes its tables from _zp_mulmod, the one product modulo a polynomial over
+F_p, with no digit-vector arithmetic of its own.  A fact has one copy:
+mulclose's cap is the one order bound (the DSL reads it to refuse early),
+_ku_index_bound is the one ku index bound, and strata reads Weyl orbits off
+its actions, not through orbit_cat.
 """
 
 import ast
@@ -384,6 +385,14 @@ def test_one_loop_walks_the_primes_of_a_number():
     assert "prime_divisors" in where
 
 
+def test_one_point_map_moves_points_along_a_conjugation():
+    # Weyl actions and transition maps both move points through point_map,
+    # the one reader of a record's conjugation rule in strata
+    tree = _trees()["strata.py"]
+    assert {where for where, _ in readers(tree, "conjugation")} == {"point_map"}
+    assert {where for where, _ in callers(tree, "point_map")} >= {"stratum", "transition_map"}
+
+
 def test_the_owner_checks_see_what_they_forbid():
     tree = ast.parse("class G:\n"
                      "    def __init__(self, gens):\n        self.e = mulclose(gens)\n"
@@ -418,3 +427,10 @@ def test_the_owner_checks_see_what_they_forbid():
                      "    def neg(self, a):\n        return [-x for x in a]\n"
                      "def free(a):\n    return [[y for y in x] for x in a]\n")
     assert nested_loops(tree, "F") == [("add", 7), ("mul", 3)]
+    tree = ast.parse("def stratum(theory, cls, n):\n"
+                     "    return theory.record.conjugation(theory, n, cls, cls)\n"
+                     "def point_map(theory, g):\n"
+                     "    move = theory.record.conjugation\n"
+                     "    return point_map(move, g)\n")
+    assert readers(tree, "conjugation") == [("point_map", 4), ("stratum", 2)]
+    assert callers(tree, "point_map") == [("point_map", 5)]

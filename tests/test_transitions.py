@@ -185,6 +185,39 @@ def test_modp_transition_maps_are_functorial(dsl, theory_text):
     assert len(colimit(diagram)) == len(assemble_strong(th, G).points)
 
 
+INCLUSION_THEORIES = ("ku", "height1:p=2", "height1:p=3", "hz:p=2", "hz:p=3",
+                      "modp:q=4,deg=2", "modp:q=9,deg=2", "modp:q=2,deg=3")
+
+
+@pytest.mark.parametrize("theory_text", INCLUSION_THEORIES)
+def test_inclusions_into_strong_spaces_are_total_and_functorial(theory_text):
+    # each family member H maps into G's strong space along the identity, so
+    # the Weyl orbits of G's strata meet images that are not their
+    # representatives (ku on sym:3 sends both primes above 7 of C3's stratum
+    # to one point of G's), and K -> H -> G is K -> G for each member K of H
+    th = parse_theory(theory_text, prime_bound=23)
+    maps = 0
+    for dsl in CORPUS + ["alt:5"]:
+        G = build_group(dsl)
+        try:
+            members = theory_family_classes(th, G)
+        except UnsupportedTheory:  # hz off cyclic p-groups, modp at rank 3
+            continue
+        e = G.identity()
+        points_g = assemble_strong(th, G).points
+        for H in members:
+            points_h = assemble_strong(th, H).points
+            into_g = transition_map(th, e, points_h, points_g)
+            assert set(into_g) == {pt.id for pt in points_h}, (dsl, H.index)
+            maps += 1
+            for K in theory_family_classes(th, H):
+                points_k = assemble_strong(th, K).points
+                into_h = transition_map(th, e, points_k, points_h)
+                assert {a: into_g[b] for a, b in into_h.items()} == transition_map(
+                    th, e, points_k, points_g), (dsl, H.index, K.index)
+    assert maps
+
+
 def test_weak_assembly_over_sym4_p2():
     th = parse_theory("height1:p=2")
     G = build_group("sym:4")
