@@ -268,6 +268,19 @@ def _gf_modulus(p, f):
     raise RingError("no irreducible modulus found (impossible)")
 
 
+def _power_sum(terms, var):
+    """The sum of the c*var^i, from (i, text of c) pairs of nonzero c in the
+    order given.  A coefficient whose text holds a "+" is bracketed, so the
+    sum reads as the polynomial it is."""
+    out = []
+    for i, cs in terms:
+        if i:
+            v = var if i == 1 else "%s^%d" % (var, i)
+            cs = v if cs == "1" else ("(%s)*%s" if "+" in cs else "%s*%s") % (cs, v)
+        out.append(cs)
+    return "+".join(out) or "0"
+
+
 class CycloField:
     """Q(zeta_m): rationals adjoined a primitive m-th root of unity.
 
@@ -325,16 +338,7 @@ class CycloField:
         return _power(a, e, self.mul, self.one)
 
     def repr_elem(self, a):
-        terms = []
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "zeta" if i == 1 else "zeta^%d" % i
-                terms.append(var if c == 1 else "%s*%s" % (c, var))
-        return "+".join(terms) if terms else "0"
+        return _power_sum(((i, str(c)) for i, c in enumerate(a) if c), "zeta")
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and self.m == other.m
@@ -467,20 +471,9 @@ class Poly(namedtuple("Poly", "coeffs dom")):
         return self.scale(self.dom.inv(self.leading()))
 
     def pretty(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == self.dom.zero:
-                continue
-            cs = self.dom.repr_elem(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                xs = "X" if i == 1 else "X^%d" % i
-                terms.append(xs if cs == "1" else "%s*%s" % (cs, xs))
-        return "+".join(terms)
+        dom, coeffs = self.dom, self.coeffs
+        return _power_sum(((i, dom.repr_elem(coeffs[i])) for i in range(self.degree, -1, -1)
+                           if coeffs[i] != dom.zero), "X")
 
     def __repr__(self):
         return "Poly(%s over %s)" % (self.pretty(), self.dom.name)

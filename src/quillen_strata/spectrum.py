@@ -346,6 +346,4 @@ def deserialize(text):
               for p in doc["points"]]
     edges = [SpaceEdge(e["from"], e["to"], e["kind"], e.get("provenance", ""))
              for e in doc["edges"]]
-    points.sort(key=lambda pt: pt.id)
-    edges.sort(key=lambda e: (e.src, e.dst, e.kind, e.provenance))
-    return StratifiedSpace(meta=doc["meta"], points=points, edges=edges)
+    return _space(doc["meta"], points, edges)

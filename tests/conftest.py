@@ -734,6 +734,74 @@ def class_facts(classes):
              centralizer_perms(c), c.index) for c in classes]
 
 
+def orbit_count(points, moves):
+    """The number of orbits of points under the maps in moves, each a
+    permutation of points, by a walk from each point not yet seen."""
+    seen = set()
+    count = 0
+    for x in points:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return count
+
+
+def _conjugations(G):
+    """Conjugation by each generator of G.  G is generated by them, so their
+    orbits are G's."""
+    return [lambda x, s=s: s * x * ~s for s in G.generators]
+
+
+def brauer_count(G, q):
+    """The number of simple F_q[G]-modules by Brauer's count: the orbits of
+    the q-regular elements of G under conjugation and g -> g^q (Reiner, Proc.
+    AMS 1964; Serre, Linear Representations of Finite Groups, ch. 18)."""
+    def frobenius(x):
+        powers = perm_powers(x)
+        return powers[(q - 1) % len(powers)]
+
+    regular = [g for g in G.sorted_elements if len(perm_powers(g)) % q]
+    return orbit_count(regular, _conjugations(G) + [frobenius])
+
+
+def hkr_count(G, p, n):
+    """The G-orbits of commuting n-tuples of p-power elements of G, by a walk
+    over every such tuple under conjugation (the left side of Hopkins, Kuhn
+    & Ravenel, JAMS 2000)."""
+    def p_power(g):
+        k = len(perm_powers(g))
+        while k % p == 0:
+            k //= p
+        return k == 1
+
+    power = [g for g in G.sorted_elements if p_power(g)]
+    tuples = [t for t in itertools.product(power, repeat=n)
+              if all(a * b == b * a for a, b in itertools.combinations(t, 2))]
+    moves = [lambda t, c=c: tuple(map(c, t)) for c in _conjugations(G)]
+    return orbit_count(tuples, moves)
+
+
+def epi_count(elements, n):
+    """|Epi(Z^n, A)| for an abelian group A, given as its set of Perms: the
+    n-tuples of A that generate it, each spanned power by power."""
+    count = 0
+    for t in itertools.product(sorted(elements), repeat=n):
+        span = set(perm_powers(t[0]))
+        for a in t[1:]:
+            span = {x * y for x in perm_powers(a) for y in span}
+        count += span == set(elements)
+    return count
+
+
 @pytest.fixture(scope="session")
 def corpus_groups():
     from quillen_strata.checks import corpus_groups as cg

@@ -7,12 +7,13 @@ earns its place: a default is overridden by some call in src/, tests/ or
 demos/, and a public function reads each parameter it takes.  No method
 only returns an attribute: a fact is the attribute itself.  A decision has
 one owner: PermGroup.__init__ alone closes generators, spectrum._space alone
-orders a space, cli.run alone writes a command's output, one splitter,
-which defines no arithmetic of its own, factors Phi_d mod q, rings alone
-labels the primes above q, prime_divisors alone walks a number's primes,
-strata's point_map alone moves points along a conjugation, and GF(p^f)
+orders a space (deserialize's too), cli.run alone writes a command's output,
+one splitter, which defines no arithmetic of its own, factors Phi_d mod q,
+rings alone labels the primes above q, prime_divisors alone walks a number's
+primes, strata's point_map alone moves points along a conjugation, GF(p^f)
 takes its tables from _zp_mulmod, the one product modulo a polynomial over
-F_p, with no digit-vector arithmetic of its own.  A fact has one copy:
+F_p, with no digit-vector arithmetic of its own, and one printer,
+_power_sum, writes Q(zeta_m) elements and polynomials.  A fact has one copy:
 mulclose's cap is the one order bound (the DSL reads it to refuse early),
 _ku_index_bound is the one ku index bound, and strata reads Weyl orbits off
 its actions, not through orbit_cat.
@@ -322,8 +323,12 @@ def imported_modules(tree):
 
 
 def test_only_the_space_constructor_orders_a_space():
-    writers = ("to_document", "to_json", "to_dot", "to_table")
-    assert [c for c in callers(_trees()["spectrum.py"], "sorted") if c[0] in writers] == []
+    # the writers keep the space's order, and deserialize builds its space
+    # through _space without sorting anything itself
+    tree = _trees()["spectrum.py"]
+    others = ("to_document", "to_json", "to_dot", "to_table", "deserialize")
+    assert [c for c in callers(tree, "sorted") + callers(tree, "sort") if c[0] in others] == []
+    assert "deserialize" in {where for where, _ in callers(tree, "_space")}
 
 
 def test_only_run_writes_a_commands_output():
@@ -393,6 +398,21 @@ def test_one_point_map_moves_points_along_a_conjugation():
     assert {where for where, _ in callers(tree, "point_map")} >= {"stratum", "transition_map"}
 
 
+def loop_statements(tree):
+    """(enclosing def, line) of each for or while statement in tree; a
+    comprehension is not one."""
+    return _uses(tree, lambda node: isinstance(node, (ast.For, ast.While)))
+
+
+def test_one_printer_writes_a_sum_of_powers():
+    # Q(zeta_m) elements and polynomials print through _power_sum, which
+    # brackets a compound coefficient; GF.repr_elem keeps its own digit loop
+    tree = _trees()["rings.py"]
+    printers = {"CycloField.repr_elem", "Poly.pretty"}
+    assert {where for where, _ in callers(tree, "_power_sum")} == printers
+    assert [c for c in loop_statements(tree) + callers(tree, "join") if c[0] in printers] == []
+
+
 def test_the_owner_checks_see_what_they_forbid():
     tree = ast.parse("class G:\n"
                      "    def __init__(self, gens):\n        self.e = mulclose(gens)\n"
@@ -434,3 +454,16 @@ def test_the_owner_checks_see_what_they_forbid():
                      "    return point_map(move, g)\n")
     assert readers(tree, "conjugation") == [("point_map", 4), ("stratum", 2)]
     assert callers(tree, "point_map") == [("point_map", 5)]
+    tree = ast.parse("class P:\n"
+                     "    def pretty(self):\n"
+                     "        for c in self:\n            while c:\n                c -= 1\n"
+                     "        return _power_sum(((i, c) for i, c in self), 'X')\n"
+                     "def repr_elem(a):\n    return '+'.join(str(c) for c in a)\n")
+    assert loop_statements(tree) == [("P.pretty", 3), ("P.pretty", 4)]
+    assert callers(tree, "_power_sum") == [("P.pretty", 6)]
+    assert callers(tree, "join") == [("repr_elem", 8)]
+    tree = ast.parse("def deserialize(doc):\n"
+                     "    doc.points.sort()\n    return _space(doc, sorted(doc.edges))\n")
+    assert callers(tree, "sort") + callers(tree, "sorted") == [
+        ("deserialize", 2), ("deserialize", 3)]
+    assert callers(tree, "_space") == [("deserialize", 3)]

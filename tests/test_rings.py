@@ -208,6 +208,18 @@ def test_integer_and_rational_domains():
     assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2)) and r.coeffs == (Fraction(5, 4),)
 
 
+def test_a_compound_coefficient_prints_in_brackets():
+    # the printed sum reads back as the polynomial, not as X^2+X+1 or 2+zeta*X
+    F4 = GF(2, 2)
+    assert Poly((3, 3, 1), F4).pretty() == "X^2+(a+1)*X+a+1"
+    K = CycloField(5)
+    one_plus_zeta = K.add(K.one, K.zeta())
+    assert K.repr_elem(one_plus_zeta) == "1+zeta"
+    assert Poly((K.one, one_plus_zeta), K).pretty() == "(1+zeta)*X+1"
+    assert Poly((K.zero, K.neg(K.zeta()), K.one), K).pretty() == "X^2+-1*zeta*X"
+    assert Poly.zero(K).pretty() == K.repr_elem(K.zero) == "0"
+
+
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2, 2)], ids=["Z", "Q", "F_4"])
 def test_poly_product_with_a_zero_factor(dom):
     zero = Poly.zero(dom)

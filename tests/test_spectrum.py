@@ -454,6 +454,17 @@ def test_serialize_empty_space():
     assert serialize(deserialize(serialize(empty, "json")), "json") == serialize(empty, "json")
 
 
+def test_deserialize_orders_a_document_and_refuses_a_repeated_point_id():
+    text = serialize(assemble_strong(H1_2, build_group("cyclic:4"), "cyclic:4"), "json")
+    doc = json.loads(text)
+    doc["points"].reverse()
+    doc["edges"].reverse()
+    assert serialize(deserialize(json.dumps(doc)), "json") == text
+    doc["points"].append(doc["points"][0])
+    with pytest.raises(UnsupportedTheory, match="duplicate point id"):
+        deserialize(json.dumps(doc))
+
+
 def test_dot_output_fig1():
     G = build_group("cyclic:4")
     s = assemble_strong(H1_2, G, "cyclic:4")
