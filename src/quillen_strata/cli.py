@@ -8,7 +8,6 @@ invocations produce byte-identical documents.
 """
 
 import gc
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -19,7 +18,7 @@ from .groups import (MAX_DIGITS, GroupError, GroupParseError, build_group,
 from .orbit_cat import DiagramError, coequalize_raw
 from .rings import (RingError, divides, is_separable, level_polynomial_P,
                     reduce_cyclo_mod_p)
-from .spectrum import assemble_strong, assemble_weak, serialize
+from .spectrum import assemble_strong, assemble_weak, json_text, serialize
 from .strata import (TheoryError, UnsupportedTheory, parse_theory, stratum,
                      theory_family_classes)
 
@@ -29,7 +28,7 @@ class CliParseError(Exception):
 
 
 def _dump(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def _emit(text, path):
@@ -154,6 +153,7 @@ def _cmd_strata(args):
 
 
 def _cmd_coequalize(args):
+    import json
     try:
         if args.input and args.input != "-":
             with open(args.input) as fh:
@@ -380,6 +380,7 @@ def run(argv):
 
 
 def _error_json(kind, message):
+    import json
     sys.stderr.write(json.dumps(
         {"error": {"type": kind, "message": message}}, sort_keys=True) + "\n")
 

@@ -22,8 +22,6 @@ outputs are canonically ordered so repeated runs produce identical results.
 import functools
 import itertools
 import math
-import re
-from collections import namedtuple
 
 from .rings import is_prime, least_prime_factor, p_part
 
@@ -583,7 +581,7 @@ def _class_of_mask(classes, mask):
 
 # -- Weyl groups -------------------------------------------------------------
 
-class WeylGroup(namedtuple("WeylGroup", "kind order quotient witnesses")):
+class WeylGroup:
     """N_G(H)/X realized via its left action on the cosets of X in N_G(H).
 
     kind "ordinary" takes X = H, "global" X = H*C_G(H), "quillen" X = C_G(H).
@@ -592,7 +590,11 @@ class WeylGroup(namedtuple("WeylGroup", "kind order quotient witnesses")):
     in the order of quotient.sorted_elements.
     """
 
-    __slots__ = ()
+    __slots__ = ("kind", "order", "quotient", "witnesses")
+
+    def __init__(self, kind, order, quotient, witnesses):
+        self.kind, self.order = kind, order
+        self.quotient, self.witnesses = quotient, witnesses
 
 
 def weyl(cls, kind):
@@ -634,11 +636,14 @@ def weyl(cls, kind):
 
 # -- families ----------------------------------------------------------------
 
-class FamilySpec(namedtuple("FamilySpec", "name contains")):
+class FamilySpec:
     """A conjugation- and subgroup-closed family of subgroups: its name and its
     membership test on a SubgroupClass."""
 
-    __slots__ = ()
+    __slots__ = ("name", "contains")
+
+    def __init__(self, name, contains):
+        self.name, self.contains = name, contains
 
     @staticmethod
     def all():
@@ -670,15 +675,23 @@ def family_members(G, fam):
 
 # -- double cosets -----------------------------------------------------------
 
-# intersection: H^g cap K as a frozenset, a subgroup of K
-DoubleCoset = namedtuple("DoubleCoset", "representative intersection size")
+class DoubleCoset:
+    """A double coset HgK: its least element g, H^g cap K as a frozenset, its size."""
+
+    __slots__ = ("representative", "intersection", "size")
+
+    def __init__(self, representative, intersection, size):
+        self.representative, self.intersection, self.size = representative, intersection, size
 
 
-class DoubleCosetDecomposition(namedtuple("DoubleCosetDecomposition",
-                                          "group_order h_order k_order pairs")):
+class DoubleCosetDecomposition:
     """pairs: the DoubleCoset of each double coset."""
 
-    __slots__ = ()
+    __slots__ = ("group_order", "h_order", "k_order", "pairs")
+
+    def __init__(self, group_order, h_order, k_order, pairs):
+        self.group_order, self.h_order, self.k_order = group_order, h_order, k_order
+        self.pairs = pairs
 
     def mackey_sides(self):
         """(sum over H\\G/K of [G : H^g cap K], [G:H] * [G:K])."""
@@ -727,11 +740,6 @@ def double_cosets(G, H, K):
 
 # -- group DSL ---------------------------------------------------------------
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_CYCLES_RE = re.compile(r"\s*(?:\([\s0-9]*\)\s*)*")
-_PRODUCTS_RE = re.compile(r"((?:\s*product:)*)(.*)", re.S)
-
-
 def read_int(digits, error=GroupParseError):
     """int(digits), raising error past MAX_DIGITS characters; int() itself
     accepts them all, whatever PYTHONINTMAXSTRDIGITS is."""
@@ -741,17 +749,25 @@ def read_int(digits, error=GroupParseError):
 
 
 def _parse_cycles(text):
-    """The cycles of one generator, written as a sequence of (...) cycles
-    whose points are separated by spaces or commas; () is the identity."""
-    cycles = []
-    rest = text.replace(",", " ")
-    if not _CYCLES_RE.fullmatch(rest):
+    """The cycles of one generator: (...) cycles, whitespace around them, of
+    ASCII-digit points separated by whitespace or commas; () is the identity."""
+    head, *rest = text.replace(",", " ").split("(")
+    bodies = [body.partition(")") for body in rest]
+    if head.strip() or not all(
+            close and not tail.strip()
+            and all(t.isascii() and t.isdecimal() for t in body.split())
+            for body, close, tail in bodies):
         raise GroupParseError("bad cycle syntax %r" % (text,))
-    for body in _CYCLE_RE.findall(rest):
-        pts = [read_int(t) for t in body.split()]
-        if pts:
-            cycles.append(tuple(pts))
-    return cycles
+    return [tuple(map(read_int, points))
+            for points in (body.split() for body, _, _ in bodies) if points]
+
+
+def _product_prefixes(text):
+    """(n, rest) for text of n product:s, each after optional whitespace, then rest."""
+    n = 0
+    while text.lstrip().startswith("product:"):
+        text, n = text.lstrip()[len("product:"):], n + 1
+    return n, text
 
 
 def _check_degree(degree):
@@ -770,15 +786,14 @@ def build_group(spec):
         # No name contains "x" and each product: takes one, so the x-separated
         # parts are the factors in prefix order, each after its own product:s.
         cannot = GroupParseError("cannot split product spec %r" % (spec,))
-        parts = [_PRODUCTS_RE.fullmatch(text).groups() for text in spec.split("x")]
+        parts = [_product_prefixes(text) for text in spec.split("x")]
         # the factors still to read before each part and after the last one
-        unread = list(itertools.accumulate(
-            (prefixes.count("product:") - 1 for prefixes, _ in parts), initial=1))
+        unread = list(itertools.accumulate((n - 1 for n, _ in parts), initial=1))
         if unread[-1] or 0 in unread[:-1]:
             raise cannot
         pending = []  # per open product: its left factor once built, else None
-        for prefixes, text in parts:
-            pending += [None] * prefixes.count("product:")
+        for n, text in parts:
+            pending += [None] * n
             try:
                 group = build_group(text)
             except GroupParseError:
@@ -795,26 +810,21 @@ def build_group(spec):
         if not gen_texts:
             raise GroupParseError("perm: needs at least one generator")
         all_cycles = [_parse_cycles(t) for t in gen_texts]
-        degree = 0
-        for cycles in all_cycles:
-            for cyc in cycles:
-                degree = max(degree, max(cyc) + 1)
-        degree = max(degree, 1)
+        degree = max([1] + [max(cyc) + 1 for cycles in all_cycles for cyc in cycles])
         _check_degree(degree)
         gens = [Perm.from_cycles(cycles, degree) for cycles in all_cycles]
         return PermGroup(degree, gens)
 
-    m = re.fullmatch(r"(cyclic|dihedral|sym|alt):(\d+)", spec)
-    if m:
-        name, n = m.group(1), read_int(m.group(2))
+    name, _, digits = spec.partition(":")
+    if name in ("cyclic", "dihedral", "sym", "alt") and digits.isdecimal():
+        n = read_int(digits)
         if n < 1:
             raise GroupParseError("%s:%d needs n >= 1" % (name, n))
         return _named_group(name, n)
 
-    m = re.fullmatch(r"elem-abelian:(\d+)\^(\d+)", spec)
-    if m:
-        p, k = read_int(m.group(1)), read_int(m.group(2))
-        return _elem_abelian(p, k)
+    p, caret, k = digits.partition("^")
+    if name == "elem-abelian" and caret and p.isdecimal() and k.isdecimal():
+        return _elem_abelian(read_int(p), read_int(k))
 
     raise GroupParseError("cannot parse group spec %r" % (spec,))
 
@@ -899,9 +909,9 @@ def _direct_product(A, B):
 def select_class(G, classes, selector):
     """Resolve a subgroup selector: 'order:index', 'gens:<cycles>' or 'A<n>'."""
     selector = selector.strip()
-    m = re.fullmatch(r"(\d+):(\d+)", selector)
-    if m:
-        order, idx = read_int(m.group(1)), read_int(m.group(2))
+    order, colon, idx = selector.partition(":")
+    if colon and order.isdecimal() and idx.isdecimal():
+        order, idx = read_int(order), read_int(idx)
         matching = [c for c in classes if c.order == order]
         if idx >= len(matching):
             raise GroupParseError(
@@ -916,9 +926,8 @@ def select_class(G, classes, selector):
         index = G.element_index
         mask = _generate(index, [index.number[g] for g in gens])[2]
         return _class_of_mask(classes, mask)
-    m = re.fullmatch(r"[Aa](\d+)", selector)
-    if m:
-        if read_int(m.group(1)) != G.degree:
+    if selector[:1] in ("A", "a") and selector[1:].isdecimal():
+        if read_int(selector[1:]) != G.degree:
             raise GroupParseError("selector %s does not match degree %d"
                                   % (selector, G.degree))
         even = frozenset(g for g in G.elements if _is_even(g))

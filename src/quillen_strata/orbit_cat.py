@@ -7,7 +7,7 @@ double coset K g C_G(H).  Colimits of point-set diagrams are computed with
 union-find.
 """
 
-from collections import namedtuple
+from operator import itemgetter
 
 from .groups import GroupError, bitmask, row_orbit
 
@@ -17,7 +17,7 @@ class DiagramError(Exception):
     its operands."""
 
 
-class Morphism(namedtuple("Morphism", "src dst witness coset")):
+class Morphism(tuple):
     """c_g : H_src -> H_dst, h |-> g h g^-1, with gHg^-1 <= K.
 
     coset is K g C_G(H) as a bitmask; within one category it is determined
@@ -25,13 +25,20 @@ class Morphism(namedtuple("Morphism", "src dst witness coset")):
     """
 
     __slots__ = ()
+    src, dst, witness, coset = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, src, dst, witness, coset):
+        return tuple.__new__(cls, (src, dst, witness, coset))
 
 
-class QuillenOrbitCategory(namedtuple("QuillenOrbitCategory", "G objects homs")):
+class QuillenOrbitCategory:
     """O^Q_F(G) on class representatives: objects lists the family members'
     SubgroupClass in canonical order, homs[(i, j)] the morphisms i -> j."""
 
-    __slots__ = ()
+    __slots__ = ("G", "objects", "homs")
+
+    def __init__(self, G, objects, homs):
+        self.G, self.objects, self.homs = G, objects, homs
 
     def identity(self, i):
         for m in self.homs[(i, i)]:
@@ -86,11 +93,14 @@ def build_orbit_category(G, classes):
     return QuillenOrbitCategory(G=G, objects=list(classes), homs=homs)
 
 
-class OrbitDiagram(namedtuple("OrbitDiagram", "category point_sets maps")):
+class OrbitDiagram:
     """A functor to point-sets: point_sets maps each object index to a tuple
     of point keys, maps each Morphism to a dict point -> point."""
 
-    __slots__ = ()
+    __slots__ = ("category", "point_sets", "maps")
+
+    def __init__(self, category, point_sets, maps):
+        self.category, self.point_sets, self.maps = category, point_sets, maps
 
     def validate(self):
         """Check functoriality on all composable pairs; raise a named violation."""

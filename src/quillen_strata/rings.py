@@ -18,7 +18,6 @@ import operator
 import random
 import struct
 import zlib
-from collections import namedtuple
 from functools import lru_cache
 
 MAX_CYCLOTOMIC = 4096
@@ -352,10 +351,11 @@ class CycloField:
 
 # -- polynomials -------------------------------------------------------------
 
-class Poly(namedtuple("Poly", "coeffs dom")):
+class Poly(tuple):
     """A dense univariate polynomial; coeffs ascending, no trailing zeros."""
 
     __slots__ = ()
+    coeffs, dom = (property(operator.itemgetter(i)) for i in range(2))
 
     def __new__(cls, coeffs, dom):
         c = list(coeffs)
@@ -720,7 +720,13 @@ def cyclotomic_poly(d):
     return f
 
 
-SplittingData = namedtuple("SplittingData", "d q count residue_degree")
+class SplittingData:
+    """q splits into count primes of Z[zeta_d], each of this residue degree."""
+
+    __slots__ = ("count", "residue_degree")
+
+    def __init__(self, count, residue_degree):
+        self.count, self.residue_degree = count, residue_degree
 
 
 def prime_splitting(d, q):
@@ -734,7 +740,7 @@ def prime_splitting(d, q):
     if math.gcd(q, d) != 1:
         raise RingError("prime %d divides conductor %d" % (q, d))
     f = multiplicative_order(q, d)
-    return SplittingData(d=d, q=q, count=euler_phi(d) // f, residue_degree=f)
+    return SplittingData(count=euler_phi(d) // f, residue_degree=f)
 
 
 @lru_cache(maxsize=None)
@@ -850,10 +856,13 @@ def p_series_mult(p):
     return Poly.from_ints(coeffs, ZZ)
 
 
-class LevelData(namedtuple("LevelData", "p P Q_poly")):
+class LevelData:
     """P is a Poly over Q(zeta_p), Q_poly one over Z."""
 
-    __slots__ = ()
+    __slots__ = ("p", "P", "Q_poly")
+
+    def __init__(self, p, P, Q_poly):
+        self.p, self.P, self.Q_poly = p, P, Q_poly
 
     def q_over_cyclo(self):
         K = self.P.dom
@@ -918,7 +927,7 @@ def reduce_cyclo_mod_p(f, p):
 
 # -- prime descriptors and Spec(Z[X]/(X^n-1)) ---------------------------------
 
-class PrimeDescriptor(namedtuple("PrimeDescriptor", "ring kind data label")):
+class PrimeDescriptor(tuple):
     """A canonical representative of a prime ideal in one of the supported rings.
 
     ring: "Z" | "Z_p" | "Z[zeta_d,1/d]" | "Z[X]/(X^n-1)" | "F_q[x,y]^h" | "Z/p[t]^h";
@@ -930,6 +939,10 @@ class PrimeDescriptor(namedtuple("PrimeDescriptor", "ring kind data label")):
     """
 
     __slots__ = ()
+    ring, kind, data, label = (property(operator.itemgetter(i)) for i in range(4))
+
+    def __new__(cls, ring, kind, data, label):
+        return tuple.__new__(cls, (ring, kind, data, label))
 
 
 def residue_field_label(q, degree):
@@ -937,8 +950,7 @@ def residue_field_label(q, degree):
     return "F_%d" % q if degree == 1 else "F_%d^%d" % (q, degree)
 
 
-class SpectrumRing(namedtuple("SpectrumRing", "n prime_bound minimal maximal contains "
-                              "truncated", defaults=(True,))):
+class SpectrumRing(tuple):
     """Truncated Spec(Z[X]/(X^n-1)): minimal and maximal primes plus containments.
 
     minimal holds a PrimeDescriptor per divisor d | n, with data ("cyclo", d);
@@ -947,6 +959,12 @@ class SpectrumRing(namedtuple("SpectrumRing", "n prime_bound minimal maximal con
     """
 
     __slots__ = ()
+    n, prime_bound, minimal, maximal, contains = (
+        property(operator.itemgetter(i)) for i in range(5))
+    truncated = True   # by the prime bound, always
+
+    def __new__(cls, n, prime_bound, minimal, maximal, contains):
+        return tuple.__new__(cls, (n, prime_bound, minimal, maximal, contains))
 
 
 def cyclic_spectrum_ring(n, prime_bound):

@@ -13,9 +13,8 @@ edges: [{from, to, kind, provenance}]}.  Output is deterministic and
 integer/string-only, so golden-file comparisons are byte-exact.
 """
 
-import json
-from collections import namedtuple
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
+from operator import itemgetter
 
 from .orbit_cat import OrbitDiagram, build_orbit_category, colimit
 from .strata import (UnsupportedTheory, stratum, theory_family_classes,
@@ -24,23 +23,38 @@ from .strata import (UnsupportedTheory, stratum, theory_family_classes,
 SCHEMA = "quillen-strata/1"
 
 
-# A point of a space.  cls is the SubgroupClass of its stratum, among the
-# classes of the space's group; inside the package strata are named by class,
-# and the key in `stratum` is for output only.  A strong point's orbit is the
-# sorted descriptor data of its Weyl orbit, its descriptor's data first.
-SpacePoint = namedtuple("SpacePoint", "id stratum label closed descriptor cls orbit",
-                        defaults=(None, None, None))
+class SpacePoint(tuple):
+    """A point of a space.  cls is the SubgroupClass of its stratum, among the
+    classes of the space's group; inside the package strata are named by class,
+    and the key in `stratum` is for output only.  A strong point's orbit is the
+    sorted descriptor data of its Weyl orbit, its descriptor's data first."""
+
+    __slots__ = ()
+    id, stratum, label, closed, descriptor, cls, orbit = (
+        property(itemgetter(i)) for i in range(7))
+
+    def __new__(type_, id, stratum, label, closed, descriptor=None, cls=None, orbit=None):
+        return tuple.__new__(type_, (id, stratum, label, closed, descriptor, cls, orbit))
 
 
-# kind: internal | cross-stratum | external
-SpaceEdge = namedtuple("SpaceEdge", "src dst kind provenance", defaults=("",))
+class SpaceEdge(tuple):
+    """An edge of a space; kind: internal | cross-stratum | external."""
+
+    __slots__ = ()
+    src, dst, kind, provenance = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, src, dst, kind, provenance=""):
+        return tuple.__new__(cls, (src, dst, kind, provenance))
 
 
-class StratifiedSpace(namedtuple("StratifiedSpace", "meta points edges")):
+class StratifiedSpace:
     """A stratified space: its meta dict, sorted points and sorted edges, in
     the order every writer keeps."""
 
-    __slots__ = ()
+    __slots__ = ("meta", "points", "edges")
+
+    def __init__(self, meta, points, edges):
+        self.meta, self.points, self.edges = meta, points, edges
 
     def closed_points(self):
         return [pt for pt in self.points if pt.closed]
@@ -90,12 +104,15 @@ def assemble_strong(theory, G, group_label=""):
         truncated = truncated or model.truncated
         pid_of = {}    # point index -> id of its orbit's point
         for orb in model.orbits():
-            rp = _representative(model.points[i] for i in orb)
+            if len(orb) == 1:   # nearly every orbit
+                rp = model.points[orb[0]]
+                orbit = (rp.descriptor.data,)
+            else:
+                rp = _representative(model.points[i] for i in orb)
+                orbit = tuple(sorted(model.points[i].descriptor.data for i in orb))
             pid = "%s:%s" % (skey, rp.local_id)
-            points.append(SpacePoint(
-                id=pid, stratum=skey, label=rp.label, closed=rp.closed,
-                descriptor=rp.descriptor, cls=cls,
-                orbit=tuple(sorted(model.points[i].descriptor.data for i in orb))))
+            points.append(SpacePoint(pid, skey, rp.label, rp.closed, rp.descriptor, cls,
+                                     orbit))
             for i in orb:
                 pid_of[i] = pid
         for (i, j) in model.internal_edges:
@@ -170,8 +187,13 @@ def assemble_weak(theory, G, group_label=""):
 
 # -- isomorphism check ---------------------------------------------------------
 
-SpaceIsoReport = namedtuple("SpaceIsoReport", "isomorphic witness obstruction",
-                            defaults=(None, ""))
+class SpaceIsoReport:
+    """Isomorphic or not, with a witness {strong id: weak id} or an obstruction."""
+
+    __slots__ = ("isomorphic", "witness", "obstruction")
+
+    def __init__(self, isomorphic, witness=None, obstruction=""):
+        self.isomorphic, self.witness, self.obstruction = isomorphic, witness, obstruction
 
 
 def _invariant_multiset(space):
@@ -270,6 +292,29 @@ def to_document(space):
     }
 
 
+def json_text(value, indent="\n"):
+    """json.dumps(value, sort_keys=True, indent=2), each line break written as
+    indent, for str, int, bool, None and lists, tuples and str-keyed dicts of
+    them; any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [json_text(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):  # the escaper refuses a non-str key
+        items, brackets = [encode_basestring_ascii(key) + ": " + json_text(value[key], inner)
+                           for key in sorted(value)], "{}"
+    else:
+        raise TypeError("%s is not JSON serializable" % type(value).__name__)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 _POINT = ('    {\n      "closed": %s,\n      "id": %s,\n      "label": %s,\n'
           '      "stratum": %s\n    }')
 _EDGE = ('    {\n      "from": %s,\n      "kind": %s,\n      "provenance": %s,\n'
@@ -297,8 +342,7 @@ def to_json(space):
               for pt in space.points]
     edges = [_EDGE % (q(e.src), q(e.kind), q(e.provenance), q(e.dst))
              for e in space.edges]
-    # escaped output holds no literal newline, so this indents meta one level
-    meta = json.dumps(space.meta, sort_keys=True, indent=2).replace("\n", "\n  ")
+    meta = json_text(space.meta, "\n  ")
     return '{\n  "edges": %s,\n  "meta": %s,\n  "points": %s,\n  "schema": %s\n}\n' % (
         _json_list(edges), meta, _json_list(points), q(SCHEMA))
 
@@ -326,6 +370,7 @@ def to_dot(space):
 
 
 def to_table(space):
+    import json
     lines = ["# %s" % json.dumps(space.meta, sort_keys=True)]
     lines.append("points (%d):" % len(space.points))
     for pt in space.points:
@@ -339,11 +384,16 @@ def to_table(space):
 
 
 def deserialize(text):
+    import json
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError("unknown schema %r" % (doc.get("schema"),))
-    points = [SpacePoint(p["id"], p["stratum"], p["label"], p["closed"])
-              for p in doc["points"]]
-    edges = [SpaceEdge(e["from"], e["to"], e["kind"], e.get("provenance", ""))
-             for e in doc["edges"]]
-    return _space(doc["meta"], points, edges)
+    try:
+        if doc.get("schema") != SCHEMA:
+            raise ValueError("unknown schema %r" % (doc.get("schema"),))
+        points = [SpacePoint(p["id"], p["stratum"], p["label"], p["closed"])
+                  for p in doc["points"]]
+        edges = [SpaceEdge(e["from"], e["to"], e["kind"], e.get("provenance", ""))
+                 for e in doc["edges"]]
+        meta = doc["meta"]
+    except (KeyError, TypeError, AttributeError) as exc:  # a missing or mistyped field
+        raise ValueError("bad spectrum document: %r" % exc) from None
+    return _space(meta, points, edges)

@@ -15,8 +15,8 @@ all the theory's own facts; the functions here read it and name no theory.
 
 import itertools
 import math
-import re
 from collections import namedtuple
+from operator import itemgetter
 
 from .groups import FamilySpec, family_members, read_int, weyl
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
@@ -70,15 +70,17 @@ class TheorySpec(namedtuple("TheorySpec", "kind p f prime_bound degree_bound",
 
 
 def parse_theory(text, prime_bound=None, degree_bound=None):
-    """Parse a theory spec string, such as modp:q=4,deg=1, by THEORIES' patterns."""
+    """Parse a theory spec string such as modp:q=4,deg=1: a key of THEORIES, then
+    `:p=<digits>,...` for its record's params in order, all but the first optional."""
     text = text.strip()
-    for kind, record in THEORIES.items():
-        m = re.fullmatch(record.pattern, text)
-        if m:
-            break
-    else:
+    kind, colon, rest = text.partition(":")
+    params = THEORIES[kind].params if kind in THEORIES else None
+    parts = [part.partition("=") for part in rest.split(",")] if colon else []
+    if (params is None or bool(colon) != bool(params) or len(parts) > len(params)
+            or not all(name == param and digits.isdecimal()
+                       for param, (name, _, digits) in zip(params, parts))):
         raise TheoryError("cannot parse theory spec %r" % (text,))
-    found = m.groupdict()
+    found = {name: digits for name, _, digits in parts}
     fields = {"prime_bound": DEFAULT_PRIME_BOUND if prime_bound is None else prime_bound,
               "degree_bound": DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound}
     if found.get("p"):
@@ -119,11 +121,15 @@ def weyl_action_kind(subgroup):
 
 # -- stratum models ------------------------------------------------------------
 
-class StratumPoint(namedtuple("StratumPoint", "local_id descriptor")):
+class StratumPoint(tuple):
     """A point of a stratum: its local id and its PrimeDescriptor, which
     holds its label; it is closed when the descriptor's kind is "closed"."""
 
     __slots__ = ()
+    local_id, descriptor = (property(itemgetter(i)) for i in range(2))
+
+    def __new__(cls, local_id, descriptor):
+        return tuple.__new__(cls, (local_id, descriptor))
 
     @property
     def label(self):
@@ -134,14 +140,19 @@ class StratumPoint(namedtuple("StratumPoint", "local_id descriptor")):
         return self.descriptor.kind == "closed"
 
 
-class StratumModel(namedtuple("StratumModel", "subgroup points internal_edges weyl "
-                              "action reason truncated", defaults=("", False))):
+class StratumModel:
     """The stratum at a SubgroupClass: its StratumPoints in canonical order,
     internal_edges as (i, j) index pairs generic -> special, the WeylGroup
     (None for an empty stratum) and per sorted quotient element the images
     of the point indices; reason is non-empty iff the stratum is empty."""
 
-    __slots__ = ()
+    __slots__ = ("subgroup", "points", "internal_edges", "weyl", "action", "reason",
+                 "truncated")
+
+    def __init__(self, subgroup, points, internal_edges, weyl, action, reason="",
+                 truncated=False):
+        self.subgroup, self.points, self.internal_edges = subgroup, points, internal_edges
+        self.weyl, self.action, self.reason, self.truncated = weyl, action, reason, truncated
 
     def orbits(self):
         """Weyl orbits of point indices, each sorted, in canonical order: the
@@ -515,33 +526,32 @@ def _rank_at_most_two(theory, cls):
             % cls.p_rank(theory.p))
 
 
-# A theory's record.  pattern: its spec regex, with the groups p, or q and deg.
-# name: the format of TheorySpec.name.  family(p).  build(theory, cls): a member
-# stratum's points, internal edges and truncation flag.  conjugation(theory, x,
-# L, L2): the map of descriptor data along c_x: L -> L2 = x L x^-1, for Weyl
+# A theory's record.  params: the numbers its spec names, as parse_theory reads
+# them.  name: the format of TheorySpec.name.  family(p).  build(theory, cls): a
+# member stratum's points, internal edges and truncation flag.  conjugation(theory,
+# x, L, L2): the map of descriptor data along c_x: L -> L2 = x L x^-1, for Weyl
 # actions and transition maps.  glue(theory, members, points): the strong form's
 # edges between the members' strata, or None, and then no weak form either.
 # check_group(theory, G) runs before the lattice, check_member(theory, cls) on
 # each member.
-TheoryRecord = namedtuple("TheoryRecord", "pattern name family build conjugation glue "
+TheoryRecord = namedtuple("TheoryRecord", "params name family build conjugation glue "
                           "check_group check_member", defaults=(None, None))
 
 THEORIES = {
-    "height1": TheoryRecord(r"height1:p=(?P<p>\d+)", "height1:p={0.p}", FamilySpec.cyclic_p,
+    "height1": TheoryRecord(("p",), "height1:p={0.p}", FamilySpec.cyclic_p,
                             _stratum_height1, _fixed, _segal_edges),
-    "ku": TheoryRecord("ku", "ku", lambda p: FamilySpec.cyclic(),
+    "ku": TheoryRecord((), "ku", lambda p: FamilySpec.cyclic(),
                        lambda theory, cls: _ku_points(cls.order, theory.prime_bound),
                        _ku_conjugation, _segal_edges, check_group=_ku_index_bound),
-    "hz": TheoryRecord(r"hz:p=(?P<p>\d+)", "hz:p={0.p}", lambda p: FamilySpec.all(),
+    "hz": TheoryRecord(("p",), "hz:p={0.p}", lambda p: FamilySpec.all(),
                        _stratum_hz, _fixed, _balmer_gallauer_edges,
                        check_group=_cyclic_p_groups_only),
     # no edges between strata yet, so no weak form
-    "modp": TheoryRecord(r"modp:q=(?P<q>\d+)(?:,deg=(?P<deg>\d+))?",
-                         "modp:q={0.q},deg={0.degree_bound}", FamilySpec.elem_abelian_p,
-                         _stratum_modp, _modp_conjugation, None,
+    "modp": TheoryRecord(("q", "deg"), "modp:q={0.q},deg={0.degree_bound}",
+                         FamilySpec.elem_abelian_p, _stratum_modp, _modp_conjugation, None,
                          check_member=_rank_at_most_two),
     # the trivial subgroup is the one family member, so there is one stratum
-    "kr": TheoryRecord("kr", "kr", lambda p: FamilySpec.abelian_p_rank(2, 0),
+    "kr": TheoryRecord((), "kr", lambda p: FamilySpec.abelian_p_rank(2, 0),
                        lambda theory, cls: _spec_z_points(theory.prime_bound), _fixed,
                        None, check_group=_order_two_only),
 }

@@ -8,6 +8,7 @@ trustworthy.
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -709,8 +710,6 @@ def reference_build_group(spec):
     x of the body in turn is tried as the split, the left side built first,
     and a split whose sides fail to parse is skipped.  Exponential in the
     nesting, so only for short specs."""
-    import re
-
     from quillen_strata import groups
 
     spec = spec.strip()
@@ -725,6 +724,150 @@ def reference_build_group(spec):
             continue
         return groups._direct_product(A, B)
     raise groups.GroupParseError("cannot split product spec %r" % (spec,))
+
+
+# -- the regex parsers the group DSL, theory specs and selectors were read
+# with, kept as the reference for the str-method parsers that replaced them
+
+THEORY_PATTERNS = {
+    "height1": r"height1:p=(?P<p>\d+)",
+    "ku": "ku",
+    "hz": r"hz:p=(?P<p>\d+)",
+    "modp": r"modp:q=(?P<q>\d+)(?:,deg=(?P<deg>\d+))?",
+    "kr": "kr",
+}
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_RE = re.compile(r"\s*(?:\([\s0-9]*\)\s*)*")
+_PRODUCTS_RE = re.compile(r"((?:\s*product:)*)(.*)", re.S)
+_NAMED_RE = re.compile(r"(cyclic|dihedral|sym|alt):(\d+)")
+_ELEM_ABELIAN_RE = re.compile(r"elem-abelian:(\d+)\^(\d+)")
+_CLASS_RE = re.compile(r"(\d+):(\d+)")
+_ALT_RE = re.compile(r"[Aa](\d+)")
+
+
+def regex_parse_cycles(text):
+    from quillen_strata.groups import GroupParseError, read_int
+    cycles = []
+    rest = text.replace(",", " ")
+    if not _CYCLES_RE.fullmatch(rest):
+        raise GroupParseError("bad cycle syntax %r" % (text,))
+    for body in _CYCLE_RE.findall(rest):
+        pts = [read_int(t) for t in body.split()]
+        if pts:
+            cycles.append(tuple(pts))
+    return cycles
+
+
+def regex_build_group(spec):
+    """build_group as it read specs with the regexes above; it builds with
+    the package's constructors."""
+    from quillen_strata import groups
+    from quillen_strata.groups import GroupParseError, Perm, PermGroup, read_int
+
+    spec = spec.strip()
+    if spec.startswith("product:"):
+        cannot = GroupParseError("cannot split product spec %r" % (spec,))
+        parts = [_PRODUCTS_RE.fullmatch(text).groups() for text in spec.split("x")]
+        unread = list(itertools.accumulate(
+            (prefixes.count("product:") - 1 for prefixes, _ in parts), initial=1))
+        if unread[-1] or 0 in unread[:-1]:
+            raise cannot
+        pending = []
+        for prefixes, text in parts:
+            pending += [None] * prefixes.count("product:")
+            try:
+                group = regex_build_group(text)
+            except GroupParseError:
+                raise cannot from None
+            while pending and pending[-1] is not None:
+                group = groups._direct_product(pending.pop(), group)
+            if pending:
+                pending[-1] = group
+        return group
+    if spec.startswith("perm:"):
+        gen_texts = [t for t in spec[len("perm:"):].split(";") if t.strip()]
+        if not gen_texts:
+            raise GroupParseError("perm: needs at least one generator")
+        all_cycles = [regex_parse_cycles(t) for t in gen_texts]
+        degree = max([1] + [max(cyc) + 1 for cycles in all_cycles for cyc in cycles])
+        groups._check_degree(degree)
+        return PermGroup(degree, [Perm.from_cycles(cycles, degree) for cycles in all_cycles])
+    m = _NAMED_RE.fullmatch(spec)
+    if m:
+        name, n = m.group(1), read_int(m.group(2))
+        if n < 1:
+            raise GroupParseError("%s:%d needs n >= 1" % (name, n))
+        return groups._named_group(name, n)
+    m = _ELEM_ABELIAN_RE.fullmatch(spec)
+    if m:
+        return groups._elem_abelian(read_int(m.group(1)), read_int(m.group(2)))
+    raise GroupParseError("cannot parse group spec %r" % (spec,))
+
+
+def regex_parse_theory(text):
+    """parse_theory at its default bounds as it read specs with
+    THEORY_PATTERNS."""
+    from quillen_strata import strata
+    from quillen_strata.groups import read_int
+    from quillen_strata.rings import MAX_FIELD_ORDER, is_prime
+    from quillen_strata.strata import TheoryError, TheorySpec, UnsupportedTheory
+
+    text = text.strip()
+    for kind, pattern in THEORY_PATTERNS.items():
+        m = re.fullmatch(pattern, text)
+        if m:
+            break
+    else:
+        raise TheoryError("cannot parse theory spec %r" % (text,))
+    found = m.groupdict()
+    fields = {}
+    if found.get("p"):
+        p = fields["p"] = read_int(found["p"], TheoryError)
+        if p > MAX_FIELD_ORDER:
+            raise UnsupportedTheory("p = %d exceeds 2^16" % p)
+        if not is_prime(p):
+            raise TheoryError("p = %d is not prime" % p)
+    if found.get("q"):
+        q = read_int(found["q"], TheoryError)
+        if q > MAX_FIELD_ORDER:
+            raise UnsupportedTheory("field size %d exceeds 2^16" % q)
+        fields["p"], fields["f"] = strata._prime_power(q)
+    if found.get("deg"):
+        fields["degree_bound"] = read_int(found["deg"], TheoryError)
+    return TheorySpec(kind, **fields)
+
+
+def regex_select_class(G, classes, selector):
+    """select_class as it read selectors with the regexes above."""
+    from quillen_strata import groups
+    from quillen_strata.groups import GroupParseError, Perm, class_containing, read_int
+
+    selector = selector.strip()
+    m = _CLASS_RE.fullmatch(selector)
+    if m:
+        order, idx = read_int(m.group(1)), read_int(m.group(2))
+        matching = [c for c in classes if c.order == order]
+        if idx >= len(matching):
+            raise GroupParseError(
+                "no class of order %d with index %d (have %d)" % (order, idx, len(matching)))
+        return matching[idx]
+    if selector.startswith("gens:"):
+        texts = [t for t in selector[len("gens:"):].split(";") if t.strip()]
+        gens = [Perm.from_cycles(regex_parse_cycles(t), G.degree) for t in texts]
+        for g in gens:
+            if g not in G.elements:
+                raise GroupParseError("generator %s not in group" % g.cycle_string())
+        index = G.element_index
+        mask = groups._generate(index, [index.number[g] for g in gens])[2]
+        return groups._class_of_mask(classes, mask)
+    m = _ALT_RE.fullmatch(selector)
+    if m:
+        if read_int(m.group(1)) != G.degree:
+            raise GroupParseError("selector %s does not match degree %d"
+                                  % (selector, G.degree))
+        even = frozenset(g for g in G.elements if groups._is_even(g))
+        return class_containing(classes, even)
+    raise GroupParseError("cannot parse subgroup selector %r" % (selector,))
 
 
 def class_facts(classes):

@@ -182,6 +182,22 @@ def test_cli_import_skips_dataclass_machinery():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_start_up_loads_neither_json_nor_re():
+    # under -S, so that site loads nothing first: the CLI writes its JSON
+    # with spectrum.json_text and reads specs with str methods, so neither
+    # the json package nor the regex engine loads on a job's way
+    proc = run_python(["-S", "-c", "import sys, quillen_strata.cli; print(sorted("
+                       "{'json', 're'} & set(sys.modules)))"])
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
+    job = ["spectrum", "--group", "sym:3", "--theory", "height1:p=3"]
+    proc = run_python(["-S", "-c", MAIN_THEN_MODULES % job])
+    assert proc.stdout.startswith('{\n  "edges": [')
+    code, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert not {"json", "re"} & set(loaded)
+
+
 # runs one job through main() and prints its exit code and loaded modules
 MAIN_THEN_MODULES = """
 import sys

@@ -15,7 +15,7 @@ from quillen_strata.rings import (RingError, cyclic_spectrum_ring,
 from quillen_strata.spectrum import (SpaceEdge, SpacePoint, StratifiedSpace,
                                      assemble_strong, assemble_weak,
                                      check_agreement,
-                                     deserialize, serialize, to_document)
+                                     deserialize, json_text, serialize, to_document)
 from quillen_strata.strata import (UnsupportedTheory, parse_theory, stratum,
                                    theory_family_classes, transition_map)
 
@@ -465,6 +465,29 @@ def test_deserialize_orders_a_document_and_refuses_a_repeated_point_id():
         deserialize(json.dumps(doc))
 
 
+def _refused(text):
+    with pytest.raises(ValueError) as info:
+        deserialize(text)
+    assert type(info.value) is ValueError
+    return str(info.value)
+
+
+def test_deserialize_refuses_a_document_without_points():
+    assert _refused('{"schema": "quillen-strata/1"}') == (
+        "bad spectrum document: KeyError('points')")
+
+
+def test_deserialize_refuses_a_point_without_a_stratum():
+    doc = json.loads(serialize(assemble_strong(H1_2, build_group("cyclic:2"), "cyclic:2"), "json"))
+    del doc["points"][0]["stratum"]
+    assert _refused(json.dumps(doc)) == "bad spectrum document: KeyError('stratum')"
+
+
+def test_deserialize_refuses_a_top_level_list():
+    assert _refused('[{"schema": "quillen-strata/1"}]').startswith(
+        "bad spectrum document: AttributeError(")
+
+
 def test_dot_output_fig1():
     G = build_group("cyclic:4")
     s = assemble_strong(H1_2, G, "cyclic:4")
@@ -547,6 +570,33 @@ def test_serialize_of_a_large_ku_space_matches_json_dumps():
     space = assemble_strong(parse_theory("ku", prime_bound=220),
                             build_group("cyclic:42"), "cyclic:42")
     assert serialize(space, "json") == oracle_json(space)
+
+
+# any JSON value the writer takes: strings with surrogates and the JS line
+# separators, ints past 64 bits, empty and nested lists, tuples and dicts
+_JSON_STR = st.text(st.one_of(st.sampled_from('"\\\n\x00\x1f\x7f\u2028\u2029\ud800\udfff'
+                                              "\u00e9\U0001d11e"),
+                              st.characters()), max_size=6)
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_STR,
+              st.sampled_from((2 ** 64, -2 ** 64, 10 ** 300, -10 ** 300))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_JSON_STR, inner, max_size=3)),
+    max_leaves=12)
+
+
+@given(_JSON_VALUE)
+@settings(max_examples=300, deadline=None)
+def test_the_json_writer_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, float("nan"), {1, 2}, b"x", [0, [2.0]], {"a": (None, 1.0)}, {1: "a"}, {None: 1},
+    {"a": 1, 2: "b"}, object()])
+def test_the_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 _META0 = {"group": "", "mode": "strong"}

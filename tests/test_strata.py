@@ -17,7 +17,7 @@ from quillen_strata.strata import (THEORIES, TheoryError, TheorySpec, Unsupporte
                                    irreducible_forms, parse_theory, stratum,
                                    theory_family_classes, weyl_action_kind)
 
-from conftest import (normalizer_perms, reference_form_substitute,
+from conftest import (THEORY_PATTERNS, normalizer_perms, reference_form_substitute,
                       reference_irreducible_forms, reference_weyl_matrix)
 
 WREATH = "perm:(0 1);(2 3);(0 2)(1 3)"
@@ -46,7 +46,7 @@ def theory_specs(draw):
     """A TheorySpec of any record, with the fields its pattern names drawn:
     a prime p, or a prime power q <= 256, and the bounds."""
     kind = draw(st.sampled_from(sorted(THEORIES)))
-    groups = re.compile(THEORIES[kind].pattern).groupindex
+    groups = re.compile(THEORY_PATTERNS[kind]).groupindex
     fields = {"prime_bound": draw(st.integers(1, MAX_PRIME_BOUND)),
               "degree_bound": draw(st.integers(1, 64))}
     if "p" in groups:
@@ -61,7 +61,7 @@ def theory_specs(draw):
 @settings(max_examples=200, deadline=None)
 def test_parse_theory_inverts_name_for_every_record(spec, other_degree):
     # a spec that names its degree bound keeps it over the one passed in
-    named = "deg" in re.compile(spec.record.pattern).groupindex
+    named = "deg" in re.compile(THEORY_PATTERNS[spec.kind]).groupindex
     degree_bound = other_degree if named else spec.degree_bound
     assert parse_theory(spec.name, prime_bound=spec.prime_bound,
                         degree_bound=degree_bound) == spec
