@@ -437,8 +437,9 @@ class SubgroupClass(PermGroup):
     with t S t^-1 = T, so the g with g S g^-1 = T are t times the normalizer;
     T's elements are the parent's subgroup_sets[T].  conjugates is the number
     of subgroups in the class.  The normalizer and the centralizer are held
-    as ascending numbers; the centralizer is taken inside the normalizer,
-    against the generators of S.
+    as ascending numbers; the centralizer, built on first use, is taken
+    inside the normalizer against the generators of S (in an abelian parent,
+    subgroups_up_to_conjugacy sets it to all of G).
     A class closes nothing: it takes its numbers, mask and the parent's
     index as given, and builds its Perm elements only when they are read.
     """
@@ -446,22 +447,25 @@ class SubgroupClass(PermGroup):
     def __init__(self, parent, mask, numbers, orbit, normalizer, index):
         self.degree = parent.degree
         self.parent = parent
-        self.element_index = ind = parent.element_index
+        self.element_index = parent.element_index
         self.numbers = numbers
         self.mask = mask
         self.order = len(numbers)
         self.orbit = orbit
         self.conjugates = len(orbit)
         self.normalizer_numbers = normalizer
-        rows = [ind.conj(s) for s in self.generator_numbers]
-        self.centralizer_numbers = tuple(  # s g s^-1 = g for every generator s
-            g for g in normalizer if all(row[g] == g for row in rows))
         self.index = index
 
     @functools.cached_property
     def elements(self):
         perms = self.element_index.perms
         return frozenset(perms[x] for x in self.numbers)
+
+    @functools.cached_property
+    def centralizer_numbers(self):
+        rows = [self.element_index.conj(s) for s in self.generator_numbers]
+        return tuple(  # s g s^-1 = g for every generator s
+            g for g in self.normalizer_numbers if all(row[g] == g for row in rows))
 
     @functools.cached_property
     def centralizer_generators(self):
@@ -551,6 +555,8 @@ def subgroups_up_to_conjugacy(G):
             normalizer = tuple(sorted(_generate(index, schreier)[1]))
         cls = SubgroupClass(parent=G, mask=S, numbers=subs[S], orbit=orbit,
                             normalizer=normalizer, index=len(classes))
+        if abelian:
+            cls.centralizer_numbers = G.numbers
         if cls.conjugates != G.order // len(normalizer):
             raise GroupError("conjugate count mismatch for class %r" % (cls,))
         if S & ~bitmask(normalizer):
@@ -604,21 +610,22 @@ def weyl(cls, kind):
     X's generators.  The left rows of N's generators act on the cosets, and
     mulclose closes these actions to N/X, which acts regularly as X is normal
     in N: coset 0 is X, so q's witness is the least number of coset q(0).
+    When X = N (H or C is N, for global) the identity witnesses all of N/X.
     The quillen quotient N/C is well-defined (as the image of N in Aut(H))
     for any H; the name is only standard for abelian H.
     """
-    if kind == "ordinary":
-        gens = cls.generator_numbers
-    elif kind == "global":
-        gens = cls.generator_numbers + cls.centralizer_generators
-    elif kind == "quillen":
-        gens = cls.centralizer_generators
-    else:
+    if kind not in ("ordinary", "global", "quillen"):
         raise GroupError("unknown Weyl kind %r" % (kind,))
     index = cls.element_index
+    N = cls.normalizer_numbers
+    if (kind != "quillen" and cls.order == len(N)
+            or kind != "ordinary" and len(cls.centralizer_numbers) == len(N)):
+        return WeylGroup(kind=kind, order=1, quotient=PermGroup(1, ()),
+                         witnesses=((Perm.identity(1), index.perms[0]),))
+    gens = ((cls.generator_numbers if kind != "quillen" else ())
+            + (cls.centralizer_generators if kind != "ordinary" else ()))
     rows = [index.right(x) for x in gens]
     seen = bytearray(len(index.perms))
-    N = cls.normalizer_numbers
     cosets = [row_orbit((n,), rows, seen) for n in N if not seen[n]]
     coset_of = {x: i for i, coset in enumerate(cosets) for x in coset}
     reps = [coset[0] for coset in cosets]

@@ -20,8 +20,8 @@ from operator import itemgetter
 
 from .groups import FamilySpec, family_members, read_int, weyl
 from .rings import (GF, MAX_CYCLOTOMIC, MAX_FIELD_ORDER, MAX_PRIME_BOUND, Poly,
-                    PrimeDescriptor, RingError, frobenius_labels, is_prime,
-                    least_prime_factor, p_part, prime_divisors, prime_splitting,
+                    PrimeDescriptor, RingError, euler_phi, frobenius_labels, is_prime,
+                    least_prime_factor, multiplicative_order, p_part, prime_divisors,
                     primes_upto, residue_field_label)
 
 DEFAULT_PRIME_BOUND = 19
@@ -157,6 +157,8 @@ class StratumModel:
     def orbits(self):
         """Weyl orbits of point indices, each sorted, in canonical order: the
         orbit of i is its images under every Weyl element."""
+        if len(self.action) <= 1:  # a trivial Weyl group fixes every point
+            return [(i,) for i in range(len(self.points))]
         return sorted({tuple(sorted({perm[i] for perm in self.action}))
                        for i in range(len(self.points))})
 
@@ -168,15 +170,19 @@ def stratum(theory, cls):
     (the geometric fixed points vanish there); the record's checks ran in
     `theory_family_classes`, once per job.  The record's builder gets a family
     member and returns its points, internal edges and truncation flag; each
-    Weyl witness n acts on the points by `point_map` along c_n: cls -> cls.
+    Weyl witness n acts on the points by `point_map` along c_n: cls -> cls,
+    but the first: only the identity of the regular quotient fixes coset 0,
+    so its witness is the identity element, which fixes every point.
     """
     if not theory.family().contains(cls):
         return StratumModel(subgroup=cls, points=(), internal_edges=(), weyl=None, action=(),
                             reason="outside family: geometric fixed points vanish")
     w = weyl(cls, weyl_action_kind(cls))
     points, edges, truncated = theory.record.build(theory, cls)
-    at = {cls: {pt.descriptor.data: k for k, pt in enumerate(points)}}
-    action = tuple(tuple(point_map(theory, n, at, at).values()) for _, n in w.witnesses)
+    action = (tuple(range(len(points))),)
+    if w.order > 1:
+        at = {cls: {pt.descriptor.data: k for k, pt in enumerate(points)}}
+        action += tuple(tuple(point_map(theory, n, at, at).values()) for _, n in w.witnesses[1:])
     return StratumModel(subgroup=cls, points=points, internal_edges=edges, weyl=w,
                         action=action, truncated=truncated)
 
@@ -249,12 +255,13 @@ def _ku_points(d, prime_bound):
     ring = "Z[zeta_%d,1/%d]" % (d, d)
     label0 = "Q" if d <= 2 else "Q(zeta_%d)" % d
     points = [StratumPoint("0", PrimeDescriptor(ring, "generic", ("cyclo", d), label0))]
+    phi = euler_phi(d)
     for q in primes_upto(prime_bound):
         if d % q == 0:
             continue
-        split = prime_splitting(d, q)
-        lbl = residue_field_label(q, split.residue_degree)
-        for i in range(split.count):
+        f = multiplicative_order(q, d)
+        lbl = residue_field_label(q, f)
+        for i in range(phi // f):
             points.append(StratumPoint(
                 "%d.%d" % (q, i), PrimeDescriptor(ring, "closed", ("modular", q, i), lbl)))
     edges = tuple((0, j) for j in range(1, len(points)))
@@ -323,35 +330,50 @@ def irreducible_forms(dom, max_degree):
     """Monic-normalized irreducible homogeneous forms in x, y of degree <= bound.
 
     Degree 1: y plus x + c*y for c in F_q.  Degree k >= 2: homogenizations of
-    monic irreducible one-variable polynomials of degree k, found by a sieve:
-    the reducible ones are the products a*b with a monic irreducible of
-    degree i <= k/2 and b monic of degree k - i.  Coefficient tuples list the
-    coefficient of x^i y^(k-i) at index i; each degree comes in the order of
-    the code sum_{i<k} c_i q^i.
+    monic irreducible one-variable polynomials of degree k, found by a sieve
+    on the codes sum_{j<k} c_j q^j: the reducible ones are the products a*b
+    with a monic irreducible of degree i <= k/2 and b monic of degree k - i.
+    As a*(x*b' + t) = x*(a*b') + t*a, the codes for the b of one degree are
+    those one degree lower shifted up a digit, plus t*a in the low i + 1.
+    Coefficient tuples list the coefficient of x^i y^(k-i) at index i; each
+    degree comes in the order of its code.
     """
     q = dom.q
     # q >= 2, so q^max_degree exceeds the bound once max_degree reaches its bit length
     if q ** min(max_degree, MAX_FORM_ENUM.bit_length()) > MAX_FORM_ENUM:
         raise UnsupportedTheory(
             "degree bound %d over F_%d enumerates too many forms" % (max_degree, q))
-    irreducible = {}
-    for k in range(1, max_degree + 1):
-        weights = [q ** i for i in range(k)]
-        reducible = bytearray(q ** k)
-        for i in range(1, k // 2 + 1):
-            for b in _monic_polys(dom, k - i):
-                for a in irreducible[i]:
-                    reducible[sum(c * w for c, w in zip((a * b).coeffs, weights))] = 1
-        irreducible[k] = [f for code, f in enumerate(_monic_polys(dom, k))
-                          if not reducible[code]]
-    return [(dom.one, dom.zero)] + [f.coeffs for fs in irreducible.values() for f in fs]
+    if dom.f == 1:
+        def plus(c, col):  # c + each entry of col
+            return [(c + x) % q for x in col]
+    elif max_degree >= 2:  # then q <= 1024 by the bound: a q x q table of sums
+        table = [[dom.add(c, x) for x in range(q)] for c in range(q)]
 
-
-def _monic_polys(dom, k):
-    """The monic polynomials of degree k over F_q, in the order of the code
-    sum_{i<k} c_i q^i."""
-    return (Poly(tail[::-1] + (dom.one,), dom)
-            for tail in itertools.product(dom.elements(), repeat=k))
+        def plus(c, col):
+            return list(map(table[c].__getitem__, col))
+    weights = [q ** j for j in range(max_degree + 1)]
+    sieves = [bytearray(b"\x01") * w for w in weights]  # 1 at the codes not yet products
+    forms = [(dom.one, dom.zero)]
+    for i in range(1, max_degree + 1):
+        found = [tail[::-1] + (dom.one,) for tail in
+                 itertools.compress(itertools.product(dom.elements(), repeat=i), sieves[i])]
+        forms += found
+        for a in found if 2 * i <= max_degree else ():
+            times = [[dom.mul(t, c) for t in dom.elements()] for c in a]  # t * a_j
+            level = [sum(map(int.__mul__, a, weights[:i]))]  # the code of a*1
+            for m in range(1, max_degree - i + 1):
+                shorter, level = level, []
+                for code in shorter:  # the code of a*b'; x*(a*b') moves its digits up one
+                    low = code % weights[i]
+                    sums = times[0]  # per t, the low digits of x*(a*b') + t*a up to j
+                    for j in range(1, i + 1):
+                        sums = [s + d * weights[j] for s, d in
+                                zip(sums, plus(low // weights[j - 1] % q, times[j]))]
+                    level += [(code - low) * q + s for s in sums]
+                if m >= i:
+                    for code in level:
+                        sieves[i + m][code] = 0
+    return forms
 
 
 def _is_rational_linear(coeffs, dom):

@@ -69,6 +69,9 @@ CASES = [
      ["spectrum", "--group", "elem-abelian:5^2", "--theory", "modp:q=25,deg=2"]),
     ("strata_elemab3_2_modp_q27_deg2.json",
      ["strata", "--group", "elem-abelian:3^2", "--theory", "modp:q=27,deg=2"]),
+    # prime-field forms of degree 4, with the identity as the one Weyl witness
+    ("strata_elemab5_2_modp_q5_deg4.json",
+     ["strata", "--group", "elem-abelian:5^2", "--theory", "modp:q=5,deg=4"]),
 ]
 
 

@@ -21,6 +21,8 @@ from conftest import (centralizer_perms, check_class_conjugators, check_weyl,
 # groups outside the corpus, of orders 20 to 60
 EXTRA_GROUPS = (["alt:5"] + ["dihedral:%d" % n for n in range(10, 16)]
                 + ["product:sym:3xsym:3", "product:cyclic:3xsym:3"])
+# abelian groups, whose Weyl quotients are built without rows: N = C = G
+ABELIAN_GROUPS = ["cyclic:42", "elem-abelian:5^2", "product:cyclic:4xcyclic:4"]
 
 
 def test_perm_basics():
@@ -422,9 +424,24 @@ def test_weyl_matches_reference_on_corpus(corpus_groups):
         check_weyl(G, dsl)
 
 
-@pytest.mark.parametrize("dsl", EXTRA_GROUPS)
+@pytest.mark.parametrize("dsl", EXTRA_GROUPS + ABELIAN_GROUPS)
 def test_weyl_matches_reference_beyond_corpus(dsl):
     check_weyl(build_group(dsl), dsl)
+
+
+@pytest.mark.parametrize("dsl", ABELIAN_GROUPS)
+def test_an_abelian_groups_classes_have_all_of_it_as_centralizer(dsl):
+    G = build_group(dsl)
+    check_class_conjugators(G, dsl)  # the brute-force normalizer and centralizer
+    group = {p.images for p in G.elements}
+    for cls in subgroups_up_to_conjugacy(G):
+        S = [p.images for p in cls.elements]
+        assert {g for g in group if all(compose(g, s) == compose(s, g) for s in S)} \
+            == {p.images for p in centralizer_perms(cls)} == group, (dsl, cls.index)
+        for kind in ("global", "quillen"):
+            w = weyl(cls, kind)
+            assert (w.order, w.quotient.degree) == (1, 1), (dsl, cls.index, kind)
+            assert [n for _, n in w.witnesses] == [G.identity()]
 
 
 def check_cyclic_generators(G, label):

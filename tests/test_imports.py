@@ -122,8 +122,10 @@ def _is_static(fn):
 def never_overridden_defaults(src_trees, call_trees):
     """(function, parameter) of each defaulted parameter of a def in
     src_trees that no call in call_trees passes.  A call is matched by the
-    name it calls (a method's through any attribute, a class's __init__
-    through the class name), so one name covers every def that bears it; a
+    name it calls (a method's through any attribute), so one name covers
+    every def that bears it; but a class's own __init__ and __new__ are
+    matched only by calls of the class's name, so a call through an
+    attribute such as super().__new__(cls, *args) covers none of them.  A
     *args or **kwargs in a call passes every parameter."""
     calls = {}  # called name -> [(positional count, keywords)]
     for tree in call_trees:
@@ -135,10 +137,8 @@ def never_overridden_defaults(src_trees, call_trees):
                 keywords = {k.arg for k in node.keywords}
                 calls.setdefault(name, []).append(
                     (float("inf") if star or None in keywords else len(node.args), keywords))
-    inits = {node.name for tree in src_trees for node in ast.walk(tree)
-             if isinstance(node, ast.ClassDef) and any(
-                 isinstance(item, ast.FunctionDef) and item.name == "__init__"
-                 for item in node.body)}
+    owner = {item: node.name for tree in src_trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for item in node.body}
     found = []
     for tree in src_trees:
         for fn, method, _ in _defs(tree):
@@ -148,9 +148,8 @@ def never_overridden_defaults(src_trees, call_trees):
                          if i >= len(names) - len(fn.args.defaults)]
             defaulted += [(None, x.arg) for x, d in zip(fn.args.kwonlyargs,
                                                        fn.args.kw_defaults) if d]
-            sites = list(calls.get(fn.name, ()))
-            if fn.name == "__init__":
-                sites += [c for cls in inits for c in calls.get(cls, ())]
+            constructor = method and fn.name in ("__init__", "__new__")
+            sites = calls.get(owner[fn] if constructor else fn.name, ())
             for i, name in defaulted:
                 if not any(name in kw or (i is not None and count > i - shift)
                            for count, kw in sites):
@@ -192,10 +191,20 @@ def test_the_parameter_checks_see_what_they_forbid():
                     "    def __init__(self, x=0):\n        self.x = 1\n"
                     "    def m(self, y, z=3):\n        return y\n"
                     "    @staticmethod\n"
-                    "    def s(y, z=3):\n        return y + z\n")
-    calls = ast.parse("f(1, c=3)\n_g(*xs)\nK()\nk.m(1, 2)\nK.s(1)\n")
+                    "    def s(y, z=3):\n        return y + z\n"
+                    "class L:\n"
+                    "    def __init__(self, x=0):\n        self.x = x\n"
+                    "class T(tuple):\n"
+                    "    def __new__(cls, a, b=0):\n"
+                    "        return super().__new__(cls, *a)\n"
+                    "class U(tuple):\n"
+                    "    def __new__(cls, a, b=0):\n"
+                    "        return tuple.__new__(cls, (a, b))\n")
+    # L(x=1) passes L's x, not K's; T's own star call passes nothing to T
+    calls = ast.parse("f(1, c=3)\n_g(*xs)\nK()\nk.m(1, 2)\nK.s(1)\n"
+                      "L(x=1)\nT(1)\nU(1, 2)\n")
     assert never_overridden_defaults([src], [src, calls]) == [
-        ("__init__", "x"), ("f", "b"), ("s", "z")]
+        ("__init__", "x"), ("__new__", "b"), ("f", "b"), ("s", "z")]
     assert unread_parameters([src]) == [("f", "b"), ("f", "c"), ("m", "z")]
 
 

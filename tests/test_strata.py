@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quillen_strata import rings
+from quillen_strata import rings, strata
 from quillen_strata.cli import run
 from quillen_strata.groups import (GroupError, build_group, class_containing,
                                    mulclose, Perm, subgroups_up_to_conjugacy)
-from quillen_strata.rings import (GF, MAX_PRIME_BOUND, Poly, RingError, cyclotomic_poly,
+from quillen_strata.rings import (GF, MAX_PRIME_BOUND, RingError, cyclotomic_poly,
                                   factor, primes_upto, residue_field_label)
 from quillen_strata.strata import (THEORIES, TheoryError, TheorySpec, UnsupportedTheory,
                                    _form_substitute, _ku_points, _linear_powers,
@@ -326,21 +326,27 @@ def test_modp_degree_two_forms_are_irreducible_quadratics():
 
 
 def test_modp_degree_bound_checked_before_enumerating(monkeypatch):
-    # 8^7 exceeds the enumeration bound: no lower degree may be sieved first
+    # 8^7 exceeds the enumeration bound: no lower degree may be sieved first,
+    # and the sieve's first field operation builds its table of sums
     dom = GF(2, 3)
 
-    def fail(a, b):
-        raise AssertionError("the sieve multiplied before the degree bound check")
+    def fail(self, a, b):
+        raise AssertionError("the sieve computed before the degree bound check")
 
-    monkeypatch.setattr(Poly, "__mul__", fail)
+    monkeypatch.setattr(GF, "add", fail)
+    monkeypatch.setattr(GF, "mul", fail)
     with pytest.raises(UnsupportedTheory, match="degree bound 7 over F_8"):
         irreducible_forms(dom, 7)
 
 
-# (p, f, D): q = p^f in {2, 3, 4, 5, 7, 8, 9, 16, 25}
+# (p, f, D): q = p^f in {2, 3, 4, 5, 7, 8, 9, 16, 25, 31}, with every modp case
+# of the bench's splitting workload: q in {2, 3, 4, 5, 8, 9}, 2 <= D, q^D <= 3125
 @pytest.mark.parametrize("p,f,max_degree", [(2, 1, 6), (3, 1, 4), (2, 2, 4), (5, 1, 3),
                                             (7, 1, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2),
-                                            (5, 2, 2)])
+                                            (5, 2, 2)]
+                         + [(2, 1, D) for D in (2, 3, 4, 5)]
+                         + [(3, 1, D) for D in (2, 3, 5)] + [(2, 2, D) for D in (2, 3, 5)]
+                         + [(5, 1, D) for D in (2, 4, 5)] + [(2, 3, 2), (3, 2, 2), (31, 1, 3)])
 def test_irreducible_forms_match_rabin_reference(p, f, max_degree):
     dom = GF(p, f)
     assert irreducible_forms(dom, max_degree) == reference_irreducible_forms(
@@ -436,6 +442,66 @@ def test_modp_action_matches_perm_products(name):
             assert m.action == _reference_modp_action(m, th.p, dom), (name, dsl, cls.index)
             moved += sum(perm != tuple(range(len(perm))) for perm in m.action)
     assert moved  # some witness moves a form
+
+
+def test_the_identity_conjugation_fixes_every_point(corpus_groups):
+    # stratum() gives the identity witness the identity map without point_map,
+    # which rests on each record's rule fixing every point at x = 1, L2 = L
+    specs = {"height1": ("height1:p=2", "height1:p=3"), "ku": ("ku",),
+             "hz": ("hz:p=2", "hz:p=3"), "kr": ("kr",),
+             "modp": ("modp:q=4,deg=2", "modp:q=9,deg=2", "modp:q=2,deg=3",
+                      "modp:q=5,deg=2", "modp:q=8,deg=2")}
+    assert specs.keys() == THEORIES.keys()
+    checked = set()
+    for dsl, G in corpus_groups + [("alt:5", build_group("alt:5"))]:
+        for kind, names in specs.items():
+            for th in map(parse_theory, names):
+                try:
+                    members = theory_family_classes(th, G)
+                except UnsupportedTheory:
+                    continue
+                for L in members:
+                    move = th.record.conjugation(th, G.identity(), L, L)
+                    for pt in th.record.build(th, L)[0]:
+                        data = pt.descriptor.data
+                        assert move(data) == data, (dsl, th.name, L.index, data)
+                        checked.add(kind)
+    assert checked == THEORIES.keys()
+
+
+def _count_point_maps(monkeypatch):
+    calls = []
+    point_map = strata.point_map
+    monkeypatch.setattr(strata, "point_map",
+                        lambda *args: calls.append(args) or point_map(*args))
+    return calls
+
+
+@pytest.mark.parametrize("dsl,name,bound", [("cyclic:42", "ku", 199),
+                                            ("elem-abelian:5^2", "modp:q=5,deg=3", None)])
+def test_stratum_maps_no_point_on_an_abelian_group(monkeypatch, dsl, name, bound):
+    calls = _count_point_maps(monkeypatch)
+    th = parse_theory(name, prime_bound=bound)
+    models = [stratum(th, cls) for cls in theory_family_classes(th, build_group(dsl))]
+    assert calls == []
+    for m in models:
+        n = len(m.points)
+        assert m.weyl.order == 1 and m.action == (tuple(range(n)),)
+        assert m.orbits() == [(i,) for i in range(n)]
+    assert sum(len(m.points) for m in models) > 50
+
+
+def test_a_nontrivial_weyl_group_still_maps_its_points(monkeypatch):
+    # on sym:4 the witnesses other than the identity go through point_map, and
+    # the action is the one Perm products give
+    calls = _count_point_maps(monkeypatch)
+    th = parse_theory("modp:q=4,deg=2")
+    models = [stratum(th, cls) for cls in theory_family_classes(th, build_group("sym:4"))]
+    assert len(calls) == sum(m.weyl.order - 1 for m in models) > 0
+    for m in models:
+        assert m.action == _reference_modp_action(m, th.p, GF(th.p, th.f))
+        assert m.orbits() == sorted({tuple(sorted({perm[i] for perm in m.action}))
+                                     for i in range(len(m.points))})
 
 
 def test_modp_actions_are_group_actions():
