@@ -19,7 +19,7 @@ from .orbit_cat import DiagramError, coequalize_raw
 from .rings import (RingError, divides, is_separable, level_polynomial_P,
                     reduce_cyclo_mod_p)
 from .spectrum import assemble_strong, assemble_weak, json_text, serialize
-from .strata import (TheoryError, UnsupportedTheory, parse_theory, stratum,
+from .strata import (THEORIES, TheoryError, UnsupportedTheory, parse_theory, stratum,
                      theory_family_classes)
 
 
@@ -245,8 +245,10 @@ _int.__name__ = "int"  # the type argparse names in its messages
 
 _GROUP = ("--group", {"required": True, "help": "group DSL string"})
 _THEORY = [
-    ("--theory", {"required": True,
-                  "help": "height1:p=P | ku | hz:p=P | modp:q=Q,deg=D | kr"}),
+    ("--theory", {"required": True, "help": " | ".join(
+        kind + ":" * bool(record.params) + ",".join("%s=%s" % (name, name[0].upper())
+                                                   for name in record.params)
+        for kind, record in THEORIES.items())}),
     ("--prime-bound", {"type": _int, "default": None,
                        "help": "truncation bound for infinite spectra (default 19)"}),
     ("--degree-bound", {"type": _int, "default": None,

@@ -1,14 +1,14 @@
 """Exact arithmetic over Z, Q, F_q and cyclotomic fields.
 
 Polynomials are coefficient tuples in ascending degree over a small domain
-object.  Generic factorization over prime fields is distinct-degree followed
-by Cantor-Zassenhaus equal-degree splitting with a deterministic seeded RNG.
-The factors of Phi_d mod q, all of one known degree, come instead from the
-roots of unity in F_q when that degree is 1, and otherwise from random
-Frobenius-fixed coset sums raised to (q-1)/2 in F_q[X]/(Phi_e) once per round
-for all pieces, with no distinct-degree pass.  Both raise residues to powers
-through `_zp_mulmod`, with one bigint product per step, each residue packed
-into one int with a 64-bit slot per coefficient.  Factor lists are always
+object.  Generic factorization over prime fields is squarefree, then
+distinct-degree, then one Cantor-Zassenhaus splitter, `_split_equal_degree`,
+drawing from a deterministic seeded RNG.  The factors of Phi_d mod q, all of
+one known degree, come instead from the roots of unity in F_q when that
+degree is 1, and otherwise from the same splitter fed Frobenius-fixed coset
+sums, with no distinct-degree pass.  Residues are raised to powers through
+`_zp_mulmod`, with one bigint product per step, each residue packed into one
+int with a 64-bit slot per coefficient.  Factor lists are always
 returned in canonical order, so every result here is reproducible bit for
 bit; `frobenius_labels` numbers the primes above q by that order.
 """
@@ -516,16 +516,6 @@ def _zp_trim(c):
     return c
 
 
-def _zp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _zp_trim(out)
-
-
 def _zp_monic(a, p):
     if not a or a[-1] == 1:
         return list(a)
@@ -613,11 +603,6 @@ def _zp_mulmod(mod, p):
     return lambda a, b: reduce(a * b)
 
 
-def _zp_powmod(base, e, mod, p):
-    x = _zp_pack(_zp_divmod(base, mod, p)[1])
-    return list(_zp_unpack(_power(x, e, _zp_mulmod(mod, p), 1)))
-
-
 def _zp_deriv(a, p):
     return _zp_trim([c * i % p for i, c in enumerate(a)][1:])
 
@@ -646,50 +631,63 @@ def _zp_squarefree(f, p):
 
 
 def _zp_distinct_degree(f, p):
-    """[(product of same-degree irreducibles, degree)] for monic squarefree f."""
+    """[(product of same-degree irreducibles, degree)] for monic squarefree f.
+
+    h = X^(p^k) mod g is raised to the p-th power on packed residues, with
+    one `_zp_mulmod` per modulus g, rebuilt after g sheds a factor."""
     out = []
-    h = [0, 1]
-    g = list(f)
-    k = 0
+    g, h, k, mul = list(f), 1 << 64, 0, None
     while len(g) - 1 >= 2 * (k + 1):
         k += 1
-        h = _zp_powmod(h, p, g, p)
-        d = _zp_gcd(g, _zp_sub(h, [0, 1], p), p)
+        mul = mul or _zp_mulmod(g, p)
+        h = _power(h, p, mul, 1)
+        d = _zp_gcd(g, list(_zp_unpack(h + ((p - 1) << 64))), p)   # h - X
         if len(d) > 1:
             out.append((d, k))
             g = _zp_divmod(g, d, p)[0]
-            h = _zp_divmod(h, g, p)[1]
+            h, mul = _zp_pack(_zp_divmod(list(_zp_unpack(h)), g, p)[1]), None
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
 
 
-def _zp_equal_degree(f, k, p, rng):
-    """Cantor-Zassenhaus split of a product of degree-k irreducibles."""
-    if len(f) - 1 == k:
-        return [_zp_monic(f, p)]
-    while True:
-        r = _zp_trim([rng.randrange(p) for _ in range(len(f) - 1)])
-        if len(r) < 2:
-            continue
-        if p % 2 == 1:
-            s = _zp_sub(_zp_powmod(r, (p ** k - 1) // 2, f, p), [1], p)
-        else:
-            # trace map for characteristic 2: the slots are 0 or 1, so XOR adds
-            mul = _zp_mulmod(f, p)
-            s, t = 0, _zp_pack(_zp_divmod(r, f, p)[1])
-            for _ in range(k):
-                s ^= t
-                t = mul(t, t)
-            s = list(_zp_unpack(s))
-        d = _zp_gcd(f, s, p)
-        if 1 < len(d) < len(f):
-            rest = _zp_divmod(f, d, p)[0]
-            return _zp_equal_degree(d, k, p, rng) + _zp_equal_degree(rest, k, p, rng)
+def _split_equal_degree(g, f, p, draw):
+    """The factors of g, monic squarefree over F_p with every irreducible
+    factor of degree f, by Cantor-Zassenhaus (Math. Comp. 36, 1981).
+
+    Each round, draw(mul), with mul the packed product mod g of `_zp_mulmod`,
+    gives a packed residue t mod g that lies in F_p modulo every factor.
+    Then s = t^((p-1)/2) - 1, or s = t for p = 2, computed once for all
+    pieces, splits each piece h whose factors s does not treat alike by
+    gcd(h, s mod h).
+    """
+    if len(g) - 1 == f:
+        return [g]
+    mul = _zp_mulmod(g, p)
+    done, pieces = [], [g]
+    while pieces:
+        s = draw(mul)
+        if p > 2:
+            s = _power(s, (p - 1) // 2, mul, 1) + p - 1
+        s = list(_zp_unpack(s))
+        left = []
+        for h in pieces:
+            d = _zp_gcd(h, _zp_divmod(s, h, p)[1], p)
+            if 1 < len(d) < len(h):
+                for k in (d, _zp_divmod(h, d, p)[0]):
+                    (done if len(k) - 1 == f else left).append(k)
+            else:
+                left.append(h)
+        pieces = left
+    return done
 
 
 def factor(f):
-    """Full factorization over F_p: [(monic irreducible, multiplicity)] sorted."""
+    """Full factorization over F_p: [(monic irreducible, multiplicity)] sorted.
+
+    Squarefree, then distinct-degree, then `_split_equal_degree`, which draws
+    the trace r + r^p + ... + r^(p^(k-1)) of a random residue r: it lies in
+    F_p modulo every factor of degree k, for odd and even p alike."""
     dom = f.dom
     if not dom.is_field or dom.f != 1:
         raise RingError("factor is implemented over prime fields only")
@@ -698,11 +696,19 @@ def factor(f):
     p = dom.p
     seed = zlib.adler32(repr((dom.q, f.coeffs)).encode()) ^ 0x5EED
     rng = random.Random(seed)
+
+    def trace(mul, n, k):
+        s = r = _zp_pack([rng.randrange(p) for _ in range(n)])
+        for _ in range(k - 1):
+            r = _power(r, p, mul, 1)
+            s += r
+        return _zp_pack([c % p for c in _zp_unpack(s)])
+
     out = []
     for g, e in _zp_squarefree([c % p for c in f.coeffs], p):
         for part, k in _zp_distinct_degree(g, p):
-            for irr in _zp_equal_degree(part, k, p, rng):
-                out.append((Poly(tuple(irr), dom), e))
+            draw = lambda mul: trace(mul, len(part) - 1, k)
+            out.extend((Poly(tuple(irr), dom), e) for irr in _split_equal_degree(part, k, p, draw))
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
@@ -776,14 +782,11 @@ def _split_cyclotomic(phi, e, f, q):
 
     Frobenius maps X^i to X^(iq), so a sum r = sum_i c_i X^i with c constant
     on every coset i<q> of Z/e is fixed by it: r is a scalar of F_q modulo
-    each factor, and these coset sums span Berlekamp's fixed subalgebra.  Each
-    round draws one random coset sum r, reduces it mod phi and computes
-    s = r^((q-1)/2) - 1, or s = r for q = 2, once for all pieces, in
-    F_q[X]/(phi).  Then gcd(g, s mod g) splits each piece g whose factors s
-    does not treat alike.  A residue is packed as in `_zp_mulmod`, so a
-    product is one bigint product and one reduction.
+    each factor, and these coset sums span Berlekamp's fixed subalgebra.
+    Random coset sums, reduced mod phi, are the draws of `_split_equal_degree`,
+    so no distinct-degree pass runs.
     """
-    if len(phi) - 1 == f:
+    if len(phi) - 1 == f:  # before the cosets and the reducer
         return [phi]
     coset = [None] * e
     ncosets = 0
@@ -794,26 +797,10 @@ def _split_cyclotomic(phi, e, f, q):
                 coset[j] = ncosets
                 j = j * q % e
             ncosets += 1
-    reduce = _zp_reducer(phi, q, e)
-    mul = _zp_mulmod(phi, q)
+    reduce, pick = _zp_reducer(phi, q, e), operator.itemgetter(*coset)
     rng = random.Random(e << 32 | q)
-    done, pieces = [], [phi]
-    while pieces:
-        lam = rng.choices(range(q), k=ncosets)
-        s = reduce(_zp_pack([lam[c] for c in coset]))
-        if q > 2:
-            s = _power(s, (q - 1) // 2, mul, 1) + q - 1
-        s = list(_zp_unpack(s))
-        left = []
-        for g in pieces:
-            h = _zp_gcd(g, _zp_divmod(s, g, q)[1], q)
-            if 1 < len(h) < len(g):
-                for k in (h, _zp_divmod(g, h, q)[0]):
-                    (done if len(k) - 1 == f else left).append(k)
-            else:
-                left.append(g)
-        pieces = left
-    return done
+    return _split_equal_degree(
+        phi, f, q, lambda mul: reduce(_zp_pack(pick(rng.choices(range(q), k=ncosets)))))
 
 
 @lru_cache(maxsize=None)

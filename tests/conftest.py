@@ -629,9 +629,9 @@ def reference_cyclotomic_factors_mod(d, q):
     gcd(g, r^((q-1)/2) - 1), or gcd(g, r) for q = 2, until every piece has
     degree ord_e(q).  No Phi_2m reduction and no roots of unity."""
     import random
-    from quillen_strata.rings import (GF, Poly, _zp_divmod, _zp_gcd, _zp_powmod,
-                                      _zp_sub, cyclotomic_poly, multiplicative_order,
-                                      p_part)
+    from quillen_strata.rings import (GF, Poly, _power, _zp_divmod, _zp_gcd, _zp_mulmod,
+                                      _zp_pack, _zp_unpack, cyclotomic_poly,
+                                      multiplicative_order, p_part)
     e = p_part(d, q)[1]
     f = multiplicative_order(q, e)
     coset = [None] * e
@@ -654,7 +654,8 @@ def reference_cyclotomic_factors_mod(d, q):
         lam = [rng.randrange(q) for _ in range(ncosets)]
         r = _zp_divmod([lam[c] for c in coset], g, q)[1]
         if q > 2:
-            r = _zp_sub(_zp_powmod(r, (q - 1) // 2, g, q), [1], q)
+            r = _power(_zp_pack(r), (q - 1) // 2, _zp_mulmod(g, q), 1) + q - 1
+            r = list(_zp_unpack(r))     # r^((q-1)/2) - 1, reduced mod q by the gcd
         h = _zp_gcd(g, r, q)
         if 1 < len(h) < len(g):
             pieces += [h, _zp_divmod(g, h, q)[0]]

@@ -243,6 +243,23 @@ def test_console_script_subprocess():
     assert doc["meta"]["theory"] == "kr"
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--group", "sym:4", "--theory", "ku", "--mode", "weak"],
+    ["strata", "--group", "sym:4", "--theory", "modp:q=4,deg=2"],
+    ["spectrum", "--group", "dihedral:6", "--theory", "height1:p=2", "--mode", "weak",
+     "--format", "table"],
+    ["subgroups", "--group", "alt:5"],
+    ["spectrum", "--group", "sym:3", "--theory", "ku", "--prime-bound", "97",
+     "--format", "dot"]])
+def test_output_does_not_depend_on_the_hash_seed(args):
+    # str hashes, and so set and dict orders over str keys, change with
+    # PYTHONHASHSEED; the documents must not
+    runs = [run_python(["-m", "quillen_strata"] + args, env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
 def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("QUILLEN_STRATA_THREADS", "zebra")
     code, _, err = invoke(["drinfeld-check", "--p", "2"], capsys)
@@ -338,6 +355,17 @@ TABLE_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:8", "cyc
 
 def test_table_specs_cover_every_theory():
     assert set(TABLE_SPECS) == set(THEORIES)
+
+
+def test_theory_help_is_read_off_the_records(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")   # no wrapped help lines
+    expected = "height1:p=P | ku | hz:p=P | modp:q=Q,deg=D | kr"
+    for command in ("spectrum", "strata"):
+        options = {flags[0]: kwargs for *flags, kwargs in COMMANDS[command][2]}
+        assert options["--theory"]["help"] == expected
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["strata", "--help"])
+    assert expected in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", sorted(TABLE_SPECS))

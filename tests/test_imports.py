@@ -360,13 +360,33 @@ def test_strata_reads_weyl_orbits_off_its_action():
 
 
 def test_one_splitter_for_cyclotomic_factors():
-    # cyclotomic_factors_mod does not recurse, and _split_cyclotomic multiplies
-    # in F_q[X]/(Phi_e) through _zp_mulmod, not in a ring of its own
+    # cyclotomic_factors_mod does not recurse; one splitter, _split_equal_degree,
+    # splits for factor() and _split_cyclotomic, multiplies in F_p[X]/(g)
+    # through _zp_mulmod, not in a ring of its own, and alone branches on
+    # p = 2; _split_cyclotomic only draws its coset sums
     tree = _trees()["rings.py"]
     assert {where for where, _ in callers(tree, "cyclotomic_factors_mod")} == {
         "cyclic_spectrum_ring", "frobenius_labels"}
-    assert nested_functions(tree, "_split_cyclotomic") == []
-    assert "_split_cyclotomic" in {where for where, _ in callers(tree, "_zp_mulmod")}
+    assert nested_functions(tree, "_split_equal_degree") == []
+    assert "_split_equal_degree" in {where for where, _ in callers(tree, "_zp_mulmod")}
+    assert {where for where, _ in callers(tree, "_split_equal_degree")} == {
+        "factor", "_split_cyclotomic"}
+    assert "_split_cyclotomic" not in {where for name in ("_zp_mulmod", "_zp_gcd")
+                                       for where, _ in callers(tree, name)}
+    factoring = {"_zp_squarefree", "_zp_distinct_degree", "_split_equal_degree", "factor",
+                 "cyclotomic_factors_mod", "_split_cyclotomic"}
+    assert {where for where, _ in compared_with_two(tree)
+            if where.split(".")[0] in factoring} == {"_split_equal_degree"}
+
+
+def compared_with_two(tree):
+    """(enclosing def, line) of each comparison in tree that holds the name p
+    or q and the constant 2, such as q > 2 or p % 2 == 1."""
+    def match(node):
+        inner = list(ast.walk(node)) if isinstance(node, ast.Compare) else []
+        return ({n.id for n in inner if isinstance(n, ast.Name)} & {"p", "q"}
+                and any(isinstance(n, ast.Constant) and n.value == 2 for n in inner))
+    return _uses(tree, match)
 
 
 def test_one_product_modulo_a_polynomial_over_f_p():
@@ -449,6 +469,10 @@ def test_the_owner_checks_see_what_they_forbid():
                      "def other():\n    return lambda: split(0)\n")
     assert nested_functions(tree, "split") == [2, 4]
     assert callers(tree, "split") == [("other", 7), ("split", 5)]
+    tree = ast.parse("def split(p, e):\n"
+                     "    if p % 2 == 1:\n        return q > 2\n"
+                     "    return e > 2 or p > 3\n")
+    assert compared_with_two(tree) == [("split", 2), ("split", 3)]
     tree = ast.parse("class F:\n"
                      "    def mul(self, a):\n"
                      "        for x in a:\n            while x:\n                x -= 1\n"

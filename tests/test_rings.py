@@ -17,7 +17,9 @@ from quillen_strata.rings import (GF, CycloField, Poly, QQ,
                                   p_series_mult, poly_gcd, powmod,
                                   prime_splitting, reduce_cyclo_mod_p,
                                   primes_upto, residue_field_label, _gf_modulus,
-                                  _power, _zp_divmod, _zp_powmod)
+                                  _power, _zp_divmod, _zp_mulmod, _zp_pack,
+                                  _zp_unpack)
+from quillen_strata import rings
 from quillen_strata.strata import TheoryError, parse_theory
 
 from conftest import (ReferenceGF, brute_force_spectrum_ring, compose_mod,
@@ -353,6 +355,13 @@ def test_factor_reassembles(p, coeffs):
 
 
 
+def packed_powmod(base, e, mod, p):
+    """base^e mod `mod` over F_p as the F_p core computes it: packed residues
+    under `_power` over `_zp_mulmod`."""
+    x = _zp_pack(_zp_divmod(base, mod, p)[1])
+    return list(_zp_unpack(_power(x, e, _zp_mulmod(mod, p), 1)))
+
+
 @given(st.sampled_from([2, 3, 211, 997, 65521]),
        st.lists(st.integers(min_value=0, max_value=65520), max_size=14),
        st.lists(st.integers(min_value=0, max_value=65520), min_size=1, max_size=10),
@@ -363,7 +372,7 @@ def test_packed_powmod_against_schoolbook(p, base, mod, e):
     if not mod[-1]:
         mod[-1] = 1 + mod[0] % (p - 1)   # any nonzero lead: mostly non-monic
     base = [c % p for c in base]
-    assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+    assert packed_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 211, 997, 65521])
@@ -372,7 +381,7 @@ def test_packed_powmod_edge_cases(p):
     for mod in ([top], [1, top], [top, 2 % p or 1], [0, 0, top]):
         for base in ([], [1], [top, top, top], [0, 1]):
             for e in (0, 1, 2, 7, p):
-                assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+                assert packed_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
 
 
 def test_packed_powmod_at_the_slot_bound():
@@ -383,7 +392,36 @@ def test_packed_powmod_at_the_slot_bound():
     mod = [p - 1 - rng.randrange(64) for _ in range(71)]
     base = [p - 1 - rng.randrange(64) for _ in range(70)]
     for e in (0, 1, 2, 3, 65535):
-        assert _zp_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+        assert packed_powmod(base, e, mod, p) == reference_zp_powmod(base, e, mod, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_factor_returns_chosen_irreducibles(monkeypatch, p, k):
+    # up to four distinct monic irreducibles of degree k, found by Rabin's
+    # test, two to a multiplicity, with X + 1 beside them squared; F_2 has
+    # one irreducible of degree 2, so that case has nothing to split
+    dom = GF(p)
+    rng = random.Random(100 * p + k)
+    chosen = []
+    for _ in range(200):
+        g = Poly(tuple(rng.randrange(p) for _ in range(k)) + (1,), dom)
+        if g not in chosen and is_irreducible(g):
+            chosen.append(g)
+            if len(chosen) == 4:
+                break
+    assert len(chosen) == {(2, 2): 1, (2, 3): 2, (3, 2): 3}.get((p, k), 4)
+    expected = [(Poly((1, 1), dom), 2)] + [(g, 1 + i // 2) for i, g in enumerate(chosen)]
+    f = Poly.one(dom)
+    for g, e in expected:
+        for _ in range(e):
+            f = f * g
+    splits = []
+    split = rings._split_equal_degree
+    monkeypatch.setattr(rings, "_split_equal_degree",
+                        lambda g, *args: splits.append(len(g) - 1) or split(g, *args))
+    assert factor(f) == sorted(expected, key=lambda t: (t[0].degree, t[0].coeffs))
+    assert (max(splits) > k) == (len(chosen) > 1), splits
 
 
 def test_factor_is_deterministic():

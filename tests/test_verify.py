@@ -2,7 +2,7 @@ import ast
 import pathlib
 import time
 
-from quillen_strata import checks, spectrum
+from quillen_strata import checks, spectrum, strata
 from quillen_strata.checks import (check_serialization_round_trip,
                                    check_subgroup_counts)
 from quillen_strata.cli import run
@@ -67,3 +67,35 @@ def test_suites_registers_each_suite_once_in_source_order():
               if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"]
     assert [name for _, name in suites] == SUITE_NAMES
     assert checks.SUITES == [getattr(checks, fn) for fn, _ in suites]
+
+
+def _inverting_ku_rule(theory, x, L, L2):
+    # the real ku rule, but zeta -> zeta^-1 along the identity when |L| > 2
+    if L.order > 2 and tuple(x) == tuple(range(len(x))):
+        return lambda data: strata._galois_image(data, L.order, L.order - 1)
+    return strata._ku_conjugation(theory, x, L, L2)
+
+
+def test_actions_suite_checks_each_rule_at_the_identity(monkeypatch):
+    # stratum() writes the identity's row itself, so only the suite's own
+    # point map along the identity sees a rule that moves points there
+    assert checks.check_strata_actions().ok
+    record = strata.THEORIES["ku"]
+    monkeypatch.setitem(strata.THEORIES, "ku", record._replace(conjugation=_inverting_ku_rule))
+    result = checks.check_strata_actions()
+    assert not result.ok
+    assert result.detail.startswith("action law fails: cyclic:3 ku class 1")
+
+
+def test_a_suite_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def broken(*args):
+        raise KeyError("no such point")
+    monkeypatch.setattr(checks, "coequalize_raw", broken)
+    code = run(["verify", "--all"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        [name, "FAIL" if name == "colimit-quotient-laws" else "ok"] for name in SUITE_NAMES]
+    assert lines[SUITE_NAMES.index("colimit-quotient-laws")].endswith(
+        "raised KeyError: 'no such point'")
+    assert lines[-1] == "11/12 suites passed"
